@@ -2,11 +2,12 @@
 """Quickstart: lossy-checkpointed PCG on a 3D Poisson system.
 
 Builds the paper's Eq. (15) Poisson problem, solves it with preconditioned CG,
-registers the solver state with the checkpoint manager (the paper's
-``Protect()``/``Snapshot()`` workflow), takes a lossy checkpoint mid-run,
-simulates a failure by wiping the state, restores from the checkpoint and
-resumes — printing the compression ratio and the cost (in iterations) of the
-lossy restart.
+protects the solver state with a ``CheckpointPipeline`` (the paper's
+``Protect()``/``Snapshot()`` workflow: the solver declares its state, the
+scheme decides how each variable is compressed), takes a lossy checkpoint
+mid-run, simulates a failure by losing the state, restores from the checkpoint
+and resumes — printing the compression ratio and the cost (in iterations) of
+the lossy restart.
 
 Run:  python examples/quickstart.py
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint import CheckpointManager, VariableRole
-from repro.compression import SZCompressor
+from repro.checkpoint import CheckpointPipeline, MemoryCheckpointStore
+from repro.core import CheckpointingScheme
 from repro.precond import IncompleteCholeskyPreconditioner
 from repro.solvers import CGSolver
 from repro.sparse import poisson_system
@@ -38,35 +39,31 @@ def main() -> None:
     print(f"Failure-free run: {baseline.iterations} iterations, "
           f"relative residual {baseline.relative_residual:.2e}")
 
-    # 3. Checkpointing: protect the dynamic state and snapshot it mid-run
-    #    through an error-bounded lossy compressor (pointwise relative 1e-4).
-    state = {"x": None, "i": None}
-    manager = CheckpointManager(SZCompressor(1e-4))
-    manager.protect("x", VariableRole.DYNAMIC, lambda: state["x"],
-                    lambda value: state.__setitem__("x", value))
-    manager.protect("i", VariableRole.DYNAMIC, lambda: state["i"],
-                    lambda value: state.__setitem__("i", value), compressible=False)
-
+    # 3. Checkpointing: the pipeline protects what the solver declares and
+    #    snapshots it mid-run under the lossy scheme (SZ-like compressor,
+    #    pointwise relative bound 1e-4; Algorithm 2 stores the iterate only).
+    pipeline = CheckpointPipeline(
+        CheckpointingScheme.lossy(1e-4), solver=solver, store=MemoryCheckpointStore()
+    )
     checkpoint_at = baseline.iterations // 2
 
     def on_iteration(it_state):
         if it_state.iteration == checkpoint_at:
-            state["x"] = it_state.x
-            state["i"] = it_state.iteration
-            record = manager.snapshot(iteration=it_state.iteration)
+            snapshot = pipeline.snapshot(it_state.x, iteration=it_state.iteration)
+            pipeline.commit(snapshot)
             print(f"Checkpoint at iteration {it_state.iteration}: "
-                  f"{record.uncompressed_bytes} B -> {record.compressed_bytes} B "
-                  f"(ratio {record.compression_ratio:.1f}x)")
+                  f"{snapshot.uncompressed_bytes} B -> {snapshot.serialized_bytes} B "
+                  f"(ratio {snapshot.compression_ratio:.1f}x)")
 
     solver.solve(problem.b, callback=on_iteration)
 
-    # 4. "Failure": lose the in-memory state, restore the lossy checkpoint and
-    #    restart CG from the decompressed iterate (restarted CG, Algorithm 2).
-    state.update(x=None, i=None)
-    manager.restore()
-    resumed = solver.solve(problem.b, x0=state["x"])
-    total = state["i"] + resumed.iterations
-    print(f"Restarted from the lossy checkpoint at iteration {state['i']}: "
+    # 4. "Failure": the in-memory state is gone; restore the lossy checkpoint
+    #    from the store and restart CG from the decompressed iterate
+    #    (restarted CG, Algorithm 2).
+    restored = pipeline.restore()
+    resumed = solver.solve(problem.b, x0=restored.x)
+    total = restored.iteration + resumed.iterations
+    print(f"Restarted from the lossy checkpoint at iteration {restored.iteration}: "
           f"{resumed.iterations} more iterations "
           f"(total {total}, failure-free {baseline.iterations}, "
           f"extra {total - baseline.iterations})")

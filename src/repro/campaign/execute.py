@@ -444,10 +444,18 @@ def _run_ft(cell) -> Dict[str, object]:
     char = _characterization(cell)
 
     scale = paper_scale(cell.num_processes)
-    cluster = ClusterModel(num_processes=cell.num_processes)
-    # The a-priori estimate (Young interval, reported estimated seconds) is
-    # priced under the same costing the engine will charge, so the interval
-    # is optimized for the cost the run actually pays.
+    scenario = Scenario(
+        failure_model=cell.failure_model,
+        recovery_levels=cell.recovery_levels,
+        checkpoint_costing=cell.checkpoint_costing,
+        write_mode=cell.write_mode,
+        store_backend=cell.store_backend,
+    )
+    # The a-priori estimate (Young interval, reported estimated seconds, the
+    # async capture/drain floor) is priced under the costing *and through the
+    # store backend's profile* the engine will charge, so the interval is
+    # optimized for the cost the run actually pays.
+    cluster = scenario.priced_on(ClusterModel(num_processes=cell.num_processes))
     if cell.checkpoint_costing == "measured":
         timings = measured_scheme_timings(scheme, char, scale, cluster)
         ckpt_bytes = measured_checkpoint_bytes(
@@ -497,13 +505,7 @@ def _run_ft(cell) -> Dict[str, object]:
         method=cell.method,
         baseline=baseline,
         seed=cell.seed,
-        scenario=Scenario(
-            failure_model=cell.failure_model,
-            recovery_levels=cell.recovery_levels,
-            checkpoint_costing=cell.checkpoint_costing,
-            write_mode=cell.write_mode,
-            store_backend=cell.store_backend,
-        ),
+        scenario=scenario,
     )
     report = runner.run()
     result_extra = {}

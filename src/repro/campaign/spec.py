@@ -62,7 +62,11 @@ KINDS = (
 #: 8: payload format v2 (byte-shuffled, sharded, entropy-gated compression):
 #: lossless and SZ payload bytes changed (smaller), so every cell's measured
 #: payload sizes, ratios and checkpoint costs changed with them.
-CACHE_VERSION = 8
+#: 9: one storage-cost algebra — the a-priori Young interval and estimated
+#: seconds of non-pfs store-backend cells are priced through the backend's
+#: StoreProfile (they were priced through the PFS), and fti x non-pfs cells
+#: price levels as profile seconds x cost multiplier (last-ulp drift).
+CACHE_VERSION = 9
 
 _Params = Tuple[Tuple[str, object], ...]
 

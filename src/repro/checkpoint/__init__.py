@@ -28,7 +28,6 @@ from repro.checkpoint.store import (
     WriteReceipt,
 )
 from repro.checkpoint.chunked import ChunkedStore, DEFAULT_CHUNK_SIZE, chunk_digest
-from repro.checkpoint.manager import CheckpointManager, CheckpointRecord
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelPolicy,
@@ -68,8 +67,6 @@ __all__ = [
     "STORE_PROFILES",
     "DEFAULT_CHUNK_SIZE",
     "chunk_digest",
-    "CheckpointManager",
-    "CheckpointRecord",
     "CheckpointLevel",
     "MultilevelPolicy",
     "MultilevelCheckpointStore",

@@ -14,10 +14,9 @@ lossy-checkpointing gain survives when cheaper levels absorb most failures.
 
 The store composes real :class:`~repro.checkpoint.store.CheckpointStore`
 backends: every level routes to a backend (one shared in-memory backend by
-default, reproducing the legacy behavior exactly), and each level's *pricing*
-comes from that backend's :class:`~repro.checkpoint.store.StoreProfile`
-scaled by the level's cost multiplier (see :meth:`MultilevelCheckpointStore.
-profile_for`).  Partner-level checkpoints additionally write a buddy replica
+default), and a level's *price* is the storage profile's seconds times the
+level's cost multiplier (:attr:`MultilevelPolicy.cost_multiplier`).
+Partner-level checkpoints additionally write a buddy replica
 through the backend's blob namespace — when the backend dedups
 (:class:`~repro.checkpoint.chunked.ChunkedStore`), the replica shares chunks
 with the primary copy and adds zero unique bytes.
@@ -124,7 +123,7 @@ class MultilevelCheckpointStore(CheckpointStore):
     checkpoints.
 
     ``backend`` is the shared backend every level routes to by default (an
-    in-memory store when omitted — the legacy behavior); ``level_backends``
+    in-memory store when omitted); ``level_backends``
     overrides the backend for individual levels.  Partner-level writes add a
     buddy replica under the blob key ``replica/L2/<id>`` on the partner
     backend, via the dedup pool when the backend offers one.
@@ -149,15 +148,6 @@ class MultilevelCheckpointStore(CheckpointStore):
     def backend_for(self, level: CheckpointLevel) -> CheckpointStore:
         """The backend payloads at ``level`` are routed to."""
         return self._level_backends.get(CheckpointLevel(level), self._backend)
-
-    def profile_for(self, level: CheckpointLevel) -> StoreProfile:
-        """Pricing profile of one level: backend profile x level multiplier."""
-        level = CheckpointLevel(level)
-        base = self.backend_for(level).profile
-        multiplier = self.policy.cost_multiplier[level]
-        if multiplier == 1.0:
-            return base
-        return base.scaled(multiplier, name=f"{base.name}/L{int(level)}")
 
     def _backends(self) -> List[CheckpointStore]:
         seen: List[CheckpointStore] = [self._backend]

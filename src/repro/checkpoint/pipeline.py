@@ -1,14 +1,8 @@
 """The unified checkpoint pipeline — one measured write/restore path.
 
-Before this module existed the repository had two disconnected checkpoint
-stacks: the faithful ``Protect()``/``Snapshot()`` layer
-(:class:`~repro.checkpoint.manager.CheckpointManager` +
-:class:`~repro.checkpoint.variables.VariableRegistry` + serialization) used
-only by standalone examples, and the fault-tolerance engine's hand-rolled
-path that compressed only ``x``, kept resume vectors raw and unpriced in
-memory, and *modeled* the remaining checkpoint bytes as
-``vector_bytes * dynamic_vector_count``.  :class:`CheckpointPipeline` unifies
-them:
+:class:`CheckpointPipeline` is the only checkpoint front-end — the paper's
+``Protect()``/``Snapshot()`` workflow for standalone use and the
+fault-tolerance engine's write/restore path alike:
 
 * a :class:`~repro.checkpoint.variables.VariableRegistry` is materialized
   from the solver's :class:`~repro.solvers.base.CheckpointSpec` declaration —

@@ -10,9 +10,9 @@ multilevel policy can compose real backends instead of bare multipliers.
 Concrete back ends:
 
 * :class:`MemoryCheckpointStore` — keeps payloads in RAM.  This is what the
-  fault-tolerance runner uses by default: the *timing* of PFS writes is
-  modeled by the cluster layer (see :mod:`repro.cluster.pfs`), so the store
-  itself only needs to hold the real bytes.
+  fault-tolerance runner uses by default: the *timing* of writes is priced
+  from the profile (:class:`~repro.cluster.machine.ClusterModel`), so the
+  store itself only needs to hold the real bytes.
 * :class:`FileCheckpointStore` — one file per checkpoint under a directory,
   like FTI's one-file-per-process layout.  Writes are crash-safe: payloads
   land in a same-directory temp file, are fsynced, and are published with an
@@ -33,8 +33,10 @@ from __future__ import annotations
 import abc
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.utils.validation import check_nonnegative
 
 __all__ = [
     "FAILURE_SCOPES",
@@ -65,11 +67,18 @@ FAILURE_SCOPES: Tuple[str, ...] = ("process", "node", "system")
 class StoreProfile:
     """Latency / bandwidth / durability envelope of a checkpoint store.
 
-    Mirrors the shape of :class:`repro.cluster.pfs.PFSModel` so the engine
-    can price any backend the way it prices the paper's PFS: a write costs
-    ``latency + per_process_overhead * procs + nbytes / write_bandwidth``.
-    ``durability`` names the widest failure scope (:data:`FAILURE_SCOPES`)
-    that data in this store survives.
+    The one storage-cost algebra: moving ``nbytes`` between
+    ``num_processes`` ranks and the store costs ``latency +
+    per_process_overhead * num_processes + nbytes / bandwidth`` — a fixed
+    aggregate bandwidth shared by all ranks (total data grows linearly under
+    weak scaling while the bandwidth stays constant, Section 5.3) plus a
+    per-rank metadata/collective-I/O contention term, which is what keeps
+    *compressed* checkpoint times growing with scale in Figures 4-6 even
+    though the payload is tiny.  An asynchronous drain only sees
+    ``async_bandwidth_fraction`` of the write bandwidth: a background flush
+    contends with the running application's own traffic.  ``durability``
+    names the widest failure scope (:data:`FAILURE_SCOPES`) that data in
+    this store survives.
     """
 
     name: str
@@ -92,29 +101,32 @@ class StoreProfile:
                 f"durability must be one of {FAILURE_SCOPES}, got {self.durability!r}"
             )
 
-    # -- pricing (same algebra as PFSModel) --------------------------------
-    def write_seconds(self, nbytes: float, num_processes: int = 1) -> float:
-        """Modeled seconds to write ``nbytes`` from ``num_processes`` ranks."""
+    # -- pricing -------------------------------------------------------------
+    def _transfer_seconds(
+        self, nbytes: float, num_processes: int, bandwidth: float
+    ) -> float:
+        """The one cost expression every storage operation is priced by."""
+        nbytes = check_nonnegative(nbytes, "nbytes")
+        if num_processes < 1:
+            raise ValueError(f"num_processes must be >= 1, got {num_processes}")
         return (
             self.latency
             + self.per_process_overhead * num_processes
-            + float(nbytes) / self.write_bandwidth
+            + nbytes / bandwidth
         )
+
+    def write_seconds(self, nbytes: float, num_processes: int = 1) -> float:
+        """Modeled seconds to write ``nbytes`` from ``num_processes`` ranks."""
+        return self._transfer_seconds(nbytes, num_processes, self.write_bandwidth)
 
     def read_seconds(self, nbytes: float, num_processes: int = 1) -> float:
         """Modeled seconds to read ``nbytes`` into ``num_processes`` ranks."""
-        return (
-            self.latency
-            + self.per_process_overhead * num_processes
-            + float(nbytes) / self.read_bandwidth
-        )
+        return self._transfer_seconds(nbytes, num_processes, self.read_bandwidth)
 
     def drain_seconds(self, nbytes: float, num_processes: int = 1) -> float:
         """Modeled seconds to drain ``nbytes`` on the background I/O channel."""
-        return (
-            self.latency
-            + self.per_process_overhead * num_processes
-            + float(nbytes) / (self.write_bandwidth * self.async_bandwidth_fraction)
+        return self._transfer_seconds(
+            nbytes, num_processes, self.write_bandwidth * self.async_bandwidth_fraction
         )
 
     def survives(self, failure_scope: str) -> bool:
@@ -127,28 +139,10 @@ class StoreProfile:
             failure_scope
         )
 
-    def scaled(self, cost_multiplier: float, *, name: Optional[str] = None) -> "StoreProfile":
-        """A profile whose write/read cost is ``cost_multiplier`` times this one.
 
-        Used by the multilevel policy to derive per-level profiles from a base
-        backend: cheaper levels get proportionally more bandwidth and less
-        latency, so pricing through the scaled profile matches the legacy
-        ``cost_multiplier`` algebra.
-        """
-        if cost_multiplier <= 0:
-            raise ValueError("cost_multiplier must be positive")
-        return replace(
-            self,
-            name=name or f"{self.name}x{cost_multiplier:g}",
-            write_bandwidth=self.write_bandwidth / cost_multiplier,
-            read_bandwidth=self.read_bandwidth / cost_multiplier,
-            latency=self.latency * cost_multiplier,
-            per_process_overhead=self.per_process_overhead * cost_multiplier,
-        )
-
-
-#: Profile matching the paper's measured PFS (see repro.cluster.pfs.PFSModel);
-#: the engine's legacy pricing path is byte-identical to this profile.
+#: The paper's parallel file system, calibrated on its anchor measurement:
+#: one traditional checkpoint of a 78.8 GiB vector from 2,048 processes takes
+#: about 120 s (bandwidth term ~103 s + contention ~16 s + latency).
 PFS_PROFILE = StoreProfile(
     name="pfs",
     write_bandwidth=78.8 * _GIB / 103.0,

@@ -1,4 +1,4 @@
-"""Simulated HPC cluster: machine model, PFS I/O model, failures, partitioning.
+"""Simulated HPC cluster: machine model, failures, partitioning.
 
 The paper's evaluation ran on 2,048 cores of the Bebop cluster with roughly
 80 GB checkpoints going to a parallel file system.  This subpackage provides
@@ -11,7 +11,6 @@ at 2,048 processes).
 """
 
 from repro.cluster.machine import MachineSpec, ClusterModel, BEBOP_LIKE
-from repro.cluster.pfs import PFSModel
 from repro.cluster.failures import (
     FailureInjector,
     FailureEvent,
@@ -28,7 +27,6 @@ __all__ = [
     "MachineSpec",
     "ClusterModel",
     "BEBOP_LIKE",
-    "PFSModel",
     "FailureInjector",
     "FailureEvent",
     "FailureModel",

@@ -5,18 +5,24 @@ bytes written, iterations executed) into *modeled wall-clock seconds at the
 paper's scale*.  It is the documented substitution for the 2,048-core Bebop
 runs (DESIGN.md, "What is measured vs. what is modeled"):
 
-* checkpoint time = parallel compression time + PFS write of the compressed
-  bytes,
-* recovery time = PFS read of the compressed bytes + parallel decompression +
-  regeneration of the static variables (matrix, preconditioner, right-hand
-  side),
+* checkpoint time = parallel compression time + storage write of the
+  compressed bytes,
+* recovery time = storage read of the compressed bytes + parallel
+  decompression + regeneration of the static variables (matrix,
+  preconditioner, right-hand side),
 * iteration time comes from a per-method calibration table derived from the
   paper's own baselines (Jacobi 50 min / 3,941 iterations, GMRES 120 min /
   5,875 iterations, CG 35 min / ~2,376 iterations at 2,048 processes).
 
 Compression/decompression throughput follows the paper's observation that SZ
 compresses at ~80 GB/s and decompresses at ~180 GB/s on 1,024 cores with
-near-linear scaling (Section 5.3).
+near-linear scaling (Section 5.3).  Storage time comes from the model's
+:class:`~repro.checkpoint.store.StoreProfile` — the paper's parallel file
+system by default — times the FTI level's cost multiplier.
+
+Every cost is a pure function of the model and the byte counts, so the engine
+can price a scheduled event once, when it creates it, and trust the number
+when the event fires.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.checkpoint.store import StoreProfile
-from repro.cluster.pfs import PFSModel
+from repro.checkpoint.store import PFS_PROFILE, StoreProfile
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -35,12 +40,6 @@ __all__ = [
     "PAPER_ITERATION_SECONDS",
     "PAPER_BASELINE_SECONDS",
     "PAPER_BASELINE_ITERATIONS",
-    "price_compression",
-    "price_decompression",
-    "price_checkpoint",
-    "price_capture",
-    "price_drain",
-    "price_recovery",
 ]
 
 _GIB = 1024.0**3
@@ -86,7 +85,6 @@ class MachineSpec:
     nodes: int = 64
     cores_per_node: int = 32
     memory_per_node_gib: float = 128.0
-    pfs: PFSModel = field(default_factory=PFSModel)
     #: Per-core lossy compression throughput (bytes/s); 80 GB/s over 1,024 cores.
     compress_bandwidth_per_core: float = 80.0 * _GIB / 1024.0
     #: Per-core lossy decompression throughput (bytes/s); 180 GB/s over 1,024 cores.
@@ -133,124 +131,6 @@ class MachineSpec:
 BEBOP_LIKE = MachineSpec()
 
 
-# ----------------------------------------------------------------------
-# pure pricing functions
-# ----------------------------------------------------------------------
-# Every cost is a pure function of (spec, num_processes, byte counts): no
-# state is read at pricing time, so the engine can price a scheduled event
-# once, at event-creation time, and trust the number when the event fires.
-# :class:`ClusterModel`'s methods below are thin delegating wrappers.
-
-
-def price_compression(
-    spec: MachineSpec, num_processes: int, uncompressed_bytes: float
-) -> float:
-    """Parallel lossy-compression seconds for ``uncompressed_bytes``."""
-    uncompressed_bytes = check_nonnegative(uncompressed_bytes, "uncompressed_bytes")
-    return uncompressed_bytes / (spec.compress_bandwidth_per_core * num_processes)
-
-
-def price_decompression(
-    spec: MachineSpec, num_processes: int, uncompressed_bytes: float
-) -> float:
-    """Parallel decompression seconds for ``uncompressed_bytes``."""
-    uncompressed_bytes = check_nonnegative(uncompressed_bytes, "uncompressed_bytes")
-    return uncompressed_bytes / (spec.decompress_bandwidth_per_core * num_processes)
-
-
-def price_checkpoint(
-    spec: MachineSpec,
-    num_processes: int,
-    uncompressed_bytes: float,
-    compressed_bytes: float,
-    *,
-    compressed: bool = True,
-    write_cost_multiplier: float = 1.0,
-    profile: Optional[StoreProfile] = None,
-) -> float:
-    """Seconds of one *blocking* checkpoint write (compression + storage).
-
-    ``write_cost_multiplier`` scales the storage-write portion only
-    (FTI-style cheap levels); ``profile`` prices the write through a
-    :class:`~repro.checkpoint.store.StoreProfile` instead of the machine's
-    PFS model (``None`` keeps the legacy PFS path bit-exact).
-    """
-    if profile is not None:
-        write = profile.write_seconds(compressed_bytes, num_processes)
-    else:
-        write = spec.pfs.write_seconds(compressed_bytes, num_processes=num_processes)
-    if write_cost_multiplier != 1.0:
-        write *= check_positive(write_cost_multiplier, "write_cost_multiplier")
-    if not compressed:
-        return write
-    return price_compression(spec, num_processes, uncompressed_bytes) + write
-
-
-def price_capture(
-    spec: MachineSpec,
-    num_processes: int,
-    uncompressed_bytes: float,
-    compressed_bytes: float,
-    *,
-    compressed: bool = True,
-) -> float:
-    """Inline (compute-channel) seconds of staging one *async* checkpoint.
-
-    Compression plus the node-local staging copy; the storage write drains
-    in the background (:func:`price_drain`).
-    """
-    compressed_bytes = check_nonnegative(compressed_bytes, "compressed_bytes")
-    staging = compressed_bytes / (spec.staging_bandwidth_per_core * num_processes)
-    if not compressed:
-        return staging
-    return price_compression(spec, num_processes, uncompressed_bytes) + staging
-
-
-def price_drain(
-    spec: MachineSpec,
-    num_processes: int,
-    compressed_bytes: float,
-    *,
-    write_cost_multiplier: float = 1.0,
-    profile: Optional[StoreProfile] = None,
-) -> float:
-    """I/O-channel seconds to drain one staged checkpoint to storage."""
-    if profile is not None:
-        drain = profile.drain_seconds(compressed_bytes, num_processes)
-    else:
-        drain = spec.pfs.drain_seconds(compressed_bytes, num_processes=num_processes)
-    if write_cost_multiplier != 1.0:
-        drain *= check_positive(write_cost_multiplier, "write_cost_multiplier")
-    return drain
-
-
-def price_recovery(
-    spec: MachineSpec,
-    num_processes: int,
-    uncompressed_bytes: float,
-    compressed_bytes: float,
-    *,
-    static_bytes: float = 0.0,
-    compressed: bool = True,
-    read_cost_multiplier: float = 1.0,
-    profile: Optional[StoreProfile] = None,
-) -> float:
-    """Seconds of one recovery (read + decompress + rebuild statics)."""
-    if profile is not None:
-        read = profile.read_seconds(compressed_bytes, num_processes)
-    else:
-        read = spec.pfs.read_seconds(compressed_bytes, num_processes=num_processes)
-    if read_cost_multiplier != 1.0:
-        read *= check_positive(read_cost_multiplier, "read_cost_multiplier")
-    rebuild = 0.0
-    if static_bytes:
-        rate = spec.static_rebuild_bandwidth_per_core * num_processes
-        rebuild = check_nonnegative(static_bytes, "static_bytes") / rate
-    if not compressed:
-        return read + rebuild
-    return read + price_decompression(spec, num_processes, uncompressed_bytes) + rebuild
-
-
 @dataclass
 class ClusterModel:
     """Time model for a job running on ``num_processes`` processes.
@@ -264,6 +144,9 @@ class ClusterModel:
     iteration_seconds:
         Per-method seconds per iteration; defaults to the paper-derived table
         :data:`PAPER_ITERATION_SECONDS`.
+    profile:
+        Latency/bandwidth envelope of the store checkpoints are written to
+        and recovered from; defaults to the paper's parallel file system.
     """
 
     num_processes: int = 2048
@@ -271,6 +154,7 @@ class ClusterModel:
     iteration_seconds: Dict[str, float] = field(
         default_factory=lambda: dict(PAPER_ITERATION_SECONDS)
     )
+    profile: StoreProfile = PFS_PROFILE
 
     def __post_init__(self) -> None:
         self.num_processes = int(self.num_processes)
@@ -321,11 +205,17 @@ class ClusterModel:
     # -- compression time -------------------------------------------------------
     def compression_seconds(self, uncompressed_bytes: float) -> float:
         """Modeled parallel lossy-compression time for ``uncompressed_bytes``."""
-        return price_compression(self.spec, self.num_processes, uncompressed_bytes)
+        uncompressed_bytes = check_nonnegative(uncompressed_bytes, "uncompressed_bytes")
+        return uncompressed_bytes / (
+            self.spec.compress_bandwidth_per_core * self.num_processes
+        )
 
     def decompression_seconds(self, uncompressed_bytes: float) -> float:
         """Modeled parallel decompression time for ``uncompressed_bytes``."""
-        return price_decompression(self.spec, self.num_processes, uncompressed_bytes)
+        uncompressed_bytes = check_nonnegative(uncompressed_bytes, "uncompressed_bytes")
+        return uncompressed_bytes / (
+            self.spec.decompress_bandwidth_per_core * self.num_processes
+        )
 
     # -- checkpoint / recovery time --------------------------------------------
     def checkpoint_seconds(
@@ -335,30 +225,22 @@ class ClusterModel:
         *,
         compressed: bool = True,
         write_cost_multiplier: float = 1.0,
-        profile: Optional[StoreProfile] = None,
     ) -> float:
-        """Modeled time of one checkpoint write.
+        """Modeled time of one *blocking* checkpoint write.
 
         ``uncompressed_bytes`` is the dynamic-variable footprint before
-        compression; ``compressed_bytes`` is what actually goes to the PFS.
+        compression; ``compressed_bytes`` is what actually goes to storage.
         ``compressed=False`` (traditional checkpointing) skips the compression
         stage.  ``write_cost_multiplier`` scales the storage-write portion
         only (FTI-style multilevel checkpointing prices an L1 local write at a
-        few percent of a PFS write; compression time is level-independent).
-        ``profile`` prices the storage write through a
-        :class:`~repro.checkpoint.store.StoreProfile` instead of the machine's
-        PFS model (``None``, the default, keeps the legacy PFS path
-        bit-exact).
+        few percent of a full write; compression time is level-independent).
         """
-        return price_checkpoint(
-            self.spec,
-            self.num_processes,
-            uncompressed_bytes,
-            compressed_bytes,
-            compressed=compressed,
-            write_cost_multiplier=write_cost_multiplier,
-            profile=profile,
-        )
+        write = self.profile.write_seconds(
+            compressed_bytes, self.num_processes
+        ) * check_positive(write_cost_multiplier, "write_cost_multiplier")
+        if not compressed:
+            return write
+        return self.compression_seconds(uncompressed_bytes) + write
 
     # -- asynchronous (overlapped) checkpointing --------------------------------
     @property
@@ -376,43 +258,32 @@ class ClusterModel:
         """Inline (compute-channel) cost of staging one *asynchronous* checkpoint.
 
         The solver still pays for compression and for copying the compressed
-        payload into node-local staging memory, but not for the PFS write —
-        that is drained in the background (:meth:`drain_seconds`) while
+        payload into node-local staging memory, but not for the storage write
+        — that is drained in the background (:meth:`drain_seconds`) while
         compute continues.
         """
-        return price_capture(
-            self.spec,
-            self.num_processes,
-            uncompressed_bytes,
-            compressed_bytes,
-            compressed=compressed,
+        compressed_bytes = check_nonnegative(compressed_bytes, "compressed_bytes")
+        staging = compressed_bytes / (
+            self.spec.staging_bandwidth_per_core * self.num_processes
         )
+        if not compressed:
+            return staging
+        return self.compression_seconds(uncompressed_bytes) + staging
 
     def drain_seconds(
-        self,
-        compressed_bytes: float,
-        *,
-        write_cost_multiplier: float = 1.0,
-        profile: Optional[StoreProfile] = None,
+        self, compressed_bytes: float, *, write_cost_multiplier: float = 1.0
     ) -> float:
         """I/O-channel time to drain one staged checkpoint to storage.
 
-        Prices the background flush of ``compressed_bytes`` at the PFS's
+        Prices the background flush of ``compressed_bytes`` at the store's
         contended async bandwidth
-        (:attr:`~repro.cluster.pfs.PFSModel.async_bandwidth_fraction`);
+        (:attr:`~repro.checkpoint.store.StoreProfile.async_bandwidth_fraction`);
         ``write_cost_multiplier`` scales it for cheap multilevel targets,
-        exactly as in :meth:`checkpoint_seconds`.  ``profile`` reroutes the
-        drain through a target store's
-        :class:`~repro.checkpoint.store.StoreProfile` (its own contended
-        async fraction included); ``None`` keeps the legacy PFS path.
+        exactly as in :meth:`checkpoint_seconds`.
         """
-        return price_drain(
-            self.spec,
-            self.num_processes,
-            compressed_bytes,
-            write_cost_multiplier=write_cost_multiplier,
-            profile=profile,
-        )
+        return self.profile.drain_seconds(
+            compressed_bytes, self.num_processes
+        ) * check_positive(write_cost_multiplier, "write_cost_multiplier")
 
     def recovery_seconds(
         self,
@@ -422,23 +293,20 @@ class ClusterModel:
         static_bytes: float = 0.0,
         compressed: bool = True,
         read_cost_multiplier: float = 1.0,
-        profile: Optional[StoreProfile] = None,
     ) -> float:
         """Modeled time of one recovery (read + decompress + rebuild statics).
 
         ``read_cost_multiplier`` scales the storage-read portion only, so a
         multilevel recovery from a local/partner/RS-encoded checkpoint costs
-        less than the PFS read the paper always prices.  ``profile`` reads
-        through a store's :class:`~repro.checkpoint.store.StoreProfile`
-        instead of the machine's PFS model.
+        less than the full read the paper always prices.
         """
-        return price_recovery(
-            self.spec,
-            self.num_processes,
-            uncompressed_bytes,
-            compressed_bytes,
-            static_bytes=static_bytes,
-            compressed=compressed,
-            read_cost_multiplier=read_cost_multiplier,
-            profile=profile,
-        )
+        read = self.profile.read_seconds(
+            compressed_bytes, self.num_processes
+        ) * check_positive(read_cost_multiplier, "read_cost_multiplier")
+        rebuild = 0.0
+        if static_bytes:
+            rate = self.spec.static_rebuild_bandwidth_per_core * self.num_processes
+            rebuild = check_nonnegative(static_bytes, "static_bytes") / rate
+        if not compressed:
+            return read + rebuild
+        return read + self.decompression_seconds(uncompressed_bytes) + rebuild

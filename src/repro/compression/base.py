@@ -55,11 +55,12 @@ class CompressedBlob:
 
     @property
     def format_version(self) -> int:
-        """Payload format version (0 = legacy, pre-block-codec payloads).
+        """Payload format version (0 = pre-block-codec or unversioned).
 
         Compressors stamp ``meta["format_version"]`` when they encode with
-        the versioned block codec (:mod:`repro.compression.codec`); payloads
-        without the key predate it and decode through the legacy paths.
+        the versioned block codec (:mod:`repro.compression.codec`) or the
+        sharded frame; SZ/ZFP reject blobs without the key, the lossless
+        compressors read them as the seed-era bare streams.
         """
         return int(self.meta.get("format_version", 0))
 

@@ -8,10 +8,11 @@ These helpers implement the bit-level plumbing:
 
 The zigzag and section helpers remain the building blocks of the versioned
 block codec (:mod:`repro.compression.codec`).  :func:`pack_unsigned` /
-:func:`unpack_unsigned` are the *legacy* (format version 0) whole-stream
+:func:`unpack_unsigned` are the pre-codec (format version 0) whole-stream
 encoder: one global bit width means a single outlier code inflates every
-element, which is why new payloads use the codec's per-block widths plus
-escape channel instead.  They are kept so pre-codec checkpoints decode.
+element, which is why payloads use the codec's per-block widths plus
+escape channel instead.  No compressor reads or writes them any more; the
+codec tests and ``BENCH_codec`` keep them as the ratio/throughput baseline.
 
 Everything is vectorised NumPy (no per-element Python loops) following the
 HPC-Python guidance used for this project.

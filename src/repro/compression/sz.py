@@ -19,14 +19,12 @@ vectorised formulation (see :mod:`repro.compression.quantization`):
    upper planes DEFLATE to almost nothing — smaller *and* faster than the
    v1 bit-packing + whole-frame DEFLATE it replaces.
 
-Payloads carry ``format_version`` in their metadata and every earlier
-format still decodes: v1 blobs through the retained block-codec frame path
-(per-block minimal bit widths, escape channel, one DEFLATE pass), and
-pre-codec blobs (no ``format_version`` key) through the legacy paths
-(global-width bit packing, and a nested DEFLATE stream inside the
-pointwise-relative frame).  The quantization codes are identical across
-v1 and v2 — only their byte representation changed — so reconstructions
-are bitwise identical whichever format carried them.
+Payloads carry ``format_version`` in their metadata.  v1 blobs still decode
+through the retained block-codec frame path (per-block minimal bit widths,
+escape channel, one DEFLATE pass); pre-codec blobs (no ``format_version``
+key) are rejected with a ``ValueError``.  The quantization codes are
+identical across v1 and v2 — only their byte representation changed — so
+reconstructions are bitwise identical whichever format carried them.
 
 The compressor guarantees the requested error bound for every element; if the
 bound is unachievable with 63-bit integer codes it falls back to lossless
@@ -52,12 +50,7 @@ from repro.compression.codec import (
     decode_frame,
     decode_signed,
 )
-from repro.compression.encoding import (
-    unpack_sections,
-    unpack_unsigned,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.compression.encoding import zigzag_decode, zigzag_encode
 from repro.compression.filters import code_planes, codes_from_planes
 from repro.compression.sharded import (
     SHARDED_FORMAT_VERSION,
@@ -233,10 +226,8 @@ class SZCompressor(Compressor):
             else:
                 quantized = self._decode_quantized_sections(sections)
                 flat = dequantize_absolute(quantized)
-        elif scheme == "pw_rel":
-            flat = self._legacy_decompress_pointwise_relative(blob.payload)
         else:
-            flat = self._legacy_decompress_absolute_like(blob.payload)
+            raise ValueError("unsupported payload format version 0")
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- absolute / value-range relative -------------------------------
@@ -327,38 +318,6 @@ class SZCompressor(Compressor):
 
     def _raw_fallback(self, flat: np.ndarray) -> bytes:
         return zlib.compress(flat.astype(np.float64).tobytes(), self.zlib_level)
-
-    # -- legacy (format version 0) decode paths --------------------------
-    # Payloads written before the block codec: global-width bit packing via
-    # encoding.pack_unsigned, and a *nested* DEFLATE stream inside the
-    # pointwise-relative frame.  Kept so old checkpoints remain readable.
-    def _legacy_decompress_absolute_like(self, payload: bytes) -> np.ndarray:
-        quantized, _ = self._legacy_decode_quantized(payload)
-        return dequantize_absolute(quantized)
-
-    def _legacy_decompress_pointwise_relative(self, payload: bytes) -> np.ndarray:
-        frame = zlib.decompress(payload)
-        count_section, log_section, neg_section, zero_section = unpack_sections(frame)
-        count = int(np.frombuffer(count_section, dtype=np.int64)[0])
-        quantized, _ = self._legacy_decode_quantized(log_section, precompressed=True)
-        log_recon = dequantize_absolute(quantized)
-        return reconstruct_from_masks(log_recon, neg_section, zero_section, count)
-
-    def _legacy_decode_quantized(
-        self, payload: bytes, *, precompressed: bool = False
-    ) -> "tuple[QuantizedArray, int]":
-        frame = payload if precompressed else zlib.decompress(payload)
-        # When nested inside the legacy pw_rel frame the inner section is
-        # itself a zlib stream.
-        if precompressed:
-            frame = zlib.decompress(frame)
-        header, order_bytes, packed = unpack_sections(frame)
-        quantum = float(np.frombuffer(header, dtype=np.float64)[0])
-        order = int(np.frombuffer(order_bytes, dtype=np.int64)[0])
-        codes_unsigned, _ = unpack_unsigned(packed)
-        residuals = zigzag_decode(codes_unsigned)
-        codes = _unpredict_codes(residuals, order)
-        return QuantizedArray(codes=codes, quantum=quantum), order
 
 
 def _make_sz(**kwargs) -> SZCompressor:

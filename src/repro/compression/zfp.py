@@ -18,9 +18,8 @@ Pointwise-relative bounds are supported through the same logarithmic
 transform the SZ-like compressor uses, so the checkpointing layer can swap
 SZ-like and ZFP-like compressors freely (the compressor-family ablation in
 ``benchmarks/test_bench_ablation_compressors.py``).  Payloads carry
-``format_version`` in their metadata; legacy payloads (no ``format_version``)
-decode through the pre-codec paths, including the old nested-DEFLATE
-pointwise-relative frame.
+``format_version`` in their metadata; pre-codec payloads (no
+``format_version``) are rejected with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ from repro.compression.codec import (
     decode_signed,
     encode_frame,
     encode_signed,
-)
-from repro.compression.encoding import (
-    unpack_sections,
-    unpack_unsigned,
-    zigzag_decode,
 )
 from repro.compression.errorbounds import ErrorBound, ErrorBoundMode
 from repro.compression.quantization import QuantizationOverflow, quantize_absolute
@@ -142,16 +136,8 @@ class ZFPCompressor(Compressor):
                 flat = reconstruct_from_masks(log_recon, sections[4], sections[5], count)
             else:
                 flat = self._decode_transform_sections(sections)
-        elif scheme == "pw_rel":
-            frame = zlib.decompress(blob.payload)
-            count_b, inner, neg_b, zero_b = unpack_sections(frame)
-            count = int(np.frombuffer(count_b, dtype=np.int64)[0])
-            log_recon = self._legacy_decompress_values(inner)
-            flat = reconstruct_from_masks(log_recon, neg_b, zero_b, count)
         else:
-            flat = self._legacy_decompress_values(
-                zlib.decompress(blob.payload), precompressed=True
-            )
+            raise ValueError("unsupported payload format version 0")
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- block transform core -------------------------------------------
@@ -186,23 +172,6 @@ class ZFPCompressor(Compressor):
         quantum = float(np.frombuffer(header, dtype=np.float64)[0])
         n, block = (int(v) for v in np.frombuffer(sizes, dtype=np.int64))
         codes = decode_signed(packed)
-        coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
-        values = idct(coeffs, axis=1, norm="ortho").reshape(-1)
-        return values[:n]
-
-    # -- legacy (format version 0) decode path ---------------------------
-    def _legacy_decompress_values(
-        self, payload: bytes, *, precompressed: bool = False
-    ) -> np.ndarray:
-        # The legacy abs path hands us the already-decompressed zlib frame
-        # (precompressed=True); the legacy pw_rel path hands the raw *nested*
-        # zlib stream its frame carried as a section.
-        frame = payload if precompressed else zlib.decompress(payload)
-        header, sizes, packed = unpack_sections(frame)
-        quantum = float(np.frombuffer(header, dtype=np.float64)[0])
-        n, block = (int(v) for v in np.frombuffer(sizes, dtype=np.int64))
-        codes_unsigned, _ = unpack_unsigned(packed)
-        codes = zigzag_decode(codes_unsigned)
         coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
         values = idct(coeffs, axis=1, norm="ortho").reshape(-1)
         return values[:n]

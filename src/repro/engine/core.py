@@ -102,9 +102,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint.multilevel import MultilevelCheckpointStore, MultilevelPolicy
+from repro.checkpoint.multilevel import (
+    CheckpointLevel,
+    MultilevelCheckpointStore,
+    MultilevelPolicy,
+)
 from repro.checkpoint.pipeline import CheckpointPipeline, PipelineSnapshot
-from repro.checkpoint.store import CheckpointStore, StoreProfile
+from repro.checkpoint.store import CheckpointStore
 from repro.cluster.machine import ClusterModel
 from repro.engine.calendar import (
     ComputeChannel,
@@ -265,7 +269,8 @@ class FaultToleranceEngine:
     scheme:
         The checkpointing scheme (traditional / lossless / lossy).
     cluster:
-        Cluster time model (already set to the desired process count).
+        Cluster time model at the desired process count; a non-``pfs``
+        scenario backend substitutes its own storage profile.
     scale:
         Paper-scale problem description used to convert measured compression
         ratios into modeled checkpoint bytes.
@@ -337,7 +342,8 @@ class FaultToleranceEngine:
         self.solver = solver
         self.b = np.asarray(b, dtype=np.float64)
         self.scheme = scheme
-        self.cluster = cluster or ClusterModel()
+        self.scenario = scenario or DEFAULT_SCENARIO
+        self.cluster = self.scenario.priced_on(cluster or ClusterModel())
         self.scale = scale or ExperimentScale(
             num_processes=self.cluster.num_processes, grid_n=2160
         )
@@ -375,7 +381,6 @@ class FaultToleranceEngine:
         self.max_restarts = int(max_restarts)
         self.max_total_iterations = max_total_iterations
         self.b_norm = float(np.linalg.norm(self.b))
-        self.scenario = scenario or DEFAULT_SCENARIO
         self.multilevel_policy = multilevel_policy
         self.record_events = bool(record_events)
         self.max_events = max_events
@@ -388,7 +393,8 @@ class FaultToleranceEngine:
         self._injector = None
         self._store: Optional[MultilevelCheckpointStore] = None
         #: Physical payload backend selected by ``scenario.store_backend``
-        #: (None for the default ``pfs`` backend — legacy pricing path).
+        #: (None for ``pfs``: the paper's file system is priced, never
+        #: written — the checkpoint records hold the payloads).
         self._backend: Optional[CheckpointStore] = None
         self._backend_dir = None  # TemporaryDirectory for the disk backend
         self._pipeline: Optional[CheckpointPipeline] = None
@@ -441,19 +447,15 @@ class FaultToleranceEngine:
         # arrival untouched (pinned byte-identical to the legacy runner).
         self._injector.latent_clamp = self._async
         self._injector.reschedule(calendar)
-        if self.scenario.default_backend:
-            self._backend = None
-        elif self.scenario.store_backend == "disk":
+        if self.scenario.store_backend == "disk":
             import tempfile
 
             # Held on self so the payload files outlive run() for inspection;
             # the TemporaryDirectory finalizer cleans up with the engine.
             self._backend_dir = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-            self._backend = self.scenario.build_backend_store(
-                directory=self._backend_dir.name
-            )
-        else:
-            self._backend = self.scenario.build_backend_store()
+        self._backend = self.scenario.build_backend_store(
+            directory=self._backend_dir.name if self._backend_dir else None
+        )
         self._store = self.scenario.build_multilevel_store(
             self.seed, policy=self.multilevel_policy, backend=self._backend
         )
@@ -822,21 +824,10 @@ class FaultToleranceEngine:
             model_uncompressed = self.scale.vector_bytes * self._vectors
             model_compressed = model_uncompressed / max(ratio, 1e-12)
         level: Optional[int] = None
-        write_multiplier = 1.0
-        write_profile: Optional[StoreProfile] = None
         if self._store is not None:
             # With drains outstanding the level cycle has already been
             # "claimed" by the pending writes, so peek past them.
-            next_level = self._store.next_level(self._io.in_flight)
-            level = int(next_level)
-            if self._backend is None:
-                write_multiplier = self._store.policy.cost_multiplier[next_level]
-            else:
-                # The level's profile already folds in the cost multiplier;
-                # keep the scalar at 1.0 so the cost is not double-counted.
-                write_profile = self._store.profile_for(next_level)
-        elif self._backend is not None:
-            write_profile = self._backend.profile
+            level = int(self._store.next_level(self._io.in_flight))
         # A dedup backend only ships the chunks the pool does not already
         # hold; duplicate bytes never hit the wire, so they cost nothing.
         ship_compressed = model_compressed * self._dedup_fraction(snapshot)
@@ -850,8 +841,6 @@ class FaultToleranceEngine:
                 model_compressed=model_compressed,
                 ship_compressed=ship_compressed,
                 level=level,
-                write_multiplier=write_multiplier,
-                write_profile=write_profile,
             )
             return
 
@@ -859,8 +848,7 @@ class FaultToleranceEngine:
             model_uncompressed,
             ship_compressed,
             compressed=self.scheme.uses_compression,
-            write_cost_multiplier=write_multiplier,
-            profile=write_profile,
+            write_cost_multiplier=self._level_multiplier(level),
         )
 
         start = clock.now
@@ -892,7 +880,7 @@ class FaultToleranceEngine:
             compute_seconds_at_completion=self._compute.seconds_total,
             level=level,
         )
-        if self._store is not None or self._backend is not None:
+        if self._pipeline.store is not None:
             self._pipeline.commit(snapshot)
         if self._store is not None:
             record.level = int(self._store.level_of(record.checkpoint_id))
@@ -924,8 +912,6 @@ class FaultToleranceEngine:
         model_compressed: float,
         ship_compressed: float,
         level: Optional[int],
-        write_multiplier: float,
-        write_profile: Optional[StoreProfile],
     ) -> None:
         """Async checkpoint: inline capture on the compute channel, then a
         ``drain-complete`` event on the I/O calendar.
@@ -967,9 +953,7 @@ class FaultToleranceEngine:
             return
 
         drain_seconds = self.cluster.drain_seconds(
-            ship_compressed,
-            write_cost_multiplier=write_multiplier,
-            profile=write_profile,
+            ship_compressed, write_cost_multiplier=self._level_multiplier(level)
         )
         drain_start, drain_end = self._io.enqueue(clock.now, drain_seconds)
         # A delta payload restores through its whole base chain (keyframe +
@@ -1202,8 +1186,6 @@ class FaultToleranceEngine:
         survival RNG stream.  This bounds retention at one level cycle
         instead of growing with run length.
         """
-        from repro.checkpoint.multilevel import CheckpointLevel
-
         state = self._state
         survival = self._store.policy.survival_probability
         certain = [
@@ -1222,13 +1204,11 @@ class FaultToleranceEngine:
     def _dedup_fraction(self, snapshot: PipelineSnapshot) -> float:
         """Fraction of this payload's bytes a dedup backend actually ships.
 
-        1.0 (exact) for every non-dedup backend, so default-path pricing is
-        untouched.  For a chunked backend, only the chunks the pool does not
-        already hold travel to storage; the fraction previews that split on
-        the real serialized payload before anything is committed.
+        1.0 (exact) for every non-dedup backend.  For a chunked backend,
+        only the chunks the pool does not already hold travel to storage;
+        the fraction previews that split on the real serialized payload
+        before anything is committed.
         """
-        if self._backend is None:
-            return 1.0
         preview = getattr(self._backend, "preview_write", None)
         if preview is None:
             return 1.0
@@ -1237,30 +1217,19 @@ class FaultToleranceEngine:
             return 1.0
         return unique_new / nbytes
 
+    def _level_multiplier(self, level: Optional[int]) -> float:
+        """FTI cost multiplier of ``level`` (1.0 outside the level cycle)."""
+        if level is None:
+            return 1.0
+        return self._store.policy.cost_multiplier[CheckpointLevel(level)]
+
     def _recovery_seconds(self, last: Optional[CheckpointRecord]) -> float:
-        read_profile: Optional[StoreProfile] = None
-        if self._backend is not None:
-            read_profile = self._backend.profile
         if last is None:
             # Nothing to read back: only the environment and static data are
             # rebuilt before restarting from the initial guess.
             return self.cluster.recovery_seconds(
-                0.0,
-                0.0,
-                static_bytes=self.scale.static_bytes,
-                compressed=False,
-                profile=read_profile,
+                0.0, 0.0, static_bytes=self.scale.static_bytes, compressed=False
             )
-        read_multiplier = 1.0
-        if last.level is not None and self._store is not None:
-            from repro.checkpoint.multilevel import CheckpointLevel
-
-            if self._backend is None:
-                read_multiplier = self._store.policy.cost_multiplier[
-                    CheckpointLevel(last.level)
-                ]
-            else:
-                read_profile = self._store.profile_for(CheckpointLevel(last.level))
         read_uncompressed = (
             last.restore_uncompressed_bytes
             if last.restore_uncompressed_bytes is not None
@@ -1276,8 +1245,7 @@ class FaultToleranceEngine:
             read_compressed,
             static_bytes=self.scale.static_bytes,
             compressed=self.scheme.uses_compression,
-            read_cost_multiplier=read_multiplier,
-            profile=read_profile,
+            read_cost_multiplier=self._level_multiplier(last.level),
         )
 
     def _advance_with_failures(self, seconds: float, category: str) -> None:
@@ -1327,7 +1295,7 @@ class FaultToleranceEngine:
             # Absent under modeled costing so the paper-regime reports stay
             # byte-identical to the frozen pre-pipeline runner.
             info["checkpoint_costing"] = "measured"
-        if not self.scenario.default_backend:
+        if self._backend is not None:
             info["store_backend"] = self.scenario.store_backend
             dedup_stats = getattr(self._backend, "dedup_stats", None)
             if dedup_stats is not None:

@@ -36,8 +36,8 @@ A fifth knob, **store backend**, selects which
 :class:`~repro.checkpoint.store.CheckpointStore` holds the payloads and
 which :class:`~repro.checkpoint.store.StoreProfile` prices the writes,
 reads, and drains: ``pfs`` (the default — the paper's implicit parallel
-file system, priced through the legacy :class:`~repro.cluster.pfs.PFSModel`
-path bit-exactly), ``memory`` (node-RAM staging), ``disk`` (node-local
+file system: the cluster model's own profile, no payload-holding store),
+``memory`` (node-RAM staging), ``disk`` (node-local
 burst buffer), ``object`` (a simulated remote object store), or ``chunked``
 (content-addressed dedup over the object store — unique bytes price the
 write, duplicate chunks never hit the wire).
@@ -45,7 +45,7 @@ write, duplicate chunks never hit the wire).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -53,11 +53,15 @@ import numpy as np
 from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import MultilevelCheckpointStore, MultilevelPolicy
 from repro.checkpoint.store import (
+    OBJECT_PROFILE,
+    STORE_PROFILES,
     CheckpointStore,
+    FileCheckpointStore,
     MemoryCheckpointStore,
     SimulatedObjectStore,
 )
 from repro.cluster.failures import FailureInjector, make_failure_model
+from repro.cluster.machine import ClusterModel
 from repro.utils.rng import SeedLike, default_rng, derive_seed
 
 __all__ = [
@@ -94,10 +98,13 @@ CHECKPOINT_COSTINGS = ("measured", "modeled")
 WRITE_MODES = ("blocking", "async")
 
 #: Which checkpoint-store backend holds (and prices) the payloads.  ``pfs``
-#: is the paper's implicit parallel file system and reproduces the legacy
-#: pricing path bit-exactly; the others route pricing through the backend's
-#: :class:`~repro.checkpoint.store.StoreProfile`.
+#: is the paper's implicit parallel file system, priced by the cluster
+#: model's own profile; the others bring the profile of the store they build.
 STORE_BACKENDS = ("pfs", "memory", "disk", "object", "chunked")
+
+#: The profile each payload-holding backend is priced by (``chunked`` dedups
+#: over the simulated object store).
+_BACKEND_PROFILES = {**STORE_PROFILES, "chunked": OBJECT_PROFILE}
 
 _Params = Tuple[Tuple[str, object], ...]
 
@@ -183,10 +190,15 @@ class Scenario:
         """True when checkpoints walk the FTI level cycle."""
         return self.recovery_levels == "fti"
 
-    @property
-    def default_backend(self) -> bool:
-        """True for the paper's implicit PFS backend (legacy pricing path)."""
-        return self.store_backend == "pfs"
+    def priced_on(self, cluster: ClusterModel) -> ClusterModel:
+        """``cluster`` pricing storage through this scenario's backend.
+
+        ``pfs`` is the cluster's own file system, so its profile stands;
+        every other backend substitutes the profile of the store it builds.
+        """
+        if self.store_backend == "pfs":
+            return cluster
+        return replace(cluster, profile=_BACKEND_PROFILES[self.store_backend])
 
     # -- factories -----------------------------------------------------------
     def build_injector(
@@ -209,10 +221,10 @@ class Scenario:
     ) -> Optional[CheckpointStore]:
         """The physical payload store this scenario's backend selects.
 
-        ``None`` for the default ``pfs`` backend: the engine keeps its legacy
-        in-memory payload holding with modeled PFS pricing, which the
-        byte-identity suite pins.  ``disk`` needs a ``directory`` to root the
-        :class:`~repro.checkpoint.store.FileCheckpointStore` in.
+        ``None`` for the default ``pfs`` backend: the paper's file system is
+        priced, not simulated — the engine's checkpoint records hold the
+        payloads and nothing is written.  ``disk`` needs a ``directory`` to
+        root the :class:`~repro.checkpoint.store.FileCheckpointStore` in.
         """
         if self.store_backend == "pfs":
             return None
@@ -221,8 +233,6 @@ class Scenario:
         if self.store_backend == "disk":
             if directory is None:
                 raise ValueError("store_backend='disk' needs a directory")
-            from repro.checkpoint.store import FileCheckpointStore
-
             return FileCheckpointStore(directory)
         if self.store_backend == "object":
             return SimulatedObjectStore()

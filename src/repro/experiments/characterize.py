@@ -155,6 +155,27 @@ def measure_scheme_ratio(
     )
 
 
+def _timings(
+    scheme: CheckpointingScheme,
+    uncompressed: float,
+    compressed: float,
+    scale: ExperimentScale,
+    cluster: ClusterModel,
+) -> CheckpointTimings:
+    """Checkpoint/recovery seconds of one payload on ``cluster``'s store."""
+    return CheckpointTimings(
+        checkpoint_seconds=cluster.checkpoint_seconds(
+            uncompressed, compressed, compressed=scheme.uses_compression
+        ),
+        recovery_seconds=cluster.recovery_seconds(
+            uncompressed,
+            compressed,
+            static_bytes=scale.static_bytes,
+            compressed=scheme.uses_compression,
+        ),
+    )
+
+
 def scheme_timings(
     scheme: CheckpointingScheme,
     method: str,
@@ -166,25 +187,14 @@ def scheme_timings(
 
     ``ratio`` is the measured compression ratio; the number of dynamic vectors
     follows the scheme (CG checkpoints ``x`` and ``p`` under exact schemes but
-    only ``x`` under lossy checkpointing).
+    only ``x`` under lossy checkpointing).  Storage is priced through
+    ``cluster.profile`` — pass a cluster :meth:`~repro.engine.scenario.
+    Scenario.priced_on` the run's store backend to estimate that store.
     """
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    vectors = scheme.dynamic_vector_count(method)
-    uncompressed = scale.vector_bytes * vectors
-    compressed = uncompressed / ratio
-    checkpoint_seconds = cluster.checkpoint_seconds(
-        uncompressed, compressed, compressed=scheme.uses_compression
-    )
-    recovery_seconds = cluster.recovery_seconds(
-        uncompressed,
-        compressed,
-        static_bytes=scale.static_bytes,
-        compressed=scheme.uses_compression,
-    )
-    return CheckpointTimings(
-        checkpoint_seconds=checkpoint_seconds, recovery_seconds=recovery_seconds
-    )
+    uncompressed = scale.vector_bytes * scheme.dynamic_vector_count(method)
+    return _timings(scheme, uncompressed, uncompressed / ratio, scale, cluster)
 
 
 def measured_checkpoint_bytes(
@@ -233,18 +243,7 @@ def measured_scheme_timings(
         scale,
         fallback_vectors=scheme.dynamic_vector_count(char.method),
     )
-    checkpoint_seconds = cluster.checkpoint_seconds(
-        uncompressed, compressed, compressed=scheme.uses_compression
-    )
-    recovery_seconds = cluster.recovery_seconds(
-        uncompressed,
-        compressed,
-        static_bytes=scale.static_bytes,
-        compressed=scheme.uses_compression,
-    )
-    return CheckpointTimings(
-        checkpoint_seconds=checkpoint_seconds, recovery_seconds=recovery_seconds
-    )
+    return _timings(scheme, uncompressed, compressed, scale, cluster)
 
 
 def standard_schemes(

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelCheckpointStore,
     MultilevelPolicy,
 )
-from repro.checkpoint.variables import VariableRole
+from repro.checkpoint.pipeline import CheckpointPipeline
+from repro.core.schemes import CheckpointingScheme
+from repro.solvers.base import CheckpointSpec
 
 
 class TestMultilevelPolicy:
@@ -123,21 +124,22 @@ class TestDynamicOnlyCycle:
         assert store.level_of(1) is CheckpointLevel.PARTNER
 
     def test_interleaved_snapshots_keep_level_sequence(self):
-        """Pin via the manager: snapshot_static() between snapshots is inert."""
+        """Pin via the pipeline: snapshot_static() between snapshots is inert."""
         store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        state = {"x": np.linspace(1.0, 2.0, 256), "A": np.eye(4)}
-        mgr = CheckpointManager(store=store, keep_last=10)
-        mgr.protect("x", VariableRole.DYNAMIC, lambda: state["x"],
-                    lambda v: state.__setitem__("x", v))
-        mgr.protect("A", VariableRole.STATIC, lambda: state["A"],
-                    lambda v: state.__setitem__("A", v))
-        mgr.snapshot_static()
-        mgr.snapshot(iteration=0)
-        mgr.snapshot_static()  # re-write static mid-run: must not drift levels
-        mgr.snapshot(iteration=1)
-        mgr.snapshot(iteration=2)
-        mgr.snapshot_static()
-        mgr.snapshot(iteration=3)
+        x = np.linspace(1.0, 2.0, 256)
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.traditional(),
+            spec=CheckpointSpec(),
+            store=store,
+            static={"A": np.eye(4)},
+        )
+        pipeline.snapshot_static()
+        pipeline.commit(pipeline.snapshot(x, iteration=0))
+        pipeline.snapshot_static()  # re-write static mid-run: must not drift levels
+        pipeline.commit(pipeline.snapshot(x, iteration=1))
+        pipeline.commit(pipeline.snapshot(x, iteration=2))
+        pipeline.snapshot_static()
+        pipeline.commit(pipeline.snapshot(x, iteration=3))
         levels = [store.level_of(i) for i in (0, 1, 2, 3)]
         assert levels == _CYCLE + [_CYCLE[0]]
         assert store.level_of(-1) is CheckpointLevel.PFS

@@ -16,7 +16,8 @@ from repro.checkpoint.store import (
     SimulatedObjectStore,
     StoreProfile,
 )
-from repro.cluster.pfs import PFSModel
+from repro.checkpoint.multilevel import MultilevelPolicy
+from repro.cluster.machine import ClusterModel
 
 
 @pytest.fixture(params=["memory", "file", "object"])
@@ -102,14 +103,20 @@ class TestCheckpointStores:
 
 class TestStoreProfile:
     def test_pfs_profile_matches_pfs_model(self):
-        model = PFSModel()
+        """``PFS_PROFILE`` is the paper's PFS calibration, bit for bit."""
         nbytes = 3.5e9
+        write_bandwidth = 78.8 * 1024.0**3 / 103.0
+        read_bandwidth = 78.8 * 1024.0**3 / 95.0
         for procs in (1, 256, 2048):
-            assert PFS_PROFILE.write_seconds(nbytes, procs) == pytest.approx(
-                model.write_seconds(nbytes, num_processes=procs), rel=0, abs=0
+            fixed = 0.5 + 0.008 * procs
+            assert PFS_PROFILE.write_seconds(nbytes, procs) == (
+                fixed + nbytes / write_bandwidth
             )
-            assert PFS_PROFILE.read_seconds(nbytes, procs) == pytest.approx(
-                model.read_seconds(nbytes, num_processes=procs), rel=0, abs=0
+            assert PFS_PROFILE.read_seconds(nbytes, procs) == (
+                fixed + nbytes / read_bandwidth
+            )
+            assert PFS_PROFILE.drain_seconds(nbytes, procs) == (
+                fixed + nbytes / (write_bandwidth * 0.7)
             )
 
     def test_profiles_are_distinct(self):
@@ -138,18 +145,39 @@ class TestStoreProfile:
             PFS_PROFILE.survives("universe")
 
     def test_scaled_multiplies_cost_exactly(self):
-        base = PFS_PROFILE
-        scaled = base.scaled(7.0, name="pfs/L1")
-        assert scaled.name == "pfs/L1"
-        for procs in (1, 512):
-            assert scaled.write_seconds(2e9, procs) == pytest.approx(
-                7.0 * base.write_seconds(2e9, procs), rel=1e-12
-            )
-            assert scaled.read_seconds(2e9, procs) == pytest.approx(
-                7.0 * base.read_seconds(2e9, procs), rel=1e-12
-            )
+        """The one level rule: a level costs its multiplier times the profile's
+        seconds — ``==``, for every built-in profile and every FTI level."""
+        multipliers = MultilevelPolicy().cost_multiplier
+        nbytes, static = 2e9, 5e8
+        for profile in STORE_PROFILES.values():
+            for procs in (1, 512):
+                cluster = ClusterModel(num_processes=procs, profile=profile)
+                rebuild = static / (
+                    cluster.spec.static_rebuild_bandwidth_per_core * procs
+                )
+                for level, m in multipliers.items():
+                    assert cluster.checkpoint_seconds(
+                        nbytes, nbytes, compressed=False, write_cost_multiplier=m
+                    ) == profile.write_seconds(nbytes, procs) * m, (profile.name, level)
+                    assert cluster.drain_seconds(
+                        nbytes, write_cost_multiplier=m
+                    ) == profile.drain_seconds(nbytes, procs) * m, (profile.name, level)
+                    assert cluster.recovery_seconds(
+                        nbytes, nbytes, compressed=False, read_cost_multiplier=m
+                    ) == profile.read_seconds(nbytes, procs) * m, (profile.name, level)
+                    # Only the storage portion scales: compression and the
+                    # static rebuild are level-independent.
+                    assert cluster.checkpoint_seconds(
+                        nbytes, nbytes, write_cost_multiplier=m
+                    ) == cluster.compression_seconds(nbytes) + (
+                        profile.write_seconds(nbytes, procs) * m
+                    )
+                    assert cluster.recovery_seconds(
+                        nbytes, nbytes, static_bytes=static, compressed=False,
+                        read_cost_multiplier=m,
+                    ) == profile.read_seconds(nbytes, procs) * m + rebuild
         with pytest.raises(ValueError):
-            base.scaled(0.0)
+            ClusterModel().drain_seconds(nbytes, write_cost_multiplier=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,13 @@ Two format guarantees are pinned here:
    v1 payloads must contain exactly one entropy stage: the frame body
    inflates once and none of the inner sections is itself a zlib stream.
 
-2. **Legacy payloads still decode.**  Blobs without ``format_version`` in
-   their metadata predate the block codec; the compressors must route them
-   through the legacy decode paths (global-width packing, nested DEFLATE).
-   The legacy encoders are reconstructed here, independently of the source
-   tree, so the on-disk format stays pinned even though no production code
-   writes it anymore.
+2. **Pre-codec (v0) payloads are rejected, not misread.**  Blobs without
+   ``format_version`` in their metadata predate the block codec (global-width
+   packing, nested DEFLATE); no fixture or store holds one any more, so
+   SZ/ZFP refuse them with a typed ``ValueError`` instead of decoding.  The
+   old encoders are reconstructed here, independently of the source tree,
+   so the rejected inputs are well-formed v0 blobs (and the ratio baseline of
+   guarantee 1).
 """
 
 import zlib
@@ -24,7 +25,6 @@ from repro.compression.base import CompressedBlob
 from repro.compression.codec import decode_frame
 from repro.compression.encoding import pack_sections, pack_unsigned, zigzag_encode
 from repro.compression.errorbounds import ErrorBound
-from repro.compression.metrics import max_abs_error, max_pointwise_relative_error
 from repro.compression.quantization import quantize_absolute
 from repro.compression.relative import PointwiseRelativeTransform
 from repro.compression.sharded import SHARDED_FORMAT_VERSION, decompress_sections
@@ -154,7 +154,12 @@ def _legacy_zfp_blob(data, bound, *, pw_rel, block=64):
     )
 
 
+_V0_REJECTED = "unsupported payload format version 0"
+
+
 class TestLegacyPayloadsDecode:
+    """Well-formed v0 blobs raise the typed error from every decode entry."""
+
     def test_legacy_blob_reports_version_zero(self, smooth_vector):
         blob = _legacy_sz_abs_blob(smooth_vector, 1e-5)
         assert blob.format_version == 0
@@ -162,24 +167,25 @@ class TestLegacyPayloadsDecode:
     @pytest.mark.parametrize("predictor", ["lorenzo", "linear"])
     def test_sz_abs_legacy(self, smooth_vector, predictor):
         blob = _legacy_sz_abs_blob(smooth_vector, 1e-5, predictor)
-        recon = SZCompressor(ErrorBound.absolute(1e-5), predictor=predictor).decompress(blob)
-        assert max_abs_error(smooth_vector, recon) <= 1e-5 * (1 + 1e-8)
+        compressor = SZCompressor(ErrorBound.absolute(1e-5), predictor=predictor)
+        with pytest.raises(ValueError, match=_V0_REJECTED):
+            compressor.decompress(blob)
 
     @pytest.mark.parametrize("predictor", ["lorenzo", "linear"])
     def test_sz_pw_rel_legacy(self, smooth_vector, predictor):
         blob = _legacy_sz_pw_rel_blob(smooth_vector, 1e-4, predictor)
-        recon = SZCompressor(1e-4, predictor=predictor).decompress(blob)
-        assert max_pointwise_relative_error(smooth_vector, recon) <= 1e-4 * (1 + 1e-8)
+        with pytest.raises(ValueError, match=_V0_REJECTED):
+            SZCompressor(1e-4, predictor=predictor).decompress(blob)
 
     def test_zfp_abs_legacy(self, smooth_vector):
         blob = _legacy_zfp_blob(smooth_vector, 1e-5, pw_rel=False)
-        recon = ZFPCompressor(ErrorBound.absolute(1e-5)).decompress(blob)
-        assert max_abs_error(smooth_vector, recon) <= 1e-5 * (1 + 1e-8)
+        with pytest.raises(ValueError, match=_V0_REJECTED):
+            ZFPCompressor(ErrorBound.absolute(1e-5)).decompress(blob)
 
     def test_zfp_pw_rel_legacy(self, smooth_vector):
         blob = _legacy_zfp_blob(smooth_vector, 1e-4, pw_rel=True)
-        recon = ZFPCompressor(1e-4).decompress(blob)
-        assert max_pointwise_relative_error(smooth_vector, recon) <= 1e-4 * (1 + 1e-8)
+        with pytest.raises(ValueError, match=_V0_REJECTED):
+            ZFPCompressor(1e-4).decompress(blob)
 
     def test_raw_scheme_decodes_without_version(self):
         data = np.array([1e30, -1e30, 5e29, 1.0])

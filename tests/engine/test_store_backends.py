@@ -1,5 +1,7 @@
 """Pluggable store backends: engine pricing, bitwise restores, campaign dedup."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from repro.checkpoint import (
     MemoryCheckpointStore,
     SimulatedObjectStore,
 )
+from repro.checkpoint.multilevel import CheckpointLevel
+from repro.checkpoint.store import PFS_PROFILE, StoreProfile
 from repro.cluster.machine import ClusterModel
+from repro.core.model import young_interval
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import FaultToleranceEngine, Scenario, run_failure_free
+from repro.engine.events import CheckpointTakenEvent, RecoveryEvent
+from repro.engine.scenario import STORE_BACKENDS
 from repro.solvers import JacobiSolver
 
 
@@ -176,7 +183,127 @@ class TestEngineBackends:
         assert memory.info["io_drain_seconds"] < obj.info["io_drain_seconds"]
 
 
+class _RecordingProfile(StoreProfile):
+    """A profile that remembers the unscaled seconds of every priced op."""
+
+    def __init__(self, base: StoreProfile) -> None:
+        super().__init__(**asdict(base))
+        object.__setattr__(self, "priced", {"write": [], "read": []})
+
+    def write_seconds(self, nbytes, num_processes=1):
+        seconds = super().write_seconds(nbytes, num_processes)
+        self.priced["write"].append(seconds)
+        return seconds
+
+    def read_seconds(self, nbytes, num_processes=1):
+        seconds = super().read_seconds(nbytes, num_processes)
+        self.priced["read"].append(seconds)
+        return seconds
+
+
+class TestOneLevelRule:
+    """One algebra, one level rule: ``profile seconds x cost multiplier``."""
+
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
+    def test_scenario_prices_through_the_store_it_builds(self, backend, tmp_path):
+        cluster = ClusterModel(num_processes=256)
+        scenario = Scenario(store_backend=backend)
+        priced = scenario.priced_on(cluster)
+        store = scenario.build_backend_store(directory=str(tmp_path))
+        if store is None:  # pfs: the cluster's own file system, nothing built
+            assert priced is cluster and priced.profile is PFS_PROFILE
+        else:
+            assert priced.profile is store.profile
+            assert priced.num_processes == 256 and priced.spec is cluster.spec
+
+    @pytest.mark.parametrize("backend", ["pfs", "memory", "disk", "object"])
+    def test_fti_events_cost_multiplier_times_profile(self, backend_setup, backend):
+        """Every FTI write and read the engine charges is exactly the level's
+        multiplier times the backend profile's seconds for the same bytes."""
+        problem, solver, baseline, cluster, scale, iteration_seconds = backend_setup
+        scenario = Scenario(
+            failure_model="scripted",
+            failure_params=(("times", (700.0,)),),
+            recovery_levels="fti",
+            store_backend=backend,
+        )
+        engine = FaultToleranceEngine(
+            solver,
+            problem.b,
+            CheckpointingScheme.traditional(),  # no compression stage to add
+            cluster=cluster,
+            scale=scale,
+            mtti_seconds=400.0,
+            checkpoint_interval_seconds=150.0,
+            iteration_seconds=iteration_seconds,
+            baseline=baseline,
+            seed=11,
+            scenario=scenario,
+            record_events=True,
+        )
+        profile = _RecordingProfile(engine.cluster.profile)
+        engine.cluster = replace(engine.cluster, profile=profile)
+        engine.run()
+        multipliers = engine._store.policy.cost_multiplier
+        taken = [e for e in engine.events if isinstance(e, CheckpointTakenEvent)]
+        assert {e.level for e in taken} >= {1, 2}
+        for event in taken:
+            m = multipliers[CheckpointLevel(event.level)]
+            assert any(event.seconds == base * m for base in profile.priced["write"])
+        (recovery,) = [e for e in engine.events if isinstance(e, RecoveryEvent)]
+        assert recovery.level is not None
+        rebuild = scale.static_bytes / (
+            cluster.spec.static_rebuild_bandwidth_per_core * 2048
+        )
+        m = multipliers[CheckpointLevel(recovery.level)]
+        (base,) = profile.priced["read"]
+        assert recovery.seconds == base * m + rebuild
+
+
 class TestCampaignBackendCell:
+    @pytest.mark.parametrize("write_mode", ["blocking", "async"])
+    def test_interval_estimate_priced_through_cell_backend(self, write_mode):
+        """Regression: the a-priori Young interval (and the reported estimates)
+        of a non-pfs cell were priced through the PFS."""
+        from repro.campaign.execute import execute_cell
+        from repro.campaign.spec import RunSpec
+
+        results = {
+            backend: execute_cell(
+                RunSpec(
+                    kind="ft",
+                    method="jacobi",
+                    scheme="lossy",
+                    write_mode=write_mode,
+                    store_backend=backend,
+                    num_processes=256,
+                    mtti_seconds=3600.0,
+                    grid_n=10,
+                )
+            )
+            for backend in ("pfs", "memory")
+        }
+        memory, pfs = results["memory"], results["pfs"]
+        assert memory["estimated_checkpoint_seconds"] < pfs["estimated_checkpoint_seconds"]
+        assert memory["estimated_recovery_seconds"] < pfs["estimated_recovery_seconds"]
+        assert memory["interval_seconds"] < pfs["interval_seconds"]
+        assert memory["report"]["checkpoint_interval_seconds"] == memory["interval_seconds"]
+        if write_mode == "blocking":
+            assert memory["interval_seconds"] == young_interval(
+                memory["estimated_checkpoint_seconds"], 3600.0
+            )
+        else:
+            cluster = Scenario(store_backend="memory").priced_on(
+                ClusterModel(num_processes=256)
+            )
+            stall = memory["estimated_capture_seconds"] + (
+                cluster.async_interference * memory["estimated_drain_seconds"]
+            )
+            assert memory["estimated_drain_seconds"] < pfs["estimated_drain_seconds"]
+            assert memory["interval_seconds"] == max(
+                young_interval(stall, 3600.0), memory["estimated_drain_seconds"]
+            )
+
     def test_chunked_delta_cell_reports_dedup_ratio(self):
         """Acceptance: async (delta) + chunked campaign cell has dedup_ratio > 1."""
         from repro.campaign.execute import execute_cell

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from repro.checkpoint import CheckpointManager, VariableRole
+from repro.checkpoint import CheckpointPipeline, MemoryCheckpointStore
 from repro.cluster import ClusterModel, FailureInjector
-from repro.compression import SZCompressor, ZlibCompressor, make_compressor
+from repro.compression import SZCompressor, make_compressor
 from repro.core import (
     CheckpointingScheme,
     FaultTolerantRunner,
@@ -21,7 +21,7 @@ from repro.sparse import poisson_system
 class TestSolverPlusCheckpointManager:
     def test_manual_checkpoint_restart_of_pcg(self):
         """Algorithm 1 end-to-end: protect (x, p, rho, i), snapshot mid-run,
-        wipe the state, restore, and resume to the same solution."""
+        lose the state, restore, and resume to the same solution."""
         problem = poisson_system(10, seed=0)
         solver = CGSolver(
             problem.A,
@@ -31,38 +31,34 @@ class TestSolverPlusCheckpointManager:
         )
         full = solver.solve(problem.b)
 
-        state = {"x": None, "p": None, "rho": None, "i": None}
-        manager = CheckpointManager(ZlibCompressor())
-        manager.protect("x", VariableRole.DYNAMIC, lambda: state["x"],
-                        lambda v: state.__setitem__("x", v))
-        manager.protect("p", VariableRole.DYNAMIC, lambda: state["p"],
-                        lambda v: state.__setitem__("p", v))
-        manager.protect("rho", VariableRole.DYNAMIC, lambda: state["rho"],
-                        lambda v: state.__setitem__("rho", v), compressible=False)
-        manager.protect("i", VariableRole.DYNAMIC, lambda: state["i"],
-                        lambda v: state.__setitem__("i", v), compressible=False)
-
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.lossless(), solver=solver, store=MemoryCheckpointStore()
+        )
         checkpoint_at = full.iterations // 2
 
         def callback(it_state):
             if it_state.iteration == checkpoint_at:
-                state.update(
-                    x=it_state.x, p=it_state.extras["p"],
-                    rho=it_state.extras["rho"], i=it_state.iteration,
+                snapshot = pipeline.snapshot(
+                    it_state.x,
+                    iteration=it_state.iteration,
+                    resume_state=solver.capture_resume_state(it_state),
                 )
-                manager.snapshot(iteration=it_state.iteration)
+                pipeline.commit(snapshot)
 
         solver.solve(problem.b, callback=callback)
-        assert manager.has_checkpoint()
+        assert pipeline.store.latest_id() is not None
 
-        # "Failure": wipe everything, then restore and resume.
-        state.update(x=None, p=None, rho=None, i=None)
-        manager.restore()
+        # "Failure": nothing of the run survives but the store; restore and
+        # resume the same Krylov sequence.
+        restored = pipeline.restore()
+        assert restored.iteration == checkpoint_at
+        assert set(restored.resume_state.vectors) == {"p"}
+        assert set(restored.resume_state.scalars) == {"rho"}
         resumed = solver.solve(
-            problem.b, x0=state["x"], warm_start=(state["p"], state["rho"])
+            problem.b, x0=restored.x, resume_state=restored.resume_state
         )
         assert resumed.converged
-        assert abs((state["i"] + resumed.iterations) - full.iterations) <= 1
+        assert abs((restored.iteration + resumed.iterations) - full.iterations) <= 1
         assert np.allclose(resumed.x, full.x, atol=1e-7)
 
 
