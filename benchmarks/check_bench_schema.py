@@ -47,10 +47,14 @@ def _nonnegative_int(row: dict, key: str, errors: List[str], context: str) -> No
 #: seed measured ~26-30 MB/s lossless and ~60-66 MB/s lossy; the floors sit
 #: between seed and current (quiet-container lossless >= 120, lossy >= 110)
 #: to absorb CI load variance without ever re-admitting the seed rates.
+#: ``lossy-zfp`` wrote v1 frames (bit-packing + whole-frame DEFLATE) at
+#: 35-60 MB/s before it moved onto the v2 plane frame (>= 120).  The floors
+#: hold at the default thread setting: frames this small never fan out.
 _PIPELINE_MIN_SNAPSHOT_MB_S = {
     "lossless": 60.0,
     "lossy": 100.0,
     "lossy-adaptive": 100.0,
+    "lossy-zfp": 80.0,
 }
 
 
@@ -86,6 +90,29 @@ def check_pipeline(data: dict) -> List[str]:
     schemes = {row.get("scheme") for row in combos.values() if isinstance(row, dict)}
     if len(schemes) < 2:
         errors.append(f"expected several schemes, found {sorted(map(str, schemes))}")
+    errors.extend(_check_threads_sweep(data.get("threads_sweep")))
+    return errors
+
+
+def _check_threads_sweep(sweep) -> List[str]:
+    """The input-size sweep behind the shard fan-out threshold."""
+    if not isinstance(sweep, list) or not sweep:
+        return ["'threads_sweep' must be a non-empty list"]
+    errors: List[str] = []
+    for index, row in enumerate(sweep):
+        context = f"threads_sweep[{index}]"
+        if not isinstance(row, dict):
+            errors.append(f"{context} is not an object")
+            continue
+        for key in ("input_bytes", "coded_bytes", "threads", "payload_bytes",
+                    "compress_mb_per_s"):
+            _positive(row, key, errors, context)
+        if row.get("payload_identical") is not True:
+            errors.append(f"{context}: payload bytes depend on the thread count")
+    sizes = [row.get("input_bytes", 0) for row in sweep if isinstance(row, dict)]
+    if sizes and max(sizes) < 16 << 20:
+        errors.append("threads_sweep stops below 16 MiB of input, where "
+                      "fan-out can never pay")
     return errors
 
 

@@ -66,7 +66,10 @@ KINDS = (
 #: seconds of non-pfs store-backend cells are priced through the backend's
 #: StoreProfile (they were priced through the PFS), and fti x non-pfs cells
 #: price levels as profile seconds x cost multiplier (last-ulp drift).
-CACHE_VERSION = 9
+#: 10: ZFP writes payload format v2 (coefficient byte planes in the sharded
+#: frame) at DEFLATE level 2: zfp cells' measured payload bytes, ratios and
+#: checkpoint costs changed (reconstructions, hence iteration counts, did not).
+CACHE_VERSION = 10
 
 _Params = Tuple[Tuple[str, object], ...]
 

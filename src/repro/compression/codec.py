@@ -1,7 +1,9 @@
 """Versioned block codec for quantization-code streams (format v1).
 
-This module is the encoding layer shared by the SZ-like and ZFP-like
-compressors and the checkpoint delta layer.  It replaces the legacy
+This module is the encoding layer of the checkpoint delta layer
+(:mod:`repro.checkpoint.delta`, its one remaining writer) and the read path
+for v1 blobs of the SZ-like and ZFP-like compressors, which now write byte
+planes through :mod:`repro.compression.sharded`.  It replaced the legacy
 whole-stream encoder in :mod:`repro.compression.encoding`, which packed
 every code at one *global* bit width (a single outlier inflated the whole
 stream) and, on the pointwise-relative paths, DEFLATEd an already-DEFLATEd
@@ -27,9 +29,8 @@ The **normative wire-format specification** lives in
                       blocks concatenated with no padding between them
              escapes  positions (uint64 each) then raw zigzag values
 
-Compressors stamp ``format_version`` into ``CompressedBlob.meta``; payloads
-without it predate this codec and are decoded through the compressors'
-legacy paths.
+Compressors stamp ``format_version`` into ``CompressedBlob.meta``; SZ/ZFP
+payloads without it predate this codec and are rejected.
 
 Backends
 --------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PointwiseRelativeTransform", "pw_rel_sections", "reconstruct_from_masks"]
+__all__ = ["PointwiseRelativeTransform", "reconstruct_from_masks"]
 
 #: Relative safety margin absorbing exp/log round-off so the user-visible
 #: bound is honoured exactly even after the transcendental round trip.
@@ -77,20 +77,6 @@ class PointwiseRelativeTransform:
         result[~self.zero_mask] = magnitudes
         signs = np.where(self.negative_mask, -1.0, 1.0)
         return result * signs
-
-
-def pw_rel_sections(
-    transform: "PointwiseRelativeTransform", inner_sections, size: int
-) -> list:
-    """Assemble the pointwise-relative frame sections shared by SZ and ZFP:
-    element count, the encoded log-value sections, then the packed sign and
-    zero masks.  :func:`reconstruct_from_masks` is the decode counterpart.
-    """
-    sections = [np.asarray([size], dtype=np.int64).tobytes()]
-    sections.extend(inner_sections)
-    sections.append(np.packbits(transform.negative_mask.astype(np.uint8)).tobytes())
-    sections.append(np.packbits(transform.zero_mask.astype(np.uint8)).tobytes())
-    return sections
 
 
 def reconstruct_from_masks(

@@ -12,15 +12,22 @@ shards and every shard is stored under the cheapest of three methods:
 * **deflate** / **lzma** — the shard compressed by the frame's codec.
 
 Shard compression fans out over a ``ThreadPoolExecutor`` — ``zlib`` and
-``lzma`` release the GIL — but the framing is *deterministic by
-construction*: method selection is a pure per-shard function, shard payloads
-are concatenated in (section, shard index) order, and the header is derived
-only from sizes, so the frame bytes are bit-identical for any worker count
+``lzma`` release the GIL — but only when the bytes actually entering the
+codec (the summed size of the coded shards; zero and raw shards cost
+nothing) reach :data:`FANOUT_MIN_CODED_BYTES`.  Below it the shards are
+compressed inline and no pool exists: spinning one up per call made every
+checkpoint-sized frame slower, not faster.  The pool is per call, never
+process-global — campaign workers fork, and a forked pool has no threads.
+
+The framing is *deterministic by construction*: method selection is a pure
+per-shard function, shard payloads are concatenated in (section, shard
+index) order, and the header is derived only from sizes, so the frame bytes
+are bit-identical for any worker count on either side of the threshold
 (``tests/compression/test_sharded.py`` pins 1, 2 and 8 threads).  The
-thread count resolves from the constructor/call argument, then the
-``REPRO_COMPRESS_THREADS`` environment variable, then the CPU count;
-campaign worker processes pin it to 1 so shard threads never oversubscribe
-the process pool.
+thread count — an upper bound, applied only above the threshold — resolves
+from the constructor/call argument, then the ``REPRO_COMPRESS_THREADS``
+environment variable, then the CPU count; campaign worker processes pin it
+to 1 so shard threads never oversubscribe the process pool.
 
 Frame layout (all little-endian; normative spec in
 ``docs/payload-format.md``):
@@ -49,6 +56,7 @@ from repro.compression.filters import ENTROPY_GATE_BITS, plane_entropy
 __all__ = [
     "SHARDED_FORMAT_VERSION",
     "SHARD_SIZE",
+    "FANOUT_MIN_CODED_BYTES",
     "ShardedFormatError",
     "resolve_threads",
     "compress_sections",
@@ -64,6 +72,30 @@ SHARDED_FORMAT_VERSION = 2
 #: DEFLATE stream header) is noise, small enough that multi-megabyte
 #: sections fan out across threads.
 SHARD_SIZE = 1 << 20
+
+#: Coded bytes (summed size of the shards that enter the codec) a frame
+#: needs before shard compression fans out over threads.  Chosen from the
+#: ``threads_sweep`` of ``benchmarks/test_bench_pipeline.py`` — lossless
+#: float64 vectors, a quarter of whose bytes are coded (the mantissa planes
+#: ship raw); MiB/s of input at 1 thread vs 2 threads with fan-out forced,
+#: 2-CPU host, best of 5, range of the ratio over three runs:
+#:
+#: ========  ===========  ========  ================  ===========
+#: input     coded bytes  1 thread  2 threads forced  ratio
+#: ========  ===========  ========  ================  ===========
+#: 32 KiB    8 KiB        206       78                0.38-0.42x
+#: 128 KiB   32 KiB       545       285               0.44-0.52x
+#: 512 KiB   128 KiB      843       578               0.67-0.69x
+#: 2 MiB     512 KiB      800       719               0.90-0.96x
+#: 8 MiB     2 MiB        811       782               0.92-1.01x
+#: 16 MiB    4 MiB        661       666               1.01-1.22x
+#: 32 MiB    8 MiB        660       616               0.90-1.16x
+#: ========  ===========  ========  ================  ===========
+#:
+#: A pool costs ~0.3 ms to start and join while a 32-KiB checkpoint vector
+#: compresses in 0.15 ms, so fan-out loses at every frame below 4 MiB of
+#: coded bytes and can only pay from there up.
+FANOUT_MIN_CODED_BYTES = 4 << 20
 
 _MAGIC = b"RSF2"
 _HEADER = struct.Struct("<4sHBBII")
@@ -91,11 +123,12 @@ _CPU_DEFAULT = max(1, min(8, os.cpu_count() or 1))
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Shard-compression worker count for one call.
+    """Upper bound on shard-compression workers for one call.
 
     Explicit argument first, then ``REPRO_COMPRESS_THREADS``, then the CPU
     count (capped at 8 — shard compression saturates memory bandwidth well
-    before that).  Always at least 1.
+    before that).  Always at least 1.  A frame whose coded bytes stay below
+    :data:`FANOUT_MIN_CODED_BYTES` is compressed inline whatever this says.
     """
     if threads is not None:
         return max(1, int(threads))
@@ -175,7 +208,13 @@ def compress_sections(
                 jobs.append(len(flat_methods))
                 flat_methods.append(_METHOD_CODED)
 
-    worker_count = min(resolve_threads(threads), len(jobs))
+    # Fan out only when the bytes entering the codec can repay a pool.
+    coded_bytes = sum(flat_shards[position].size for position in jobs)
+    worker_count = (
+        min(resolve_threads(threads), len(jobs))
+        if coded_bytes >= FANOUT_MIN_CODED_BYTES
+        else 1
+    )
     if worker_count > 1:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             results = list(

@@ -10,20 +10,31 @@ planes.  This reproduction keeps the same structure at reduced complexity:
    maps to reconstruction error with a known ``sqrt(block)`` factor),
 3. quantize coefficients with an error-bounded step chosen so the
    *reconstruction* error respects the requested absolute bound,
-4. encode the coefficient codes with the versioned block codec
-   (:mod:`repro.compression.codec`): per-block minimal bit widths, an
-   outlier escape channel, and exactly one DEFLATE pass per payload.
+4. code the coefficients plane by plane, as real ZFP does, rather than
+   through a general-purpose pass over a dense bit stream: the zigzag-mapped
+   codes are split into byte planes
+   (:func:`~repro.compression.filters.code_planes`) and shipped through the
+   sharded, entropy-gated frame of :mod:`repro.compression.sharded`
+   (payload format v2) — the container the SZ-like compressor uses.  Each
+   plane meets DEFLATE at most once; noise-like planes not at all.
 
 Pointwise-relative bounds are supported through the same logarithmic
 transform the SZ-like compressor uses, so the checkpointing layer can swap
 SZ-like and ZFP-like compressors freely (the compressor-family ablation in
-``benchmarks/test_bench_ablation_compressors.py``).  Payloads carry
-``format_version`` in their metadata; pre-codec payloads (no
-``format_version``) are rejected with a ``ValueError``.
+``benchmarks/test_bench_ablation_compressors.py``).
+
+Payloads carry ``format_version`` in their metadata.  v1 blobs (block-codec
+``RBCF`` frame: bit-packed codes under one whole-frame DEFLATE) still decode
+through the retained read path; pre-codec payloads (no ``format_version``)
+are rejected with a ``ValueError``.  The quantization codes are identical
+across v1 and v2 — only their container changed — so reconstructions are
+bitwise identical whichever format carried them
+(``tests/compression/test_frozen_v1_payloads.py``).
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import List, Optional
 
@@ -31,22 +42,27 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from repro.compression.base import CompressedBlob, Compressor, register_compressor
-from repro.compression.codec import (
-    FORMAT_VERSION,
-    decode_frame,
-    decode_signed,
-    encode_frame,
-    encode_signed,
-)
+from repro.compression.codec import decode_frame, decode_signed
+from repro.compression.encoding import zigzag_decode, zigzag_encode
 from repro.compression.errorbounds import ErrorBound, ErrorBoundMode
+from repro.compression.filters import code_planes, codes_from_planes
 from repro.compression.quantization import QuantizationOverflow, quantize_absolute
 from repro.compression.relative import (
     PointwiseRelativeTransform,
-    pw_rel_sections,
     reconstruct_from_masks,
+)
+from repro.compression.sharded import (
+    SHARDED_FORMAT_VERSION,
+    compress_sections,
+    decompress_sections,
 )
 
 __all__ = ["ZFPCompressor"]
+
+#: v2 header section: quantum (f64), transformed value count n (before block
+#: padding), block size, total element count (== n except under ``pw_rel``,
+#: where exact zeros are masked out of the transform), plane count k.
+_V2_HEADER = struct.Struct("<dQQQB")
 
 
 class ZFPCompressor(Compressor):
@@ -60,7 +76,10 @@ class ZFPCompressor(Compressor):
     block_size:
         Number of values per transform block (default 64 = 4x4x4).
     zlib_level:
-        DEFLATE effort for the (single) entropy stage.
+        DEFLATE effort for the coded planes (and the raw fallback).
+        Defaults to 2 like the SZ-like compressor: on CG iterates level 6
+        shrinks the payload another 2-3% (ratio 3.64 -> 3.72 at 72^3,
+        ``pw_rel`` 1e-4) for 0.6x the encode throughput.
     """
 
     name = "zfp"
@@ -71,7 +90,7 @@ class ZFPCompressor(Compressor):
         error_bound: "ErrorBound | float" = 1e-4,
         *,
         block_size: int = 64,
-        zlib_level: int = 6,
+        zlib_level: int = 2,
     ) -> None:
         super().__init__()
         if not isinstance(error_bound, ErrorBound):
@@ -92,59 +111,61 @@ class ZFPCompressor(Compressor):
     # ------------------------------------------------------------------
     def _compress_array(self, data: np.ndarray) -> CompressedBlob:
         flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
-        meta = {
-            "error_bound": self.error_bound.describe(),
-            "block_size": self.block_size,
-            "format_version": FORMAT_VERSION,
-        }
         if self.error_bound.mode is ErrorBoundMode.POINTWISE_RELATIVE:
             transform = PointwiseRelativeTransform.forward(flat, self.error_bound.value)
-            inner = self._transform_sections(transform.log_values, transform.log_bound)
-            if inner is None:
-                payload = self._raw_fallback(flat)
-                meta["scheme"] = "raw"
-            else:
-                sections = pw_rel_sections(transform, inner, flat.size)
-                payload = encode_frame(sections, level=self.zlib_level)
-                meta["scheme"] = "pw_rel"
+            sections = self._transform_sections(
+                transform.log_values, transform.log_bound, flat.size
+            )
+            if sections is not None:
+                sections.append(np.packbits(transform.negative_mask))
+                sections.append(np.packbits(transform.zero_mask))
+            scheme = "pw_rel"
         else:
             bound = self.error_bound.absolute_for(flat)
-            sections = self._transform_sections(flat, bound)
-            if sections is None:
-                payload = self._raw_fallback(flat)
-                meta["scheme"] = "raw"
-            else:
-                payload = encode_frame(sections, level=self.zlib_level)
-                meta["scheme"] = "zfp"
+            sections = self._transform_sections(flat, bound, flat.size)
+            scheme = "zfp"
+        if sections is None:
+            payload = zlib.compress(flat, self.zlib_level)
+            scheme = "raw"
+        else:
+            payload = compress_sections(sections, level=self.zlib_level)
         return CompressedBlob(
             payload=payload,
             shape=tuple(data.shape),
             dtype=np.dtype(data.dtype).str,
             compressor=self.name,
-            meta=meta,
+            meta={
+                "error_bound": self.error_bound.describe(),
+                "block_size": self.block_size,
+                "format_version": SHARDED_FORMAT_VERSION,
+                "scheme": scheme,
+            },
         )
 
     def _decompress_array(self, blob: CompressedBlob) -> np.ndarray:
         scheme = blob.meta.get("scheme", "abs")
         if scheme == "raw":
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
+        elif blob.format_version >= SHARDED_FORMAT_VERSION:
+            flat = self._decode_v2(blob.payload, scheme)
         elif blob.format_version >= 1:
             sections = decode_frame(blob.payload)
             if scheme == "pw_rel":
                 count = int(np.frombuffer(sections[0], dtype=np.int64)[0])
-                log_recon = self._decode_transform_sections(sections[1:4])
+                log_recon = self._decode_v1_sections(sections[1:4])
                 flat = reconstruct_from_masks(log_recon, sections[4], sections[5], count)
             else:
-                flat = self._decode_transform_sections(sections)
+                flat = self._decode_v1_sections(sections)
         else:
             raise ValueError("unsupported payload format version 0")
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- block transform core -------------------------------------------
     def _transform_sections(
-        self, values: np.ndarray, bound: float
-    ) -> Optional[List[bytes]]:
-        """DCT + quantize ``values``; None when the bound needs raw fallback."""
+        self, values: np.ndarray, bound: float, total_count: int
+    ) -> Optional[List]:
+        """DCT + quantize ``values`` into v2 sections (header, then planes);
+        None when the bound needs raw fallback."""
         n = values.size
         block = self.block_size
         pad = (-n) % block
@@ -161,23 +182,33 @@ class ZFPCompressor(Compressor):
             quantized = quantize_absolute(coeffs.reshape(-1), coeff_bound)
         except QuantizationOverflow:
             return None
-        return [
-            np.asarray([quantized.quantum], dtype=np.float64).tobytes(),
-            np.asarray([n, block], dtype=np.int64).tobytes(),
-            encode_signed(quantized.codes),
-        ]
+        planes = code_planes(zigzag_encode(quantized.codes))
+        header = _V2_HEADER.pack(quantized.quantum, n, block, total_count, len(planes))
+        return [header, *planes]
 
-    def _decode_transform_sections(self, sections: List[bytes]) -> np.ndarray:
+    def _decode_v2(self, payload, scheme: str) -> np.ndarray:
+        sections = decompress_sections(payload)
+        quantum, n, block, total, k = _V2_HEADER.unpack(bytes(sections[0]))
+        if block < 2:
+            raise ValueError(f"corrupt ZFP v2 header: block size {block}")
+        padded = -(-n // block) * block
+        codes = zigzag_decode(codes_from_planes(sections[1:1 + k], padded))
+        values = _inverse_transform(codes, quantum, n, block)
+        if scheme != "pw_rel":
+            return values
+        return reconstruct_from_masks(values, sections[1 + k], sections[2 + k], total)
+
+    def _decode_v1_sections(self, sections: List[bytes]) -> np.ndarray:
         header, sizes, packed = sections
         quantum = float(np.frombuffer(header, dtype=np.float64)[0])
         n, block = (int(v) for v in np.frombuffer(sizes, dtype=np.int64))
-        codes = decode_signed(packed)
-        coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
-        values = idct(coeffs, axis=1, norm="ortho").reshape(-1)
-        return values[:n]
+        return _inverse_transform(decode_signed(packed), quantum, n, block)
 
-    def _raw_fallback(self, flat: np.ndarray) -> bytes:
-        return zlib.compress(flat.astype(np.float64).tobytes(), self.zlib_level)
+
+def _inverse_transform(codes: np.ndarray, quantum: float, n: int, block: int) -> np.ndarray:
+    """Dequantize coefficient codes and invert the block DCT (v1 and v2)."""
+    coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
+    return idct(coeffs, axis=1, norm="ortho").reshape(-1)[:n]
 
 
 def _make_zfp(**kwargs) -> ZFPCompressor:

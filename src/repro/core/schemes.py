@@ -68,6 +68,17 @@ class CheckpointingScheme:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # The ``lossy()`` constructor below shadows the field's ``False``
+        # default in the class namespace, so an omitted ``lossy=`` arrives
+        # here as that (truthy) bound method, not as ``False``.
+        if not isinstance(self.lossy, bool):
+            raise TypeError(
+                "CheckpointingScheme needs an explicit lossy=True/False "
+                f"(got {type(self.lossy).__name__}); use the traditional()/"
+                "lossless()/lossy() constructors"
+            )
+
     # -- constructors ---------------------------------------------------------
     @classmethod
     def traditional(cls) -> "CheckpointingScheme":

@@ -6,21 +6,27 @@ The payload constants below were generated by the *seed* implementations
 existed.  They are checked in as base64 so the compatibility contract is
 pinned against real seed bytes, not against a reconstruction of the old
 encoders: the current decoders must reproduce the exact arrays the seed
-code produced, bit for bit.
+code produced, bit for bit.  The ZFP v1 blobs were written by the last
+commit that still had a v1 ZFP writer (its ``RBCF`` frames at DEFLATE level
+6); their reconstructions are pinned by SHA-256 of the decoded bytes.
 
 Regenerating these constants is never correct — a decode failure here means
 the v1/legacy read paths broke.
 """
 
 import base64
+import hashlib
 
 import numpy as np
+import pytest
 
 from repro.checkpoint.serialization import deserialize_checkpoint
 from repro.compression.lossless import LzmaCompressor, ZlibCompressor
 from repro.compression.base import CompressedBlob
 from repro.compression.sz import SZCompressor
 from repro.compression.errorbounds import ErrorBound
+from repro.compression.sharded import SHARDED_FORMAT_VERSION
+from repro.compression.zfp import ZFPCompressor
 
 _SMOOTH_B64 = (
     "AAAAAAAAAAAnZtD5oL/4PxLDvSN9ffk/+CNPQCw5+j/PjI0ISPL6P5SqWmJsqPs/D9AqlTdb"
@@ -556,6 +562,96 @@ _CHECKPOINT_B64 = (
 )
 
 
+_ZFP_ABS_PAYLOAD_B64 = (
+    "UkJDRgEAeJztlPtXDgYYx7/P87y93RSiSKU6Lh2XVigbiVzSyiUxooZRSE106n1HWM2i3GNL"
+    "t8UxSZiOUnIJvRKj3KJQsVore1t725aFs2Hv7Ad/xPqc89yf55znnOecRwAY6eX3sKakohdX"
+    "xvfQ+2C8xes/A+tu73JQAA54R99ZBdf9ZygPnLEJ8FGcHWc0Yo9oggwaF8rcRYriyXK0WU65"
+    "yp79ctxeDq2SfHNJ8ZGOv7m7kxi28gxjuVDNmjZ+c4kT77Aml3sWsiSzYSrfVLH7Oh4SxOuD"
+    "2N6TK8aypj9b92O7NxTxgnyeUFk1+ZeQcwFNS6eineSvohVhFDWLFkyi8qGUbkMhCprwDCGP"
+    "sbASdUUwzEbzTgSuR/oyLJ4NM094DMHC3ph5PbSkj3HLEMvvNiMtgKe0oe8k+aIA9hsRP5hq"
+    "fqBGF3LKQ0w0ZbvQ4S9oYiRe5JIuDStO0Holakoo1AieBaSLxLnjlBmH4mTKaMQmNamew3E6"
+    "1UyhWEeqnkeprcjdRZWnkL6PsmJQX0xVo6HNp12mWFpCF/xQl0O127Ahk8rKcVRNU1+jNJDy"
+    "XahoED0MpvudWBVH9ucRn0kt8bDJI08vlBRTkFuh/9huh5y7N5ViUG9p9IImgKIcMOY8Inrh"
+    "rBrN3XA3AMOMcdwD1UoEOMPHAHED4KLAOluECLz7oILh3wtzGWN64DmhzAwnCOWmWE1wNIGn"
+    "PmOEXoR0Q7QDWUrcBjQGKALIAFlAoAKJwCWBCnAXhADFjDmAN8MbeER4H4gmDAF6Euzw72BP"
+    "YAFgAAzvVFtZmlQNNNKe5pe3sPs0P80m/bnvraJp26npEe5ewGc26LRD0ikkvcSaeHK4Rjc8"
+    "uHcs73/Iaw1FPV3OLJeTu0W5V+5kycUtckwl8d4Sbi0jqzhsFxeO4tp6SoimKd3JIQstI5A1"
+    "CWZ58O9PHl9Sxc+k9eKOFNbU8TIbSfSTAVFyYIuY7hXVDhmwQYqDReMqC57zskJesowTzTk1"
+    "j6x96c/HaF+NhssHO/qYHX2tGLaao64pYm+xzpuWXBKtM01pkK9qYFcmZ45TkoVkmcjC/jw+"
+    "USofYgQUs9bidb5MvEpH3MSvhnMG8OE0iXqF+VrxD4fpDXE7Qkp3yark4sn8U6JEmtLtNpnv"
+    "i/gK6UglZx+5WsgWH3HEJvEdTDHNEjUKHtXS9jk5BEh+Nl8K50UqcfWgzU2S1BdjH0n7Smpf"
+    "JBnJvHwjV4RL82za8USyazc3WJmNDlJ2hqJhMlU6InwbfuyB3OnoZ4I0V5xWItYRVxQI74td"
+    "gm0WuMjYYo73GDmmuEJIMEYMocUQownfKqHUawM0AHcUKAUGKpAD7BMkA7aCDUAh41MgiLEI"
+    "6MaYDVwlTAWSCOOBWQQ3fSdhOKDTjwOX9SGQBlgBawD9h/IDTN6W9M/ItiWt/ap580DDrRns"
+    "eYEPraTdVhRij4JgJAymmRlU4sLqWA6qYKOHPK+eJ2Vz7WKuaSXzSAq9gwR3OMXgoBkZZ5OP"
+    "HacksHs5r2plx2Z+oOFmNass+PBuqnsFTTD+mIocLXI3Un/mvHCuLObkBr71lAu/Z10Sn3Pi"
+    "sBO0z5ZC4xAyCHbXEPgJRTyla4HsdIyd6lmrZYP7HJ3Bv3ixYQVZTqB1h7DGaLvfHNPaAwb2"
+    "WnpzA27POcEWW8t55nWqf0btKZy6ETqSJv2GczkykEuH0godm6vxuoiH1dHEU6S7yWkfYGUT"
+    "h86lvW68M459HwGdfK8I1Xu51JrrVeT/mNsskFzDlim05y8yP8y/fY2oDh4HOhnBjR9y00ga"
+    "r+PMj7HyPPtVUUsZPbjM93yR3cqZk+mEJ09Xc8mvSH3G5jlY+g1Hm/C6zTS1ltFFF1100cX/"
+    "kn8A63ziWw=="
+)
+
+_ZFP_ABS_RECON_SHA256 = (
+    "68fa79085c762b45b3b5dcdb51bff93928cedcaa605094a41d6c5277154a2227"
+)
+
+_ZFP_REL_PAYLOAD_B64 = (
+    "UkJDRgEAeJzt1PlvFGUYB/Dv8+7ZvTp799yddrs9OMoUKIJA2AS5RMJUaSgGyAQIRohhMVFo"
+    "oLBIVYwmDGKqDQUGtAIquqmEQ0O6QACjAsMRYriygjQEE3mhCBQ1uIMk/BH2m8xnJvPL+8Pz"
+    "fF8TAHvuOYeV5Zam/HFC7hsMj5P474VCx9N/MAMiniYwcknTM+Yj1acvscFNfB5rGKUm2JFa"
+    "YQjbV5MsZ92VPMS+rVCdrDimP6LuMqGX1ojqdZoe5eepLJI8TrdK9L10oFjupOYi/UOqK0yu"
+    "psthYTGtDvFGCgf5OOr0SzVU5dO9tE1I98GbL/yKZrd+HBed0teodwgf4X272oyLVj4XVRY+"
+    "HktNejUOkOrGnRGtQat6VZmFMwXiFlwtl5dhtAVHIQTknzDJlnqALhcn2mRWSmihVYrSBGg1"
+    "9DKS5fSZWYxQo0VwUTJPe4hZDukK2tzaITR6eAe+EhLL8Ujg07DAp1Ug7svY0Objddjtzc7G"
+    "CK/cil354hdQPFLuIFfmBl50JEFnbYqfFljSUfqGJSqp4r2ZtfYV23kKf4ryQEQ96SDO2rgL"
+    "982qHYtNghUtTDXjOiVNWEFphiEkMfRBJ5xAkrAbMmEjBEILOLAYOjAHaaABKjABSWCsQT1k"
+    "YLBBFSSgzKDUIIzc0P0G+QZOA5sxW5NBa5+521o7k+u0w57Wqd2rt9DU/KSdivP4KsQJAbxl"
+    "ww4EhJREN8OJnbQ8krUyOaZNZGJlaj7bX4nZzBFXJFZblrhGc4vFZuJ+7QGanOKrCDF1UG4K"
+    "ajfqBD6RogX6d9QeEQJsdCw5jR2Mq/PZP3F9BuuN5bbpUFQ6RZ2FkkLkky5hUp7+PLqO7D1s"
+    "X1bPNaoZlsnSdre+hm11ZT9mfXa5lV31JjxsvagvomNxbMDZASkZapU+hBrK0UM9If4Ka3dg"
+    "C1tq5utYl1eJs/ul+lr6OZ7tgmmAWAetmgsUjqVO0R8Fwiw2zaVsYnGWVJlZEEeyqSV8M1nj"
+    "2TPYVqMIGF4j3EGwQtlHO4ukKWygJ9PG7nxiOWxnz6XG4wO3FsKPloQTw00ZK+wsZcZCSphg"
+    "JYXhGLKEDqQIKyESFgKEGcgAk6EBYwyGIwUMggJUGpQblBgtLTIIGQSMcgoGHgOXgcPAbmB9"
+    "UuAnPK70uQWha3nNL/CD1FDKb6PTyQM4b8r1o9qbepPWFWlX6PUIbtLkkkwbvRPI3sVeeyaG"
+    "i2Z5D9Z7hUXUW5S8QPVR/RatLRU+p8Eh2UmbHfJYPGBKB+7lo4myhanTdDKi3aaTpYku8oUT"
+    "UepxJhqxnqS38b1HmEj+QvkH2hzJXQ8TIvrB3B4Iw2imW34N8/TrG20jxkiTqMWOv2kopS+Q"
+    "6Ben0+5i/hKGiuoe3C8QN9Aql3CPuFnR6bJfipE1ko3j94jyGzrC+pcUzBP/onabvp9WhsSH"
+    "2BXRXJgX4R4aFcRRetaa7KP9Dm0LvVEgn4AS5WMxrhQjqcen/0JBk9ZL77r11TS7CFvxaVRc"
+    "grvF6hyaImg3CP3pT3/68z/NvwOXYaQ="
+)
+
+_ZFP_REL_RECON_SHA256 = (
+    "de435937894f7e6c250eb1e4f1a99a9acb91bfe4d5af962cfe1a92266d437082"
+)
+
+_ZFP_PWREL_PAYLOAD_B64 = (
+    "UkJDRgEAeJztVFtoXFUUXfvce+eRmXQmj0mmTZrcFJP0EeIltdHaWA95tEFLiVChQSgDSohS"
+    "ZVqLDkXrKVYoxcDQD01KhKv+9KPgSH/q4+NSilZQGfyQKCiDSg2lytCvUiq6jjU0P/75I2TD"
+    "cA5rzjl77bXXvjEACf6g8HfY/exzv3pzw7d3Z7m/LXdxfXfBQvLeWbiAj3vR8nH3o726sm+0"
+    "o/zDqd9V65nCM5huKWV0zjmnpk6bl/FLvtCGT9xJV/+G71G+3wzg06SfhKeWRR/GDOptJocb"
+    "bugiI7egH8YwKmmTwhUVKizgNHQPuhDETQxvSkHwJCYRNWEdKo5xcAUh0Is8ohhiCMQA91li"
+    "o+PFbx0pHYV+2zki88d1Cscy2QQ+VGlEh/EYzudqgs8c3zFfYytqvehDKVFTWJSamEMYRKEZ"
+    "6zHpElrClGA7Ib8BLZhVhI4jK9hIKPKQRUEIjaMG7gcBx5IDoS5UQVaEBGnqRij7x1xy/MLw"
+    "hs3lsdcXnIGnwmO4mC41aVddV9lpcwoj2TCPnHPJjc7hJupdJsCBGBM/IXkV7cFR1NeZdjzg"
+    "+B4+QF50H3YjSJhGfGlJPI15RDlsQsU1cbgSCh7EQUQpNKOoqNcrVq/11Eu7ZFYB9Wq1et28"
+    "fqT6xlcjZ2N6Tj2Oyb1owLVkWXBWxqEn0IgwbRRmVBGmxNt+Hh7qLuuKSQDmSCNM0SRG8cEz"
+    "LNVspK/YMsGs0Ej7qQya6J7QIXTVemvAQtZaNeu3WUvCMiFHWI5WS8aJ3sb2iS29L3QU/zz5"
+    "kxrZWduFd+OTGT0qQzK1w7yGzoZCHN9J3tMFCl1uNjtxw+H9L3BJRdtIop4wm3BHtOBZXJWo"
+    "nezrrsmjU8h3Fw6KbqRlqso0YxFaoQcJ0XFsRlFMBvsQKWRoAS4BWH2apbLDl2tDH3m3umfE"
+    "nJAJYEuURMUri7lGH0T9PKPjfKsgRWCCGWuN1KuqWPtbfMZ0W71izF+0ht1vR8qKE1lxqivi"
+    "mCQh394pWShvIY+S+Favh6w46ZUpLqzMMZbfH3lvvL/tx+Zg28lX5U53OIjn3eWYvog+oZm2"
+    "Y9ELk2iSJdE7cAiVBpY9oGoOXrRdyXMUAo+JOzkFeIRdidJos+K4FIeJe5iY4jSApSocsI1q"
+    "scPn0ExVGCFx1hInF23lDf75ZABLsz9/7k5nz7v+PMZUNRWN4RtUWk0HW8PRfweRUKGXUHeM"
+    "T0EoTj9bQ0cP2amxD1KowPrWFhpYQlttvhzFKbjYwHmkOMOWUBsP0PcO/47AGcxajhxSh3hk"
+    "e7fHLinbFQdrsRZrsRb/19D/0RvmX970V+2zq/aJVXv7gf8LrDP0Dw=="
+)
+
+_ZFP_PWREL_RECON_SHA256 = (
+    "6ebdc803129a46e12f3043a0f10360eb8d41017b07e3054a198280de9bba9e39"
+)
+
+
 def _floats(encoded: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(encoded), dtype=np.float64)
 
@@ -624,6 +720,51 @@ class TestFrozenSZV1:
         )
         recon = SZCompressor(ErrorBound.absolute(1e-5)).decompress(blob)
         assert recon.tobytes() == _payload(_SZ_ABS_RECON_B64)
+
+
+_ZFP_V1 = {
+    "abs": (ErrorBound.absolute(1e-5), "zfp", _ZFP_ABS_PAYLOAD_B64, _ZFP_ABS_RECON_SHA256),
+    "rel": (
+        ErrorBound.value_range_relative(1e-4),
+        "zfp",
+        _ZFP_REL_PAYLOAD_B64,
+        _ZFP_REL_RECON_SHA256,
+    ),
+    "pw_rel": (
+        ErrorBound.pointwise_relative(1e-4),
+        "pw_rel",
+        _ZFP_PWREL_PAYLOAD_B64,
+        _ZFP_PWREL_RECON_SHA256,
+    ),
+}
+
+
+class TestFrozenZFPV1:
+    @pytest.mark.parametrize("mode", sorted(_ZFP_V1))
+    def test_v1_decodes_bitwise_and_v2_carries_the_same_codes(self, mode):
+        bound, scheme, payload_b64, recon_sha256 = _ZFP_V1[mode]
+        compressor = ZFPCompressor(bound)
+        v1 = CompressedBlob(
+            payload=_payload(payload_b64),
+            shape=_SMOOTH.shape,
+            dtype=_SMOOTH.dtype.str,
+            compressor="zfp",
+            meta={
+                "error_bound": bound.describe(),
+                "block_size": 64,
+                "format_version": 1,
+                "scheme": scheme,
+            },
+        )
+        recon = compressor.decompress(v1)
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == recon_sha256
+        # Same input through today's writer: a different container around the
+        # same quantization codes, so the reconstruction is bitwise identical.
+        v2 = compressor.compress(_SMOOTH)
+        assert v2.format_version == SHARDED_FORMAT_VERSION
+        assert v2.meta["scheme"] == scheme
+        assert v2.payload != v1.payload
+        assert compressor.decompress(v2).tobytes() == recon.tobytes()
 
 
 class TestFrozenSerializedCheckpoint:

@@ -4,8 +4,9 @@ Two format guarantees are pinned here:
 
 1. **No nested DEFLATE.**  The pre-codec SZ/ZFP pointwise-relative paths
    DEFLATEd an already-DEFLATEd inner section — wasted CPU, worse ratio.
-   v1 payloads must contain exactly one entropy stage: the frame body
-   inflates once and none of the inner sections is itself a zlib stream.
+   Payloads must contain exactly one entropy stage: each shard of the v2
+   frame is DEFLATEd at most once (raw-gated planes not at all) and none of
+   the inflated sections is itself a zlib stream.
 
 2. **Pre-codec (v0) payloads are rejected, not misread.**  Blobs without
    ``format_version`` in their metadata predate the block codec (global-width
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.compression.base import CompressedBlob
-from repro.compression.codec import decode_frame
 from repro.compression.encoding import pack_sections, pack_unsigned, zigzag_encode
 from repro.compression.errorbounds import ErrorBound
 from repro.compression.quantization import quantize_absolute
@@ -62,12 +62,14 @@ class TestNoNestedDeflate:
     def test_zfp_pw_rel_single_entropy_stage(self, smooth_vector):
         blob = ZFPCompressor(1e-4).compress(smooth_vector)
         assert blob.meta["scheme"] == "pw_rel"
-        _assert_sections_not_deflate(decode_frame(blob.payload))
+        assert blob.format_version == SHARDED_FORMAT_VERSION
+        _assert_sections_not_deflate(decompress_sections(blob.payload))
 
     def test_zfp_abs_single_entropy_stage(self, smooth_vector):
         blob = ZFPCompressor(ErrorBound.absolute(1e-5)).compress(smooth_vector)
         assert blob.meta["scheme"] == "zfp"
-        _assert_sections_not_deflate(decode_frame(blob.payload))
+        assert blob.format_version == SHARDED_FORMAT_VERSION
+        _assert_sections_not_deflate(decompress_sections(blob.payload))
 
     def test_pw_rel_payload_shrinks_vs_legacy(self, smooth_vector):
         # Dropping the nested DEFLATE (plus blockwise widths) must not cost

@@ -90,6 +90,7 @@ class TestRoundTrip:
 class TestThreadDeterminism:
     def test_payload_identical_across_thread_counts(self, monkeypatch):
         monkeypatch.setattr(sharded, "SHARD_SIZE", 512)  # force real fan-out
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
         sections = _sections(11, _MIX)
         reference = compress_sections(sections, threads=1)
         for threads in (2, 8):
@@ -101,6 +102,7 @@ class TestThreadDeterminism:
 
     def test_lzma_payload_identical_across_thread_counts(self, monkeypatch):
         monkeypatch.setattr(sharded, "SHARD_SIZE", 512)
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
         sections = _sections(12, _MIX)
         reference = compress_sections(sections, codec="lzma", threads=1)
         for threads in (2, 8):
@@ -115,6 +117,64 @@ class TestThreadDeterminism:
         monkeypatch.delenv("REPRO_COMPRESS_THREADS")
         assert 1 <= resolve_threads() <= 8
         assert resolve_threads(0) == 1          # clamped to at least one
+
+
+class _PoolBuilt(AssertionError):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolBuilt("a ThreadPoolExecutor was built")
+
+
+class TestFanOutRule:
+    """Threads are used only when the coded bytes can repay a pool."""
+
+    #: Two sections reach the codec; the noise is entropy-gated raw, the
+    #: zeros cost nothing.
+    _MIX = [("runs", 8192), ("noise", 8192), ("zero", 5000), ("runs", 6400)]
+    _CODED_BYTES = 8192 + 6400
+
+    def test_below_threshold_never_builds_a_pool(self, monkeypatch):
+        sections = _sections(21, self._MIX)
+        reference = compress_sections(sections, threads=1)
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
+        assert self._CODED_BYTES < sharded.FANOUT_MIN_CODED_BYTES
+        assert compress_sections(sections, threads=8) == reference
+        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "8")
+        assert compress_sections(sections) == reference
+
+    def test_threshold_counts_coded_bytes_not_input_bytes(self, monkeypatch):
+        # Zero and entropy-gated raw shards never reach the codec: the frame
+        # is far above the threshold in input bytes, below it in coded bytes.
+        sections = _sections(22, self._MIX)
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", self._CODED_BYTES + 1)
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
+        assert sum(section.size for section in sections) > self._CODED_BYTES + 1
+        compress_sections(sections, threads=8)
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", self._CODED_BYTES)
+        with pytest.raises(_PoolBuilt):
+            compress_sections(sections, threads=8)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_payload_identical_on_both_sides_of_the_threshold(self, monkeypatch, side):
+        # Patch the constant down rather than allocating hundreds of MiB.
+        sections = _sections(23, self._MIX)
+        threshold = self._CODED_BYTES + (1 if side == "below" else 0)
+        reference = compress_sections(sections, threads=1)
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", threshold)
+        for threads in (1, 2, 8):
+            assert compress_sections(sections, threads=threads) == reference
+
+    def test_one_thread_never_builds_a_pool_above_the_threshold(self, monkeypatch):
+        sections = _sections(24, self._MIX)
+        reference = compress_sections(sections, threads=1)
+        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
+        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "1")
+        assert compress_sections(sections) == reference
+        with pytest.raises(_PoolBuilt):
+            compress_sections(sections, threads=8)
 
 
 class TestFormatErrors:
@@ -165,6 +225,8 @@ class TestDefaults:
     def test_format_constants(self):
         assert SHARDED_FORMAT_VERSION == 2
         assert SHARD_SIZE == 1 << 20
+        # Fan-out starts in the multi-MiB range of coded bytes.
+        assert sharded.FANOUT_MIN_CODED_BYTES >= SHARD_SIZE
 
     def test_zero_section_costs_nothing_but_tables(self):
         quiet = compress_sections([np.zeros(1 << 16, dtype=np.uint8)], threads=1)

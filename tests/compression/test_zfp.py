@@ -5,6 +5,7 @@ import pytest
 
 from repro.compression.errorbounds import ErrorBound
 from repro.compression.metrics import max_abs_error, max_pointwise_relative_error
+from repro.compression.sharded import compress_sections, decompress_sections
 from repro.compression.zfp import ZFPCompressor
 
 
@@ -52,6 +53,27 @@ class TestZFPCompressor:
         recon, blob = comp.roundtrip(data)
         assert blob.meta["scheme"] == "raw"
         assert np.array_equal(recon, data)
+
+    @pytest.mark.parametrize(
+        "bound",
+        [ErrorBound.value_range_relative(1e-19), ErrorBound.pointwise_relative(1e-17)],
+        ids=lambda b: b.mode.value,
+    )
+    def test_raw_fallback_in_relative_modes(self, bound):
+        data = np.array([1e30, -1e30, 1.0, 2.0] * 32)
+        recon, blob = ZFPCompressor(bound).roundtrip(data)
+        assert blob.meta["scheme"] == "raw"
+        assert np.array_equal(recon, data)
+
+    def test_corrupt_v2_block_size_is_a_value_error(self, smooth_vector):
+        comp = ZFPCompressor(1e-4)
+        blob = comp.compress(smooth_vector)
+        sections = decompress_sections(blob.payload)
+        header = bytearray(sections[0])
+        header[16:24] = bytes(8)  # block size field of <dQQQB>
+        blob.payload = compress_sections([bytes(header), *sections[1:]])
+        with pytest.raises(ValueError, match="block size"):
+            comp.decompress(blob)
 
     def test_with_error_bound(self):
         comp = ZFPCompressor(1e-4, block_size=32)

@@ -41,6 +41,19 @@ class TestSchemes:
         with pytest.raises(ValueError):
             CheckpointingScheme.lossy(1e-4, compressor="jpeg")
 
+    def test_direct_construction_needs_a_real_bool_for_lossy(self):
+        # Regression: the lossy() classmethod shadows the field default, so
+        # omitting lossy= used to yield the bound method — a truthy "lossy".
+        factory = CheckpointingScheme.traditional().compressor_factory
+        with pytest.raises(TypeError, match="lossy"):
+            CheckpointingScheme(name="custom", compressor_factory=factory)
+        with pytest.raises(TypeError, match="lossy"):
+            CheckpointingScheme(name="custom", compressor_factory=factory, lossy=1)
+        scheme = CheckpointingScheme(
+            name="custom", compressor_factory=factory, lossy=False
+        )
+        assert scheme.lossy is False and scheme.stores_exactly("x")
+
     def test_compressor_cached(self):
         scheme = CheckpointingScheme.lossy(1e-4)
         assert scheme.compressor() is scheme.compressor()

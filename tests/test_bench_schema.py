@@ -44,7 +44,22 @@ def _valid_pipeline() -> dict:
             "compress_threads": 1,
             "format_version": 2,
         }
-    return {"combinations": {"lossless/cg": combo("lossless"), "lossy/cg": combo("lossy")}}
+    def sweep_row(input_bytes, threads):
+        return {
+            "input_bytes": input_bytes,
+            "coded_bytes": input_bytes // 4,
+            "threads": threads,
+            "fan_out": threads > 1 and input_bytes >= 16 << 20,
+            "payload_bytes": input_bytes // 2,
+            "payload_identical": True,
+            "compress_mb_per_s": 400.0,
+        }
+    return {
+        "combinations": {"lossless/cg": combo("lossless"), "lossy/cg": combo("lossy")},
+        "threads_sweep": [
+            sweep_row(size, threads) for size in (1 << 15, 16 << 20) for threads in (1, 2)
+        ],
+    }
 
 
 def _valid_codec() -> dict:
@@ -198,6 +213,8 @@ def test_nonpositive_rate_fails(tmp_path):
         ("lossy", 99.0, False),      # below the lossy floor
         ("lossy", 100.0, True),
         ("lossy-adaptive", 80.0, False),
+        ("lossy-zfp", 79.0, False),  # the v1 writer's rates stay out
+        ("lossy-zfp", 80.0, True),
         ("traditional", 5.0, True),  # traditional has no floor
     ],
 )
@@ -226,6 +243,32 @@ def test_pipeline_requires_compression_fields(tmp_path, key):
     data["combinations"]["lossy/cg"][key] = -1
     path.write_text(json.dumps(data))
     assert any(key in e for e in checker.check_file(path))
+
+
+def test_pipeline_threads_sweep_is_checked(tmp_path):
+    path = tmp_path / "BENCH_pipeline.json"
+
+    data = _valid_pipeline()
+    del data["threads_sweep"]
+    path.write_text(json.dumps(data))
+    assert any("threads_sweep" in e for e in checker.check_file(path))
+
+    # Payload bytes that move with the thread count break content addressing.
+    data = _valid_pipeline()
+    data["threads_sweep"][1]["payload_identical"] = False
+    path.write_text(json.dumps(data))
+    assert any("thread count" in e for e in checker.check_file(path))
+
+    # A sweep that never reaches the sizes where fan-out can pay says nothing.
+    data = _valid_pipeline()
+    data["threads_sweep"] = data["threads_sweep"][:2]
+    path.write_text(json.dumps(data))
+    assert any("16 MiB" in e for e in checker.check_file(path))
+
+    data = _valid_pipeline()
+    del data["threads_sweep"][0]["coded_bytes"]
+    path.write_text(json.dumps(data))
+    assert any("coded_bytes" in e for e in checker.check_file(path))
 
 
 def test_invalid_json_and_unknown_name(tmp_path):
