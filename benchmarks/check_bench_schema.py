@@ -2,8 +2,7 @@
 """Sanity-check benchmark artifact schemas before CI uploads them.
 
 The nightly benchmarks workflow writes ``BENCH_pipeline.json`` /
-``BENCH_runner.json`` / ``BENCH_codec.json`` / ``BENCH_store.json`` and
-uploads them as artifacts.
+``BENCH_runner.json`` / ``BENCH_store.json`` and uploads them as artifacts.
 A refactor that silently stops populating a section would still upload a
 syntactically valid — but empty — file, and the regression would only be
 noticed when someone reads the artifact weeks later.  This checker fails
@@ -168,26 +167,6 @@ def check_runner(data: dict) -> List[str]:
     return errors
 
 
-def check_codec(data: dict) -> List[str]:
-    """``BENCH_codec.json``: per-workload codec-vs-legacy measurements."""
-    errors: List[str] = []
-    workloads = data.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        return ["'workloads' must be a non-empty object"]
-    for name, rows in workloads.items():
-        if not isinstance(rows, dict):
-            errors.append(f"workload {name!r} is not an object")
-            continue
-        for encoder in ("legacy", "codec"):
-            row = rows.get(encoder)
-            if not isinstance(row, dict):
-                errors.append(f"workload {name!r}: missing {encoder!r} row")
-                continue
-            for key in ("ratio", "encode_mbps", "decode_mbps"):
-                _positive(row, key, errors, f"workload {name!r}/{encoder}")
-    return errors
-
-
 def check_store(data: dict) -> List[str]:
     """``BENCH_store.json``: per-backend throughput, pricing and dedup."""
     errors: List[str] = []
@@ -222,7 +201,6 @@ def check_store(data: dict) -> List[str]:
 CHECKERS: Dict[str, Callable[[dict], List[str]]] = {
     "BENCH_pipeline.json": check_pipeline,
     "BENCH_runner.json": check_runner,
-    "BENCH_codec.json": check_codec,
     "BENCH_store.json": check_store,
 }
 

@@ -15,7 +15,9 @@ cell results these are keyed by an explicit content digest rather than a
 specs differ in every other axis (seed, scale, failure model, ...).
 
 Both stores write through a temporary file and ``os.replace`` so that
-concurrent campaigns (or a crash mid-write) never leave a torn entry.
+concurrent campaigns (or a crash mid-write) never leave a torn entry, and
+both read a corrupt entry as a miss (:func:`_store_entry` /
+:func:`_load_entry`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,46 @@ from typing import Dict, Iterator, Optional
 from repro.campaign.spec import RunSpec
 
 __all__ = ["ResultCache", "MemoStore"]
+
+
+def _load_entry(path: Path, field: Optional[str] = None):
+    """The JSON object stored at ``path`` (or one ``field`` of it), or
+    ``None`` on a miss.
+
+    A corrupt entry (torn write from a killed process, manual edit) is
+    treated as a miss and removed so the caller simply recomputes.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except OSError:
+        # Missing file or a transient I/O error: a miss, but the entry
+        # (if any) may be perfectly valid — leave it alone.
+        return None
+    except ValueError:  # not JSON, or not even UTF-8
+        payload = None
+    if isinstance(payload, dict) and (field is None or field in payload):
+        return payload if field is None else payload[field]
+    try:
+        path.unlink()
+    except OSError:
+        pass
+    return None
+
+
+def _store_entry(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: same-directory temporary file,
+    then ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -47,38 +89,14 @@ class ResultCache:
         A corrupt entry (torn write from a killed process, manual edit) is
         treated as a miss and removed so the cell simply re-executes.
         """
-        path = self._path(cell)
-        try:
-            payload = json.loads(path.read_text())
-            return payload["result"]
-        except OSError:
-            # Missing file or a transient I/O error: a miss, but the entry
-            # (if any) may be perfectly valid — leave it alone.
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return _load_entry(self._path(cell), "result")
 
     def put(self, cell: RunSpec, result: Dict[str, object]) -> None:
         """Store ``result`` for ``cell`` atomically."""
-        path = self._path(cell)
         payload = json.dumps(
             {"spec": cell.to_dict(), "result": result}, sort_keys=True
         )
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _store_entry(self._path(cell), payload)
 
     def __contains__(self, cell: RunSpec) -> bool:
         return self._path(cell).exists()
@@ -127,40 +145,11 @@ class MemoStore:
         A corrupt entry (torn write from a killed process, manual edit) is
         treated as a miss and removed so the sub-result simply recomputes.
         """
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError:
-            return None
-        except json.JSONDecodeError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(payload, dict):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return payload
+        return _load_entry(self._path(key))
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
         """Store ``payload`` under ``key`` atomically."""
-        path = self._path(key)
-        text = json.dumps(payload, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _store_entry(self._path(key), json.dumps(payload, sort_keys=True))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

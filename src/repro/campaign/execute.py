@@ -345,22 +345,10 @@ def _run_solve(cell) -> Dict[str, object]:
 def _run_characterize(cell) -> Dict[str, object]:
     """Measure one scheme's pipeline payload on representative iterates."""
     char = _characterization(cell)
-    return {
-        "scheme": char.scheme,
-        "method": char.method,
-        "mean_ratio": float(char.mean_ratio),
-        "min_ratio": float(char.min_ratio),
-        "ratios": [float(r) for r in char.ratios],
-        "baseline_iterations": int(char.baseline_iterations),
-        # Measured-payload composition: per-vector ratios plus the absolute
-        # scalar/index bytes one serialized checkpoint carries.
-        "variable_ratios": {
-            str(k): float(v) for k, v in char.variable_ratios.items()
-        },
-        "scalar_count": int(char.scalar_count),
-        "overhead_bytes": float(char.overhead_bytes),
-        "payload_bytes": [int(b) for b in char.payload_bytes],
-    }
+    # The memoized form is the measured-payload composition (per-vector
+    # ratios plus the absolute scalar/index bytes one serialized checkpoint
+    # carries); the cell result adds the derived minimum.
+    return {**_characterization_to_dict(char), "min_ratio": float(char.min_ratio)}
 
 
 def _run_extra_iterations(cell) -> Dict[str, object]:

@@ -1,16 +1,17 @@
 """Checkpoint/restart toolkit (the paper's FTI substitute).
 
 The workflow mirrors the paper's description of its library integration
-(Section 4.2): *register* the variables to protect (``Protect``), *snapshot*
-them periodically (``Snapshot``), and *restore* them after a failure.  The
-toolkit classifies variables the way Langou et al. and the paper do —
-static / dynamic / recomputed — compresses dynamic variables through any
-:class:`~repro.compression.base.Compressor`, and persists the resulting
+(Section 4.2): *declare* the variables to protect (``Protect`` — the
+solver's :class:`~repro.solvers.base.CheckpointSpec` names the dynamic ones,
+``static=`` the ones stored once; the residual is recomputed, never stored),
+*snapshot* them periodically (``Snapshot``), and *restore* them after a
+failure.  :class:`~repro.checkpoint.pipeline.CheckpointPipeline` compresses
+the dynamic variables through any
+:class:`~repro.compression.base.Compressor` and persists the resulting
 payload through a pluggable :class:`~repro.checkpoint.store.CheckpointStore`
 (in-memory, on-disk, or the FTI-style multilevel scheme).
 """
 
-from repro.checkpoint.variables import VariableRole, ProtectedVariable, VariableRegistry
 from repro.checkpoint.serialization import (
     serialize_checkpoint,
     deserialize_checkpoint,
@@ -49,9 +50,6 @@ from repro.checkpoint.delta import (
 )
 
 __all__ = [
-    "VariableRole",
-    "ProtectedVariable",
-    "VariableRegistry",
     "serialize_checkpoint",
     "deserialize_checkpoint",
     "CheckpointPayload",

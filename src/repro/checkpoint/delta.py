@@ -81,9 +81,10 @@ def delta_encode(
         )
     residual = (_as_words(value) - _as_words(base)).view(np.int64)
     payload = encode_frame([encode_signed(residual, width_cap=DELTA_WIDTH_CAP)])
-    # Delta payloads stay on the v1 block-codec frame: their residuals are
-    # already narrow integers, so the v2 shuffle/shard stage has nothing to
-    # add, and keeping the frame stable keeps old delta chains restorable.
+    # Delta payloads are the block-codec frame's one writer (RBCF v1), and
+    # the golden reports pin their bytes.  No stored delta outlives that
+    # writer: a chain is only restorable by the pipeline instance that
+    # holds its bases.
     blob_meta = {"base_id": int(base_id), "format_version": 1}
     if inner is not None:
         blob_meta["inner"] = str(inner)

@@ -4,11 +4,10 @@
 ``Protect()``/``Snapshot()`` workflow for standalone use and the
 fault-tolerance engine's write/restore path alike:
 
-* a :class:`~repro.checkpoint.variables.VariableRegistry` is materialized
-  from the solver's :class:`~repro.solvers.base.CheckpointSpec` declaration —
-  the iterate ``x``, the declared exact-resume vectors (CG's ``p``,
-  BiCGSTAB's ``r``/``r_hat``/``p``/``v``) and the declared scalars, plus the
-  iteration counter;
+* the protected dynamic variables are read off the solver's
+  :class:`~repro.solvers.base.CheckpointSpec` declaration — the iteration
+  counter, the iterate ``x``, the declared exact-resume vectors (CG's ``p``,
+  BiCGSTAB's ``r``/``r_hat``/``p``/``v``) and the declared scalars;
 * each variable is compressed under the scheme's rules — ``x`` through the
   scheme compressor with the resolved
   :class:`~repro.compression.errorbounds.ErrorBoundPolicy` bound, Krylov
@@ -53,7 +52,6 @@ from repro.checkpoint.serialization import (
     serialize_checkpoint,
 )
 from repro.checkpoint.store import CheckpointStore, WriteReceipt
-from repro.checkpoint.variables import VariableRegistry, VariableRole
 from repro.compression.base import CompressedBlob, Compressor, make_compressor
 from repro.solvers.base import CheckpointSpec, IterativeSolver, ResumeState
 
@@ -320,8 +318,13 @@ class CheckpointPipeline:
         self.spec = spec
         self.store = store
         self._static = {name: np.asarray(value) for name, value in (static or {}).items()}
-        self._holder: Dict[str, object] = {}
-        self.registry = self._materialize_registry()
+        # The paper's Protect(): ``(name, compressible)`` of every dynamic
+        # variable, in payload order.
+        dynamic = [("iteration", False), ("x", True)]
+        if self.stores_resume_state:
+            dynamic += [(name, True) for name in spec.extra_vectors]
+            dynamic += [(name, False) for name in spec.scalars]
+        self._dynamic = tuple(dynamic)
         # Krylov recurrence state must survive a round trip bit-for-bit, so
         # it never goes through the lossy compressor: exact schemes reuse
         # their own (identity / DEFLATE) compressor, the lossy scheme falls
@@ -347,27 +350,6 @@ class CheckpointPipeline:
         # identical checkpoints.  Off unless the engine opts in.
         self._memo = None
         self._lineage: Optional[bytes] = None
-
-    # -- registry materialization (the paper's Protect()) ---------------------
-    def _materialize_registry(self) -> VariableRegistry:
-        registry = VariableRegistry()
-        for name, value in self._static.items():
-            self._holder[name] = value
-            registry.protect_value(
-                name, VariableRole.STATIC, self._holder, compressible=False
-            )
-        registry.protect_value(
-            "iteration", VariableRole.DYNAMIC, self._holder, compressible=False
-        )
-        registry.protect_value("x", VariableRole.DYNAMIC, self._holder)
-        if self.stores_resume_state:
-            for name in self.spec.extra_vectors:
-                registry.protect_value(name, VariableRole.DYNAMIC, self._holder)
-            for name in self.spec.scalars:
-                registry.protect_value(
-                    name, VariableRole.DYNAMIC, self._holder, compressible=False
-                )
-        return registry
 
     @property
     def stores_resume_state(self) -> bool:
@@ -468,15 +450,15 @@ class CheckpointPipeline:
             if cached is not None:
                 return cached
 
-        self._holder["iteration"] = int(iteration)
-        self._holder["x"] = np.ascontiguousarray(x)
-        if self.stores_resume_state:
-            vectors = resume_state.vectors if resume_state is not None else {}
-            scalars = resume_state.scalars if resume_state is not None else {}
+        values: Dict[str, object] = {
+            "iteration": int(iteration),
+            "x": np.ascontiguousarray(x),
+        }
+        if resume_state is not None:
             for name in self.spec.extra_vectors:
-                self._holder[name] = vectors.get(name)
+                values[name] = resume_state.vectors.get(name)
             for name in self.spec.scalars:
-                self._holder[name] = scalars.get(name)
+                values[name] = resume_state.scalars.get(name)
 
         payload = CheckpointPayload(
             meta={
@@ -491,20 +473,20 @@ class CheckpointPipeline:
         reconstructions: Dict[str, np.ndarray] = {}
         shipped_delta = False
         measurements: List[VariableMeasurement] = []
-        for var in self.registry.by_role(VariableRole.DYNAMIC):
-            value = var.current_value()
+        for name, compressible in self._dynamic:
+            value = values.get(name)
             if value is None:
                 continue  # declared but unavailable this round (partial resume)
             if (
-                var.compressible
+                compressible
                 and isinstance(value, np.ndarray)
                 and np.issubdtype(value.dtype, np.floating)
                 and value.size > 1
             ):
                 compressor = self._compressor_for(
-                    var.name, residual_norm=residual_norm, b_norm=b_norm
+                    name, residual_norm=residual_norm, b_norm=b_norm
                 )
-                if self.incremental and not self.scheme.stores_exactly(var.name):
+                if self.incremental and not self.scheme.stores_exactly(name):
                     # What a restorer of this payload will hold: the
                     # compressor's reconstruction, derived from the in-memory
                     # codes when the compressor supports it (identical bytes
@@ -519,15 +501,15 @@ class CheckpointPipeline:
                     # stay frozen.
                     if recon is None:
                         recon = np.array(value, dtype=np.float64, copy=True)
-                    reconstructions[var.name] = recon
-                    delta = self._try_delta(var.name, recon, base_id, blob)
+                    reconstructions[name] = recon
+                    delta = self._try_delta(name, recon, base_id, blob)
                     if delta is not None:
                         blob = delta
                         shipped_delta = True
-                payload.entries[var.name] = blob
+                payload.entries[name] = blob
                 measurements.append(
                     VariableMeasurement(
-                        name=var.name,
+                        name=name,
                         kind="vector",
                         uncompressed_bytes=int(value.nbytes),
                         stored_bytes=blob.nbytes,
@@ -539,10 +521,10 @@ class CheckpointPipeline:
                 )
             else:
                 entry = _exact_entry(value)
-                payload.entries[var.name] = entry
+                payload.entries[name] = entry
                 measurements.append(
                     VariableMeasurement(
-                        name=var.name,
+                        name=name,
                         kind="int" if isinstance(entry, int) else "scalar",
                         uncompressed_bytes=SCALAR_BYTES,
                         stored_bytes=SCALAR_BYTES,
@@ -590,20 +572,19 @@ class CheckpointPipeline:
 
     def snapshot_static(self) -> Optional[PipelineSnapshot]:
         """Persist the static variables once (id ``-1``); no compression."""
-        static_vars = self.registry.by_role(VariableRole.STATIC)
-        if not static_vars:
+        if not self._static:
             return None
         payload = CheckpointPayload(
             meta={"kind": "static", "pipeline_version": PIPELINE_VERSION}
         )
         measurements = []
-        for var in static_vars:
-            value = _exact_entry(var.current_value())
-            payload.entries[var.name] = value
+        for name, raw in self._static.items():
+            value = _exact_entry(raw)
+            payload.entries[name] = value
             nbytes = value.nbytes if isinstance(value, np.ndarray) else SCALAR_BYTES
             measurements.append(
                 VariableMeasurement(
-                    name=var.name,
+                    name=name,
                     kind="vector" if isinstance(value, np.ndarray) else "scalar",
                     uncompressed_bytes=int(nbytes),
                     stored_bytes=int(nbytes),

@@ -2,14 +2,13 @@
 
 This module is the *executable specification* for the codec's block stream
 (``docs/payload-format.md``): plain loops over Python integers, one code at
-a time, with no NumPy bit tricks.  The vectorised and numba backends in
+a time, with no NumPy bit tricks.  The vectorised implementation in
 :mod:`repro.compression.codec` must produce byte-identical output — pinned
-by ``tests/compression/test_codec_equivalence.py``.
-
-Select it at runtime with ``REPRO_CODEC=scalar`` (or
-``encode_signed(..., backend="scalar")``).  It is orders of magnitude
-slower than the vector backend and exists for verification and as a
-portability fallback, not for production encoding.
+by ``tests/compression/test_codec_equivalence.py``, which calls the two
+functions below directly.  No product path imports this module; it is
+orders of magnitude slower than the codec and exists for verification
+only.  (It accepts any block size ``>= 1``; the codec itself only multiples
+of 64.)
 """
 
 from __future__ import annotations

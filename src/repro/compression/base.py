@@ -55,12 +55,11 @@ class CompressedBlob:
 
     @property
     def format_version(self) -> int:
-        """Payload format version (0 = pre-block-codec or unversioned).
+        """Payload format version (0 = unversioned).
 
-        Compressors stamp ``meta["format_version"]`` when they encode with
-        the versioned block codec (:mod:`repro.compression.codec`) or the
-        sharded frame; SZ/ZFP reject blobs without the key, the lossless
-        compressors read them as the seed-era bare streams.
+        Every writer stamps ``meta["format_version"]`` — the sharded frame's
+        for the compressors, the block-codec frame's for delta blobs — and
+        every reader rejects a blob whose version is not its writer's.
         """
         return int(self.meta.get("format_version", 0))
 

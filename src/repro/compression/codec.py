@@ -1,14 +1,10 @@
-"""Versioned block codec for quantization-code streams (format v1).
+"""Versioned block codec for integer code streams (format v1).
 
 This module is the encoding layer of the checkpoint delta layer
-(:mod:`repro.checkpoint.delta`, its one remaining writer) and the read path
-for v1 blobs of the SZ-like and ZFP-like compressors, which now write byte
-planes through :mod:`repro.compression.sharded`.  It replaced the legacy
-whole-stream encoder in :mod:`repro.compression.encoding`, which packed
-every code at one *global* bit width (a single outlier inflated the whole
-stream) and, on the pointwise-relative paths, DEFLATEd an already-DEFLATEd
-inner section.  Following real SZ (Di & Cappello, IPDPS'16; Tao et al.,
-IPDPS'17) the v1 codec instead:
+(:mod:`repro.checkpoint.delta`), its one writer and reader; the SZ-like and
+ZFP-like compressors ship byte planes through
+:mod:`repro.compression.sharded` instead.  Following real SZ (Di & Cappello,
+IPDPS'16; Tao et al., IPDPS'17) the codec:
 
 * packs codes in fixed-size blocks (:data:`DEFAULT_BLOCK_SIZE` codes) at each
   block's minimal bit width, so a locally rough region cannot inflate the
@@ -29,52 +25,25 @@ The **normative wire-format specification** lives in
                       blocks concatenated with no padding between them
              escapes  positions (uint64 each) then raw zigzag values
 
-Compressors stamp ``format_version`` into ``CompressedBlob.meta``; SZ/ZFP
-payloads without it predate this codec and are rejected.
+Bit packing is whole-array NumPy ``uint64`` word-lane packing: for each
+distinct block width the codes are reshaped into groups that tile exactly
+onto 64-bit words — no per-element work and no 8x bit-expansion.  That
+needs a block size divisible by 64 (any other is rejected) and, like every
+other byte layer of the package, a little-endian host.
+:mod:`repro.compression._codec_scalar` is the pure-Python executable
+specification of the same stream; no product path reaches it, and
+``tests/compression/test_codec_equivalence.py`` pins the two byte-identical.
 
-Backends
---------
-The bit-packing hot path has three interchangeable implementations, all
-producing **bitwise-identical** streams (pinned by
-``tests/compression/test_codec_equivalence.py``):
-
-``vector`` (default)
-    Whole-array NumPy ``uint64`` word-lane packing: for each distinct block
-    width the codes are reshaped into groups that tile exactly onto 64-bit
-    words, then assembled with at most 64 shift/OR passes per width — no
-    per-element work and no 8x bit-expansion.  Requires a little-endian host
-    and a block size divisible by 64 (the defaults); anything else falls
-    back to the bit-matrix path below.
-``scalar``
-    A deliberately simple pure-Python reference implementation
-    (:mod:`repro.compression._codec_scalar`) that reads like the format
-    specification.  Orders of magnitude slower; used as the equivalence
-    oracle and as a portability fallback.
-``numba``
-    Optional JIT-compiled kernels (:mod:`repro.compression._codec_numba`),
-    used only when numba is importable.  Selecting it without numba
-    installed falls back to ``vector`` with a warning.
-
-Select a backend globally with the ``REPRO_CODEC`` environment variable
-(``vector`` | ``scalar`` | ``numba``) or per call via the ``backend``
-keyword of :func:`encode_signed` / :func:`decode_signed`.
-
-Run the codec microbenchmarks with::
-
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_codec.py -q -s
-
-which also writes ``BENCH_codec.json`` (ratio + MB/s per workload).
+A malformed frame or stream — truncated, bit-flipped, inconsistent lengths —
+raises :class:`CodecFormatError`, never another exception type.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-import sys
-import warnings
 import zlib
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -89,94 +58,31 @@ __all__ = [
     "FORMAT_VERSION",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_WIDTH_CAP",
-    "CODEC_BACKEND_ENV",
     "CodecFormatError",
-    "available_backends",
-    "resolve_backend",
     "encode_signed",
     "decode_signed",
     "encode_frame",
     "decode_frame",
 ]
 
-#: Current payload format version, stamped into ``CompressedBlob.meta``.
+#: Version of the ``RBCF`` frame, which delta blobs also stamp into
+#: ``CompressedBlob.meta["format_version"]``.
 FORMAT_VERSION = 1
 
-#: Codes per block; each block is packed at its own minimal bit width.
+#: Codes per block (a multiple of 64); each block is packed at its own
+#: minimal bit width.
 DEFAULT_BLOCK_SIZE = 1024
 
 #: Codes needing more bits than this go through the escape channel.
 DEFAULT_WIDTH_CAP = 32
 
-#: Environment variable selecting the bit-packing backend.
-CODEC_BACKEND_ENV = "REPRO_CODEC"
-
-_BACKENDS = ("vector", "scalar", "numba")
-
 _FRAME_MAGIC = b"RBCF"
 _FRAME_HEADER = struct.Struct("<4sH")
 _STREAM_HEADER = struct.Struct("<QIIQ")  # count, block size, width cap, escapes
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 
 class CodecFormatError(ValueError):
     """Raised when a payload is not a valid codec frame."""
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-def _numba_kernels():
-    """The JIT kernel module, or ``None`` when numba is not installed."""
-    try:
-        from repro.compression import _codec_numba
-    except ImportError:  # pragma: no cover - depends on environment
-        return None
-    return _codec_numba if _codec_numba.HAVE_NUMBA else None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment (``numba`` only if importable)."""
-    names = ["vector", "scalar"]
-    if _numba_kernels() is not None:
-        names.append("numba")
-    return tuple(names)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name (or ``None`` = the ``REPRO_CODEC`` default).
-
-    Parameters
-    ----------
-    backend:
-        ``"vector"``, ``"scalar"``, ``"numba"`` or ``None`` to read the
-        :data:`CODEC_BACKEND_ENV` environment variable (default
-        ``"vector"``).
-
-    Returns
-    -------
-    str
-        The backend that will actually run.  Requesting ``numba`` without
-        numba installed warns once and returns ``"vector"`` so pipelines
-        keep working on machines without the optional dependency.
-    """
-    if backend is None:
-        backend = os.environ.get(CODEC_BACKEND_ENV, "vector") or "vector"
-    backend = str(backend).lower()
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown codec backend {backend!r}; choose one of {_BACKENDS}"
-        )
-    if backend == "numba" and _numba_kernels() is None:
-        warnings.warn(
-            "REPRO_CODEC=numba requested but numba is not installed; "
-            "falling back to the vector backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "vector"
-    return backend
 
 
 def _bit_widths(values: np.ndarray) -> np.ndarray:
@@ -198,66 +104,8 @@ def _bit_widths(values: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# bit packing backends (all produce identical byte streams)
+# bit packing
 # ----------------------------------------------------------------------
-def _pack_bits_matrix(
-    blocks: np.ndarray, widths: np.ndarray, bit_offsets: np.ndarray, block_size: int
-) -> bytes:
-    """Portable packer: expand each code into bits, then ``np.packbits``.
-
-    Works for any block size / byte order, at the cost of materialising one
-    uint8 per *bit*.  Kept as the fallback for non-64-aligned block sizes
-    and big-endian hosts.
-    """
-    bits = np.zeros(int(bit_offsets[-1]), dtype=np.uint8)
-    for width in np.unique(widths):
-        w = int(width)
-        if w == 0:
-            continue
-        sel = np.flatnonzero(widths == width)
-        shifts = np.arange(w, dtype=np.uint64)
-        bit_matrix = (
-            (blocks[sel][:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-        ).astype(np.uint8)
-        positions = (
-            bit_offsets[sel][:, None]
-            + np.arange(block_size * w, dtype=np.int64)[None, :]
-        )
-        bits[positions.reshape(-1)] = bit_matrix.reshape(-1)
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _unpack_bits_matrix(
-    buffer: bytes,
-    offset: int,
-    widths: np.ndarray,
-    bit_offsets: np.ndarray,
-    block_size: int,
-    n_blocks: int,
-) -> np.ndarray:
-    """Inverse of :func:`_pack_bits_matrix` (portable fallback)."""
-    total_bits = int(bit_offsets[-1])
-    nbytes = (total_bits + 7) // 8
-    raw = np.frombuffer(buffer, dtype=np.uint8, count=nbytes, offset=offset)
-    bits = np.unpackbits(raw, bitorder="little")[:total_bits]
-    blocks = np.zeros((n_blocks, block_size), dtype=np.uint64)
-    for width in np.unique(widths):
-        w = int(width)
-        if w == 0:
-            continue
-        sel = np.flatnonzero(widths == width)
-        positions = (
-            bit_offsets[sel][:, None]
-            + np.arange(block_size * w, dtype=np.int64)[None, :]
-        )
-        group = bits[positions.reshape(-1)].reshape(len(sel), block_size, w)
-        shifts = np.arange(w, dtype=np.uint64)
-        blocks[sel] = (group.astype(np.uint64) << shifts[None, None, :]).sum(
-            axis=2, dtype=np.uint64
-        )
-    return blocks
-
-
 def _lane_geometry(w: int) -> Tuple[int, int]:
     """``(P, W)``: ``P`` codes of width ``w`` tile exactly onto ``W`` words.
 
@@ -388,11 +236,6 @@ def _unpack_bits_vector(
     return blocks
 
 
-def _vector_path_ok(block_size: int) -> bool:
-    """Whether the word-lane fast path applies for this block size."""
-    return _LITTLE_ENDIAN and block_size % 64 == 0
-
-
 # ----------------------------------------------------------------------
 # block stream
 # ----------------------------------------------------------------------
@@ -401,7 +244,6 @@ def encode_signed(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     width_cap: int = DEFAULT_WIDTH_CAP,
-    backend: Optional[str] = None,
 ) -> bytes:
     """Encode signed int64 codes as a v1 block stream (no entropy stage).
 
@@ -414,32 +256,23 @@ def encode_signed(
     codes:
         Signed integer codes (any shape; flattened in C order).
     block_size:
-        Codes per width block, ``>= 1``; the default 1024 follows SZ.
+        Codes per width block, a positive multiple of 64 (so every block's
+        bit segment is word-aligned); the default 1024 follows SZ.
     width_cap:
         Escape threshold in bits, in ``[1, 64]``.
-    backend:
-        Bit-packing implementation (``"vector"``/``"scalar"``/``"numba"``);
-        ``None`` reads :data:`CODEC_BACKEND_ENV`.  All backends produce
-        bitwise-identical streams.
 
     Returns
     -------
     bytes
         The block stream: header, per-block widths, packed bits, escapes.
     """
-    backend = resolve_backend(backend)
-    if backend == "scalar":
-        from repro.compression import _codec_scalar
-
-        return _codec_scalar.encode_signed_scalar(
-            codes, block_size=block_size, width_cap=width_cap
-        )
-
     codes = np.ascontiguousarray(codes, dtype=np.int64).reshape(-1)
     block_size = int(block_size)
     width_cap = int(width_cap)
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if block_size < 1 or block_size % 64:
+        raise ValueError(
+            f"block_size must be a positive multiple of 64, got {block_size}"
+        )
     if not (1 <= width_cap <= 64):
         raise ValueError(f"width_cap must be in [1, 64], got {width_cap}")
 
@@ -473,36 +306,24 @@ def encode_signed(
     bit_offsets = np.concatenate(
         ([0], np.cumsum(widths.astype(np.int64) * block_size))
     )
-
-    kernels = _numba_kernels() if backend == "numba" else None
-    if kernels is not None:
-        packed = kernels.pack_bits(padded, widths, bit_offsets, block_size)
-    elif _vector_path_ok(block_size):
-        packed = _pack_bits_vector(blocks, widths, bit_offsets, block_size)
-    else:
-        packed = _pack_bits_matrix(blocks, widths, bit_offsets, block_size)
-
     return b"".join(
         [
             _STREAM_HEADER.pack(count, block_size, width_cap, escape_values.size),
             widths.tobytes(),
-            packed,
+            _pack_bits_vector(blocks, widths, bit_offsets, block_size),
             escape_positions.tobytes(),
             escape_values.tobytes(),
         ]
     )
 
 
-def decode_signed(buffer: bytes, *, backend: Optional[str] = None) -> np.ndarray:
+def decode_signed(buffer: bytes) -> np.ndarray:
     """Inverse of :func:`encode_signed`.
 
     Parameters
     ----------
     buffer:
-        A block stream produced by :func:`encode_signed` (any backend).
-    backend:
-        Bit-unpacking implementation; ``None`` reads
-        :data:`CODEC_BACKEND_ENV`.
+        A block stream produced by :func:`encode_signed`.
 
     Returns
     -------
@@ -512,45 +333,47 @@ def decode_signed(buffer: bytes, *, backend: Optional[str] = None) -> np.ndarray
     Raises
     ------
     CodecFormatError
-        If the stream header or escape table is corrupt.
+        If the stream is not exactly what its header describes: short or
+        over-long, an invalid block size / width cap / block width, or an
+        escape table that is out of range, out of order or shadows a
+        nonzero inline slot.
     """
-    backend = resolve_backend(backend)
-    if backend == "scalar":
-        from repro.compression import _codec_scalar
-
-        return _codec_scalar.decode_signed_scalar(buffer)
-
+    if len(buffer) < _STREAM_HEADER.size:
+        raise CodecFormatError("block stream shorter than its header")
     count, block_size, width_cap, n_escapes = _STREAM_HEADER.unpack_from(buffer, 0)
     offset = _STREAM_HEADER.size
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
     if not (1 <= width_cap <= 64):
         raise CodecFormatError(f"corrupt block stream: width cap {width_cap}")
-    if block_size < 1:
+    if block_size < 1 or block_size % 64:
         raise CodecFormatError(f"corrupt block stream: block size {block_size}")
 
     n_blocks = -(-count // block_size)
+    if n_blocks > len(buffer) - offset:
+        raise CodecFormatError(
+            f"truncated block stream: {n_blocks} block widths declared, "
+            f"{len(buffer) - offset} bytes follow the header"
+        )
     widths = np.frombuffer(buffer, dtype=np.uint8, count=n_blocks, offset=offset)
+    if n_blocks and int(widths.max()) > width_cap:
+        raise CodecFormatError(
+            f"corrupt block stream: block width {int(widths.max())} "
+            f"exceeds the width cap {width_cap}"
+        )
     offset += n_blocks
     bit_offsets = np.concatenate(
         ([0], np.cumsum(widths.astype(np.int64) * block_size))
     )
-    total_bits = int(bit_offsets[-1])
-    nbytes = (total_bits + 7) // 8
+    nbytes = int(bit_offsets[-1]) >> 3  # whole words: block_size % 64 == 0
+    expected = offset + nbytes + 16 * n_escapes
+    if len(buffer) != expected:
+        raise CodecFormatError(
+            f"corrupt block stream: header describes {expected} bytes, "
+            f"got {len(buffer)}"
+        )
 
-    kernels = _numba_kernels() if backend == "numba" else None
-    if kernels is not None:
-        blocks = kernels.unpack_bits(
-            buffer, offset, widths, bit_offsets, block_size, n_blocks
-        )
-    elif _vector_path_ok(block_size):
-        blocks = _unpack_bits_vector(
-            buffer, offset, widths, bit_offsets, block_size, n_blocks
-        )
-    else:
-        blocks = _unpack_bits_matrix(
-            buffer, offset, widths, bit_offsets, block_size, n_blocks
-        )
+    blocks = _unpack_bits_vector(
+        buffer, offset, widths, bit_offsets, block_size, n_blocks
+    )
     offset += nbytes
 
     unsigned = blocks.reshape(-1)[:count]
@@ -560,12 +383,18 @@ def decode_signed(buffer: bytes, *, backend: Optional[str] = None) -> np.ndarray
         )
         offset += 8 * n_escapes
         values = np.frombuffer(buffer, dtype=np.uint64, count=n_escapes, offset=offset)
-        if positions.size and int(positions.max()) >= count:
+        if int(positions.max()) >= count:
             raise CodecFormatError(
                 f"corrupt block stream: escape position {int(positions.max())} "
                 f">= code count {count}"
             )
-        unsigned[positions.astype(np.int64)] = values
+        slots = positions.astype(np.int64)
+        if np.any(slots[1:] <= slots[:-1]) or unsigned[slots].any():
+            raise CodecFormatError(
+                "corrupt block stream: escape positions must ascend and "
+                "their inline slots hold zero"
+            )
+        unsigned[slots] = values
     return zigzag_decode(unsigned)
 
 
@@ -597,7 +426,9 @@ def decode_frame(payload: bytes) -> List[bytes]:
     Raises
     ------
     CodecFormatError
-        On a short payload, bad magic, or an unsupported format version.
+        On a short payload, bad magic, an unsupported format version, a
+        DEFLATE body that does not inflate (truncation, failed Adler-32) or
+        section lengths that overrun the inflated body.
     """
     if len(payload) < _FRAME_HEADER.size:
         raise CodecFormatError("payload too short for a codec frame")
@@ -608,4 +439,7 @@ def decode_frame(payload: bytes) -> List[bytes]:
         raise CodecFormatError(
             f"unsupported codec format version {version} (supported: {FORMAT_VERSION})"
         )
-    return unpack_sections(zlib.decompress(payload[_FRAME_HEADER.size :]))
+    try:
+        return unpack_sections(zlib.decompress(payload[_FRAME_HEADER.size :]))
+    except (zlib.error, ValueError) as exc:
+        raise CodecFormatError(f"corrupt codec frame: {exc}") from exc

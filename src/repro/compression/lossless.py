@@ -13,14 +13,12 @@ almost nothing while incompressible mantissa planes skip the codec
 entirely — better ratio *and* several times the encode speed of the seed's
 single ``zlib.compress(level=6)`` over the interleaved buffer.  Blobs
 stamp ``format_version: 2`` plus the plane count in ``meta["shuffle"]``;
-v1 blobs (no ``format_version`` key — one bare DEFLATE/LZMA stream over the
-raw buffer) still decode through the retained legacy paths.
+a blob with any other version (the seed-era bare DEFLATE/LZMA stream
+carries none) is rejected with a ``ValueError`` before parsing a byte.
 """
 
 from __future__ import annotations
 
-import lzma
-import zlib
 from typing import Optional
 
 import numpy as np
@@ -76,13 +74,12 @@ class _ShuffledShardedCompressor(Compressor):
         return {}
 
     def _decompress_array(self, blob: CompressedBlob) -> np.ndarray:
-        if blob.format_version >= SHARDED_FORMAT_VERSION:
-            planes = decompress_sections(blob.payload)
-            return assemble_planes(planes, blob.dtype, blob.shape)
-        return self._legacy_decompress(blob)
-
-    def _legacy_decompress(self, blob: CompressedBlob) -> np.ndarray:
-        raise NotImplementedError
+        if blob.format_version != SHARDED_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported payload format version {blob.format_version}"
+            )
+        planes = decompress_sections(blob.payload)
+        return assemble_planes(planes, blob.dtype, blob.shape)
 
 
 class ZlibCompressor(_ShuffledShardedCompressor):
@@ -113,12 +110,6 @@ class ZlibCompressor(_ShuffledShardedCompressor):
     def _meta(self) -> dict:
         return {"level": self.level}
 
-    def _legacy_decompress(self, blob: CompressedBlob) -> np.ndarray:
-        # v1: one DEFLATE stream over the interleaved buffer.
-        raw = zlib.decompress(blob.payload)
-        flat = np.frombuffer(raw, dtype=np.dtype(blob.dtype)).copy()
-        return flat.reshape(blob.shape)
-
 
 class LzmaCompressor(_ShuffledShardedCompressor):
     """LZMA (xz) lossless compressor — slower, usually higher ratio than zlib."""
@@ -139,12 +130,6 @@ class LzmaCompressor(_ShuffledShardedCompressor):
 
     def _meta(self) -> dict:
         return {"preset": self.preset}
-
-    def _legacy_decompress(self, blob: CompressedBlob) -> np.ndarray:
-        # v1: one LZMA stream over the interleaved buffer.
-        raw = lzma.decompress(blob.payload)
-        flat = np.frombuffer(raw, dtype=np.dtype(blob.dtype)).copy()
-        return flat.reshape(blob.shape)
 
 
 register_compressor("zlib", ZlibCompressor)

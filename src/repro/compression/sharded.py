@@ -63,9 +63,8 @@ __all__ = [
     "decompress_sections",
 ]
 
-#: Stamped into ``CompressedBlob.meta["format_version"]`` by compressors
-#: that write RSF2 frames; v1 (block codec) and v0 (legacy) blobs keep
-#: decoding through the retained paths.
+#: Stamped into ``CompressedBlob.meta["format_version"]`` by the compressors
+#: (all of which write RSF2 frames); their readers accept no other version.
 SHARDED_FORMAT_VERSION = 2
 
 #: Fixed shard size.  Large enough that per-shard overhead (5 bytes + one

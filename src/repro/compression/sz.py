@@ -19,12 +19,10 @@ vectorised formulation (see :mod:`repro.compression.quantization`):
    upper planes DEFLATE to almost nothing — smaller *and* faster than the
    v1 bit-packing + whole-frame DEFLATE it replaces.
 
-Payloads carry ``format_version`` in their metadata.  v1 blobs still decode
-through the retained block-codec frame path (per-block minimal bit widths,
-escape channel, one DEFLATE pass); pre-codec blobs (no ``format_version``
-key) are rejected with a ``ValueError``.  The quantization codes are
-identical across v1 and v2 — only their byte representation changed — so
-reconstructions are bitwise identical whichever format carried them.
+Payloads carry ``format_version`` in their metadata; the reader accepts
+exactly the version this writer stamps and rejects any other (an older
+block-codec frame, a pre-codec blob without the key) with a ``ValueError``
+before parsing a byte.
 
 The compressor guarantees the requested error bound for every element; if the
 bound is unachievable with 63-bit integer codes it falls back to lossless
@@ -45,10 +43,6 @@ from repro.compression.base import (
     CompressionRecord,
     Compressor,
     register_compressor,
-)
-from repro.compression.codec import (
-    decode_frame,
-    decode_signed,
 )
 from repro.compression.encoding import zigzag_decode, zigzag_encode
 from repro.compression.filters import code_planes, codes_from_planes
@@ -217,17 +211,12 @@ class SZCompressor(Compressor):
         scheme = blob.meta.get("scheme", "abs")
         if scheme == "raw":
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
-        elif blob.format_version >= SHARDED_FORMAT_VERSION:
+        elif blob.format_version == SHARDED_FORMAT_VERSION:
             flat = self._decode_v2(blob.payload, scheme)
-        elif blob.format_version >= 1:
-            sections = decode_frame(blob.payload)
-            if scheme == "pw_rel":
-                flat = self._decode_pointwise_relative_sections(sections)
-            else:
-                quantized = self._decode_quantized_sections(sections)
-                flat = dequantize_absolute(quantized)
         else:
-            raise ValueError("unsupported payload format version 0")
+            raise ValueError(
+                f"unsupported payload format version {blob.format_version}"
+            )
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- absolute / value-range relative -------------------------------
@@ -300,21 +289,6 @@ class SZCompressor(Compressor):
             return recon
         neg_section, zero_section = sections[1 + k], sections[2 + k]
         return reconstruct_from_masks(recon, neg_section, zero_section, total)
-
-    def _decode_pointwise_relative_sections(self, sections: List[bytes]) -> np.ndarray:
-        count_section, header, order_section, packed, neg_section, zero_section = sections
-        count = int(np.frombuffer(count_section, dtype=np.int64)[0])
-        quantized = self._decode_quantized_sections([header, order_section, packed])
-        log_recon = dequantize_absolute(quantized)
-        return reconstruct_from_masks(log_recon, neg_section, zero_section, count)
-
-    # -- v1 code-stream decode helper -----------------------------------
-    def _decode_quantized_sections(self, sections: List[bytes]) -> QuantizedArray:
-        header, order_section, packed = sections
-        quantum = float(np.frombuffer(header, dtype=np.float64)[0])
-        order = int(np.frombuffer(order_section, dtype=np.int64)[0])
-        codes = _unpredict_codes(decode_signed(packed), order)
-        return QuantizedArray(codes=codes, quantum=quantum)
 
     def _raw_fallback(self, flat: np.ndarray) -> bytes:
         return zlib.compress(flat.astype(np.float64).tobytes(), self.zlib_level)

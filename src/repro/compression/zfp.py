@@ -23,13 +23,10 @@ transform the SZ-like compressor uses, so the checkpointing layer can swap
 SZ-like and ZFP-like compressors freely (the compressor-family ablation in
 ``benchmarks/test_bench_ablation_compressors.py``).
 
-Payloads carry ``format_version`` in their metadata.  v1 blobs (block-codec
-``RBCF`` frame: bit-packed codes under one whole-frame DEFLATE) still decode
-through the retained read path; pre-codec payloads (no ``format_version``)
-are rejected with a ``ValueError``.  The quantization codes are identical
-across v1 and v2 — only their container changed — so reconstructions are
-bitwise identical whichever format carried them
-(``tests/compression/test_frozen_v1_payloads.py``).
+Payloads carry ``format_version`` in their metadata; the reader accepts
+exactly the version this writer stamps and rejects any other (an older
+block-codec ``RBCF`` frame, a pre-codec blob without the key) with a
+``ValueError`` before parsing a byte.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from repro.compression.base import CompressedBlob, Compressor, register_compressor
-from repro.compression.codec import decode_frame, decode_signed
 from repro.compression.encoding import zigzag_decode, zigzag_encode
 from repro.compression.errorbounds import ErrorBound, ErrorBoundMode
 from repro.compression.filters import code_planes, codes_from_planes
@@ -146,18 +142,12 @@ class ZFPCompressor(Compressor):
         scheme = blob.meta.get("scheme", "abs")
         if scheme == "raw":
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
-        elif blob.format_version >= SHARDED_FORMAT_VERSION:
+        elif blob.format_version == SHARDED_FORMAT_VERSION:
             flat = self._decode_v2(blob.payload, scheme)
-        elif blob.format_version >= 1:
-            sections = decode_frame(blob.payload)
-            if scheme == "pw_rel":
-                count = int(np.frombuffer(sections[0], dtype=np.int64)[0])
-                log_recon = self._decode_v1_sections(sections[1:4])
-                flat = reconstruct_from_masks(log_recon, sections[4], sections[5], count)
-            else:
-                flat = self._decode_v1_sections(sections)
         else:
-            raise ValueError("unsupported payload format version 0")
+            raise ValueError(
+                f"unsupported payload format version {blob.format_version}"
+            )
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- block transform core -------------------------------------------
@@ -198,15 +188,9 @@ class ZFPCompressor(Compressor):
             return values
         return reconstruct_from_masks(values, sections[1 + k], sections[2 + k], total)
 
-    def _decode_v1_sections(self, sections: List[bytes]) -> np.ndarray:
-        header, sizes, packed = sections
-        quantum = float(np.frombuffer(header, dtype=np.float64)[0])
-        n, block = (int(v) for v in np.frombuffer(sizes, dtype=np.int64))
-        return _inverse_transform(decode_signed(packed), quantum, n, block)
-
 
 def _inverse_transform(codes: np.ndarray, quantum: float, n: int, block: int) -> np.ndarray:
-    """Dequantize coefficient codes and invert the block DCT (v1 and v2)."""
+    """Dequantize coefficient codes and invert the block DCT."""
     coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
     return idct(coeffs, axis=1, norm="ortho").reshape(-1)[:n]
 

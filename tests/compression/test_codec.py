@@ -24,7 +24,7 @@ from repro.compression.codec import (
     encode_frame,
     encode_signed,
 )
-from repro.compression.encoding import pack_unsigned, zigzag_encode
+from repro.compression.encoding import pack_sections
 from repro.compression.errorbounds import ErrorBound
 from repro.compression.sharded import SHARDED_FORMAT_VERSION
 from repro.compression.metrics import max_abs_error, max_pointwise_relative_error
@@ -80,14 +80,16 @@ class TestBlockStreamRoundTrip:
         assert np.array_equal(decode_signed(payload), codes)
 
     def test_outlier_heavy_beats_global_width(self):
-        # The legacy whole-stream encoder pays the outlier's width for every
-        # element; blockwise widths plus escapes must not.
+        # One block holding the whole stream with no escape channel packs
+        # every element at the outlier's width — what a global-width encoder
+        # pays; blockwise widths plus escapes must not.
         rng = np.random.default_rng(7)
         codes = rng.integers(-10, 10, 50000).astype(np.int64)
         codes[rng.choice(codes.size, 50, replace=False)] = 2**40
-        legacy = zlib.compress(pack_unsigned(zigzag_encode(codes)), 6)
-        blocked = zlib.compress(encode_signed(codes), 6)
-        assert len(blocked) < len(legacy)
+        global_width = encode_signed(codes, block_size=1 << 16, width_cap=64)
+        assert len(global_width) > codes.size * 41 // 8
+        blocked = encode_signed(codes)
+        assert len(zlib.compress(blocked, 6)) < len(zlib.compress(global_width, 6))
 
     def test_width_cap_extremes(self):
         rng = np.random.default_rng(11)
@@ -100,6 +102,38 @@ class TestBlockStreamRoundTrip:
             decode_signed(struct.pack("<QIIQ", 5, 0, 32, 0))  # zero block size
         with pytest.raises(CodecFormatError):
             decode_signed(struct.pack("<QIIQ", 5, 1024, 65, 0))  # bad width cap
+        with pytest.raises(CodecFormatError):
+            decode_signed(struct.pack("<QIIQ", 5, 100, 32, 0))  # not 64-aligned
+        with pytest.raises(CodecFormatError):
+            # a block width above the cap no writer would have left inline
+            decode_signed(struct.pack("<QIIQ", 5, 64, 8, 0) + b"\x09" + bytes(72))
+
+    def test_wrong_length_stream_rejected(self):
+        """Every truncation — header included — and any trailing byte is a
+        ``CodecFormatError``, never ``struct.error`` or a numpy ``ValueError``."""
+        codes = np.arange(-700, 701, dtype=np.int64)
+        codes[5] = 2**40  # one escape
+        payload = encode_signed(codes, width_cap=16)
+        for cut in range(len(payload)):
+            with pytest.raises(CodecFormatError):
+                decode_signed(payload[:cut])
+        with pytest.raises(CodecFormatError):
+            decode_signed(payload + b"\x00")
+
+    def test_bit_flips_never_escape_as_another_exception(self):
+        """The bare stream has no checksum, so a flipped bit may decode to
+        other codes — but it decodes or raises ``CodecFormatError``."""
+        codes = np.arange(-100, 101, dtype=np.int64)
+        codes[5] = 2**40
+        payload = encode_signed(codes, block_size=64, width_cap=16)
+        for bit in range(8 * len(payload)):
+            damaged = bytearray(payload)
+            damaged[bit >> 3] ^= 1 << (bit & 7)
+            try:
+                decoded = decode_signed(bytes(damaged))
+            except CodecFormatError:
+                continue
+            assert decoded.dtype == np.int64
 
     def test_corrupt_escape_positions_rejected(self):
         codes = np.zeros(10, dtype=np.int64)
@@ -110,9 +144,24 @@ class TestBlockStreamRoundTrip:
         with pytest.raises(CodecFormatError):
             decode_signed(bytes(payload))
 
+    def test_non_canonical_escape_table_rejected(self):
+        codes = np.zeros(64, dtype=np.int64)
+        codes[[3, 9]] = 2**40  # two escapes: positions then values, 32 bytes
+        codes[10] = 1
+        good = encode_signed(codes, block_size=64, width_cap=16)
+        positions = slice(len(good) - 32, len(good) - 16)
+        # descending, duplicate, and an escape onto a nonzero inline slot
+        for table in ([9, 3], [3, 3], [3, 10]):
+            payload = bytearray(good)
+            payload[positions] = np.asarray(table, dtype=np.uint64).tobytes()
+            with pytest.raises(CodecFormatError, match="escape positions"):
+                decode_signed(bytes(payload))
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             encode_signed(np.zeros(4, dtype=np.int64), block_size=0)
+        with pytest.raises(ValueError):
+            encode_signed(np.zeros(4, dtype=np.int64), block_size=100)
         with pytest.raises(ValueError):
             encode_signed(np.zeros(4, dtype=np.int64), width_cap=0)
         with pytest.raises(ValueError):
@@ -124,7 +173,7 @@ class TestBlockStreamRoundTrip:
             min_size=0,
             max_size=300,
         ),
-        block_size=st.sampled_from([1, 3, 64, 1024]),
+        block_size=st.sampled_from([64, 192, 1024]),
         width_cap=st.sampled_from([1, 8, 32, 64]),
     )
     @settings(max_examples=80, deadline=None)
@@ -159,6 +208,16 @@ class TestFrame:
     def test_truncated_rejected(self):
         with pytest.raises(CodecFormatError):
             decode_frame(b"RB")
+        good = encode_frame([b"abc" * 100, b"tail"])
+        for cut in range(len(good)):
+            with pytest.raises(CodecFormatError):
+                decode_frame(good[:cut])
+
+    def test_section_overrun_rejected(self):
+        # A valid DEFLATE body whose section table overruns it.
+        body = pack_sections([b"abcdef"])[:-2]
+        with pytest.raises(CodecFormatError, match="truncated section frame"):
+            decode_frame(b"RBCF" + struct.pack("<H", FORMAT_VERSION) + zlib.compress(body))
 
 
 def _special_arrays(rng):

@@ -1,25 +1,23 @@
-"""Backend equivalence: every codec backend writes the *same bytes*.
+"""Spec equivalence: the block codec writes the bytes its specification says.
 
-``docs/payload-format.md`` declares the three bit-packing backends
-(``vector``, ``scalar``, ``numba``) to be alternative implementations of
-one wire format, with the pure-Python ``scalar`` backend as the executable
-specification.  These tests pin that contract:
+``docs/payload-format.md`` declares the pure-Python loops of
+``repro.compression._codec_scalar`` to be the executable specification of
+the block stream.  No product path reaches that module; these tests call it
+directly and pin the contract against the one product implementation
+(``codec.encode_signed`` / ``decode_signed``, labelled ``vector`` below):
 
-* **byte identity** — for identical inputs, every available backend must
-  produce payloads identical to the scalar reference, across hypothesis
-  workloads, solver-shaped quantization codes, denormal-derived residuals,
-  the 63-bit zigzag edge and all-escape blocks;
-* **cross decode** — a stream written by one backend decodes identically
-  through every other;
-* **dispatch** — ``REPRO_CODEC`` and the ``backend=`` keyword select
-  backends, unknown names raise, and requesting numba without the package
-  falls back to ``vector`` with a warning rather than failing;
-* **throughput sanity** — the default vectorized encoder must never lose
-  to the pure-Python reference (the real margin is ~three orders of
-  magnitude; the assertion is deliberately loose for CI noise).
-
-The numba cases run only where numba imports (CI's dedicated job); the
-development container intentionally ships without it.
+* **byte identity** — for identical inputs the codec must produce payloads
+  identical to the scalar reference, across hypothesis workloads,
+  solver-shaped quantization codes, denormal-derived residuals, the 63-bit
+  zigzag edge and all-escape blocks;
+* **cross decode** — a stream written by either decodes identically through
+  the other;
+* **block sizes** — the codec takes multiples of 64 only: anything else is
+  a ``ValueError`` on encode and, in a stream the specification wrote, a
+  ``CodecFormatError`` on decode;
+* **throughput sanity** — the vectorized encoder must never lose to the
+  pure-Python reference (the real margin is ~three orders of magnitude; the
+  assertion is deliberately loose for CI noise).
 """
 
 import time
@@ -29,20 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression._codec_numba import HAVE_NUMBA
-from repro.compression.codec import (
-    CODEC_BACKEND_ENV,
-    available_backends,
-    decode_signed,
-    encode_signed,
-    resolve_backend,
-)
+from repro.compression._codec_scalar import decode_signed_scalar, encode_signed_scalar
+from repro.compression.codec import CodecFormatError, decode_signed, encode_signed
 from repro.compression.quantization import _MAX_CODE
 
 _EDGE = int(_MAX_CODE)
 
-#: Backends that can actually execute in this environment.
-_RUNNABLE = [b for b in available_backends() if b != "numba" or HAVE_NUMBA]
+#: ``(encode, decode)`` per implementation: the specification and the product.
+_IMPLEMENTATIONS = {
+    "scalar": (encode_signed_scalar, decode_signed_scalar),
+    "vector": (encode_signed, decode_signed),
+}
 
 
 def _solver_codes(n=6000, seed=11):
@@ -75,83 +70,71 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", _RUNNABLE)
+@pytest.mark.parametrize("implementation", sorted(_IMPLEMENTATIONS))
 class TestByteIdentity:
     @pytest.mark.parametrize("name", sorted(_CASES))
-    def test_matches_scalar_reference(self, backend, name):
+    def test_matches_scalar_reference(self, implementation, name):
+        encode, decode = _IMPLEMENTATIONS[implementation]
         codes = _CASES[name]
-        reference = encode_signed(codes, backend="scalar")
-        assert encode_signed(codes, backend=backend) == reference
-        assert np.array_equal(decode_signed(reference, backend=backend), codes)
+        reference = encode_signed_scalar(codes)
+        assert encode(codes) == reference
+        assert np.array_equal(decode(reference), codes)
 
     @pytest.mark.parametrize("width_cap", [1, 16, 64])
-    def test_width_cap_sweep(self, backend, width_cap):
+    def test_width_cap_sweep(self, implementation, width_cap):
+        encode, _ = _IMPLEMENTATIONS[implementation]
         codes = _solver_codes(seed=width_cap)
         kwargs = {"width_cap": width_cap, "block_size": 256}
-        reference = encode_signed(codes, backend="scalar", **kwargs)
-        assert encode_signed(codes, backend=backend, **kwargs) == reference
+        assert encode(codes, **kwargs) == encode_signed_scalar(codes, **kwargs)
 
-    def test_cross_decode(self, backend):
-        """A stream from any backend decodes through any other."""
+    def test_cross_decode(self, implementation):
+        """A stream from either implementation decodes through both."""
+        encode, _ = _IMPLEMENTATIONS[implementation]
         codes = _CASES["solver"]
-        payload = encode_signed(codes, backend=backend)
-        for other in _RUNNABLE:
-            assert np.array_equal(decode_signed(payload, backend=other), codes)
+        payload = encode(codes)
+        for _, decode in _IMPLEMENTATIONS.values():
+            assert np.array_equal(decode(payload), codes)
 
 
 @given(
     codes=st.lists(
         st.integers(min_value=-_EDGE, max_value=_EDGE), min_size=0, max_size=300
     ),
-    block_size=st.sampled_from([1, 3, 64, 1024]),
+    block_size=st.sampled_from([64, 192, 1024]),
     width_cap=st.sampled_from([1, 8, 32, 64]),
 )
 @settings(max_examples=60, deadline=None)
 def test_backends_agree_on_hypothesis_workloads(codes, block_size, width_cap):
     codes = np.asarray(codes, dtype=np.int64)
     kwargs = {"block_size": block_size, "width_cap": width_cap}
-    reference = encode_signed(codes, backend="scalar", **kwargs)
-    for backend in _RUNNABLE:
-        assert encode_signed(codes, backend=backend, **kwargs) == reference
-        assert np.array_equal(decode_signed(reference, backend=backend), codes)
+    reference = encode_signed_scalar(codes, **kwargs)
+    assert encode_signed(codes, **kwargs) == reference
+    assert np.array_equal(decode_signed(reference), codes)
+    assert np.array_equal(decode_signed_scalar(reference), codes)
 
 
-class TestDispatch:
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(CODEC_BACKEND_ENV, "scalar")
-        assert resolve_backend(None) == "scalar"
-        monkeypatch.delenv(CODEC_BACKEND_ENV)
-        assert resolve_backend(None) == "vector"
-
-    def test_keyword_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(CODEC_BACKEND_ENV, "scalar")
-        assert resolve_backend("vector") == "vector"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("simd")
-        with pytest.raises(ValueError, match="backend"):
-            encode_signed(np.asarray([1], dtype=np.int64), backend="simd")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_absent_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            assert resolve_backend("numba") == "vector"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="needs numba")
-    def test_numba_present_resolves(self):
-        assert resolve_backend("numba") == "numba"
+@pytest.mark.parametrize("block_size", [1, 3, 63, 100])
+def test_block_size_must_be_a_multiple_of_64(block_size):
+    """The specification allows any block size; the codec's word-lane packer
+    does not, and says so with the typed error of each direction."""
+    codes = _CASES["partial_block"]
+    with pytest.raises(ValueError, match="multiple of 64"):
+        encode_signed(codes, block_size=block_size)
+    stream = encode_signed_scalar(codes, block_size=block_size)
+    assert np.array_equal(decode_signed_scalar(stream), codes)
+    with pytest.raises(CodecFormatError, match="block size"):
+        decode_signed(stream)
 
 
 def test_vector_encode_not_slower_than_scalar():
     """Benchmark-threshold smoke test (the honest ratio is ~1000x; asserting
-    >= 1x keeps it immune to CI timer noise while catching a dispatch bug
-    that silently routes the default path through the reference loops)."""
+    >= 1x keeps it immune to CI timer noise while catching a regression
+    that drops the codec back to per-element Python)."""
     codes = _solver_codes(n=20000)
     start = time.perf_counter()
-    payload = encode_signed(codes, backend="scalar")
+    payload = encode_signed_scalar(codes)
     scalar_s = time.perf_counter() - start
     start = time.perf_counter()
-    assert encode_signed(codes, backend="vector") == payload
+    assert encode_signed(codes) == payload
     vector_s = time.perf_counter() - start
     assert vector_s <= scalar_s

@@ -1,14 +1,15 @@
-"""Tests for the low-level bit-packing encoders."""
+"""Tests for the low-level zigzag and section encoders."""
+
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.encoding import (
     pack_sections,
-    pack_unsigned,
     unpack_sections,
-    unpack_unsigned,
     zigzag_decode,
     zigzag_encode,
 )
@@ -31,31 +32,6 @@ class TestZigzag:
         assert np.array_equal(zigzag_decode(zigzag_encode(arr)), arr)
 
 
-class TestPackUnsigned:
-    def test_roundtrip(self):
-        codes = np.array([0, 1, 5, 1023, 7], dtype=np.uint64)
-        packed = pack_unsigned(codes)
-        out, consumed = unpack_unsigned(packed)
-        assert np.array_equal(out, codes)
-        assert consumed == len(packed)
-
-    def test_empty(self):
-        out, consumed = unpack_unsigned(pack_unsigned(np.array([], dtype=np.uint64)))
-        assert out.size == 0 and consumed == 12
-
-    def test_minimal_width_used(self):
-        small = pack_unsigned(np.ones(1000, dtype=np.uint64))
-        large = pack_unsigned(np.full(1000, 2**30, dtype=np.uint64))
-        assert len(small) < len(large)
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_property(self, values):
-        arr = np.asarray(values, dtype=np.uint64)
-        out, _ = unpack_unsigned(pack_unsigned(arr))
-        assert np.array_equal(out, arr)
-
-
 class TestSections:
     def test_roundtrip(self):
         sections = [b"", b"abc", b"\x00\x01\x02" * 10]
@@ -68,3 +44,20 @@ class TestSections:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, sections):
         assert unpack_sections(pack_sections(sections)) == sections
+
+    def test_every_truncation_is_rejected(self):
+        """A count or length field that overruns the frame is an error, not
+        a silently short section."""
+        frame = pack_sections([b"abc", b"", b"\x00" * 9])
+        for cut in range(len(frame)):
+            with pytest.raises(ValueError, match="truncated section frame"):
+                unpack_sections(frame[:cut])
+
+    def test_overlong_length_field_is_rejected(self):
+        frame = struct.pack("<II", 1, 1000) + b"short"
+        with pytest.raises(ValueError, match="declares 1000 bytes, 5 remain"):
+            unpack_sections(frame)
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            unpack_sections(pack_sections([b"abc"]) + b"\x00")

@@ -1,17 +1,24 @@
-"""Frozen v1 payload fixtures — seed-code bytes must decode bitwise forever.
+"""Frozen seed-era payloads — rejected, while their reconstructions still hold.
 
 The payload constants below were generated by the *seed* implementations
 (single-stream DEFLATE lossless payloads, block-codec v1 SZ frames, and the
 ``BytesIO``-based checkpoint serializer) before the sharded v2 stage
-existed.  They are checked in as base64 so the compatibility contract is
-pinned against real seed bytes, not against a reconstruction of the old
-encoders: the current decoders must reproduce the exact arrays the seed
-code produced, bit for bit.  The ZFP v1 blobs were written by the last
-commit that still had a v1 ZFP writer (its ``RBCF`` frames at DEFLATE level
-6); their reconstructions are pinned by SHA-256 of the decoded bytes.
+existed; the ZFP v1 blobs by the last commit that still had a v1 ZFP writer
+(``RBCF`` frames at DEFLATE level 6).  They are checked in as base64 so the
+contract is pinned against real old bytes, not a reconstruction of the old
+encoders.
 
-Regenerating these constants is never correct — a decode failure here means
-the v1/legacy read paths broke.
+No reader for those formats remains — nothing persists a blob across a
+``CACHE_VERSION`` bump — so the contract is now:
+
+* every such blob is refused with ``ValueError("unsupported payload format
+  version N")`` and never returns an array;
+* the *reconstructions* the old code produced (raw bytes for SZ, SHA-256
+  for ZFP) are what today's writer and reader still produce for the same
+  input: the quantization codes never changed, only their container;
+* the seed-era ``RPCK0001`` checkpoint container still deserializes.
+
+Regenerating these constants is never correct.
 """
 
 import base64
@@ -663,8 +670,15 @@ def _payload(encoded: str) -> bytes:
 _SMOOTH = _floats(_SMOOTH_B64)
 
 
+def _rejected(compressor, blob, version):
+    with pytest.raises(
+        ValueError, match=f"unsupported payload format version {version}$"
+    ):
+        compressor.decompress(blob)
+
+
 class TestFrozenLosslessV1:
-    def test_zlib_v1_decodes_bitwise(self):
+    def test_zlib_v1_rejected(self):
         blob = CompressedBlob(
             payload=_payload(_ZLIB_PAYLOAD_B64),
             shape=_SMOOTH.shape,
@@ -673,10 +687,9 @@ class TestFrozenLosslessV1:
             meta={"level": 6},
         )
         assert blob.format_version == 0  # seed lossless blobs carry no version
-        recon = ZlibCompressor().decompress(blob)
-        assert recon.tobytes() == _SMOOTH.tobytes()
+        _rejected(ZlibCompressor(), blob, 0)
 
-    def test_lzma_v1_decodes_bitwise(self):
+    def test_lzma_v1_rejected(self):
         blob = CompressedBlob(
             payload=_payload(_LZMA_PAYLOAD_B64),
             shape=_SMOOTH.shape,
@@ -684,12 +697,12 @@ class TestFrozenLosslessV1:
             compressor="lzma",
             meta={"preset": 1},
         )
-        recon = LzmaCompressor().decompress(blob)
-        assert recon.tobytes() == _SMOOTH.tobytes()
+        _rejected(LzmaCompressor(), blob, 0)
 
 
 class TestFrozenSZV1:
-    def test_pw_rel_v1_decodes_bitwise(self):
+    def test_pw_rel_v1_rejected_v2_keeps_codes(self):
+        compressor = SZCompressor(1e-4)
         blob = CompressedBlob(
             payload=_payload(_SZ_PWREL_PAYLOAD_B64),
             shape=_SMOOTH.shape,
@@ -702,10 +715,12 @@ class TestFrozenSZV1:
                 "scheme": "pw_rel",
             },
         )
-        recon = SZCompressor(1e-4).decompress(blob)
+        _rejected(compressor, blob, 1)
+        recon, _ = compressor.roundtrip(_SMOOTH)
         assert recon.tobytes() == _payload(_SZ_PWREL_RECON_B64)
 
-    def test_abs_v1_decodes_bitwise(self):
+    def test_abs_v1_rejected_v2_keeps_codes(self):
+        compressor = SZCompressor(ErrorBound.absolute(1e-5))
         blob = CompressedBlob(
             payload=_payload(_SZ_ABS_PAYLOAD_B64),
             shape=_SMOOTH.shape,
@@ -718,7 +733,8 @@ class TestFrozenSZV1:
                 "scheme": "abs",
             },
         )
-        recon = SZCompressor(ErrorBound.absolute(1e-5)).decompress(blob)
+        _rejected(compressor, blob, 1)
+        recon, _ = compressor.roundtrip(_SMOOTH)
         assert recon.tobytes() == _payload(_SZ_ABS_RECON_B64)
 
 
@@ -741,7 +757,7 @@ _ZFP_V1 = {
 
 class TestFrozenZFPV1:
     @pytest.mark.parametrize("mode", sorted(_ZFP_V1))
-    def test_v1_decodes_bitwise_and_v2_carries_the_same_codes(self, mode):
+    def test_v1_rejected_v2_keeps_codes(self, mode):
         bound, scheme, payload_b64, recon_sha256 = _ZFP_V1[mode]
         compressor = ZFPCompressor(bound)
         v1 = CompressedBlob(
@@ -756,15 +772,16 @@ class TestFrozenZFPV1:
                 "scheme": scheme,
             },
         )
-        recon = compressor.decompress(v1)
-        assert hashlib.sha256(recon.tobytes()).hexdigest() == recon_sha256
+        _rejected(compressor, v1, 1)
         # Same input through today's writer: a different container around the
-        # same quantization codes, so the reconstruction is bitwise identical.
+        # same quantization codes, so the reconstruction the v1 reader used
+        # to produce (pinned by SHA-256) is reproduced bit for bit.
         v2 = compressor.compress(_SMOOTH)
         assert v2.format_version == SHARDED_FORMAT_VERSION
         assert v2.meta["scheme"] == scheme
         assert v2.payload != v1.payload
-        assert compressor.decompress(v2).tobytes() == recon.tobytes()
+        recon = compressor.decompress(v2)
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == recon_sha256
 
 
 class TestFrozenSerializedCheckpoint:
@@ -775,12 +792,12 @@ class TestFrozenSerializedCheckpoint:
         assert parsed.entries["rho"] == 0.125
         assert np.array_equal(parsed.entries["raw"], np.arange(12, dtype=np.int32))
 
-    def test_seed_checkpoint_blobs_decode_bitwise(self):
+    def test_seed_checkpoint_blobs_are_rejected(self):
+        """The container parses; the blobs inside name formats no reader has."""
         parsed = deserialize_checkpoint(_payload(_CHECKPOINT_B64))
         x_blob = parsed.entries["x"]
         assert x_blob.format_version == 1
-        recon = SZCompressor(1e-4).decompress(x_blob)
-        assert recon.tobytes() == _payload(_SZ_PWREL_RECON_B64)
+        _rejected(SZCompressor(1e-4), x_blob, 1)
         p_blob = parsed.entries["p"]
-        recon = ZlibCompressor().decompress(p_blob)
-        assert recon.tobytes() == _SMOOTH.tobytes()
+        assert p_blob.format_version == 0
+        _rejected(ZlibCompressor(), p_blob, 0)

@@ -37,6 +37,7 @@ from repro.engine.replay import (
     scheme_fingerprint,
     solver_fingerprint,
 )
+from repro.precond import JacobiPreconditioner, SSORPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
 
 SOLVER_FACTORIES = {
@@ -63,10 +64,11 @@ def setup(poisson_small):
     return poisson_small, cluster, scale, baselines
 
 
-def _run(setup, method, scheme_name, scenario, seed, replay, solver=None):
+def _run(setup, method, scheme_name, scenario, seed, replay, solver=None, baseline=None):
     """One engine run under the failure-heavy bench configuration."""
     problem, cluster, scale, baselines = setup
-    baseline = baselines[method]
+    if baseline is None:
+        baseline = baselines[method]
     if solver is None:
         solver = SOLVER_FACTORIES[method](problem.A)
     # Without the calibrated per-iteration time the modeled timeline is too
@@ -306,6 +308,74 @@ class TestSnapshotMemoAndFingerprints:
         a = GMRESSolver(poisson_small.A, rtol=1e-6, max_iter=100, restart=20)
         b = GMRESSolver(poisson_small.A, rtol=1e-6, max_iter=100, restart=30)
         assert solver_fingerprint(a) != solver_fingerprint(b)
+
+
+#: CG solvers that differ *only* in preconditioner.  On the Poisson matrix
+#: the diagonal is constant, so identity and Jacobi even share their iterates
+#: up to rounding — the closest two distinct solvers can get.
+_PRECONDITIONERS = {
+    "identity": lambda A: None,
+    "jacobi": JacobiPreconditioner,
+    "ssor-1.0": lambda A: SSORPreconditioner(A, omega=1.0),
+    "ssor-1.2": lambda A: SSORPreconditioner(A, omega=1.2),
+}
+
+
+def _preconditioned_cg(A, name):
+    return CGSolver(
+        A, rtol=1e-6, max_iter=100000, preconditioner=_PRECONDITIONERS[name](A)
+    )
+
+
+class TestPreconditionerSoundness:
+    """Replay and the snapshot memo are process-global and default-on: solvers
+    that differ only in preconditioner must never share an entry."""
+
+    def test_fingerprints_are_pairwise_distinct(self, poisson_small):
+        prints = {
+            name: solver_fingerprint(_preconditioned_cg(poisson_small.A, name))
+            for name in _PRECONDITIONERS
+        }
+        assert len(set(prints.values())) == len(prints)
+        for name, digest in prints.items():  # equal configurations hash equal
+            assert digest == solver_fingerprint(_preconditioned_cg(poisson_small.A, name))
+
+    @pytest.mark.parametrize(
+        "recorded, replayed",
+        [
+            ("identity", "jacobi"),
+            ("jacobi", "identity"),
+            ("ssor-1.0", "ssor-1.2"),
+            ("ssor-1.2", "ssor-1.0"),
+        ],
+    )
+    def test_no_hits_against_another_preconditioners_recordings(
+        self, setup, recorded, replayed
+    ):
+        problem = setup[0]
+
+        def run(name):
+            solver = _preconditioned_cg(problem.A, name)
+            baseline = run_failure_free(solver, problem.b)
+            return _run(
+                setup, "cg", "traditional", Scenario(), 2018, True, solver, baseline
+            )
+
+        clear_global_cache()
+        cold_report, cold = run(replayed)
+
+        clear_global_cache()
+        _, first = run(recorded)
+        _, again = run(recorded)
+        # The cache is live: the recording solver's own rerun is served ...
+        assert again.replay_hits > first.replay_hits
+        # ... and the other solver gets exactly what a cold cache gives it:
+        # the hits of rolling back twice onto one of its own checkpoints,
+        # none against the recordings of the other preconditioner.
+        report, warm = run(replayed)
+        assert warm.replay_hits == cold.replay_hits
+        assert warm.replay_iterations_saved == cold.replay_iterations_saved
+        assert report.to_json() == cold_report.to_json()
 
 
 class TestSessionInternals:

@@ -62,11 +62,6 @@ def _valid_pipeline() -> dict:
     }
 
 
-def _valid_codec() -> dict:
-    row = {"ratio": 2.0, "encode_mbps": 100.0, "decode_mbps": 200.0}
-    return {"workloads": {"solver": {"legacy": dict(row), "codec": dict(row)}}}
-
-
 def _valid_store() -> dict:
     def backend(name, durability, modeled, dedup=1.0):
         return {
@@ -94,7 +89,6 @@ def _valid_store() -> dict:
 _VALID = {
     "BENCH_runner.json": _valid_runner,
     "BENCH_pipeline.json": _valid_pipeline,
-    "BENCH_codec.json": _valid_codec,
     "BENCH_store.json": _valid_store,
 }
 
@@ -272,7 +266,7 @@ def test_pipeline_threads_sweep_is_checked(tmp_path):
 
 
 def test_invalid_json_and_unknown_name(tmp_path):
-    bad = tmp_path / "BENCH_codec.json"
+    bad = tmp_path / "BENCH_store.json"
     bad.write_text("{not json")
     assert any("JSON" in e for e in checker.check_file(bad))
     unknown = tmp_path / "BENCH_mystery.json"
@@ -302,8 +296,8 @@ def test_store_requires_distinct_pricing_and_dedup(tmp_path):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    good = tmp_path / "BENCH_codec.json"
-    good.write_text(json.dumps(_valid_codec()))
+    good = tmp_path / "BENCH_store.json"
+    good.write_text(json.dumps(_valid_store()))
     assert checker.main([str(good)]) == 0
     bad = tmp_path / "BENCH_runner.json"
     bad.write_text("{}")
