@@ -288,7 +288,7 @@ def _cached_characterization(
                 return _characterization_from_dict(payload)
             except (KeyError, TypeError, ValueError):
                 pass  # stale/foreign entry: recompute and overwrite below
-    problem, solver, _ = _cached_setup(
+    problem, solver, baseline = _cached_setup(
         method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter
     )
     scheme_obj = _build_scheme(
@@ -300,7 +300,10 @@ def _cached_characterization(
             error_bound_policy=error_bound_policy,
         )
     )
-    char = measure_scheme_ratio(solver, problem.b, scheme_obj, method=method)
+    char = measure_scheme_ratio(
+        solver, problem.b, scheme_obj, method=method,
+        baseline_iterations=baseline.iterations,
+    )
     if store is not None:
         store.put(digest, _characterization_to_dict(char))
     return char

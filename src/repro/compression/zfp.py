@@ -36,7 +36,6 @@ import zlib
 from typing import List, Optional
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from repro.compression.base import CompressedBlob, Compressor, register_compressor
 from repro.compression.encoding import zigzag_decode, zigzag_encode
@@ -88,7 +87,12 @@ class ZFPCompressor(Compressor):
         block_size: int = 64,
         zlib_level: int = 2,
     ) -> None:
+        # Only the block DCT needs scipy.fft (and the scipy.special it loads):
+        # import it per compressor, not per module (architecture.md, "Imports").
+        from scipy.fft import dct, idct
+
         super().__init__()
+        self._dct, self._idct = dct, idct
         if not isinstance(error_bound, ErrorBound):
             error_bound = ErrorBound.pointwise_relative(float(error_bound))
         block_size = int(block_size)
@@ -161,7 +165,7 @@ class ZFPCompressor(Compressor):
         pad = (-n) % block
         padded = np.pad(values, (0, pad), mode="edge") if pad else values
         blocks = padded.reshape(-1, block)
-        coeffs = dct(blocks, axis=1, norm="ortho")
+        coeffs = self._dct(blocks, axis=1, norm="ortho")
         # Orthonormal transform: an l-inf coefficient error of eps gives an
         # l-2 (hence l-inf) reconstruction error of at most sqrt(block)*eps,
         # so quantize with bound / sqrt(block).
@@ -183,16 +187,11 @@ class ZFPCompressor(Compressor):
             raise ValueError(f"corrupt ZFP v2 header: block size {block}")
         padded = -(-n // block) * block
         codes = zigzag_decode(codes_from_planes(sections[1:1 + k], padded))
-        values = _inverse_transform(codes, quantum, n, block)
+        coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
+        values = self._idct(coeffs, axis=1, norm="ortho").reshape(-1)[:n]
         if scheme != "pw_rel":
             return values
         return reconstruct_from_masks(values, sections[1 + k], sections[2 + k], total)
-
-
-def _inverse_transform(codes: np.ndarray, quantum: float, n: int, block: int) -> np.ndarray:
-    """Dequantize coefficient codes and invert the block DCT."""
-    coeffs = codes.astype(np.float64).reshape(-1, block) * quantum
-    return idct(coeffs, axis=1, norm="ortho").reshape(-1)[:n]
 
 
 def _make_zfp(**kwargs) -> ZFPCompressor:

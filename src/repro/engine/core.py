@@ -486,11 +486,13 @@ class FaultToleranceEngine:
             if replay_enabled(self.replay)
             else None
         )
-        if self._replay is not None:
+        if self._replay is not None and (self.scheme.uses_compression or self._async):
             # Same switch, second cache: checkpoint payloads along an
             # identical pipeline history compress once per process instead
             # of once per run (the compression pass dominates the event loop
-            # once the solve itself is replayed).
+            # once the solve itself is replayed).  A blocking identity payload
+            # is a copy plus an index, cheaper than the digest that would key
+            # it; an async one is an incremental delta, which is not.
             self._pipeline.enable_snapshot_memo(
                 get_global_snapshot_memo(),
                 self._replay.context + scheme_fingerprint(self.scheme),

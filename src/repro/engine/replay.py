@@ -222,12 +222,16 @@ class TrajectoryRecording:
         if self.final_x is not None:
             total += self.final_x.nbytes
         total += len(self.steps) * _STEP_OVERHEAD_BYTES
-        for snap in self.snapshots.values():
-            total += snap.x.nbytes + 64
-            for value in snap.extras.values():
-                if isinstance(value, np.ndarray):
-                    total += value.nbytes
-        return total
+        return total + sum(_state_bytes(snap) for snap in self.snapshots.values())
+
+
+def _state_bytes(state: IterationState) -> int:
+    """Retained bytes of one snapshot: ``x``, its vector extras, the struct."""
+    total = state.x.nbytes + 64
+    for value in state.extras.values():
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+    return total
 
 
 def _copy_state(it_state: IterationState) -> IterationState:
@@ -262,9 +266,9 @@ class TrajectoryCache:
     """Process-wide LRU of :class:`TrajectoryRecording` objects.
 
     Bounded both in entry count and in retained bytes (snapshots added
-    after insertion — checkpoint boundaries, catch-up materializations —
-    are re-accounted via :meth:`put`).  Entries pinned by an active replay
-    are never evicted.
+    after insertion are re-accounted: checkpoint boundaries via :meth:`put`,
+    catch-up materializations via :meth:`grow`).  Entries pinned by an
+    active replay are never evicted.
     """
 
     def __init__(self, max_entries: int = 256, max_bytes: int = 256 * 1024 * 1024):
@@ -292,6 +296,15 @@ class TrajectoryCache:
         rec.nbytes = rec.measure()
         self._entries[rec.key] = rec
         self.total_bytes += rec.nbytes
+        self._evict()
+
+    def grow(self, rec: TrajectoryRecording, nbytes: int) -> None:
+        """:meth:`put` after ``rec`` retained ``nbytes`` more, without re-measuring."""
+        if self._entries.get(rec.key) is not rec:
+            return self.put(rec)
+        self._entries.move_to_end(rec.key)
+        rec.nbytes += nbytes
+        self.total_bytes += nbytes
         self._evict()
 
     def pin(self, key: bytes) -> None:
@@ -904,5 +917,5 @@ class ReplaySession:
             )
         state = _copy_state(state)
         rec.snapshots[local] = state
-        self.cache.put(rec)  # re-account retained bytes
+        self.cache.grow(rec, _state_bytes(state))
         return state

@@ -83,6 +83,7 @@ def measure_scheme_ratio(
     method: Optional[str] = None,
     sample_fractions: Sequence[float] = (0.25, 0.5, 0.75),
     x0: Optional[np.ndarray] = None,
+    baseline_iterations: Optional[int] = None,
 ) -> SchemeCharacterization:
     """Measure the scheme's full checkpoint payload on representative iterates.
 
@@ -92,10 +93,15 @@ def measure_scheme_ratio(
     CheckpointPipeline` snapshot under the scheme — including the resolved
     error-bound policy — yielding per-variable measured ratios and the
     serialized payload size.
+
+    ``baseline_iterations`` is the iteration count of that failure-free
+    solve when the caller already has it (a memoized baseline); the samples
+    are then captured in a single solve instead of two.
     """
     b = np.asarray(b, dtype=np.float64)
-    baseline = solver.solve(b, x0=x0)
-    n_iters = max(1, baseline.iterations)
+    if baseline_iterations is None:
+        baseline_iterations = solver.solve(b, x0=x0).iterations
+    n_iters = max(1, baseline_iterations)
     targets = sorted(
         {max(1, min(n_iters - 1, int(round(f * n_iters)))) for f in sample_fractions}
     ) or [1]
@@ -145,7 +151,7 @@ def measure_scheme_ratio(
         method=method or solver.name,
         mean_ratio=float(np.mean(ratios)),
         ratios=ratios,
-        baseline_iterations=baseline.iterations,
+        baseline_iterations=baseline_iterations,
         variable_ratios={
             name: float(np.mean(values)) for name, values in per_variable.items()
         },

@@ -43,6 +43,8 @@ class Preconditioner(abc.ABC):
 
     def as_linear_operator(self) -> sp.linalg.LinearOperator:
         """Expose the preconditioner as a SciPy ``LinearOperator`` (for tests)."""
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
+
         return sp.linalg.LinearOperator((self.n, self.n), matvec=self.solve)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-import scipy.linalg as la
 
 from repro.precond.base import Preconditioner, register_preconditioner
 
@@ -33,6 +32,8 @@ class BlockJacobiPreconditioner(Preconditioner):
     name = "block_jacobi"
 
     def __init__(self, A, num_blocks: int = 8) -> None:
+        import scipy.linalg as la
+
         super().__init__(A)
         num_blocks = int(num_blocks)
         if num_blocks < 1:
@@ -61,11 +62,12 @@ class BlockJacobiPreconditioner(Preconditioner):
                 factor = la.lu_factor(block + shift * np.eye(block.shape[0]))
             self._ranges.append((start, stop))
             self._factors.append(factor)
+        self._lu_solve = la.lu_solve
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)
         for (start, stop), factor in zip(self._ranges, self._factors):
-            z[start:stop] = la.lu_solve(factor, r[start:stop])
+            z[start:stop] = self._lu_solve(factor, r[start:stop])
         return z
 
 

@@ -84,6 +84,7 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
 
     def __init__(self, A, *, shift: float = 0.0, max_shift_attempts: int = 8) -> None:
         super().__init__(A)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         attempt_shift = float(shift)
         base = float(np.mean(np.abs(self.A.diagonal()))) or 1.0
         last_error: Exception | None = None

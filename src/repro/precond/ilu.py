@@ -83,6 +83,7 @@ class ILU0Preconditioner(Preconditioner):
 
     def __init__(self, A) -> None:
         super().__init__(A)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         factored = ilu0_factor(self.A)
         # Split into L (unit diagonal) and U triangular factors once so each
         # application is just two sparse triangular solves.

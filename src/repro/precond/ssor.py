@@ -28,6 +28,7 @@ class SSORPreconditioner(Preconditioner):
 
     def __init__(self, A, omega: float = 1.0) -> None:
         super().__init__(A)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         omega = float(omega)
         if not (0.0 < omega < 2.0):
             raise ValueError(f"omega must be in (0, 2), got {omega}")

@@ -349,10 +349,6 @@ class IterativeSolver(abc.ABC):
             iteration=int(it_state.iteration), vectors=vectors, scalars=scalars
         )
 
-    def residual_norm(self, b: np.ndarray, x: np.ndarray) -> float:
-        """True residual norm ``||b - A x||_2``."""
-        return float(np.linalg.norm(b - self.matvec(x)))
-
     def _bind_matvec(self):
         """Bind the lowest-overhead exact ``A @ x`` available.
 

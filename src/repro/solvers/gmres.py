@@ -86,6 +86,8 @@ class GMRESSolver(IterativeSolver):
         iterations = 0
         converged = False
 
+        # ``r`` is always the preconditioned residual of the current ``x`` (see
+        # the divergence check), so a new cycle starts without another matvec.
         r = M.solve(b - matvec(x))
         beta = float(np.linalg.norm(r))
         residual_norms.append(beta)
@@ -100,7 +102,6 @@ class GMRESSolver(IterativeSolver):
             )
 
         while iterations < max_iter and not converged:
-            r = M.solve(b - matvec(x))
             beta = float(np.linalg.norm(r))
             if beta == 0.0:
                 converged = True
@@ -168,7 +169,8 @@ class GMRESSolver(IterativeSolver):
                     break
             if not converged and inner > 0:
                 x = self._form_iterate(x, V, H, g, inner)
-                true_res = float(np.linalg.norm(M.solve(b - matvec(x))))
+                r = M.solve(b - matvec(x))
+                true_res = float(np.linalg.norm(r))
                 if self.criterion.has_diverged(true_res, b_norm):
                     break
             if inner == 0:

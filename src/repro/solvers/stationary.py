@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.solvers.base import (
     Callback,
@@ -32,7 +31,12 @@ __all__ = ["JacobiSolver", "GaussSeidelSolver", "SORSolver", "SSORSolver"]
 class _StationarySolver(IterativeSolver):
     """Shared driver for all stationary methods.
 
-    Subclasses implement :meth:`_sweep`, producing ``x_{i+1}`` from ``x_i``.
+    Subclasses implement :meth:`_sweep`, producing ``x_{i+1}`` from ``x_i``
+    and its residual ``r_i = b - A x_i``.  ``_solve`` computes ``r_i`` once
+    per iteration: its norm is the reported residual and Jacobi's sweep
+    consumes it, so Jacobi costs one matvec per iteration.  The triangular
+    sweeps import :mod:`scipy.sparse.linalg` in their constructors, so a
+    Jacobi-only process never loads it (``docs/architecture.md``, "Imports").
     """
 
     #: Stationary methods are memoryless — the iterate ``x`` is the entire
@@ -53,7 +57,7 @@ class _StationarySolver(IterativeSolver):
             raise ValueError(f"{type(self).__name__} requires a nonzero diagonal")
         self._diag = diag
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _solve(
@@ -67,14 +71,16 @@ class _StationarySolver(IterativeSolver):
     ) -> SolveResult:
         x = x0
         b_norm = float(np.linalg.norm(b))
-        residual_norms = [self.residual_norm(b, x)]
+        r = b - self.matvec(x)
+        residual_norms = [float(np.linalg.norm(r))]
         converged = self.criterion.has_converged(residual_norms[-1], b_norm)
         iterations = 0
         for local_iter in range(1, max_iter + 1):
             if converged:
                 break
-            x = self._sweep(x, b)
-            res = self.residual_norm(b, x)
+            x = self._sweep(x, b, r)
+            r = b - self.matvec(x)
+            res = float(np.linalg.norm(r))
             residual_norms.append(res)
             iterations = local_iter
             converged = self.criterion.has_converged(res, b_norm)
@@ -98,8 +104,8 @@ class JacobiSolver(_StationarySolver):
 
     name = "jacobi"
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return x + (b - self.matvec(x)) / self._diag
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return x + r / self._diag
 
 
 class GaussSeidelSolver(_StationarySolver):
@@ -109,12 +115,13 @@ class GaussSeidelSolver(_StationarySolver):
 
     def __init__(self, A, **kwargs) -> None:
         super().__init__(A, **kwargs)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         self._lower = sp.tril(self.A, k=0).tocsr()
         self._upper = sp.triu(self.A, k=1).tocsr()
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         rhs = b - self._upper @ x
-        return spla.spsolve_triangular(self._lower, rhs, lower=True)
+        return sp.linalg.spsolve_triangular(self._lower, rhs, lower=True)
 
 
 class SORSolver(_StationarySolver):
@@ -124,6 +131,7 @@ class SORSolver(_StationarySolver):
 
     def __init__(self, A, *, omega: float = 1.5, **kwargs) -> None:
         super().__init__(A, **kwargs)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         omega = float(omega)
         if not (0.0 < omega < 2.0):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
@@ -134,9 +142,9 @@ class SORSolver(_StationarySolver):
         self._lhs = (diag_matrix + omega * strict_lower).tocsr()
         self._diag_matrix = diag_matrix
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         rhs = self.omega * (b - self._upper @ x) + (1.0 - self.omega) * (self._diag * x)
-        return spla.spsolve_triangular(self._lhs, rhs, lower=True)
+        return sp.linalg.spsolve_triangular(self._lhs, rhs, lower=True)
 
 
 class SSORSolver(_StationarySolver):
@@ -146,6 +154,7 @@ class SSORSolver(_StationarySolver):
 
     def __init__(self, A, *, omega: float = 1.5, **kwargs) -> None:
         super().__init__(A, **kwargs)
+        import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
         omega = float(omega)
         if not (0.0 < omega < 2.0):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
@@ -158,12 +167,12 @@ class SSORSolver(_StationarySolver):
         self._forward_lhs = (diag_matrix + omega * strict_lower).tocsr()
         self._backward_lhs = (diag_matrix + omega * strict_upper).tocsr()
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         omega = self.omega
         rhs = omega * (b - self._upper @ x) + (1.0 - omega) * (self._diag * x)
-        half = spla.spsolve_triangular(self._forward_lhs, rhs, lower=True)
+        half = sp.linalg.spsolve_triangular(self._forward_lhs, rhs, lower=True)
         rhs2 = omega * (b - self._lower @ half) + (1.0 - omega) * (self._diag * half)
-        return spla.spsolve_triangular(self._backward_lhs, rhs2, lower=False)
+        return sp.linalg.spsolve_triangular(self._backward_lhs, rhs2, lower=False)
 
 
 register_solver("jacobi", JacobiSolver)

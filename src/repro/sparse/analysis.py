@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.utils.validation import check_square_matrix
 
@@ -159,6 +158,8 @@ def condition_number_estimate(A, *, which: str = "spd") -> float:
     Uses a handful of Lanczos (``eigsh``) iterations for the extreme
     eigenvalues; intended for reporting, not for tight numerical analysis.
     """
+    from scipy.sparse.linalg import eigsh
+
     A = check_square_matrix(A)
     if which != "spd":
         raise ValueError("only SPD condition estimation is supported")
@@ -167,8 +168,8 @@ def condition_number_estimate(A, *, which: str = "spd") -> float:
         dense = A.toarray()
         eigs = np.linalg.eigvalsh(dense)
         return float(eigs[-1] / max(eigs[0], np.finfo(float).tiny))
-    lam_max = float(spla.eigsh(A, k=1, which="LA", return_eigenvectors=False,
-                               maxiter=5000)[0])
-    lam_min = float(spla.eigsh(A, k=1, which="SA", return_eigenvectors=False,
-                               maxiter=5000)[0])
+    lam_max = float(eigsh(A, k=1, which="LA", return_eigenvectors=False,
+                          maxiter=5000)[0])
+    lam_min = float(eigsh(A, k=1, which="SA", return_eigenvectors=False,
+                          maxiter=5000)[0])
     return lam_max / max(lam_min, np.finfo(float).tiny)

@@ -6,6 +6,7 @@ vectors.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -93,15 +94,31 @@ class TestZFPProperties:
         elif shape == "raw":
             eb = _UNREACHABLE[mode]
         bound = _MODES[mode](eb)
-        # The DCT's own rounding (~1e-16 relative to the data magnitude) is
-        # outside the quantizer's guarantee; stay clear of bounds that tight
-        # unless they are tight enough to force the raw fallback.
-        assume(shape == "raw" or bound.absolute_for(data) >= 1e-13 * np.abs(data).max())
         recon, blob = ZFPCompressor(bound).roundtrip(data)
         assert blob.format_version == SHARDED_FORMAT_VERSION
         if blob.meta["scheme"] == "raw":
             assert np.array_equal(recon, data)
+        else:
+            # The DCT's own rounding (~1e-16 relative to the data magnitude)
+            # is outside the quantizer's guarantee; a blob that did not fall
+            # back to raw is only held to bounds clear of it.  The violation
+            # itself is pinned by ``test_dct_rounding_exceeds_a_near_ulp_bound``.
+            assume(bound.absolute_for(data) >= 1e-13 * np.abs(data).max())
         assert recon.shape == data.shape
+        assert np.all(np.abs(recon - data) <= bound.per_element(data) * (1 + 1e-8))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP.md item 7: ZFP's block DCT rounds past a bound within "
+        "~1e-13 of the data magnitude without falling back to raw "
+        "(Fox et al., arXiv:2003.02324)",
+    )
+    def test_dct_rounding_exceeds_a_near_ulp_bound(self):
+        data = np.zeros(66)
+        data[0], data[64] = -7044.0, 4947.0
+        bound = ErrorBound.value_range_relative(_UNREACHABLE["rel"])
+        recon, blob = ZFPCompressor(bound).roundtrip(data)
+        assert blob.meta["scheme"] == "zfp"  # the 63-bit code grid fits
         assert np.all(np.abs(recon - data) <= bound.per_element(data) * (1 + 1e-8))
 
 

@@ -231,6 +231,50 @@ class TestTrajectoryCache:
         assert cache.get(a.key) is None
         assert cache.total_bytes <= 25
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 12), st.booleans()),
+            min_size=1, max_size=25,
+        ),
+        max_bytes=st.integers(2_000, 20_000),
+    )
+    def test_materialize_keeps_byte_accounts_exact(self, poisson_small, ops, max_bytes):
+        """Catch-up adds only the new snapshot's bytes: the accounts equal a
+        full re-measure, and LRU order and evictions equal those of
+        re-inserting the recording through ``put``."""
+
+        class Remeasuring(TrajectoryCache):
+            def grow(self, rec, nbytes):
+                self.put(rec)
+
+        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100000)
+        sides = []
+        for cache in (TrajectoryCache(3, max_bytes), Remeasuring(3, max_bytes)):
+            recs = [
+                TrajectoryRecording(
+                    key=bytes([start]), limit=12, solver_name=solver.name,
+                    start_x=np.full(solver.n, float(start)), start_resume=None,
+                )
+                for start in range(4)
+            ]
+            for rec in recs:
+                cache.put(rec)
+            sides.append((cache, recs, ReplaySession(solver, poisson_small.b, cache=cache)))
+        for index, local, pin in ops:
+            for cache, recs, replay in sides:
+                if pin:
+                    cache.pin(recs[index].key)
+                replay.materialize(recs[index], local)
+                if pin:
+                    cache.unpin(recs[index].key)
+                live = list(cache._entries.values())
+                assert all(rec.nbytes == rec.measure() for rec in live)
+                assert cache.total_bytes == sum(rec.measure() for rec in live)
+            (fast, _, _), (reference, _, _) = sides
+            assert list(fast._entries) == list(reference._entries)
+            assert fast.evictions == reference.evictions
+
     def test_pinned_entries_survive_eviction(self):
         cache = TrajectoryCache(max_entries=1, max_bytes=1 << 30)
         a, b = (self._recording(bytes([i]), 10) for i in range(2))
@@ -274,6 +318,21 @@ class TestSnapshotMemoAndFingerprints:
         _run(setup, "jacobi", "lossless", Scenario(), 2018, True, solver)
         assert memo.misses == misses  # nothing recompressed
         assert memo.hits > hits_before
+
+    @pytest.mark.parametrize("write_mode", ["blocking", "async"])
+    def test_only_coded_payloads_use_the_memo(self, setup, write_mode):
+        """A blocking identity payload is rebuilt, not digested and looked up;
+        an async one is an incremental delta and stays memoized.  Report
+        bytes are the same either way."""
+        scenario = Scenario(write_mode=write_mode)
+        clear_global_cache()
+        memo = get_global_snapshot_memo()
+        misses = memo.misses
+        report, _ = _run(setup, "jacobi", "traditional", scenario, 2018, True)
+        assert report.num_checkpoints > 0
+        assert (memo.misses > misses) == (write_mode == "async")
+        off, _ = _run(setup, "jacobi", "traditional", scenario, 2018, False)
+        assert report.to_json() == off.to_json()
 
     def test_scheme_fingerprint_distinguishes_configurations(self):
         prints = {

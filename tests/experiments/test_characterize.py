@@ -1,7 +1,10 @@
 """Tests for the shared characterization helpers."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.campaign import execute
 from repro.cluster.machine import ClusterModel
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -11,6 +14,7 @@ from repro.experiments.characterize import (
     standard_schemes,
 )
 from repro.experiments.config import SMALL_CONFIG, method_problem, method_solver
+from repro.solvers.base import IterativeSolver
 
 
 class TestMeasureSchemeRatio:
@@ -33,6 +37,40 @@ class TestMeasureSchemeRatio:
         char = measure_scheme_ratio(solver, problem.b, scheme, method="gmres")
         assert char.mean_ratio > 1.0
         assert char.baseline_iterations > 1
+
+
+class TestCachedCharacterization:
+    """The campaign passes its memoized baseline to the characterization."""
+
+    @pytest.mark.parametrize("method", ["jacobi", "cg", "gmres", "bicgstab"])
+    @pytest.mark.parametrize("scheme", ["traditional", "lossless", "lossy"])
+    def test_one_solve_and_the_hint_free_result(self, monkeypatch, method, scheme):
+        monkeypatch.setattr(execute, "_MEMO_STORE", None)
+        key = (method, 6, 4, 11, 1e-6, 30, 100000)
+        axes = (scheme, "sz", 1e-4, False, "fixed")
+        problem, solver, _ = execute._cached_setup(*key)  # memoizes the baseline
+        execute._cached_characterization.cache_clear()
+
+        solves = []
+        solve = IterativeSolver.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(kwargs.get("callback"))
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(IterativeSolver, "solve", counted)
+        cached = execute._cached_characterization(*key, *axes)
+        assert len(solves) == 1 and solves[0] is not None
+
+        scheme_obj = execute._build_scheme(SimpleNamespace(
+            scheme=scheme, compressor="sz", error_bound=1e-4, adaptive=False,
+            error_bound_policy="fixed",
+        ))
+        hint_free = measure_scheme_ratio(solver, problem.b, scheme_obj, method=method)
+        assert len(solves) == 3
+        assert execute._characterization_to_dict(cached) == (
+            execute._characterization_to_dict(hint_free)
+        )
 
 
 class TestSchemeTimings:
