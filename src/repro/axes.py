@@ -1,0 +1,37 @@
+"""The named values of the scenario and error-bound-policy axes.
+
+Imports nothing, so campaign cells validate against them without loading the
+engine or the compressors, which re-export the same tuples.
+"""
+
+#: Failure-model names a scenario accepts.  ``scripted`` (failures at
+#: explicit virtual times, via ``failure_params=(("times", (...)),)``) is for
+#: deterministic studies and regression tests.
+FAILURE_MODELS = ("poisson", "weibull", "bursty", "scripted")
+
+#: The subset valid as a campaign-grid axis: campaign cells cannot carry the
+#: explicit times a scripted model needs, so accepting ``scripted`` there
+#: would silently cache failure-free runs as FT measurements.
+CAMPAIGN_FAILURE_MODELS = ("poisson", "weibull", "bursty")
+
+#: Recovery-level regimes a scenario (and the campaign grid) accepts.
+RECOVERY_LEVELS = ("pfs", "fti")
+
+#: How checkpoint/recovery bytes are priced: from the measured serialized
+#: pipeline payload (default) or from the historical modeled estimate.
+CHECKPOINT_COSTINGS = ("measured", "modeled")
+
+#: Which timeline a checkpoint write runs on: ``blocking`` stalls the solver
+#: for the whole write (the paper's model); ``async`` overlaps the storage
+#: drain with compute on a second I/O channel and ships incremental deltas.
+WRITE_MODES = ("blocking", "async")
+
+#: Which checkpoint-store backend holds (and prices) the payloads.  ``pfs``
+#: is the paper's implicit parallel file system, priced by the cluster
+#: model's own profile; the others bring the profile of the store they build.
+STORE_BACKENDS = ("pfs", "memory", "disk", "object", "chunked")
+
+#: Error-bound policy names accepted as a campaign-grid axis.
+#: ``per_variable`` is deliberately excluded: a grid cell cannot carry the
+#: per-name mapping, so it is constructed programmatically instead.
+BOUND_POLICIES = ("fixed", "value_range", "residual_adaptive")

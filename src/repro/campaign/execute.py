@@ -22,9 +22,12 @@ longer re-solves a baseline another worker (or yesterday's campaign) already
 computed.  Floats survive the JSON round trip bit-exactly, so memo-served
 cells stay byte-identical to cold ones.
 
-Imports of the experiment-harness modules are deliberately lazy (inside the
-handlers): the experiment modules themselves import :mod:`repro.campaign`, and
-the lazy imports keep the package import graph acyclic in both directions.
+Imports of the numerics and the experiment-harness modules are deliberately
+lazy (inside the handlers): the experiment modules themselves import
+:mod:`repro.campaign`, so the lazy imports keep the package import graph
+acyclic in both directions, and a campaign served entirely from the result
+cache never loads NumPy or SciPy.  :func:`load_stack` imports them all at once
+for the executor, when some cell must run.
 
 Setting the :data:`PROFILE_ENV` environment variable (``REPRO_PROFILE``) to a
 directory wraps every executed cell in :mod:`cProfile` and dumps one pstats
@@ -35,7 +38,6 @@ profile; profile with ``--no-cache`` to capture every cell.
 
 from __future__ import annotations
 
-import cProfile
 import hashlib
 import json
 import os
@@ -44,7 +46,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
-__all__ = ["execute_cell", "configure_memo_store", "PROFILE_ENV"]
+__all__ = ["execute_cell", "configure_memo_store", "load_stack", "PROFILE_ENV"]
 
 #: Environment variable naming the directory cell profiles are dumped into.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -534,7 +536,7 @@ _HANDLERS = {
 }
 
 
-def _dump_profile(profiler: cProfile.Profile, cell) -> Path:
+def _dump_profile(profiler, cell) -> Path:
     """Write one cell's profile as ``<kind>-<method>-<scheme>-<hash>.pstats``.
 
     The cache-key prefix makes names collision-free across a grid (two cells
@@ -549,6 +551,17 @@ def _dump_profile(profiler: cProfile.Profile, cell) -> Path:
     return path
 
 
+def load_stack() -> None:
+    """Import the modules the handlers run on (NumPy, SciPy, the engine).
+
+    The executor calls this once, in the parent, when a cell must run: before
+    its serial loop, and before it builds a worker pool, so forked workers
+    inherit the loaded modules instead of each importing them again.
+    """
+    import repro.engine  # noqa: F401
+    import repro.experiments.characterize  # noqa: F401
+
+
 def execute_cell(cell) -> Dict[str, object]:
     """Execute one campaign cell and return its JSON-safe result dictionary.
 
@@ -561,6 +574,8 @@ def execute_cell(cell) -> Dict[str, object]:
     except KeyError:
         raise ValueError(f"unknown cell kind {cell.kind!r}; known: {sorted(_HANDLERS)}")
     if os.environ.get(PROFILE_ENV):
+        import cProfile
+
         profiler = cProfile.Profile()
         profiler.enable()
         try:

@@ -5,18 +5,22 @@ spec, never of the execution strategy*.  Cells are fully self-seeded, the
 worker function is deterministic, and outcomes are collected by cell index —
 so ``n_workers=4`` and ``n_workers=1`` produce byte-identical campaign
 results, and a cached re-run is indistinguishable from a fresh one.
+
+A run whose every cell is cached imports no numerics and no process-pool
+machinery: the execution stack (:func:`~repro.campaign.execute.load_stack`)
+is imported once, in the parent, only when some cell must run — before the
+serial loop or before the pool forks, so workers inherit it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.execute import configure_memo_store, execute_cell
+from repro.campaign.execute import _scheme_key, configure_memo_store, execute_cell, load_stack
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 __all__ = ["CellOutcome", "CampaignResult", "ParallelExecutor", "run_campaign"]
@@ -140,6 +144,7 @@ class ParallelExecutor:
                 pending.append(index)
 
         if pending:
+            load_stack()
             if self.n_workers == 1:
                 for index in pending:
                     outcome = self._execute_one(index, cells[index])
@@ -179,6 +184,8 @@ class ParallelExecutor:
         total: int,
         memo_dir: Optional[str] = None,
     ) -> int:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         submitted = {}
         first_error: Optional[BaseException] = None
         with ProcessPoolExecutor(
@@ -236,8 +243,6 @@ class ParallelExecutor:
         groups so the first tasks the pool hands out carry *distinct*
         configurations — the shared setups themselves then run in parallel.
         """
-        from repro.campaign.execute import _scheme_key
-
         groups: Dict[tuple, List[int]] = {}
         for index in pending:
             groups.setdefault(_scheme_key(cells[index]), []).append(index)

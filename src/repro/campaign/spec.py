@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import axes
 from repro.utils.rng import derive_seed
 
 __all__ = ["RunSpec", "CampaignSpec", "KINDS"]
@@ -181,49 +182,21 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}; known: {KINDS}")
-        from repro.compression.errorbounds import BOUND_POLICIES
-        from repro.engine.scenario import (
-            CAMPAIGN_FAILURE_MODELS,
-            CHECKPOINT_COSTINGS,
-            RECOVERY_LEVELS,
-            STORE_BACKENDS,
-            WRITE_MODES,
-        )
-
-        if self.failure_model not in CAMPAIGN_FAILURE_MODELS:
-            # "scripted" is deliberately excluded: a cell cannot carry the
-            # explicit failure times it needs, so it would silently run
-            # failure-free.
-            raise ValueError(
-                f"unknown failure model {self.failure_model!r}; "
-                f"known: {CAMPAIGN_FAILURE_MODELS}"
-            )
-        if self.recovery_levels not in RECOVERY_LEVELS:
-            raise ValueError(
-                f"unknown recovery levels {self.recovery_levels!r}; "
-                f"known: {RECOVERY_LEVELS}"
-            )
-        if self.checkpoint_costing not in CHECKPOINT_COSTINGS:
-            raise ValueError(
-                f"unknown checkpoint costing {self.checkpoint_costing!r}; "
-                f"known: {CHECKPOINT_COSTINGS}"
-            )
-        if self.write_mode not in WRITE_MODES:
-            raise ValueError(
-                f"unknown write mode {self.write_mode!r}; known: {WRITE_MODES}"
-            )
-        if self.store_backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {self.store_backend!r}; "
-                f"known: {STORE_BACKENDS}"
-            )
-        if self.error_bound_policy not in BOUND_POLICIES:
-            # "per_variable" is deliberately excluded: a cell cannot carry
-            # the per-name policy mapping it needs.
-            raise ValueError(
-                f"unknown error-bound policy {self.error_bound_policy!r}; "
-                f"known: {BOUND_POLICIES}"
-            )
+        # The campaign vocabularies leave out "scripted" failures and
+        # "per_variable" bounds: a cell cannot carry the failure times or the
+        # per-name policy mapping they need, so it would silently run
+        # something else.
+        for name, label, known in (
+            ("failure_model", "failure model", axes.CAMPAIGN_FAILURE_MODELS),
+            ("recovery_levels", "recovery levels", axes.RECOVERY_LEVELS),
+            ("checkpoint_costing", "checkpoint costing", axes.CHECKPOINT_COSTINGS),
+            ("write_mode", "write mode", axes.WRITE_MODES),
+            ("store_backend", "store backend", axes.STORE_BACKENDS),
+            ("error_bound_policy", "error-bound policy", axes.BOUND_POLICIES),
+        ):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"unknown {label} {value!r}; known: {known}")
         object.__setattr__(self, "params", _freeze_params(self.params))
 
     def param(self, name: str, default=None):

@@ -24,6 +24,8 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.axes import BOUND_POLICIES
+
 __all__ = [
     "ErrorBoundMode",
     "ErrorBound",
@@ -264,11 +266,6 @@ class PerVariableBoundPolicy(ErrorBoundPolicy):
         tail = f", default={self.default.describe()}" if self.default else ""
         return f"per_variable({inner}{tail})"
 
-
-#: Policy names accepted as a campaign-grid axis.  ``per_variable`` is
-#: deliberately excluded: a grid cell cannot carry the per-name mapping, so
-#: it is constructed programmatically instead.
-BOUND_POLICIES = ("fixed", "value_range", "residual_adaptive")
 
 _POLICY_FACTORIES: Dict[str, Callable[..., ErrorBoundPolicy]] = {
     "fixed": lambda error_bound=1e-4, **_: FixedBoundPolicy(

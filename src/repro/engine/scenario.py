@@ -50,6 +50,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.axes import (  # the axis vocabularies, re-exported
+    CAMPAIGN_FAILURE_MODELS,
+    CHECKPOINT_COSTINGS,
+    FAILURE_MODELS,
+    RECOVERY_LEVELS,
+    STORE_BACKENDS,
+    WRITE_MODES,
+)
 from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import MultilevelCheckpointStore, MultilevelPolicy
 from repro.checkpoint.store import (
@@ -75,33 +83,6 @@ __all__ = [
     "DEFAULT_SCENARIO",
 ]
 
-#: Failure-model names a scenario accepts.  ``scripted`` (failures at
-#: explicit virtual times, via ``failure_params=(("times", (...)),)``) is for
-#: deterministic studies and regression tests.
-FAILURE_MODELS = ("poisson", "weibull", "bursty", "scripted")
-
-#: The subset valid as a campaign-grid axis: campaign cells cannot carry the
-#: explicit times a scripted model needs, so accepting ``scripted`` there
-#: would silently cache failure-free runs as FT measurements.
-CAMPAIGN_FAILURE_MODELS = ("poisson", "weibull", "bursty")
-
-#: Recovery-level regimes a scenario (and the campaign grid) accepts.
-RECOVERY_LEVELS = ("pfs", "fti")
-
-#: How checkpoint/recovery bytes are priced: from the measured serialized
-#: pipeline payload (default) or from the historical modeled estimate.
-CHECKPOINT_COSTINGS = ("measured", "modeled")
-
-#: Which timeline a checkpoint write runs on: ``blocking`` stalls the solver
-#: for the whole write (the paper's model); ``async`` overlaps the storage
-#: drain with compute on a second I/O channel and ships incremental deltas.
-WRITE_MODES = ("blocking", "async")
-
-#: Which checkpoint-store backend holds (and prices) the payloads.  ``pfs``
-#: is the paper's implicit parallel file system, priced by the cluster
-#: model's own profile; the others bring the profile of the store they build.
-STORE_BACKENDS = ("pfs", "memory", "disk", "object", "chunked")
-
 #: The profile each payload-holding backend is priced by (``chunked`` dedups
 #: over the simulated object store).
 _BACKEND_PROFILES = {**STORE_PROFILES, "chunked": OBJECT_PROFILE}
@@ -126,30 +107,16 @@ class Scenario:
     store_backend: str = "pfs"
 
     def __post_init__(self) -> None:
-        if self.failure_model not in FAILURE_MODELS:
-            raise ValueError(
-                f"unknown failure model {self.failure_model!r}; "
-                f"known: {FAILURE_MODELS}"
-            )
-        if self.recovery_levels not in RECOVERY_LEVELS:
-            raise ValueError(
-                f"unknown recovery levels {self.recovery_levels!r}; "
-                f"known: {RECOVERY_LEVELS}"
-            )
-        if self.checkpoint_costing not in CHECKPOINT_COSTINGS:
-            raise ValueError(
-                f"unknown checkpoint costing {self.checkpoint_costing!r}; "
-                f"known: {CHECKPOINT_COSTINGS}"
-            )
-        if self.write_mode not in WRITE_MODES:
-            raise ValueError(
-                f"unknown write mode {self.write_mode!r}; known: {WRITE_MODES}"
-            )
-        if self.store_backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {self.store_backend!r}; "
-                f"known: {STORE_BACKENDS}"
-            )
+        for name, label, known in (
+            ("failure_model", "failure model", FAILURE_MODELS),
+            ("recovery_levels", "recovery levels", RECOVERY_LEVELS),
+            ("checkpoint_costing", "checkpoint costing", CHECKPOINT_COSTINGS),
+            ("write_mode", "write mode", WRITE_MODES),
+            ("store_backend", "store backend", STORE_BACKENDS),
+        ):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"unknown {label} {value!r}; known: {known}")
         object.__setattr__(
             self, "failure_params", tuple((str(k), v) for k, v in self.failure_params)
         )

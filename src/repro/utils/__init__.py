@@ -1,32 +1,6 @@
-"""Shared utilities: deterministic RNG, timers, validation helpers.
+"""Shared utilities: deterministic RNG, timers, validation helpers, tables.
 
-These helpers are intentionally small and dependency-free so that every other
-subpackage (sparse generators, compressors, solvers, the fault-tolerance
-runner) can rely on them without import cycles.
+Import each helper from its own module.  The package re-exports nothing, so
+importing ``rng`` or ``tables`` (dependency-free) never loads ``validation``
+(NumPy and SciPy) along with it.
 """
-
-from repro.utils.rng import default_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, VirtualClock
-from repro.utils.validation import (
-    check_positive,
-    check_nonnegative,
-    check_probability,
-    check_vector,
-    check_square_matrix,
-    check_same_length,
-)
-from repro.utils.tables import format_table
-
-__all__ = [
-    "default_rng",
-    "spawn_rngs",
-    "Stopwatch",
-    "VirtualClock",
-    "check_positive",
-    "check_nonnegative",
-    "check_probability",
-    "check_vector",
-    "check_square_matrix",
-    "check_same_length",
-    "format_table",
-]

@@ -5,15 +5,23 @@ generation, random right-hand sides, the Fig. 2 random-restart experiment)
 takes an explicit seed or :class:`numpy.random.Generator` so that experiments
 are reproducible run-to-run.  These helpers centralise the seed-handling
 conventions.
+
+NumPy is imported only by the generator factories: :func:`derive_seed` is
+plain integer arithmetic, so the campaign front end can expand a grid's cell
+seeds without loading any numerics.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import zlib
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
+SeedLike = Union[None, int, "np.random.SeedSequence", "np.random.Generator"]
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def default_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -24,6 +32,8 @@ def default_rng(seed: SeedLike = None) -> np.random.Generator:
     ``default_rng`` but tolerant of already-constructed generators so that
     call-sites can simply forward whatever they were given.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -36,6 +46,8 @@ def spawn_rngs(seed: SeedLike, count: int) -> Sequence[np.random.Generator]:
     the Fig. 10 failure-injection runs) so each trial gets an independent
     stream while the whole experiment remains reproducible from a single seed.
     """
+    import numpy as np
+
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if isinstance(seed, np.random.Generator):
@@ -52,16 +64,14 @@ def derive_seed(seed: Optional[int], *salts: "int | str") -> int:
     Deterministic and order-sensitive; used to give sub-experiments (e.g. one
     per process count, method or scheme) distinct but reproducible seeds.
     String salts are hashed with CRC32 so the result does not depend on
-    Python's per-process hash randomisation.
+    Python's per-process hash randomisation.  Every step is taken modulo
+    2**64, so the result matches the same mix computed in ``uint64``.
     """
-    import zlib
-
-    state = np.uint64(0x9E3779B97F4A7C15)
+    state = 0x9E3779B97F4A7C15
     values = [0 if seed is None else int(seed)] + [
         zlib.crc32(s.encode("utf-8")) if isinstance(s, str) else int(s) for s in salts
     ]
     for value in values:
-        v = np.uint64(value & 0xFFFFFFFFFFFFFFFF)
-        state = np.uint64((int(state) ^ int(v)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF)
-        state = np.uint64(int(state) ^ (int(state) >> np.uint64(31)))
-    return int(state) & 0x7FFFFFFFFFFFFFFF
+        state = (state ^ (value & _MASK64)) * 0xBF58476D1CE4E5B9 & _MASK64
+        state ^= state >> 31
+    return state & 0x7FFFFFFFFFFFFFFF

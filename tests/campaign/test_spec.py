@@ -110,6 +110,21 @@ class TestCampaignSpec:
         assert spec.rtol_for("cg") == 1e-9
         assert spec.rtol_for("jacobi") is None
 
+    def test_demo_preset_cell_seeds_are_pinned(self):
+        # Every cached result and golden report is keyed by these seeds.
+        from repro.campaign.cli import demo_campaign
+
+        assert [cell.seed for cell in demo_campaign().expand()] == [
+            1521472527436295266, 6180367798082376645, 1615891047086183972,
+            6274786325931221259, 3658269509705205739, 8222746275808893983,
+            3563850991990918450, 8128327745028389297, 7569829561364552032,
+            3005352804550782991, 7475411038976470885, 2910934274340700865,
+            7843748419410373674, 3279271670361112025, 7749329906135532067,
+            3184853143176075068, 7808353759623307522, 3149458467536111841,
+            7902772281503716676, 3243876996903292391, 1946031665849564574,
+            6510508419360912589, 2040450185631405744, 6604926940952751539,
+        ]
+
 
 class TestScenarioAxis:
     def test_runspec_rejects_unknown_scenario_coordinates(self):
