@@ -10,7 +10,7 @@ from conftest import run_once
 
 from repro.cluster import ClusterModel
 from repro.core import CheckpointingScheme, paper_scale, young_interval
-from repro.engine import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.experiments.characterize import measure_scheme_ratio, scheme_timings
 from repro.experiments.config import method_problem, method_solver
@@ -36,7 +36,7 @@ def test_bench_ablation_checkpoint_interval(benchmark, bench_config):
         for factor in (0.25, 1.0, 4.0):
             overheads = []
             for rep in range(10):
-                report = FaultTolerantRunner(
+                report = FaultToleranceEngine(
                     solver, problem.b, scheme,
                     cluster=cluster, scale=scale,
                     mtti_seconds=bench_config.mtti_seconds,

@@ -38,7 +38,7 @@ import time
 from conftest import run_once
 
 from repro.cluster.machine import ClusterModel
-from repro.engine import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -82,7 +82,7 @@ def _measure():
         replay_hits = 0
         replay_iterations_saved = 0
         for repeat in range(_REPEATS):
-            engine = FaultTolerantRunner(
+            engine = FaultToleranceEngine(
                 solver,
                 problem.b,
                 scheme_factory(),

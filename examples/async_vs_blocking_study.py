@@ -16,8 +16,8 @@ overhead reduction the overlap buys.
 
 Run:  python examples/async_vs_blocking_study.py [jacobi|gmres|cg]
 
-The campaign-grid version of this sweep (``write_mode x checkpoint_costing``)
-is available as::
+The campaign-grid version of this sweep (``write_mode x scheme``) is
+available as::
 
     python -m repro.campaign --preset async-vs-blocking
 """

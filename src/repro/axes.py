@@ -17,10 +17,6 @@ CAMPAIGN_FAILURE_MODELS = ("poisson", "weibull", "bursty")
 #: Recovery-level regimes a scenario (and the campaign grid) accepts.
 RECOVERY_LEVELS = ("pfs", "fti")
 
-#: How checkpoint/recovery bytes are priced: from the measured serialized
-#: pipeline payload (default) or from the historical modeled estimate.
-CHECKPOINT_COSTINGS = ("measured", "modeled")
-
 #: Which timeline a checkpoint write runs on: ``blocking`` stalls the solver
 #: for the whole write (the paper's model); ``async`` overlaps the storage
 #: drain with compute on a second I/O channel and ships incremental deltas.

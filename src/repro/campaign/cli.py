@@ -82,9 +82,9 @@ def _error_bound_sweep() -> CampaignSpec:
 def _async_vs_blocking() -> CampaignSpec:
     """Overlapped (async) vs stop-the-world checkpoint writes per scheme.
 
-    Sweeps ``write_mode x checkpoint_costing`` over the paper's three schemes
-    so the overhead reduction from draining checkpoint writes on the I/O
-    channel can be read per scheme under both pricing regimes.
+    Sweeps ``write_mode`` over the paper's three schemes so the overhead
+    reduction from draining checkpoint writes on the I/O channel can be read
+    per scheme.
     """
     return CampaignSpec(
         name="async-vs-blocking",
@@ -92,7 +92,6 @@ def _async_vs_blocking() -> CampaignSpec:
         methods=("jacobi",),
         schemes=("traditional", "lossless", "lossy"),
         write_modes=("blocking", "async"),
-        checkpoint_costings=("measured", "modeled"),
         repetitions=3,
     )
 

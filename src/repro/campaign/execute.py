@@ -415,12 +415,11 @@ def _run_ft(cell) -> Dict[str, object]:
     The checkpoint interval follows the paper's two-step methodology: the
     scheme's checkpoint cost is characterized first, then Young's formula maps
     it to the interval (unless the cell pins an explicit interval).  The
-    cell's scenario coordinates (failure model x recovery levels x checkpoint
-    costing x write mode x store backend) select the engine regime; the
-    default prices
-    checkpoints from the measured pipeline payload under the paper's
+    cell's scenario coordinates (failure model x recovery levels x write mode
+    x store backend) select the engine regime; the default is the paper's
     blocking-write Poisson/PFS setup, while ``write_mode="async"`` runs the
     two-channel timeline with overlapped drains and incremental payloads.
+    Every regime prices checkpoints from the measured pipeline payload.
     """
     from repro.cluster.machine import ClusterModel
     from repro.core.model import young_interval
@@ -429,7 +428,6 @@ def _run_ft(cell) -> Dict[str, object]:
     from repro.experiments.characterize import (
         measured_checkpoint_bytes,
         measured_scheme_timings,
-        scheme_timings,
     )
 
     problem, solver, baseline = _setup(cell)
@@ -440,24 +438,18 @@ def _run_ft(cell) -> Dict[str, object]:
     scenario = Scenario(
         failure_model=cell.failure_model,
         recovery_levels=cell.recovery_levels,
-        checkpoint_costing=cell.checkpoint_costing,
         write_mode=cell.write_mode,
         store_backend=cell.store_backend,
     )
     # The a-priori estimate (Young interval, reported estimated seconds, the
-    # async capture/drain floor) is priced under the costing *and through the
-    # store backend's profile* the engine will charge, so the interval is
-    # optimized for the cost the run actually pays.
+    # async capture/drain floor) is priced from the measured payload *and
+    # through the store backend's profile* the engine will charge, so the
+    # interval is optimized for the cost the run actually pays.
     cluster = scenario.priced_on(ClusterModel(num_processes=cell.num_processes))
-    if cell.checkpoint_costing == "measured":
-        timings = measured_scheme_timings(scheme, char, scale, cluster)
-        ckpt_bytes = measured_checkpoint_bytes(
-            char, scale, fallback_vectors=scheme.dynamic_vector_count(cell.method)
-        )
-    else:
-        timings = scheme_timings(scheme, cell.method, char.mean_ratio, scale, cluster)
-        uncompressed = scale.vector_bytes * scheme.dynamic_vector_count(cell.method)
-        ckpt_bytes = (uncompressed, uncompressed / max(char.mean_ratio, 1e-12))
+    timings = measured_scheme_timings(scheme, char, scale, cluster)
+    ckpt_bytes = measured_checkpoint_bytes(
+        char, scale, fallback_vectors=scheme.dynamic_vector_count(cell.method)
+    )
     asynchronous = cell.write_mode == "async"
     capture_seconds = drain_seconds = None
     if asynchronous:
@@ -520,7 +512,6 @@ def _run_ft(cell) -> Dict[str, object]:
         "baseline_iterations": int(baseline.iterations),
         "failure_model": str(cell.failure_model),
         "recovery_levels": str(cell.recovery_levels),
-        "checkpoint_costing": str(cell.checkpoint_costing),
         "write_mode": str(cell.write_mode),
         "store_backend": str(cell.store_backend),
     }

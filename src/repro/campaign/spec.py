@@ -13,8 +13,8 @@ cells can be
 
 :class:`CampaignSpec` is the declarative grid {kind x method x scheme x
 compressor x error bound x error-bound policy x interval x MTTI x scenario
-(failure model x recovery levels x checkpoint costing x write mode x store
-backend) x scale x repetition}
+(failure model x recovery levels x write mode x store backend) x scale x
+repetition}
 that expands into the cell list;
 figure modules that need a heterogeneous or specially seeded cell list pass
 explicit ``cells`` instead of grid axes.
@@ -23,9 +23,11 @@ explicit ``cells`` instead of grid axes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import axes
 from repro.utils.rng import derive_seed
@@ -113,10 +115,6 @@ class RunSpec:
         How the lossy bound is chosen at each checkpoint: ``"fixed"``,
         ``"value_range"`` or ``"residual_adaptive"`` (see
         :mod:`repro.compression.errorbounds`).
-    checkpoint_costing:
-        How checkpoint/recovery bytes are priced: ``"measured"`` (serialized
-        pipeline payload, the default) or ``"modeled"`` (the historical
-        ``vector_bytes × n_vectors`` estimate).
     write_mode:
         Which timeline checkpoint writes run on: ``"blocking"`` (the paper's
         stop-the-world write, the default) or ``"async"`` (overlapped
@@ -165,7 +163,6 @@ class RunSpec:
     mtti_seconds: Optional[float] = 3600.0
     failure_model: str = "poisson"
     recovery_levels: str = "pfs"
-    checkpoint_costing: str = "measured"
     write_mode: str = "blocking"
     store_backend: str = "pfs"
     checkpoint_interval_seconds: Optional[float] = None
@@ -189,7 +186,6 @@ class RunSpec:
         for name, label, known in (
             ("failure_model", "failure model", axes.CAMPAIGN_FAILURE_MODELS),
             ("recovery_levels", "recovery levels", axes.RECOVERY_LEVELS),
-            ("checkpoint_costing", "checkpoint costing", axes.CHECKPOINT_COSTINGS),
             ("write_mode", "write mode", axes.WRITE_MODES),
             ("store_backend", "store backend", axes.STORE_BACKENDS),
             ("error_bound_policy", "error-bound policy", axes.BOUND_POLICIES),
@@ -225,7 +221,6 @@ class RunSpec:
             "mtti_seconds": None if self.mtti_seconds is None else float(self.mtti_seconds),
             "failure_model": self.failure_model,
             "recovery_levels": self.recovery_levels,
-            "checkpoint_costing": self.checkpoint_costing,
             "write_mode": self.write_mode,
             "store_backend": self.store_backend,
             "checkpoint_interval_seconds": (
@@ -284,7 +279,6 @@ class CampaignSpec:
     mttis: Tuple[Optional[float], ...] = (3600.0,)
     failure_models: Tuple[str, ...] = ("poisson",)
     recovery_levels: Tuple[str, ...] = ("pfs",)
-    checkpoint_costings: Tuple[str, ...] = ("measured",)
     write_modes: Tuple[str, ...] = ("blocking",)
     store_backends: Tuple[str, ...] = ("pfs",)
     process_counts: Tuple[int, ...] = (2048,)
@@ -310,9 +304,6 @@ class CampaignSpec:
         object.__setattr__(self, "mttis", tuple(self.mttis))
         object.__setattr__(self, "failure_models", tuple(self.failure_models))
         object.__setattr__(self, "recovery_levels", tuple(self.recovery_levels))
-        object.__setattr__(
-            self, "checkpoint_costings", tuple(self.checkpoint_costings)
-        )
         object.__setattr__(self, "write_modes", tuple(self.write_modes))
         object.__setattr__(self, "store_backends", tuple(self.store_backends))
         object.__setattr__(self, "process_counts", tuple(int(p) for p in self.process_counts))
@@ -331,42 +322,25 @@ class CampaignSpec:
         """Expand the grid into the ordered list of independent cells."""
         if self.cells:
             return list(self.cells)
-        expanded: List[RunSpec] = []
-        for method in self.methods:
-            for scheme in self.schemes:
-                for compressor in self.compressors:
-                    for eb in self.error_bounds:
-                        for policy in self.error_bound_policies:
-                            for interval in self.checkpoint_intervals:
-                                for mtti in self.mttis:
-                                    for failure_model in self.failure_models:
-                                        for levels in self.recovery_levels:
-                                            for costing in self.checkpoint_costings:
-                                                for mode in self.write_modes:
-                                                    for backend in self.store_backends:
-                                                        for procs in self.process_counts:
-                                                            for rep in range(
-                                                                self.repetitions
-                                                            ):
-                                                                expanded.append(
-                                                                    self._cell(
-                                                                        method,
-                                                                        scheme,
-                                                                        compressor,
-                                                                        eb,
-                                                                        policy,
-                                                                        interval,
-                                                                        mtti,
-                                                                        failure_model,
-                                                                        levels,
-                                                                        costing,
-                                                                        mode,
-                                                                        backend,
-                                                                        procs,
-                                                                        rep,
-                                                                    )
-                                                                )
-        return expanded
+        return [self._cell(*coords) for coords in itertools.product(*self._axes())]
+
+    def _axes(self) -> Tuple[Sequence, ...]:
+        """The grid axes in expansion order (the last one varies fastest)."""
+        return (
+            self.methods,
+            self.schemes,
+            self.compressors,
+            self.error_bounds,
+            self.error_bound_policies,
+            self.checkpoint_intervals,
+            self.mttis,
+            self.failure_models,
+            self.recovery_levels,
+            self.write_modes,
+            self.store_backends,
+            self.process_counts,
+            range(self.repetitions),
+        )
 
     def _cell(
         self,
@@ -379,7 +353,6 @@ class CampaignSpec:
         mtti: Optional[float],
         failure_model: str,
         recovery_levels: str,
-        checkpoint_costing: str,
         write_mode: str,
         store_backend: str,
         procs: int,
@@ -395,7 +368,7 @@ class CampaignSpec:
             procs,
             rep,
         ]
-        # Scenario/policy/costing coordinates only salt the seed when
+        # Scenario and policy coordinates only salt the seed when
         # non-default, so every pre-existing campaign keeps its exact
         # historical cell seeds (and with them the statistical baselines the
         # figure tests pin).
@@ -403,8 +376,6 @@ class CampaignSpec:
             salts += [failure_model, recovery_levels]
         if error_bound_policy != "fixed":
             salts += ["policy", error_bound_policy]
-        if checkpoint_costing != "measured":
-            salts += ["costing", checkpoint_costing]
         if write_mode != "blocking":
             salts += ["write_mode", write_mode]
         if store_backend != "pfs":
@@ -422,7 +393,6 @@ class CampaignSpec:
             mtti_seconds=mtti,
             failure_model=failure_model,
             recovery_levels=recovery_levels,
-            checkpoint_costing=checkpoint_costing,
             write_mode=write_mode,
             store_backend=store_backend,
             checkpoint_interval_seconds=interval,
@@ -440,22 +410,7 @@ class CampaignSpec:
     def __len__(self) -> int:
         if self.cells:
             return len(self.cells)
-        return (
-            len(self.methods)
-            * len(self.schemes)
-            * len(self.compressors)
-            * len(self.error_bounds)
-            * len(self.error_bound_policies)
-            * len(self.checkpoint_intervals)
-            * len(self.mttis)
-            * len(self.failure_models)
-            * len(self.recovery_levels)
-            * len(self.checkpoint_costings)
-            * len(self.write_modes)
-            * len(self.store_backends)
-            * len(self.process_counts)
-            * self.repetitions
-        )
+        return math.prod(len(axis) for axis in self._axes())
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -472,7 +427,6 @@ class CampaignSpec:
             "mttis": list(self.mttis),
             "failure_models": list(self.failure_models),
             "recovery_levels": list(self.recovery_levels),
-            "checkpoint_costings": list(self.checkpoint_costings),
             "write_modes": list(self.write_modes),
             "store_backends": list(self.store_backends),
             "process_counts": list(self.process_counts),

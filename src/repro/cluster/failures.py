@@ -252,7 +252,7 @@ class FailureInjector:
         #: of the window that finds them instead of at the stale arrival
         #: time.  The engine enables this on the two-channel (async)
         #: timeline; the blocking timeline keeps the stale arrival untouched
-        #: (pinned byte-identical to the pre-refactor runner).
+        #: (byte-pinned by the paper-regime golden reports).
         self.latent_clamp: bool = False
         #: The calendar entry carrying the pending arrival (set by
         #: :meth:`reschedule`; cancelled and re-posted when the arrival

@@ -63,6 +63,13 @@ class CompressedBlob:
         """
         return int(self.meta.get("format_version", 0))
 
+    def check_format_version(self, expected: int) -> None:
+        """Reject, before parsing a byte, a blob its reader cannot decode."""
+        if self.format_version != expected:
+            raise ValueError(
+                f"unsupported payload format version {self.format_version}"
+            )
+
     @property
     def original_nbytes(self) -> int:
         """Size of the original array in bytes."""

@@ -74,10 +74,7 @@ class _ShuffledShardedCompressor(Compressor):
         return {}
 
     def _decompress_array(self, blob: CompressedBlob) -> np.ndarray:
-        if blob.format_version != SHARDED_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported payload format version {blob.format_version}"
-            )
+        blob.check_format_version(SHARDED_FORMAT_VERSION)
         planes = decompress_sections(blob.payload)
         return assemble_planes(planes, blob.dtype, blob.shape)
 

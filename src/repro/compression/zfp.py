@@ -146,12 +146,9 @@ class ZFPCompressor(Compressor):
         scheme = blob.meta.get("scheme", "abs")
         if scheme == "raw":
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
-        elif blob.format_version == SHARDED_FORMAT_VERSION:
-            flat = self._decode_v2(blob.payload, scheme)
         else:
-            raise ValueError(
-                f"unsupported payload format version {blob.format_version}"
-            )
+            blob.check_format_version(SHARDED_FORMAT_VERSION)
+            flat = self._decode_v2(blob.payload, scheme)
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- block transform core -------------------------------------------

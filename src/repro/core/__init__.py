@@ -10,9 +10,10 @@ This package layers the primary contribution on top of the substrates:
   GMRES;
 * :mod:`repro.core.schemes` — the traditional / lossless / lossy checkpointing
   schemes;
-* :mod:`repro.core.runner` — deprecated compatibility shim for the
-  failure-injected execution engine, which now lives in :mod:`repro.engine`;
 * :mod:`repro.core.extra_iterations` — the empirical N' measurement (Fig. 2).
+
+The failure-injected execution engine lives in :mod:`repro.engine`; its
+report types are re-exported here.
 """
 
 from repro.core.model import (
@@ -38,10 +39,6 @@ from repro.core.gmres_theory import (
 )
 from repro.core.schemes import CheckpointingScheme
 from repro.core.scale import ExperimentScale, PAPER_WEAK_SCALING, paper_scale
-# Imported from repro.engine (not repro.core.runner) so that merely importing
-# this package does not trip the runner module's deprecation warning; the
-# historical ``repro.core.FaultTolerantRunner`` name keeps working.
-from repro.engine.core import FaultToleranceEngine as FaultTolerantRunner
 from repro.engine.report import BaselineRun, FTRunReport, run_failure_free
 from repro.core.extra_iterations import (
     ExtraIterationStudy,
@@ -69,7 +66,6 @@ __all__ = [
     "ExperimentScale",
     "PAPER_WEAK_SCALING",
     "paper_scale",
-    "FaultTolerantRunner",
     "FTRunReport",
     "BaselineRun",
     "run_failure_free",

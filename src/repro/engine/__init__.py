@@ -16,10 +16,6 @@ a typed state:
 * :mod:`repro.engine.replay` — the deterministic trajectory-replay cache
   (phases keyed by a digest of their exact numeric start state replay their
   recorded residual trajectory instead of re-executing matvecs).
-
-``repro.core.runner`` remains as a *deprecated* compatibility shim —
-accessing its ``FaultTolerantRunner`` emits a ``DeprecationWarning``; import
-:class:`~repro.engine.core.FaultToleranceEngine` from here instead.
 """
 
 from repro.engine.core import (

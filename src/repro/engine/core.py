@@ -1,12 +1,10 @@
 """Discrete-event fault-tolerance engine (Algorithms 1-2 + Section 5.4).
 
-This is the solver-agnostic successor of the original
-``FaultTolerantRunner``: the solver still runs for real (at reduced problem
-size) and its per-iteration callback drives a *virtual* cluster timeline,
-but the run is now narrated as explicit events on that timeline — compute,
-checkpoint, failure, recovery, rollback — dispatched against a typed
-:class:`EngineState` instead of a mutable dict closure, and every
-solver-specific decision flows through the ``CheckpointableState`` protocol
+The solver runs for real (at reduced problem size) and its per-iteration
+callback drives a *virtual* cluster timeline, narrated as explicit events —
+compute, checkpoint, failure, recovery, rollback — dispatched against a
+typed :class:`EngineState`, and every solver-specific decision flows
+through the ``CheckpointableState`` protocol
 (:class:`~repro.solvers.base.CheckpointSpec`) rather than ``isinstance``
 checks:
 
@@ -24,13 +22,11 @@ checks:
 * every checkpoint is written and restored through the single
   :class:`~repro.checkpoint.pipeline.CheckpointPipeline`: the solver's
   declared state is compressed per variable, packed into one serialized
-  payload, and — under the default ``measured`` costing — priced from that
-  payload's measured per-variable byte sizes instead of the historical
-  ``vector_bytes × dynamic_vector_count`` estimate.
+  payload, and priced from that payload's measured per-variable byte sizes.
 
-The ``modeled`` Poisson/PFS :class:`~repro.engine.scenario.Scenario`
-reproduces the original runner's reports byte-for-byte (pinned by the
-engine-equivalence test suite and the golden-report fixtures).
+Reports are byte-pinned by the golden-report fixtures: the paper regime
+(the default :class:`~repro.engine.scenario.Scenario`) across every solver
+and scheme, and the async, multilevel, bursty and store-backend axes.
 
 Event calendar
 --------------
@@ -173,9 +169,8 @@ class CheckpointRecord:
     #: The serialized pipeline payload plus its measured per-variable bytes.
     snapshot: PipelineSnapshot
     compression_ratio: float
-    #: Bytes this checkpoint was *priced* at (measured payload bytes scaled
-    #: to paper size under ``measured`` costing; the historical
-    #: ``vector_bytes × n_vectors / ratio(x)`` estimate under ``modeled``).
+    #: Bytes this checkpoint was *priced* at: its measured payload bytes,
+    #: each variable scaled to paper size by its own compression ratio.
     model_uncompressed_bytes: float
     model_compressed_bytes: float
     #: Cumulative compute seconds when this checkpoint completed — the anchor
@@ -444,7 +439,7 @@ class FaultToleranceEngine:
         self._async = self.scenario.asynchronous
         # Latent arrivals strike at the window that finds them on the
         # two-channel timeline only; the blocking timeline keeps the stale
-        # arrival untouched (pinned byte-identical to the legacy runner).
+        # arrival untouched (byte-pinned by the paper-regime golden reports).
         self._injector.latent_clamp = self._async
         self._injector.reschedule(calendar)
         if self.scenario.store_backend == "disk":
@@ -815,16 +810,8 @@ class FaultToleranceEngine:
             checkpoint_id=checkpoint_id,
         )
 
-        if self.scenario.measured:
-            model_uncompressed, model_compressed = snapshot.scaled_bytes(self.scale)
-            ratio = model_uncompressed / max(model_compressed, 1e-12)
-        else:
-            # Historical modeled estimate: every dynamic vector priced at the
-            # iterate's compression ratio (byte-compatible with the frozen
-            # pre-pipeline runner).
-            ratio = snapshot.ratio_of("x")
-            model_uncompressed = self.scale.vector_bytes * self._vectors
-            model_compressed = model_uncompressed / max(ratio, 1e-12)
+        model_uncompressed, model_compressed = snapshot.scaled_bytes(self.scale)
+        ratio = model_uncompressed / max(model_compressed, 1e-12)
         level: Optional[int] = None
         if self._store is not None:
             # With drains outstanding the level cycle has already been
@@ -1293,10 +1280,8 @@ class FaultToleranceEngine:
         if not self.scenario.is_paper_regime:
             info["failure_model"] = self.scenario.failure_model
             info["recovery_levels"] = self.scenario.recovery_levels
-        if self.scenario.measured:
-            # Absent under modeled costing so the paper-regime reports stay
-            # byte-identical to the frozen pre-pipeline runner.
-            info["checkpoint_costing"] = "measured"
+        # A constant, kept so every pinned report stays byte-identical.
+        info["checkpoint_costing"] = "measured"
         if self._backend is not None:
             info["store_backend"] = self.scenario.store_backend
             dedup_stats = getattr(self._backend, "dedup_stats", None)

@@ -14,17 +14,14 @@ failure-injection methodology that the original runner hard-wired:
   checkpoints are cheap local/partner copies that may not survive a failure
   (falling back to an older, safer checkpoint costs extra rollback).
 
-A third knob, **checkpoint costing**, selects how checkpoint/recovery bytes
-are priced: ``measured`` (the default) prices every checkpoint from the
-byte size of the serialized :class:`~repro.checkpoint.pipeline.
-CheckpointPipeline` payload it actually produced — each full-length vector
-scaled to paper size by its own measured compression ratio — while
-``modeled`` retains the historical ``vector_bytes × dynamic_vector_count /
-ratio(x)`` estimate.  The modeled Poisson/PFS regime reproduces the
-pre-pipeline runner byte-for-byte (pinned by the engine-equivalence suite);
-the campaign grid exposes all knobs as axes.
+Every scenario prices a checkpoint from the byte size of the serialized
+:class:`~repro.checkpoint.pipeline.CheckpointPipeline` payload it actually
+produced — each full-length vector scaled to paper size by its own measured
+compression ratio.  The default Poisson/PFS blocking regime's reports are
+byte-pinned by the paper-regime golden fixture; the campaign grid exposes
+every knob below as an axis.
 
-A fourth knob, **write mode**, selects the timeline a checkpoint write runs
+A third knob, **write mode**, selects the timeline a checkpoint write runs
 on: ``blocking`` (the paper's stop-the-world write — the solver stalls for
 compression *and* the PFS write) or ``async`` (two-channel timeline — the
 solver only stalls for the inline capture while the PFS write *drains* on a
@@ -32,7 +29,7 @@ separate I/O channel overlapping subsequent compute; the checkpoint is not
 recoverable until its drain completes, a failure mid-drain falls back to
 the previous completed checkpoint, and payloads ship incremental deltas).
 
-A fifth knob, **store backend**, selects which
+A fourth knob, **store backend**, selects which
 :class:`~repro.checkpoint.store.CheckpointStore` holds the payloads and
 which :class:`~repro.checkpoint.store.StoreProfile` prices the writes,
 reads, and drains: ``pfs`` (the default — the paper's implicit parallel
@@ -52,7 +49,6 @@ import numpy as np
 
 from repro.axes import (  # the axis vocabularies, re-exported
     CAMPAIGN_FAILURE_MODELS,
-    CHECKPOINT_COSTINGS,
     FAILURE_MODELS,
     RECOVERY_LEVELS,
     STORE_BACKENDS,
@@ -77,7 +73,6 @@ __all__ = [
     "FAILURE_MODELS",
     "CAMPAIGN_FAILURE_MODELS",
     "RECOVERY_LEVELS",
-    "CHECKPOINT_COSTINGS",
     "WRITE_MODES",
     "STORE_BACKENDS",
     "DEFAULT_SCENARIO",
@@ -102,7 +97,6 @@ class Scenario:
     failure_model: str = "poisson"
     recovery_levels: str = "pfs"
     failure_params: _Params = ()
-    checkpoint_costing: str = "measured"
     write_mode: str = "blocking"
     store_backend: str = "pfs"
 
@@ -110,7 +104,6 @@ class Scenario:
         for name, label, known in (
             ("failure_model", "failure model", FAILURE_MODELS),
             ("recovery_levels", "recovery levels", RECOVERY_LEVELS),
-            ("checkpoint_costing", "checkpoint costing", CHECKPOINT_COSTINGS),
             ("write_mode", "write mode", WRITE_MODES),
             ("store_backend", "store backend", STORE_BACKENDS),
         ):
@@ -122,17 +115,11 @@ class Scenario:
         )
 
     @property
-    def is_default(self) -> bool:
-        """True for the default regime (Poisson, PFS-only, measured bytes)."""
-        return self.is_paper_regime and self.measured
-
-    @property
     def is_paper_regime(self) -> bool:
         """Poisson arrivals + PFS-only recovery + blocking writes to the PFS.
 
-        The modeled variant of this regime is what the frozen pre-pipeline
-        runner priced, so its reports carry no scenario info keys — keeping
-        them byte-identical to the legacy reference.
+        The default regime: its reports carry no scenario info keys, keeping
+        them byte-identical to the paper-regime golden pins.
         """
         return (
             self.failure_model == "poisson"
@@ -141,11 +128,6 @@ class Scenario:
             and self.write_mode == "blocking"
             and self.store_backend == "pfs"
         )
-
-    @property
-    def measured(self) -> bool:
-        """True when checkpoints are priced from measured payload bytes."""
-        return self.checkpoint_costing == "measured"
 
     @property
     def asynchronous(self) -> bool:
@@ -174,10 +156,6 @@ class Scenario:
         """The failure injector for one run (disabled when ``mtti`` is None)."""
         if mtti_seconds is None or mtti_seconds == float("inf"):
             return FailureInjector(None, seed=seed)
-        if self.failure_model == "poisson" and not self.failure_params:
-            # Construct exactly what the pre-engine runner constructed so the
-            # RNG stream (and therefore every report byte) is unchanged.
-            return FailureInjector(mtti_seconds, seed=seed)
         model = make_failure_model(
             self.failure_model, mtti_seconds, **dict(self.failure_params)
         )
@@ -243,7 +221,6 @@ class Scenario:
             "failure_model": self.failure_model,
             "recovery_levels": self.recovery_levels,
             "failure_params": [[k, v] for k, v in self.failure_params],
-            "checkpoint_costing": self.checkpoint_costing,
             "write_mode": self.write_mode,
             "store_backend": self.store_backend,
         }
@@ -257,13 +234,11 @@ class Scenario:
             failure_params=tuple(
                 (str(k), v) for k, v in data.get("failure_params", [])
             ),
-            checkpoint_costing=str(data.get("checkpoint_costing", "measured")),
             write_mode=str(data.get("write_mode", "blocking")),
             store_backend=str(data.get("store_backend", "pfs")),
         )
 
 
 #: The default regime: homogeneous Poisson failures, PFS-only recovery,
-#: measured-payload checkpoint costing.  The paper's original modeled pricing
-#: remains available as ``Scenario(checkpoint_costing="modeled")``.
+#: blocking writes to the PFS.
 DEFAULT_SCENARIO = Scenario()

@@ -4,9 +4,9 @@ A scenario family beyond the paper: Section 5.4 (and the engine's default
 ``blocking`` write mode) charges every checkpoint write as a stop-the-world
 stall, which is exactly the cost lossy compression exists to shrink.  Real
 multilevel FT stacks hide most of it by draining the storage write
-asynchronously while compute continues.  This experiment sweeps ``write_mode
-x checkpoint_costing`` for each checkpointing scheme under injected failures
-and reports the fault-tolerance overhead reduction the overlap buys — i.e.
+asynchronously while compute continues.  This experiment sweeps
+``write_mode`` for each checkpointing scheme under injected failures and
+reports the fault-tolerance overhead reduction the overlap buys — i.e.
 how much of lossy checkpointing's advantage survives once traditional
 checkpoints stop blocking too.
 
@@ -42,21 +42,21 @@ STUDY_SCHEMES = ("traditional", "lossless", "lossy")
 
 @dataclass
 class AsyncOverlapResult:
-    """Mean overhead fraction per (scheme, write mode, costing) coordinate."""
+    """Mean overhead fraction per (scheme, write mode) coordinate."""
 
     method: str
     repetitions: int
-    #: ``(scheme, write_mode, checkpoint_costing) -> mean overhead fraction``.
-    overhead: Dict[Tuple[str, str, str], float] = field(default_factory=dict)
-    #: Mean async I/O-channel drain seconds per (scheme, costing).
-    drain_seconds: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    #: Mean dirty (failure-interrupted) drains per async run.
-    dirty_checkpoints: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: ``(scheme, write_mode) -> mean overhead fraction``.
+    overhead: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: Mean async I/O-channel drain seconds per scheme.
+    drain_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Mean dirty (failure-interrupted) drains per async run, per scheme.
+    dirty_checkpoints: Dict[str, float] = field(default_factory=dict)
 
-    def reduction(self, scheme: str, costing: str = "measured") -> float:
+    def reduction(self, scheme: str) -> float:
         """Fractional overhead reduction of async vs blocking for a scheme."""
-        blocking = self.overhead[(scheme, "blocking", costing)]
-        asynchronous = self.overhead[(scheme, "async", costing)]
+        blocking = self.overhead[(scheme, "blocking")]
+        asynchronous = self.overhead[(scheme, "async")]
         if blocking == 0.0:
             return 0.0
         return (blocking - asynchronous) / blocking
@@ -67,37 +67,35 @@ def async_overlap_cells(
     method: str = "jacobi",
     *,
     schemes: Sequence[str] = STUDY_SCHEMES,
-    costings: Sequence[str] = ("measured", "modeled"),
     repetitions: int = 3,
 ) -> List[RunSpec]:
-    """The study's campaign cells: write_mode x costing x scheme x repetition.
+    """The study's campaign cells: write_mode x scheme x repetition.
 
     Seeds are paired on purpose: the async and blocking cells of one
-    (scheme, costing, repetition) coordinate share a failure seed, so the
-    comparison is same-failure-stream rather than two independent draws.
+    (scheme, repetition) coordinate share a failure seed, so the comparison
+    is same-failure-stream rather than two independent draws.
     """
     cells: List[RunSpec] = []
     for scheme in schemes:
-        for costing in costings:
-            for rep in range(repetitions):
-                seed = derive_seed(
-                    config.seed, "async-overlap", method, scheme, costing, rep
-                )
-                for mode in WRITE_MODES:
-                    cells.append(
-                        RunSpec(
-                            kind="ft",
-                            scheme=scheme,
-                            error_bound=config.error_bound,
-                            adaptive=(scheme == "lossy" and method == "gmres"),
-                            mtti_seconds=config.mtti_seconds,
-                            checkpoint_costing=costing,
-                            write_mode=mode,
-                            repetition=rep,
-                            seed=seed,
-                            **campaign_fields(config, method),
-                        )
+        for rep in range(repetitions):
+            # The "measured" salt keeps every cell's historical seed.
+            seed = derive_seed(
+                config.seed, "async-overlap", method, scheme, "measured", rep
+            )
+            for mode in WRITE_MODES:
+                cells.append(
+                    RunSpec(
+                        kind="ft",
+                        scheme=scheme,
+                        error_bound=config.error_bound,
+                        adaptive=(scheme == "lossy" and method == "gmres"),
+                        mtti_seconds=config.mtti_seconds,
+                        write_mode=mode,
+                        repetition=rep,
+                        seed=seed,
+                        **campaign_fields(config, method),
                     )
+                )
     return cells
 
 
@@ -106,29 +104,28 @@ def run_async_overlap(
     method: str = "jacobi",
     *,
     schemes: Sequence[str] = STUDY_SCHEMES,
-    costings: Sequence[str] = ("measured", "modeled"),
     repetitions: int = 3,
     n_workers: int = 1,
     cache=None,
 ) -> AsyncOverlapResult:
     """Execute the sweep and aggregate the per-coordinate mean overheads."""
     cells = async_overlap_cells(
-        config, method, schemes=schemes, costings=costings, repetitions=repetitions
+        config, method, schemes=schemes, repetitions=repetitions
     )
     outcome = run_campaign(cells, n_workers=n_workers, cache=cache)
     result = AsyncOverlapResult(method=method, repetitions=int(repetitions))
-    overheads: Dict[Tuple[str, str, str], List[float]] = {}
-    drains: Dict[Tuple[str, str], List[float]] = {}
-    dirty: Dict[Tuple[str, str], List[float]] = {}
+    overheads: Dict[Tuple[str, str], List[float]] = {}
+    drains: Dict[str, List[float]] = {}
+    dirty: Dict[str, List[float]] = {}
     for cell, cell_result in zip(outcome.cells(), outcome.results()):
-        key = (cell.scheme, cell.write_mode, cell.checkpoint_costing)
+        key = (cell.scheme, cell.write_mode)
         overheads.setdefault(key, []).append(float(cell_result["overhead_fraction"]))
         if cell.write_mode == "async":
             info = cell_result["report"]["info"]
-            drains.setdefault((cell.scheme, cell.checkpoint_costing), []).append(
+            drains.setdefault(cell.scheme, []).append(
                 float(info.get("io_drain_seconds", 0.0))
             )
-            dirty.setdefault((cell.scheme, cell.checkpoint_costing), []).append(
+            dirty.setdefault(cell.scheme, []).append(
                 float(info.get("num_dirty_checkpoints", 0))
             )
     result.overhead = {key: float(np.mean(v)) for key, v in overheads.items()}
@@ -137,28 +134,27 @@ def run_async_overlap(
     return result
 
 
-def async_overlap_table(result: AsyncOverlapResult, *, costing: str = "measured") -> str:
-    """Render the per-scheme overhead reduction for one costing mode."""
+def async_overlap_table(result: AsyncOverlapResult) -> str:
+    """Render the per-scheme overhead reduction."""
     rows = []
-    schemes = sorted({scheme for scheme, _, c in result.overhead if c == costing})
-    for scheme in schemes:
-        blocking = result.overhead[(scheme, "blocking", costing)]
-        asynchronous = result.overhead[(scheme, "async", costing)]
+    for scheme in sorted({scheme for scheme, _ in result.overhead}):
+        blocking = result.overhead[(scheme, "blocking")]
+        asynchronous = result.overhead[(scheme, "async")]
         rows.append(
             [
                 scheme,
                 f"{100 * blocking:.1f}%",
                 f"{100 * asynchronous:.1f}%",
-                f"{100 * result.reduction(scheme, costing):.1f}%",
-                f"{result.drain_seconds.get((scheme, costing), 0.0):.0f}",
-                f"{result.dirty_checkpoints.get((scheme, costing), 0.0):.1f}",
+                f"{100 * result.reduction(scheme):.1f}%",
+                f"{result.drain_seconds.get(scheme, 0.0):.0f}",
+                f"{result.dirty_checkpoints.get(scheme, 0.0):.1f}",
             ]
         )
     return format_table(
         ["scheme", "blocking ovh", "async ovh", "reduction", "drain (s)", "dirty"],
         rows,
         title=(
-            f"Async overlap study — {result.method}, {costing} costing, "
+            f"Async overlap study — {result.method}, "
             f"{result.repetitions} repetition(s)"
         ),
     )

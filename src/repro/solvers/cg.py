@@ -7,18 +7,18 @@ describes under Algorithm 1.
 
 Two features exist specifically for the checkpoint/restart study:
 
-* ``warm_start=(p, rho)`` resumes the *same* Krylov sequence from a restored
-  direction vector and scalar — this is what traditional/lossless
-  checkpointing of CG does (checkpoint ``x`` **and** ``p``; line 4 of
-  Algorithm 1);
+* ``resume_state`` carrying ``p`` and ``rho`` resumes the *same* Krylov
+  sequence from a restored direction vector and scalar — this is what
+  traditional/lossless checkpointing of CG does (checkpoint ``x`` **and**
+  ``p``; line 4 of Algorithm 1);
 * calling ``solve`` again with the (lossily) recovered ``x`` as ``x0`` and no
-  warm start is the *restarted CG* scheme the paper adopts for lossy
+  resume state is the *restarted CG* scheme the paper adopts for lossy
   checkpointing (only ``x`` is checkpointed; the Krylov space is rebuilt).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.solvers.base import (
     Callback,
     CheckpointSpec,
     IterativeSolver,
-    ResumeState,
     SolveResult,
     register_solver,
 )
@@ -48,39 +47,6 @@ class CGSolver(IterativeSolver):
     checkpoint_spec = CheckpointSpec(
         extra_vectors=("p",), scalars=("rho",), exact_resume=True
     )
-
-    def solve(
-        self,
-        b: np.ndarray,
-        *,
-        x0: Optional[np.ndarray] = None,
-        callback: Optional[Callback] = None,
-        max_iter: Optional[int] = None,
-        iteration_offset: int = 0,
-        warm_start: Optional[Tuple[np.ndarray, float]] = None,
-        resume_state: Optional[ResumeState] = None,
-    ) -> SolveResult:
-        """Solve ``A x = b``; see class docstring for ``warm_start`` semantics.
-
-        ``warm_start=(p, rho)`` is the historical CG-specific spelling of the
-        generic ``resume_state`` protocol; passing both is rejected.
-        """
-        if warm_start is not None:
-            if resume_state is not None:
-                raise ValueError("pass either warm_start or resume_state, not both")
-            resume_state = ResumeState(
-                iteration=int(iteration_offset),
-                vectors={"p": np.array(warm_start[0], dtype=np.float64, copy=True)},
-                scalars={"rho": float(warm_start[1])},
-            )
-        return super().solve(
-            b,
-            x0=x0,
-            callback=callback,
-            max_iter=max_iter,
-            iteration_offset=iteration_offset,
-            resume_state=resume_state,
-        )
 
     def _solve(
         self,
@@ -105,7 +71,7 @@ class CGSolver(IterativeSolver):
         if resume is not None:
             p = np.array(resume.vectors["p"], dtype=np.float64, copy=True)
             if p.shape != x.shape:
-                raise ValueError("warm-start direction vector has the wrong shape")
+                raise ValueError("resumed direction vector has the wrong shape")
             rho = float(resume.scalars["rho"])
             z = M.solve(r)
         else:

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.campaign.execute import execute_cell
 from repro.campaign.spec import RunSpec
-from repro.core.runner import FTRunReport
+from repro.engine import FTRunReport
 from repro.experiments import SMALL_CONFIG, fig8_cells, run_fig8
 
 

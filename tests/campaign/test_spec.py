@@ -63,6 +63,38 @@ class TestCampaignSpec:
         assert len(spec) == len(cells)
         assert len({cell.cache_key() for cell in cells}) == len(cells)
 
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            "demo",
+            "scheme-sweep",
+            "error-bound-sweep",
+            "async-vs-blocking",
+            "store-backends",
+            "mtti-sweep",
+        ],
+    )
+    def test_preset_len_matches_expansion(self, preset):
+        from repro.campaign.cli import PRESETS
+
+        spec = PRESETS[preset]()
+        cells = spec.expand()
+        assert len(spec) == len(cells)
+        assert len({cell.cache_key() for cell in cells}) == len(cells)
+
+    def test_async_vs_blocking_preset_sweeps_write_mode_only(self):
+        from repro.campaign.cli import PRESETS
+
+        cells = PRESETS["async-vs-blocking"]().expand()
+        assert len(cells) == 18
+        # Repetition varies fastest, then write mode, then scheme.
+        assert [(cell.scheme, cell.write_mode) for cell in cells[::3]] == [
+            (scheme, mode)
+            for scheme in ("traditional", "lossless", "lossy")
+            for mode in ("blocking", "async")
+        ]
+        assert {cell.method for cell in cells} == {"jacobi"}
+
     def test_expansion_is_deterministic(self):
         spec = CampaignSpec(methods=("jacobi",), schemes=("lossy",), repetitions=4)
         assert spec.expand() == spec.expand()
@@ -123,6 +155,52 @@ class TestCampaignSpec:
             3184853143176075068, 7808353759623307522, 3149458467536111841,
             7902772281503716676, 3243876996903292391, 1946031665849564574,
             6510508419360912589, 2040450185631405744, 6604926940952751539,
+        ]
+
+    def test_scheme_sweep_preset_cell_seeds_are_pinned(self):
+        from repro.campaign.cli import PRESETS
+
+        assert [cell.seed for cell in PRESETS["scheme-sweep"]().expand()] == [
+            1521472527436295266, 6180367798082376645, 1615891047086183972,
+            6439578149334742154, 1875101400453840569, 6345159633644805747,
+            3658269509705205739, 8222746275808893983, 3563850991990918450,
+            7569829561364552032, 3005352804550782991, 7475411038976470885,
+            634357816815789229, 5198834566654581950, 539939288626589216,
+            7843748419410373674, 3279271670361112025, 7749329906135532067,
+            7808353759623307522, 3149458467536111841, 7902772281503716676,
+            5922815826911174110, 1358339077202169165, 5828397298426399416,
+            1946031665849564574, 6510508419360912589, 2040450185631405744,
+            6254222545262260959, 1689745783509689648, 6348641074154658865,
+            4929861853514420485, 270966574852384865, 5024280381840483531,
+            4101725765945151743, 8760621049660971336, 4196144296168939993,
+            457624815956815485, 5116520099021194434, 363206296095096922,
+            4037943767538102154, 8602420520773221081, 4132362284854362307,
+            3615845766942228576, 8180322521017395459, 3521427237247898214,
+            5860641846218863357, 1201746568823159049, 5766223322996097048,
+            7554230715739173875, 2989753950821609079, 7459812184867824269,
+            9030499169896587854, 4466022412439845177, 9124917700382117896,
+            7052670428254676211, 2393775149814560332, 6958251897542031837,
+            5530192619363503761, 871297331580085650, 5435774090197419455,
+            2012399072126251471, 6671294355906804252, 1917980543748768384,
+            3134511271928240037, 7698988028287654530, 3228929797949045994,
+            6640804730485944487, 2076327968564919936, 6735223252359022049,
+            8865885543354554272, 4206990263695564934, 8960304065231466286,
+            3621695582671875356, 8280590862299665487, 3716114104849089954,
+            2842598132973521714, 7501493420421348881, 2748179611115757012,
+            4106546119035482578, 8671022872130667856, 4200964649673507052,
+        ]
+
+    def test_store_backends_preset_cell_seeds_are_pinned(self):
+        from repro.campaign.cli import PRESETS
+
+        assert [cell.seed for cell in PRESETS["store-backends"]().expand()] == [
+            8907637237079475222, 1754829143058411968, 8482401068540288620,
+            3609515288454037820, 6167640649083516292, 8602437207230140032,
+            8722133437770611642, 2648884129731257513, 8126741892544671495,
+            8965323644663350948, 8948095509954541872, 1428193277351245515,
+            1565613686352291865, 2026543463502059422, 8275328772633170250,
+            1857064974719591478, 1255084258433665531, 7393980068794260780,
+            6791988657322092346, 3815262976023741462,
         ]
 
 
@@ -203,63 +281,54 @@ class TestScenarioAxis:
         assert rebuilt.expand() == spec.expand()
 
 
-class TestPolicyAndCostingAxes:
-    def test_runspec_rejects_unknown_policy_and_costing(self):
+class TestPolicyAxis:
+    def test_runspec_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown error-bound policy"):
             RunSpec(error_bound_policy="per_variable")
-        with pytest.raises(ValueError, match="unknown checkpoint costing"):
-            RunSpec(checkpoint_costing="guessed")
 
-    def test_policy_and_costing_change_cache_key(self):
+    def test_policy_changes_cache_key(self):
         base = RunSpec()
         assert base.error_bound_policy == "fixed"
-        assert base.checkpoint_costing == "measured"
         assert base.cache_key() != base.with_overrides(
             error_bound_policy="value_range"
-        ).cache_key()
-        assert base.cache_key() != base.with_overrides(
-            checkpoint_costing="modeled"
         ).cache_key()
 
     def test_pre_pipeline_dicts_load_defaults(self):
         data = RunSpec().to_dict()
         del data["error_bound_policy"]
-        del data["checkpoint_costing"]
         rebuilt = RunSpec.from_dict(data)
         assert rebuilt.error_bound_policy == "fixed"
-        assert rebuilt.checkpoint_costing == "measured"
 
-    def test_grid_expands_policy_and_costing_axes(self):
+    def test_grid_expands_policy_axis(self):
         spec = CampaignSpec(
             methods=("jacobi",),
             schemes=("lossy",),
             error_bound_policies=("fixed", "value_range", "residual_adaptive"),
-            checkpoint_costings=("measured", "modeled"),
         )
         cells = spec.expand()
-        assert len(cells) == 3 * 2
+        assert len(cells) == 3
         assert len(spec) == len(cells)
-        coords = {(c.error_bound_policy, c.checkpoint_costing) for c in cells}
-        assert len(coords) == 6
+        assert {c.error_bound_policy for c in cells} == {
+            "fixed", "value_range", "residual_adaptive"
+        }
         assert len({cell.cache_key() for cell in cells}) == len(cells)
 
-    def test_default_policy_and_costing_keep_historical_seeds(self):
-        # The new axes must not re-seed pre-pipeline campaigns: pinning the
-        # defaults expands to exactly the same cells as not mentioning them.
+    def test_default_policy_keeps_historical_seeds(self):
+        # The policy axis must not re-seed pre-pipeline campaigns: pinning the
+        # default expands to exactly the same cells as not mentioning it.
         base = CampaignSpec(methods=("jacobi", "cg"), repetitions=3, seed=99)
         pinned = CampaignSpec(
             methods=("jacobi", "cg"),
             repetitions=3,
             seed=99,
             error_bound_policies=("fixed",),
-            checkpoint_costings=("measured",),
         )
         assert base.expand() == pinned.expand()
         # Non-default coordinates draw distinct seeds.
         varied = CampaignSpec(
             methods=("jacobi",),
             error_bound_policies=("fixed", "value_range"),
-            checkpoint_costings=("measured", "modeled"),
+            repetitions=2,
         )
         cells = varied.expand()
         assert len({c.seed for c in cells}) == len(cells)
@@ -286,13 +355,12 @@ class TestWriteModeAxis:
             methods=("jacobi",),
             schemes=("traditional", "lossy"),
             write_modes=("blocking", "async"),
-            checkpoint_costings=("measured", "modeled"),
         )
         cells = spec.expand()
-        assert len(cells) == 2 * 2 * 2
+        assert len(cells) == 2 * 2
         assert len(spec) == len(cells)
-        coords = {(c.scheme, c.write_mode, c.checkpoint_costing) for c in cells}
-        assert len(coords) == 8
+        coords = {(c.scheme, c.write_mode) for c in cells}
+        assert len(coords) == 4
         assert len({cell.cache_key() for cell in cells}) == len(cells)
 
     def test_default_write_mode_keeps_historical_seeds(self):

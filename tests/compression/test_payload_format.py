@@ -17,12 +17,14 @@ Two format guarantees are pinned here:
 """
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.compression.base import CompressedBlob
 from repro.compression.errorbounds import ErrorBound
+from repro.compression.lossless import LzmaCompressor, ZlibCompressor
 from repro.compression.sharded import SHARDED_FORMAT_VERSION, decompress_sections
 from repro.compression.sz import SZCompressor
 from repro.compression.zfp import ZFPCompressor
@@ -129,3 +131,41 @@ class TestLegacyPayloadsDecode:
             meta={"scheme": "raw"},
         )
         assert np.array_equal(SZCompressor(1e-4).decompress(blob), data)
+
+
+_SHARDED_READERS = {
+    "sz": lambda: SZCompressor(1e-4),
+    "zfp": lambda: ZFPCompressor(ErrorBound.absolute(1e-5)),
+    "zlib": ZlibCompressor,
+    "lzma": LzmaCompressor,
+}
+
+
+class TestFormatVersionGate:
+    """Every sharded reader goes through one gate,
+    :meth:`CompressedBlob.check_format_version`: a version its writer never
+    stamped is refused with one message, before a byte is parsed."""
+
+    def test_gate_accepts_only_the_expected_version(self, smooth_vector):
+        blob = _unversioned_blob(smooth_vector, "sz", "abs", format_version=2)
+        blob.check_format_version(2)
+        with pytest.raises(
+            ValueError, match="^unsupported payload format version 2$"
+        ):
+            blob.check_format_version(3)
+
+    @pytest.mark.parametrize("name", sorted(_SHARDED_READERS))
+    def test_future_version_rejected_by_every_reader(self, smooth_vector, name):
+        compressor = _SHARDED_READERS[name]()
+        blob = compressor.compress(smooth_vector)
+        assert blob.format_version == SHARDED_FORMAT_VERSION
+        future = SHARDED_FORMAT_VERSION + 1
+        blob = replace(
+            blob,
+            payload=b"not a payload in any format",
+            meta={**blob.meta, "format_version": future},
+        )
+        with pytest.raises(
+            ValueError, match=f"^unsupported payload format version {future}$"
+        ):
+            compressor.decompress(blob)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import ClusterModel
-from repro.engine import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -35,7 +35,7 @@ def _make_runner(problem, cluster, scale, solver, scheme, **kwargs):
         seed=123,
     )
     defaults.update(kwargs)
-    return FaultTolerantRunner(solver, problem.b, scheme, **defaults), baseline
+    return FaultToleranceEngine(solver, problem.b, scheme, **defaults), baseline
 
 
 class TestFailureFreeBaseline:
@@ -80,7 +80,7 @@ class TestRunnerWithoutFailures:
         problem, cluster, scale = runner_setup
         solver = JacobiSolver(problem.A, rtol=1e-4, max_iter=20000)
         with pytest.raises(ValueError):
-            FaultTolerantRunner(
+            FaultToleranceEngine(
                 solver, problem.b, CheckpointingScheme.traditional(),
                 cluster=cluster, scale=scale, mtti_seconds=3600.0,
             )

@@ -65,7 +65,6 @@ class TestScenarioWriteMode:
 
     def test_async_is_not_the_paper_regime(self):
         assert not ASYNC.is_paper_regime
-        assert not ASYNC.is_default
         assert Scenario().write_mode == "blocking"
         assert Scenario().is_paper_regime
 

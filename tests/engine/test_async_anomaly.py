@@ -18,9 +18,8 @@ The fixes under test: latent failures strike at the start of the window
 that finds them in async mode (the process keeps pace with the billed
 clock), an overdue checkpoint is retaken immediately after failure
 handling, and captures respect the staging-slot backpressure cap
-(``MachineSpec.async_staging_slots``).  Blocking-mode behavior is pinned
-byte-identical to the legacy runner by ``test_equivalence.py`` and must not
-change.
+(``MachineSpec.async_staging_slots``).  Blocking-mode reports are pinned
+byte-identical by ``test_equivalence.py`` and must not change.
 """
 
 from dataclasses import replace

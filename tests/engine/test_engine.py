@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.failures import FailureInjector, ScriptedFailureModel
 from repro.cluster.machine import ClusterModel
-from repro.engine import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -40,7 +40,7 @@ def _engine(jacobi_setup, scheme, **kwargs):
         seed=17,
     )
     defaults.update(kwargs)
-    return FaultTolerantRunner(solver, problem.b, scheme, **defaults)
+    return FaultToleranceEngine(solver, problem.b, scheme, **defaults)
 
 
 def _scripted(*times):

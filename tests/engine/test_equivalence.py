@@ -1,31 +1,37 @@
-"""Engine ↔ pre-refactor runner equivalence (byte-identical reports).
+"""Paper-regime report pins (byte-identical ``FTRunReport.to_json()``).
 
-For the modeled-cost paper regime (Poisson failure arrivals, PFS-only
-recovery, ``checkpoint_costing="modeled"``) the discrete-event engine must
-reproduce the pre-refactor runner's ``FTRunReport.to_json()`` byte for byte
-across a (scheme × solver × seed) grid — the checkpoint-pipeline refactor
-moves the machinery, not the physics.  The reference implementation is the
-frozen copy in ``_legacy_runner.py``.  (The *default* scenario now prices
-checkpoints from measured pipeline payloads; its divergence from modeled
-costing is covered by the measured-costing engine tests.)
+The default scenario — Poisson failure arrivals, PFS-only recovery,
+blocking writes, checkpoints priced from their measured pipeline payloads —
+is the regime every paper figure runs in.  Its reports are pinned in
+``golden/paper_regime.json`` across a (solver × scheme × seed) grid with
+failures, one failure-free run and both give-up paths, so a refactor that
+moves the machinery but not the physics keeps every byte.
+
+Regenerate (only when a behavior change is intentional) with::
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
+        tests/engine/test_equivalence.py -q
 """
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _legacy_runner import LegacyFaultTolerantRunner
-
 from repro.cluster.machine import ClusterModel
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
-from repro.engine import FaultToleranceEngine, Scenario, run_failure_free
-from repro.engine.core import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine, run_failure_free
 from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
 
-SEEDS = (0, 1, 2)
+GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_regime.json"
+_REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
-#: The frozen legacy runner priced checkpoints from the modeled estimate.
-MODELED = Scenario(checkpoint_costing="modeled")
+SEEDS = (0, 1, 2)
 
 SOLVER_FACTORIES = {
     "jacobi": lambda A: JacobiSolver(A, rtol=1e-4, max_iter=50000),
@@ -39,6 +45,9 @@ SCHEME_FACTORIES = {
     "lossless": CheckpointingScheme.lossless,
     "lossy": lambda: CheckpointingScheme.lossy(1e-4),
 }
+
+#: The two ways a run gives up: the restart cap and the iteration budget.
+GIVE_UP_LIMITS = ("max_restarts", "max_total_iterations")
 
 
 @pytest.fixture(scope="module")
@@ -54,116 +63,129 @@ def grid_setup(poisson_small):
     return poisson_small, cluster, scale, solvers, baselines
 
 
-def _common_kwargs(problem, cluster, scale, method, baseline, seed):
-    iteration_seconds = cluster.calibrated_iteration_time(method, baseline.iterations)
-    return dict(
+@pytest.fixture(scope="module")
+def golden():
+    if not GOLDEN_PATH.exists():
+        pytest.skip(f"golden fixture missing: {GOLDEN_PATH}")
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _cases(baselines):
+    """Case name -> (method, scheme, seed, engine keyword overrides)."""
+    cases = {}
+    for method in sorted(SOLVER_FACTORIES):
+        for scheme in sorted(SCHEME_FACTORIES):
+            for seed in SEEDS:
+                cases[f"{method}-{scheme}-seed{seed}"] = (method, scheme, seed, {})
+    cases["failure-free"] = (
+        "jacobi",
+        "lossy",
+        3,
+        {
+            "mtti_seconds": None,
+            "checkpoint_interval_seconds": 600.0,
+            "estimated_checkpoint_seconds": None,
+        },
+    )
+    budget = max(2, baselines["jacobi"].iterations // 2)
+    for limit, value in zip(GIVE_UP_LIMITS, (0, budget)):
+        for seed in SEEDS:
+            cases[f"give-up-{limit}-seed{seed}"] = (
+                "jacobi",
+                "lossy",
+                seed,
+                {"mtti_seconds": 120.0, limit: value},
+            )
+    return cases
+
+
+def _run_case(grid_setup, name):
+    problem, cluster, scale, solvers, baselines = grid_setup
+    method, scheme, seed, overrides = _cases(baselines)[name]
+    baseline = baselines[method]
+    kwargs = dict(
         cluster=cluster,
         scale=scale,
         mtti_seconds=600.0,
         estimated_checkpoint_seconds=40.0,
-        iteration_seconds=iteration_seconds,
+        iteration_seconds=cluster.calibrated_iteration_time(
+            method, baseline.iterations
+        ),
         method=method,
         baseline=baseline,
         seed=seed,
     )
+    kwargs.update(overrides)
+    return FaultToleranceEngine(
+        solvers[method], problem.b, SCHEME_FACTORIES[scheme](), **kwargs
+    ).run()
 
 
-def _engine_kwargs(kwargs):
-    """The legacy runner has no scenario parameter; the engine pins modeled."""
-    return dict(kwargs, scenario=MODELED)
+def _assert_pinned(grid_setup, golden, name):
+    report = _run_case(grid_setup, name)
+    assert name in golden, f"{name} missing from fixture — regenerate"
+    assert json.loads(report.to_json()) == golden[name], (
+        f"{name}: FTRunReport drifted from the paper-regime pin"
+    )
+    return report
 
 
+@pytest.mark.skipif(_REGEN, reason="regenerating fixture")
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
 @pytest.mark.parametrize("method", sorted(SOLVER_FACTORIES))
-def test_reports_byte_identical(grid_setup, scheme_name, method):
-    problem, cluster, scale, solvers, baselines = grid_setup
+def test_reports_byte_identical(grid_setup, golden, scheme_name, method):
     failures_seen = 0
     for seed in SEEDS:
-        kwargs = _common_kwargs(
-            problem, cluster, scale, method, baselines[method], seed
-        )
-        legacy_report = LegacyFaultTolerantRunner(
-            solvers[method], problem.b, SCHEME_FACTORIES[scheme_name](), **kwargs
-        ).run()
-        engine_report = FaultTolerantRunner(
-            solvers[method],
-            problem.b,
-            SCHEME_FACTORIES[scheme_name](),
-            **_engine_kwargs(kwargs),
-        ).run()
-        assert engine_report.to_json() == legacy_report.to_json()
-        failures_seen += engine_report.num_failures
+        report = _assert_pinned(grid_setup, golden, f"{method}-{scheme_name}-seed{seed}")
+        failures_seen += report.num_failures
     # The grid must actually exercise the failure paths, not just agree on
     # failure-free runs.
     assert failures_seen > 0
 
 
-def test_failure_free_runs_identical(grid_setup):
-    problem, cluster, scale, solvers, baselines = grid_setup
-    kwargs = _common_kwargs(problem, cluster, scale, "jacobi", baselines["jacobi"], 3)
-    kwargs.update(mtti_seconds=None, checkpoint_interval_seconds=600.0)
-    kwargs.pop("estimated_checkpoint_seconds", None)
-    legacy = LegacyFaultTolerantRunner(
-        solvers["jacobi"], problem.b, CheckpointingScheme.lossy(1e-4), **kwargs
-    ).run()
-    engine = FaultTolerantRunner(
-        solvers["jacobi"],
-        problem.b,
-        CheckpointingScheme.lossy(1e-4),
-        **_engine_kwargs(kwargs),
-    ).run()
-    assert engine.to_json() == legacy.to_json()
-    assert engine.num_failures == 0
+@pytest.mark.skipif(_REGEN, reason="regenerating fixture")
+def test_failure_free_runs_identical(grid_setup, golden):
+    report = _assert_pinned(grid_setup, golden, "failure-free")
+    assert report.num_failures == 0
 
 
-def test_give_up_paths_identical(grid_setup):
-    """Both give-up paths agree byte-for-byte between engine and reference."""
-    problem, cluster, scale, solvers, baselines = grid_setup
-    baseline = baselines["jacobi"]
-    for extra in (
-        {"max_restarts": 0},
-        {"max_total_iterations": max(2, baseline.iterations // 2)},
-    ):
+@pytest.mark.skipif(_REGEN, reason="regenerating fixture")
+def test_give_up_paths_identical(grid_setup, golden):
+    """Both give-up paths stay byte-identical to the pin."""
+    for limit in GIVE_UP_LIMITS:
         for seed in SEEDS:
-            kwargs = _common_kwargs(problem, cluster, scale, "jacobi", baseline, seed)
-            kwargs["mtti_seconds"] = 120.0
-            kwargs.update(extra)
-            legacy = LegacyFaultTolerantRunner(
-                solvers["jacobi"], problem.b, CheckpointingScheme.lossy(1e-4), **kwargs
-            ).run()
-            engine = FaultTolerantRunner(
-                solvers["jacobi"],
-                problem.b,
-                CheckpointingScheme.lossy(1e-4),
-                **_engine_kwargs(kwargs),
-            ).run()
-            assert engine.to_json() == legacy.to_json()
+            _assert_pinned(grid_setup, golden, f"give-up-{limit}-seed{seed}")
 
 
-def test_no_cg_isinstance_in_engine_or_runner_shim():
+@pytest.mark.skipif(_REGEN, reason="regenerating fixture")
+def test_pin_covers_the_whole_grid(grid_setup, golden):
+    """Every pinned case is still run, and every run case is pinned."""
+    assert set(golden) == set(_cases(grid_setup[4]))
+
+
+@pytest.mark.skipif(not _REGEN, reason="set REPRO_REGEN_GOLDEN=1 to regenerate")
+def test_regenerate_golden(grid_setup):
+    payload = {
+        name: json.loads(_run_case(grid_setup, name).to_json())
+        for name in sorted(_cases(grid_setup[4]))
+    }
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def test_no_cg_isinstance_in_engine():
     """The engine is solver-agnostic: no CGSolver special cases remain."""
     import inspect
 
-    import repro.core.runner as runner_module
     import repro.engine.core as engine_module
 
-    for module in (engine_module, runner_module):
-        source = inspect.getsource(module)
-        assert "isinstance(self.solver, CGSolver)" not in source
-        assert "CGSolver" not in source
-
-
-def test_engine_is_the_runner():
-    """The deprecated compat shim still resolves to the engine (and warns)."""
-    import repro.core.runner as runner_module
-
-    with pytest.warns(DeprecationWarning, match="repro.engine"):
-        shim = runner_module.FaultTolerantRunner
-    assert shim is FaultToleranceEngine
+    source = inspect.getsource(engine_module)
+    assert "isinstance(self.solver, CGSolver)" not in source
+    assert "CGSolver" not in source
 
 
 def test_protocol_capture_matches_legacy_krylov_checkpoint(grid_setup):
-    """The generic capture stores exactly what the legacy CG path stored."""
+    """The generic capture stores CG's exact ``(p, rho)`` resume state."""
     problem, _, _, solvers, _ = grid_setup
     solver = solvers["cg"]
     captured = []

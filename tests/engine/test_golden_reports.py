@@ -1,9 +1,9 @@
 """Golden-report pins for the discrete-event engine.
 
-The blocking+modeled axes are already byte-pinned against the frozen legacy
-runner in ``test_equivalence.py``.  This suite extends the bit-identity net to
-the axes the legacy runner never had — async write mode, FTI multilevel
-recovery, bursty failure models, measured costing, chunked stores, and CG
+The paper regime (blocking writes, Poisson arrivals, PFS-only recovery) is
+byte-pinned across every solver and scheme in ``test_equivalence.py``.  This
+suite extends the bit-identity net to the other axes — async write mode, FTI
+multilevel recovery, bursty failure models, chunked stores, and CG
 resume-state payloads — by pinning ``FTRunReport.to_json()`` for a scenario
 grid captured from the engine *before* the event-calendar refactor.
 
@@ -68,11 +68,6 @@ _GRID = {
         "jacobi",
         lambda: CheckpointingScheme.lossy(1e-4),
         Scenario(write_mode="async", store_backend="chunked"),
-    ),
-    "lossy-modeled-async": (
-        "jacobi",
-        lambda: CheckpointingScheme.lossy(1e-4),
-        Scenario(checkpoint_costing="modeled", write_mode="async"),
     ),
     "cg-lossy-async": (
         "cg",

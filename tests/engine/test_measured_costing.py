@@ -1,14 +1,10 @@
 """Measured-payload checkpoint costing (the pipeline-unification contract).
 
-The default scenario prices every checkpoint from the measured serialized
+Every checkpoint is priced from the measured serialized
 :class:`~repro.checkpoint.pipeline.CheckpointPipeline` payload — each
-full-length vector scaled to paper size by its *own* compression ratio —
-while ``checkpoint_costing="modeled"`` retains the historical
-``vector_bytes × dynamic_vector_count / ratio(x)`` estimate.  The two must
-diverge exactly when per-variable compression ratios diverge.
+full-length vector scaled to paper size by its *own* compression ratio.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster.machine import ClusterModel
@@ -22,7 +18,6 @@ from repro.engine import (
 from repro.solvers import BiCGStabSolver, CGSolver, JacobiSolver
 
 MEASURED = Scenario()
-MODELED = Scenario(checkpoint_costing="modeled")
 
 
 @pytest.fixture(scope="module")
@@ -53,36 +48,25 @@ def _run(setup, solver, scheme, method, scenario, **kwargs):
     return engine, engine.run()
 
 
-def test_measured_is_the_default_scenario():
-    assert Scenario().checkpoint_costing == "measured"
-    assert Scenario().is_default
-    assert not MODELED.is_default
-    assert MODELED.is_paper_regime
-    with pytest.raises(ValueError, match="unknown checkpoint costing"):
-        Scenario(checkpoint_costing="guessed")
-    assert Scenario.from_dict(MODELED.to_dict()) == MODELED
-    # Pre-costing serialized scenarios load as the new default.
-    legacy = {"failure_model": "poisson", "recovery_levels": "pfs"}
-    assert Scenario.from_dict(legacy).checkpoint_costing == "measured"
-
-
-def test_measured_differs_from_modeled_when_variable_ratios_diverge(setup):
-    """Lossless CG stores x and p with different ratios: the modeled estimate
-    (two copies of x's ratio) cannot match the measured payload pricing."""
-    problem, _, _ = setup
+def test_cg_direction_priced_at_its_own_ratio(setup):
+    """Lossless CG stores x and p, which compress differently: a checkpoint is
+    priced from both measured sizes, not as two copies of x's ratio."""
+    problem, _, scale = setup
     solver = CGSolver(problem.A, rtol=1e-7, max_iter=20000)
-    scheme = CheckpointingScheme.lossless()
-    _, measured = _run(setup, solver, scheme, "cg", MEASURED)
-    _, modeled = _run(setup, solver, scheme, "cg", MODELED)
-    assert measured.converged and modeled.converged
-    assert measured.num_checkpoints == modeled.num_checkpoints
-    assert measured.mean_checkpoint_seconds != pytest.approx(
-        modeled.mean_checkpoint_seconds, rel=1e-6
+    engine, report = _run(
+        setup, solver, CheckpointingScheme.lossless(), "cg", MEASURED
     )
-    # Same solve either way: only the checkpoint pricing moved.
-    assert measured.total_iterations == modeled.total_iterations
-    assert measured.info["checkpoint_costing"] == "measured"
-    assert "checkpoint_costing" not in modeled.info
+    assert report.converged and report.num_checkpoints > 0
+    assert report.info["checkpoint_costing"] == "measured"
+    record = engine._state.last_checkpoint
+    x_ratio = record.snapshot.ratio_of("x")
+    assert record.snapshot.ratio_of("p") != pytest.approx(x_ratio, rel=1e-6)
+    assert record.model_uncompressed_bytes == pytest.approx(
+        2 * scale.vector_bytes, rel=1e-6
+    )
+    assert record.model_compressed_bytes != pytest.approx(
+        2 * scale.vector_bytes / x_ratio, rel=1e-6
+    )
 
 
 def test_measured_prices_every_declared_vector(setup):
@@ -134,14 +118,3 @@ def test_measured_recovery_priced_from_measured_bytes(setup):
         compressed=True,
     )
     assert engine._recovery_seconds(record) == pytest.approx(expected, rel=1e-12)
-
-
-def test_modeled_and_measured_agree_numerically_not_in_time(setup):
-    """Costing changes when checkpoints happen in *time*, never the math:
-    with a fixed interval and no failures the residual traces coincide."""
-    problem, _, _ = setup
-    solver = CGSolver(problem.A, rtol=1e-7, max_iter=20000)
-    scheme = CheckpointingScheme.lossless()
-    _, measured = _run(setup, solver, scheme, "cg", MEASURED)
-    _, modeled = _run(setup, solver, scheme, "cg", MODELED)
-    assert measured.residual_trace == modeled.residual_trace

@@ -16,7 +16,7 @@ from repro.cluster.failures import (
     make_failure_model,
 )
 from repro.cluster.machine import ClusterModel
-from repro.engine import FaultToleranceEngine as FaultTolerantRunner
+from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -86,6 +86,22 @@ class TestFailureModels:
             a.consume(a.next_failure_time())
             b.consume(b.next_failure_time())
 
+    def test_poisson_scenario_injector_draws_the_default_stream(self):
+        """The default scenario's injector draws what ``FailureInjector(mtti)``
+        draws, so Poisson needs no special case in ``build_injector``."""
+        a = FailureInjector(700.0, seed=5)
+        b = Scenario().build_injector(700.0, seed=5)
+        for _ in range(50):
+            assert a.next_failure_time() == b.next_failure_time()
+            a.consume(a.next_failure_time())
+            b.consume(b.next_failure_time())
+
+    @pytest.mark.parametrize("mtti", [None, float("inf")])
+    def test_scenario_injector_disabled_without_mtti(self, mtti):
+        injector = Scenario(failure_model="weibull").build_injector(mtti, seed=5)
+        assert injector.model is None
+        assert injector.next_failure_time() == float("inf")
+
 
 @pytest.fixture(scope="module")
 def scenario_setup(poisson_small):
@@ -110,7 +126,7 @@ def _run(scenario_setup, scheme, scenario, seed=11, **kwargs):
         scenario=scenario,
     )
     defaults.update(kwargs)
-    engine = FaultTolerantRunner(solver, problem.b, scheme, **defaults)
+    engine = FaultToleranceEngine(solver, problem.b, scheme, **defaults)
     return engine, engine.run()
 
 
@@ -120,8 +136,8 @@ class TestScenarioRuns:
             Scenario(failure_model="lognormal")
         with pytest.raises(ValueError):
             Scenario(recovery_levels="tape")
-        assert Scenario().is_default
-        assert not Scenario(failure_model="weibull").is_default
+        assert Scenario().is_paper_regime
+        assert not Scenario(failure_model="weibull").is_paper_regime
 
     def test_scenario_round_trip(self):
         scenario = Scenario(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.precond import IncompleteCholeskyPreconditioner
 from repro.solvers import CGSolver
+from repro.solvers.base import ResumeState
 from repro.sparse.matrices import random_spd
 
 
@@ -40,8 +41,13 @@ class TestConvergence:
         assert result.info["breakdown"] or not result.converged
 
 
-class TestWarmStart:
-    def test_warm_start_resumes_identical_trajectory(self, poisson_medium):
+def _krylov_resume(p, rho) -> ResumeState:
+    """The ``(p, rho)`` resume state a traditional CG checkpoint stores."""
+    return ResumeState(iteration=0, vectors={"p": p}, scalars={"rho": rho})
+
+
+class TestResumeState:
+    def test_resume_state_resumes_identical_trajectory(self, poisson_medium):
         """Checkpointing (x, p, rho) and resuming matches the uninterrupted run."""
         solver = CGSolver(poisson_medium.A, rtol=1e-11, max_iter=5000)
         full = solver.solve(poisson_medium.b)
@@ -59,13 +65,13 @@ class TestWarmStart:
         resumed = solver.solve(
             poisson_medium.b,
             x0=captured["x"],
-            warm_start=(captured["p"], captured["rho"]),
+            resume_state=_krylov_resume(captured["p"], captured["rho"]),
         )
         # Same remaining number of iterations (up to one) and same solution.
         assert abs((checkpoint_at + resumed.iterations) - full.iterations) <= 1
         assert np.allclose(resumed.x, full.x, atol=1e-8)
 
-    def test_cold_restart_needs_more_iterations_than_warm(self, poisson_medium):
+    def test_cold_restart_needs_more_iterations_than_resumed(self, poisson_medium):
         """Restarting from x alone (restarted CG) pays extra iterations."""
         solver = CGSolver(poisson_medium.A, rtol=1e-11, max_iter=5000)
         full = solver.solve(poisson_medium.b)
@@ -79,16 +85,18 @@ class TestWarmStart:
                 captured["rho"] = state.extras["rho"]
 
         solver.solve(poisson_medium.b, callback=capture)
-        warm = solver.solve(
-            poisson_medium.b, x0=captured["x"], warm_start=(captured["p"], captured["rho"])
+        resumed = solver.solve(
+            poisson_medium.b,
+            x0=captured["x"],
+            resume_state=_krylov_resume(captured["p"], captured["rho"]),
         )
         cold = solver.solve(poisson_medium.b, x0=captured["x"])
-        assert cold.iterations >= warm.iterations
+        assert cold.iterations >= resumed.iterations
 
-    def test_warm_start_wrong_shape_rejected(self, poisson_medium):
+    def test_resume_state_wrong_shape_rejected(self, poisson_medium):
         solver = CGSolver(poisson_medium.A)
-        with pytest.raises(ValueError):
-            solver.solve(poisson_medium.b, warm_start=(np.ones(3), 1.0))
+        with pytest.raises(ValueError, match="wrong shape"):
+            solver.solve(poisson_medium.b, resume_state=_krylov_resume(np.ones(3), 1.0))
 
 
 class TestInterface:

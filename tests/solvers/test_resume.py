@@ -5,7 +5,6 @@ import pytest
 
 from repro.solvers import (
     BiCGStabSolver,
-    CGSolver,
     GMRESSolver,
     JacobiSolver,
     checkpoint_spec_for,
@@ -80,36 +79,6 @@ class TestBiCGStabExactResume:
         tail = full.residual_norms[k + 2 :]
         # A cold restart rebuilds the Krylov space — not the same sequence.
         assert restarted.residual_norms[1:] != tail
-
-
-class TestCGResume:
-    def test_resume_state_equals_warm_start(self, poisson_medium):
-        solver = CGSolver(poisson_medium.A, rtol=1e-9, max_iter=2000)
-        full, states = _capture_all(solver, poisson_medium.b)
-        k = min(5, len(states) - 2)
-        snapshot = states[k]
-        resume = solver.capture_resume_state(snapshot)
-        assert resume is not None
-
-        via_protocol = solver.solve(
-            poisson_medium.b, x0=snapshot.x, resume_state=resume
-        )
-        via_warm_start = solver.solve(
-            poisson_medium.b,
-            x0=snapshot.x,
-            warm_start=(resume.vectors["p"], resume.scalars["rho"]),
-        )
-        assert via_protocol.residual_norms == via_warm_start.residual_norms
-        np.testing.assert_array_equal(via_protocol.x, via_warm_start.x)
-
-    def test_warm_start_and_resume_state_together_rejected(self, poisson_medium):
-        solver = CGSolver(poisson_medium.A, rtol=1e-9, max_iter=2000)
-        with pytest.raises(ValueError, match="not both"):
-            solver.solve(
-                poisson_medium.b,
-                warm_start=(np.zeros(solver.n), 1.0),
-                resume_state=ResumeState(iteration=0),
-            )
 
 
 class TestBoundaryOnlyAndMemoryless:

@@ -7,12 +7,12 @@ from repro.cluster import ClusterModel, FailureInjector
 from repro.compression import SZCompressor, make_compressor
 from repro.core import (
     CheckpointingScheme,
-    FaultTolerantRunner,
     max_acceptable_extra_iterations,
     measure_extra_iterations,
     paper_scale,
     run_failure_free,
 )
+from repro.engine import FaultToleranceEngine
 from repro.precond import IncompleteCholeskyPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
 from repro.sparse import poisson_system
@@ -91,7 +91,7 @@ class TestLossyCheckpointPipeline:
             lam=1 / 3600.0,
             iteration_seconds=iteration_seconds,
         )
-        report = FaultTolerantRunner(
+        report = FaultToleranceEngine(
             solver, problem.b, CheckpointingScheme.lossy(1e-4),
             cluster=cluster, scale=scale, mtti_seconds=3600.0,
             estimated_checkpoint_seconds=40.0, iteration_seconds=iteration_seconds,
