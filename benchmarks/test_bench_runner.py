@@ -13,9 +13,9 @@ measured:
 * ``lossy-weibull-fti`` — the heaviest blocking path: clustered failures
   plus multilevel checkpoint bookkeeping and survival draws,
 * ``traditional-poisson-async`` / ``lossy-poisson-async`` — the two-channel
-  timeline: overlapped I/O-channel drains, dirty-write settlement and
-  incremental delta payloads, so the event loop's throughput is tracked for
-  both write modes.
+  timeline: overlapped I/O-channel drains of full payloads and dirty-write
+  settlement, so the event loop's throughput is tracked for both write
+  modes.
 
 Numbers go to ``BENCH_runner.json`` (override with the ``BENCH_RUNNER_JSON``
 environment variable); the nightly benchmarks workflow uploads the file as

@@ -1,8 +1,7 @@
 """Microbenchmarks: checkpoint-store backends (throughput, pricing, dedup).
 
-Writes a slowly-mutating checkpoint series (the payload shape the engine's
-delta pipeline produces: most chunks repeat between consecutive
-checkpoints) through every store backend and measures
+Writes a slowly-mutating checkpoint series (most chunks repeat between
+consecutive checkpoints) through every store backend and measures
 
 * real host throughput (MB/s for write and read-back, wall clock),
 * the *modeled* seconds the backend's :class:`StoreProfile` prices for the

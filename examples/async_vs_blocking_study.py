@@ -5,8 +5,8 @@ The paper — and the engine's default ``blocking`` write mode — charges every
 checkpoint write inline: the solver stalls for compression *plus* the PFS
 write.  ``Scenario(write_mode="async")`` splits the timeline into a compute
 channel and an I/O channel: the solver stalls only for the inline capture
-while the storage write *drains* in the background (shipping incremental
-delta payloads), at the cost of a small compute-interference surcharge and
+while the storage write *drains* in the background (shipping the same full
+payload a blocking write would), at the cost of a small compute-interference surcharge and
 dirty-write risk — a failure mid-drain falls back to the previous completed
 checkpoint.
 

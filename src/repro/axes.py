@@ -19,7 +19,7 @@ RECOVERY_LEVELS = ("pfs", "fti")
 
 #: Which timeline a checkpoint write runs on: ``blocking`` stalls the solver
 #: for the whole write (the paper's model); ``async`` overlaps the storage
-#: drain with compute on a second I/O channel and ships incremental deltas.
+#: drain of the same full payload with compute on a second I/O channel.
 WRITE_MODES = ("blocking", "async")
 
 #: Which checkpoint-store backend holds (and prices) the payloads.  ``pfs``

@@ -418,7 +418,7 @@ def _run_ft(cell) -> Dict[str, object]:
     cell's scenario coordinates (failure model x recovery levels x write mode
     x store backend) select the engine regime; the default is the paper's
     blocking-write Poisson/PFS setup, while ``write_mode="async"`` runs the
-    two-channel timeline with overlapped drains and incremental payloads.
+    two-channel timeline with overlapped drains of full payloads.
     Every regime prices checkpoints from the measured pipeline payload.
     """
     from repro.cluster.machine import ClusterModel

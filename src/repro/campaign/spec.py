@@ -72,7 +72,9 @@ KINDS = (
 #: 10: ZFP writes payload format v2 (coefficient byte planes in the sharded
 #: frame) at DEFLATE level 2: zfp cells' measured payload bytes, ratios and
 #: checkpoint costs changed (reconstructions, hence iteration counts, did not).
-CACHE_VERSION = 10
+#: 11: async cells ship full payloads (no delta chains): their drains move,
+#: and their recoveries read, each checkpoint's own bytes.
+CACHE_VERSION = 11
 
 _Params = Tuple[Tuple[str, object], ...]
 
@@ -118,7 +120,7 @@ class RunSpec:
     write_mode:
         Which timeline checkpoint writes run on: ``"blocking"`` (the paper's
         stop-the-world write, the default) or ``"async"`` (overlapped
-        I/O-channel drains with incremental delta payloads; see
+        I/O-channel drains of full payloads; see
         :mod:`repro.engine.scenario`).
     num_processes:
         Paper-scale process count the cell is accounted at.

@@ -35,7 +35,6 @@ from repro.checkpoint.multilevel import (
     MultilevelCheckpointStore,
 )
 from repro.checkpoint.pipeline import (
-    DEFAULT_KEYFRAME_INTERVAL,
     PIPELINE_VERSION,
     CheckpointPipeline,
     PipelineSnapshot,
@@ -73,7 +72,6 @@ __all__ = [
     "RestoredCheckpoint",
     "VariableMeasurement",
     "PIPELINE_VERSION",
-    "DEFAULT_KEYFRAME_INTERVAL",
     "DELTA_COMPRESSOR",
     "delta_encode",
     "delta_decode",

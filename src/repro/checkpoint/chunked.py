@@ -7,8 +7,8 @@ small JSON *manifest* (chunk digests in order plus the total length) written
 under the checkpoint's integer id, so the wrapped store's ``ids`` /
 ``latest_id`` / ``prune`` semantics carry over unchanged.
 
-Identical blocks — across delta keyframes, FTI level replicas, or repeated
-writes of slowly-changing state — are therefore stored (and, in the engine's
+Identical blocks — across FTI level replicas or repeated writes of
+slowly-changing state — are therefore stored (and, in the engine's
 pricing model, *shipped*) only once: bytes that never hit the wire cost
 nothing.  The :class:`~repro.checkpoint.store.WriteReceipt` reports
 ``unique_bytes`` (chunk bytes newly added by this write) and ``dedup_ratio``

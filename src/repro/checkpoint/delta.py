@@ -1,26 +1,22 @@
-"""Bitwise delta encoding of checkpoint vectors (incremental payloads).
+"""Bitwise delta encoding of float64 vectors against a base (``delta64``).
 
 Successive iterates of a converging solver are *close*: most of the
-mantissa bits of ``x_k`` agree with ``x_{k-1}``.  The incremental mode of
-:class:`~repro.checkpoint.pipeline.CheckpointPipeline` exploits that by
-shipping, instead of a full compressed vector, the **residual of the raw
-IEEE-754 bit patterns** against the last committed payload:
+mantissa bits of ``x_k`` agree with ``x_{k-1}``.  A delta blob stores,
+instead of a full compressed vector, the **residual of the raw IEEE-754 bit
+patterns** against a base array:
 
 * both arrays are viewed as little-endian ``uint64`` words,
 * the wrapping word difference is zigzag-mapped (small signed residuals get
-  small codes) and packed through the existing v1 block codec
+  small codes) and packed through the v1 block codec
   (:mod:`repro.compression.codec` — per-block minimal widths, escape channel
   for rough regions, one DEFLATE pass),
 * decoding adds the residual back onto the base words, so reconstruction is
   **bitwise exact given the same base**.
 
-The delta blob records which checkpoint it is based on
-(``meta["base_id"]``); chains are cut by periodic full *keyframes* so a
-restore never has to walk unboundedly far back.  Because a delta reproduces
-its input exactly, the error behaviour of the variable is whatever the
-*input* already had: lossless inputs round-trip bitwise, and a lossy
-variable is delta-encoded on its bound-respecting *reconstruction*, so the
-restored value honours the same bound with zero accumulation across deltas.
+No checkpoint path writes these blobs: :class:`~repro.checkpoint.pipeline.
+CheckpointPipeline` ships full payloads only and refuses a ``delta64`` entry
+on restore.  The codec stays, with its exactness and damage tests, until the
+change that deletes it together with the v1 block codec.
 """
 
 from __future__ import annotations

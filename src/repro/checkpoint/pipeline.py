@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.checkpoint.delta import delta_decode, delta_encode, is_delta_blob
 from repro.checkpoint.serialization import (
     CheckpointPayload,
     deserialize_checkpoint,
@@ -62,7 +61,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PIPELINE_VERSION",
     "SCALAR_BYTES",
-    "DEFAULT_KEYFRAME_INTERVAL",
     "VariableMeasurement",
     "PipelineSnapshot",
     "RestoredCheckpoint",
@@ -77,20 +75,6 @@ PIPELINE_VERSION = 1
 
 #: Logical size of one exactly-stored scalar / 64-bit counter entry.
 SCALAR_BYTES = 8
-
-#: Every ``keyframe_interval``-th checkpoint id of an incremental pipeline is
-#: a full (non-delta) payload, bounding how far a restore chain can reach.
-DEFAULT_KEYFRAME_INTERVAL = 8
-
-#: How many committed payloads' reconstructions an incremental pipeline keeps
-#: as delta bases (far beyond the engine's one-level-cycle retention bound).
-_MAX_BASES = 32
-
-#: A delta only ships when it is at most this fraction of the full form.  A
-#: marginal delta (a few percent smaller) is a bad trade: it saves almost
-#: nothing on the drain but chains the restore through its base payload,
-#: roughly doubling the recovery read.
-DELTA_SHIP_THRESHOLD = 0.75
 
 
 def scaled_payload_bytes(
@@ -184,15 +168,6 @@ class PipelineSnapshot:
     iteration: int
     payload: bytes
     variables: List[VariableMeasurement] = field(default_factory=list)
-    #: Per-vector reconstructions (what a restorer of this payload will hold)
-    #: — populated only by incremental pipelines, where a committed snapshot
-    #: becomes the delta base of its successors.  Never serialized.
-    reconstructions: Dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Checkpoint id the payload's delta entries reference (``None`` for full
-    #: keyframe payloads).
-    base_id: Optional[int] = None
 
     @property
     def serialized_bytes(self) -> int:
@@ -282,18 +257,9 @@ class CheckpointPipeline:
     static:
         Optional mapping of static variables (``A`` component arrays, ``b``)
         snapshotted once by :meth:`snapshot_static` under id ``-1``.
-    incremental:
-        Enable delta payloads: each vector is delta-encoded against the last
-        *committed* payload (bitwise residuals through the v1 block codec,
-        see :mod:`repro.checkpoint.delta`) whenever the delta undercuts the
-        variable's full compressed form by :data:`DELTA_SHIP_THRESHOLD`,
-        with periodic full keyframes.
-        Exactly-stored variables delta on their raw values; the lossy ``x``
-        deltas on its bound-respecting reconstruction, so restores honour
-        the same bound with no accumulation across a chain.
-    keyframe_interval:
-        Every ``keyframe_interval``-th checkpoint id is forced to be a full
-        payload (:data:`DEFAULT_KEYFRAME_INTERVAL` by default).
+
+    Every payload is self-contained: each variable ships its full compressed
+    form, so a restore reads exactly one payload.
     """
 
     _STATIC_ID = -1
@@ -306,8 +272,6 @@ class CheckpointPipeline:
         spec: Optional[CheckpointSpec] = None,
         store: Optional[CheckpointStore] = None,
         static: Optional[Mapping[str, np.ndarray]] = None,
-        incremental: bool = False,
-        keyframe_interval: int = DEFAULT_KEYFRAME_INTERVAL,
     ) -> None:
         if spec is None:
             if solver is None:
@@ -334,22 +298,12 @@ class CheckpointPipeline:
         )
         self._decompressors: Dict[str, Compressor] = {}
         self._next_id = 0
-        self.incremental = bool(incremental)
-        self.keyframe_interval = int(keyframe_interval)
-        if self.incremental and self.keyframe_interval < 1:
-            raise ValueError(
-                f"keyframe_interval must be >= 1, got {keyframe_interval}"
-            )
-        #: Reconstructions of committed payloads, keyed by checkpoint id —
-        #: the delta bases a restore of a dependent payload resolves against.
-        self._bases: Dict[int, Dict[str, np.ndarray]] = {}
-        self._last_committed_id: Optional[int] = None
         # Optional snapshot memo (see :meth:`enable_snapshot_memo`): a
         # process-wide cache of finished payloads keyed by the pipeline's
-        # call-history digest, so deterministic re-runs skip re-compressing
+        # context and the call, so deterministic re-runs skip re-compressing
         # identical checkpoints.  Off unless the engine opts in.
         self._memo = None
-        self._lineage: Optional[bytes] = None
+        self._memo_context = b""
 
     @property
     def stores_resume_state(self) -> bool:
@@ -370,24 +324,13 @@ class CheckpointPipeline:
         the per-call inputs — the solver/matrix identity and the scheme's
         compressor configuration.
 
-        Correctness rests on a *lineage* argument rather than per-call purity:
-        :meth:`snapshot` output depends on mutable pipeline state (the delta
-        bases of previously committed payloads), so each memo key folds a
-        running digest of every prior ``snapshot``/``commit`` on this
-        pipeline.  Two pipelines reach the same lineage digest only by making
-        the identical call sequence with identical inputs from an identical
-        configuration — at which point their internal state matches and the
-        cached snapshot is byte-for-byte what a fresh compression pass would
-        produce.  Divergence (a failure discarding a checkpoint, a different
-        boundary schedule) changes the commit sequence and forks the lineage,
-        so stale entries can never be served.
+        Every payload is self-contained, so :meth:`snapshot` is a pure
+        function of ``context`` and its own arguments: no earlier
+        ``snapshot``, ``commit`` or discard on this pipeline can change the
+        bytes, and the memo key is ``context + call``.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(context)
-        h.update(b"incremental" if self.incremental else b"full")
-        h.update(struct.pack("<q", self.keyframe_interval))
         self._memo = memo
-        self._lineage = h.digest()
+        self._memo_context = bytes(context)
 
     def _memo_key(
         self,
@@ -399,9 +342,8 @@ class CheckpointPipeline:
         checkpoint_id: int,
         tag: dict,
     ) -> bytes:
-        """Digest of one snapshot call chained onto the pipeline lineage."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self._lineage)
+        """Digest of one snapshot call under the pipeline's memo context."""
+        h = hashlib.blake2b(self._memo_context, digest_size=16)
         h.update(state_digest(x, resume_state))
         h.update(struct.pack("<qq", int(iteration), int(checkpoint_id)))
         for value in (residual_norm, b_norm):
@@ -443,9 +385,6 @@ class CheckpointPipeline:
                 x, iteration, resume_state, residual_norm, b_norm,
                 int(checkpoint_id), tag,
             )
-            # The call joins the lineage whether it hits or misses — the
-            # *next* key must see it either way.
-            self._lineage = memo_key
             cached = self._memo.get(memo_key)
             if cached is not None:
                 return cached
@@ -469,9 +408,6 @@ class CheckpointPipeline:
                 "tag": tag,
             }
         )
-        base_id = self._delta_base_id(int(checkpoint_id))
-        reconstructions: Dict[str, np.ndarray] = {}
-        shipped_delta = False
         measurements: List[VariableMeasurement] = []
         for name, compressible in self._dynamic:
             value = values.get(name)
@@ -486,26 +422,7 @@ class CheckpointPipeline:
                 compressor = self._compressor_for(
                     name, residual_norm=residual_norm, b_norm=b_norm
                 )
-                if self.incremental and not self.scheme.stores_exactly(name):
-                    # What a restorer of this payload will hold: the
-                    # compressor's reconstruction, derived from the in-memory
-                    # codes when the compressor supports it (identical bytes
-                    # to a decompress of the blob, without the decode pass).
-                    blob, _, recon = compressor.compress_with_reconstruction(value)
-                else:
-                    blob, _ = compressor.compress_with_record(value)
-                    recon = None
-                if self.incremental:
-                    # The exact path must copy — ``value`` may alias a solver
-                    # buffer that keeps mutating, and a delta base has to
-                    # stay frozen.
-                    if recon is None:
-                        recon = np.array(value, dtype=np.float64, copy=True)
-                    reconstructions[name] = recon
-                    delta = self._try_delta(name, recon, base_id, blob)
-                    if delta is not None:
-                        blob = delta
-                        shipped_delta = True
+                blob, _ = compressor.compress_with_record(value)
                 payload.entries[name] = blob
                 measurements.append(
                     VariableMeasurement(
@@ -535,8 +452,6 @@ class CheckpointPipeline:
             iteration=int(iteration),
             payload=serialize_checkpoint(payload),
             variables=measurements,
-            reconstructions=reconstructions,
-            base_id=base_id if shipped_delta else None,
         )
         if memo_key is not None:
             self._memo.put(memo_key, result)
@@ -547,25 +462,8 @@ class CheckpointPipeline:
 
         Kept separate from :meth:`snapshot` so the engine can price — and on
         a mid-write failure discard — a checkpoint without it ever becoming
-        restorable.  Under :attr:`incremental` mode the committed snapshot's
-        reconstruction becomes the delta base of subsequent snapshots, store
-        or no store.
+        restorable.  A commit changes no later snapshot's bytes.
         """
-        if self._memo is not None:
-            # Commits pick the delta base of every later snapshot, so they
-            # fork the memo lineage exactly like snapshot calls do — a run
-            # that discards a checkpoint (mid-write failure) stops sharing
-            # keys with one that committed it.
-            h = hashlib.blake2b(digest_size=16)
-            h.update(self._lineage)
-            h.update(b"commit")
-            h.update(struct.pack("<q", int(snapshot.checkpoint_id)))
-            self._lineage = h.digest()
-        if self.incremental and snapshot.checkpoint_id >= 0:
-            self._bases[snapshot.checkpoint_id] = snapshot.reconstructions
-            self._last_committed_id = snapshot.checkpoint_id
-            while len(self._bases) > _MAX_BASES:
-                del self._bases[next(iter(self._bases))]
         if self.store is None:
             return None
         return self.store.write(snapshot.checkpoint_id, snapshot.payload)
@@ -626,12 +524,7 @@ class CheckpointPipeline:
         entries: Dict[str, object] = {}
         for name, entry in parsed.entries.items():
             if isinstance(entry, CompressedBlob):
-                if is_delta_blob(entry):
-                    entries[name] = self._resolve_delta(name, entry)
-                else:
-                    entries[name] = self._decompressor(entry.compressor).decompress(
-                        entry
-                    )
+                entries[name] = self._decompressor(entry.compressor).decompress(entry)
             else:
                 entries[name] = entry
         if "x" not in entries:
@@ -667,62 +560,6 @@ class CheckpointPipeline:
         return dict(parsed.entries)
 
     # -- internals -------------------------------------------------------------
-    def _delta_base_id(self, checkpoint_id: int) -> Optional[int]:
-        """The committed payload a delta snapshot would reference, if any.
-
-        ``None`` forces a full keyframe: the pipeline is not incremental, no
-        payload has been committed yet, or the id falls on the periodic
-        keyframe cadence.
-        """
-        if not self.incremental or self._last_committed_id is None:
-            return None
-        if checkpoint_id >= 0 and checkpoint_id % self.keyframe_interval == 0:
-            return None
-        return self._last_committed_id
-
-    def _try_delta(
-        self,
-        name: str,
-        recon: np.ndarray,
-        base_id: Optional[int],
-        direct: CompressedBlob,
-    ) -> Optional[CompressedBlob]:
-        """Delta blob for ``recon`` against the committed base, if it wins.
-
-        Returns ``None`` when no base is available (keyframe), the base lacks
-        this variable or changed shape, or the delta does not beat the full
-        compressed form by at least :data:`DELTA_SHIP_THRESHOLD` — a restore
-        of a delta payload has to read its base chain too, so a marginal
-        saving on the write is not worth the chained recovery.
-        """
-        if base_id is None:
-            return None
-        base = self._bases.get(base_id, {}).get(name)
-        if base is None or base.shape != recon.shape:
-            return None
-        meta = {}
-        if "error_bound" in direct.meta:
-            meta["error_bound"] = direct.meta["error_bound"]
-        delta = delta_encode(
-            recon, base, base_id=base_id, inner=direct.compressor, meta=meta
-        )
-        if delta.nbytes > DELTA_SHIP_THRESHOLD * direct.nbytes:
-            return None
-        return delta
-
-    def _resolve_delta(self, name: str, blob: CompressedBlob) -> np.ndarray:
-        """Decode one delta entry against its committed base reconstruction."""
-        base_id = int(blob.meta["base_id"])
-        base = self._bases.get(base_id, {}).get(name)
-        if base is None:
-            raise KeyError(
-                f"cannot restore delta entry {name!r}: base checkpoint "
-                f"{base_id} is not available in this pipeline (incremental "
-                "payloads must be restored by the pipeline that committed "
-                "their base chain)"
-            )
-        return delta_decode(blob, base)
-
     def _compressor_for(
         self,
         name: str,

@@ -155,11 +155,8 @@ class Compressor(abc.ABC):
     ) -> Tuple[CompressedBlob, CompressionRecord, np.ndarray]:
         """Compress ``data`` and also return what decompressing it yields.
 
-        Semantically ``compress_with_record`` followed by ``decompress``;
-        lossy compressors that already hold the quantized representation in
-        memory override this to derive the reconstruction without decoding
-        the payload.  The returned array is bitwise identical to
-        ``decompress(blob)`` either way.
+        ``compress_with_record`` followed by a decode of the blob, so the
+        returned array is bitwise identical to ``decompress(blob)``.
         """
         blob, record = self.compress_with_record(data)
         return blob, record, self._decompress_array(blob)

@@ -32,7 +32,6 @@ storage of the raw bytes (still satisfying the bound trivially).
 from __future__ import annotations
 
 import struct
-import time
 import zlib
 from typing import List, Optional
 
@@ -40,7 +39,6 @@ import numpy as np
 
 from repro.compression.base import (
     CompressedBlob,
-    CompressionRecord,
     Compressor,
     register_compressor,
 )
@@ -155,32 +153,6 @@ class SZCompressor(Compressor):
 
     # ------------------------------------------------------------------
     def _compress_array(self, data: np.ndarray) -> CompressedBlob:
-        return self._compress_impl(data, want_recon=False)[0]
-
-    def compress_with_reconstruction(self, data):
-        """Compress and derive the reconstruction from the in-memory codes.
-
-        The decode path dequantizes exactly the integer codes the encode
-        path produced (the block codec and the differencing predictor are
-        both lossless round trips), so dequantizing the codes still in
-        memory yields the same floats as ``decompress(blob)`` — without
-        paying the DEFLATE + bit-unpack decode.
-        """
-        arr = np.ascontiguousarray(data)
-        if arr.size == 0:
-            raise ValueError("cannot compress an empty array")
-        start = time.perf_counter()
-        blob, recon = self._compress_impl(arr, want_recon=True)
-        elapsed = time.perf_counter() - start
-        record = CompressionRecord("compress", arr.nbytes, blob.nbytes, elapsed)
-        self.records.append(record)
-        self.last_record = record
-        recon = recon.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
-        return blob, record, recon
-
-    def _compress_impl(
-        self, data: np.ndarray, *, want_recon: bool
-    ) -> "tuple[CompressedBlob, np.ndarray | None]":
         original_dtype = data.dtype
         flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
         meta = {
@@ -190,22 +162,17 @@ class SZCompressor(Compressor):
         }
 
         if self.error_bound.mode is ErrorBoundMode.POINTWISE_RELATIVE:
-            payload, scheme, recon = self._compress_pointwise_relative(
-                flat, want_recon=want_recon
-            )
+            payload, scheme = self._compress_pointwise_relative(flat)
         else:
-            payload, scheme, recon = self._compress_absolute_like(
-                flat, want_recon=want_recon
-            )
+            payload, scheme = self._compress_absolute_like(flat)
         meta["scheme"] = scheme
-        blob = CompressedBlob(
+        return CompressedBlob(
             payload=payload,
             shape=tuple(data.shape),
             dtype=np.dtype(original_dtype).str,
             compressor=self.name,
             meta=meta,
         )
-        return blob, recon
 
     def _decompress_array(self, blob: CompressedBlob) -> np.ndarray:
         scheme = blob.meta.get("scheme", "abs")
@@ -217,28 +184,23 @@ class SZCompressor(Compressor):
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- absolute / value-range relative -------------------------------
-    def _compress_absolute_like(
-        self, flat: np.ndarray, *, want_recon: bool = False
-    ) -> "tuple[bytes, str, np.ndarray | None]":
+    def _compress_absolute_like(self, flat: np.ndarray) -> "tuple[bytes, str]":
         bound = self.error_bound.absolute_for(flat)
         if bound <= 0.0:  # resolved bound underflowed (denormal-scale data)
-            return self._raw_fallback(flat), "raw", flat.copy() if want_recon else None
+            return self._raw_fallback(flat), "raw"
         try:
             quantized = quantize_absolute(flat, bound)
         except QuantizationOverflow:
-            return self._raw_fallback(flat), "raw", flat.copy() if want_recon else None
+            return self._raw_fallback(flat), "raw"
         payload = compress_sections(
             self._code_sections(quantized, flat.size),
             level=self.zlib_level,
             threads=self.threads,
         )
-        recon = dequantize_absolute(quantized) if want_recon else None
-        return payload, "abs", recon
+        return payload, "abs"
 
     # -- pointwise relative ---------------------------------------------
-    def _compress_pointwise_relative(
-        self, flat: np.ndarray, *, want_recon: bool = False
-    ) -> "tuple[bytes, str, np.ndarray | None]":
+    def _compress_pointwise_relative(self, flat: np.ndarray) -> "tuple[bytes, str]":
         transform = PointwiseRelativeTransform.forward(flat, self.error_bound.value)
         try:
             # forward() already validated finiteness of the input, and the log
@@ -247,7 +209,7 @@ class SZCompressor(Compressor):
                 transform.log_values, transform.log_bound, checked=False
             )
         except QuantizationOverflow:
-            return self._raw_fallback(flat), "raw", flat.copy() if want_recon else None
+            return self._raw_fallback(flat), "raw"
         sections = self._code_sections(quantized, flat.size)
         # packbits accepts bool arrays directly; the astype copy is waste.
         sections.append(np.packbits(transform.negative_mask))
@@ -255,10 +217,7 @@ class SZCompressor(Compressor):
         payload = compress_sections(
             sections, level=self.zlib_level, threads=self.threads
         )
-        recon = (
-            transform.backward(dequantize_absolute(quantized)) if want_recon else None
-        )
-        return payload, "pw_rel", recon
+        return payload, "pw_rel"
 
     # -- v2 code-stream helpers (byte planes in a sharded frame) --------
     def _code_sections(self, quantized: QuantizedArray, total_count: int) -> List:

@@ -210,22 +210,6 @@ class CheckpointingScheme:
         self._cached_bound_compressor = (key, compressor)
         return compressor
 
-    def stores_exactly(self, variable: str = "x") -> bool:
-        """Whether this scheme stores ``variable`` bit-for-bit.
-
-        Exact schemes (traditional/lossless) store everything exactly; the
-        lossy scheme compresses only the iterate ``x`` under an error bound
-        and keeps every other variable (Krylov recurrence state) exact.  The
-        incremental checkpoint pipeline uses this to decide whether a delta
-        can be taken on the raw value (exactly-stored variables) or must be
-        taken on the compressed *reconstruction* (lossy ``x`` — the delta
-        then reproduces the bound-respecting reconstruction bitwise, so the
-        error bound holds with zero accumulation across a delta chain).
-        """
-        if not self.lossy:
-            return True
-        return variable != "x"
-
     def dynamic_vector_count(self, method: "Union[str, IterativeSolver]") -> int:
         """How many full-length dynamic vectors this scheme checkpoints.
 

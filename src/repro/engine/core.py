@@ -83,8 +83,8 @@ commits* — a failure mid-drain discards the dirty write and recovery falls
 back to the previous completed checkpoint.  When every staging slot holds
 an in-flight drain the capture defers (backpressure), and the commit that
 frees a slot posts ``staging-slot-freed`` to end the deferral episode.
-Payloads ship incremental deltas against the last committed checkpoint
-(:mod:`repro.checkpoint.delta`) with periodic full keyframes.
+Every payload is a full one, as in blocking mode: a drain ships, and a
+recovery reads, exactly the checkpoint's own bytes.
 
 Blocking mode takes none of these paths and stays byte-identical to the
 single-clock engine (pinned by the equivalence suite).
@@ -178,14 +178,6 @@ class CheckpointRecord:
     compute_seconds_at_completion: float
     #: FTI level the payload was written to (None under PFS-only scenarios).
     level: Optional[int] = None
-    #: Bytes a *restore* of this checkpoint must read/decompress.  For a full
-    #: payload this equals the model bytes; for an incremental (delta) async
-    #: payload it is the whole base chain — keyframe plus every intermediate
-    #: delta — since the in-memory delta bases do not survive the failure the
-    #: scenario models.  ``None`` (blocking mode) falls back to the model
-    #: bytes.
-    restore_uncompressed_bytes: Optional[float] = None
-    restore_compressed_bytes: Optional[float] = None
 
 
 @dataclass
@@ -246,10 +238,6 @@ class EngineState:
     #: True while the current due checkpoint is being held back by staging
     #: backpressure (collapses per-iteration retries into one event).
     checkpoint_deferred: bool = False
-    #: Restore-chain bytes (uncompressed, compressed) by checkpoint id — what
-    #: a recovery must read back for an incremental payload (its keyframe
-    #: plus every intermediate delta).
-    restore_chain: Dict[int, Tuple[float, float]] = field(default_factory=dict)
 
 
 class FaultToleranceEngine:
@@ -461,9 +449,6 @@ class FaultToleranceEngine:
             # Multilevel wraps the physical backend when both are selected;
             # a bare backend persists payloads even under PFS-only recovery.
             store=self._store if self._store is not None else self._backend,
-            # Async cells ship incremental deltas — the drain prices the
-            # bytes an overlapped incremental writer would actually move.
-            incremental=self._async,
         )
         self._vectors = self.scheme.dynamic_vector_count(self.solver)
         self.events = (
@@ -481,13 +466,12 @@ class FaultToleranceEngine:
             if replay_enabled(self.replay)
             else None
         )
-        if self._replay is not None and (self.scheme.uses_compression or self._async):
-            # Same switch, second cache: checkpoint payloads along an
-            # identical pipeline history compress once per process instead
-            # of once per run (the compression pass dominates the event loop
-            # once the solve itself is replayed).  A blocking identity payload
-            # is a copy plus an index, cheaper than the digest that would key
-            # it; an async one is an incremental delta, which is not.
+        if self._replay is not None and self.scheme.uses_compression:
+            # Same switch, second cache: identical checkpoint calls compress
+            # once per process instead of once per run (the compression pass
+            # dominates the event loop once the solve itself is replayed).
+            # An identity payload is a copy plus an index, cheaper than the
+            # digest that would key it.
             self._pipeline.enable_snapshot_memo(
                 get_global_snapshot_memo(),
                 self._replay.context + scheme_fingerprint(self.scheme),
@@ -769,8 +753,7 @@ class FaultToleranceEngine:
             self._replay.note_boundary_state(it_state)
         if self._async:
             # Synchronization point: commit every drain that finished before
-            # this capture so the incremental snapshot deltas against the
-            # last *committed* payload (and the rollback anchor is current).
+            # this capture so the rollback anchor is current.
             self._settle_drains(clock.now)
             if self._io.in_flight >= self._staging_slots:
                 # Backpressure: every node-local staging buffer still holds
@@ -906,9 +889,9 @@ class FaultToleranceEngine:
         ``drain-complete`` event on the I/O calendar.
 
         The solver stalls only for compression + node-local staging; the
-        storage write of the (possibly delta-encoded) payload acquires the
-        I/O channel — starting when the channel frees up — and its completion
-        is posted at the drain's end time.  Until a synchronization point
+        storage write of the payload acquires the I/O channel — starting when
+        the channel frees up — and its completion is posted at the drain's
+        end time.  Until a synchronization point
         delivers that event the checkpoint is a *dirty* write: a failure
         discards it and recovery falls back to the previous completed
         checkpoint.  A failure during the capture itself discards the
@@ -945,15 +928,6 @@ class FaultToleranceEngine:
             ship_compressed, write_cost_multiplier=self._level_multiplier(level)
         )
         drain_start, drain_end = self._io.enqueue(clock.now, drain_seconds)
-        # A delta payload restores through its whole base chain (keyframe +
-        # intermediate deltas), so recovery is priced at the chain bytes, not
-        # just the delta the drain shipped.
-        restore_u, restore_c = model_uncompressed, model_compressed
-        if snapshot.base_id is not None:
-            base_u, base_c = state.restore_chain.get(snapshot.base_id, (0.0, 0.0))
-            restore_u += base_u
-            restore_c += base_c
-        state.restore_chain[snapshot.checkpoint_id] = (restore_u, restore_c)
         record = CheckpointRecord(
             checkpoint_id=snapshot.checkpoint_id,
             iteration=it_state.iteration,
@@ -963,8 +937,6 @@ class FaultToleranceEngine:
             model_compressed_bytes=model_compressed,
             compute_seconds_at_completion=self._compute.seconds_total,
             level=level,
-            restore_uncompressed_bytes=restore_u,
-            restore_compressed_bytes=restore_c,
         )
         self._io_calendar.post(
             drain_end,
@@ -990,11 +962,10 @@ class FaultToleranceEngine:
 
         A committed drain becomes the newest recovery point: the payload is
         persisted through the pipeline (entering the multilevel survival
-        cycle under ``fti`` scenarios), the rollback anchor rebases onto it,
-        and — in incremental mode — its reconstruction becomes the delta
-        base of subsequent snapshots.  If the commit frees a staging slot
-        while a capture is deferred, the backpressure episode ends with a
-        ``staging-slot-freed`` posting (delivered synchronously here).
+        cycle under ``fti`` scenarios) and the rollback anchor rebases onto
+        it.  If the commit frees a staging slot while a capture is deferred,
+        the backpressure episode ends with a ``staging-slot-freed`` posting
+        (delivered synchronously here).
         """
         if self._io.in_flight == 0:
             return
@@ -1219,19 +1190,9 @@ class FaultToleranceEngine:
             return self.cluster.recovery_seconds(
                 0.0, 0.0, static_bytes=self.scale.static_bytes, compressed=False
             )
-        read_uncompressed = (
-            last.restore_uncompressed_bytes
-            if last.restore_uncompressed_bytes is not None
-            else last.model_uncompressed_bytes
-        )
-        read_compressed = (
-            last.restore_compressed_bytes
-            if last.restore_compressed_bytes is not None
-            else last.model_compressed_bytes
-        )
         return self.cluster.recovery_seconds(
-            read_uncompressed,
-            read_compressed,
+            last.model_uncompressed_bytes,
+            last.model_compressed_bytes,
             static_bytes=self.scale.static_bytes,
             compressed=self.scheme.uses_compression,
             read_cost_multiplier=self._level_multiplier(last.level),

@@ -390,12 +390,11 @@ class SnapshotMemo:
     """Process-wide LRU of finished checkpoint payloads.
 
     Values are :class:`~repro.checkpoint.pipeline.PipelineSnapshot` objects
-    keyed by the pipeline's lineage digest (see
+    keyed by the digest of the pipeline's context and the snapshot call (see
     :meth:`~repro.checkpoint.pipeline.CheckpointPipeline.enable_snapshot_memo`).
-    Entries are immutable once built — payload bytes are never mutated and
-    delta-base reconstructions are only ever read — so a hit is returned by
-    reference.  Byte accounting covers the serialized payload plus retained
-    reconstructions.
+    Entries are immutable once built — payload bytes are never mutated — so a
+    hit is returned by reference.  Byte accounting covers the serialized
+    payload.
     """
 
     _ENTRY_OVERHEAD_BYTES = 256
@@ -418,10 +417,7 @@ class SnapshotMemo:
 
     @classmethod
     def _measure(cls, snapshot) -> int:
-        size = len(snapshot.payload) + cls._ENTRY_OVERHEAD_BYTES
-        for recon in snapshot.reconstructions.values():
-            size += int(recon.nbytes)
-        return size
+        return len(snapshot.payload) + cls._ENTRY_OVERHEAD_BYTES
 
     def get(self, key: bytes):
         snapshot = self._entries.get(key)

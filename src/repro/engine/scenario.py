@@ -27,7 +27,8 @@ compression *and* the PFS write) or ``async`` (two-channel timeline — the
 solver only stalls for the inline capture while the PFS write *drains* on a
 separate I/O channel overlapping subsequent compute; the checkpoint is not
 recoverable until its drain completes, a failure mid-drain falls back to
-the previous completed checkpoint, and payloads ship incremental deltas).
+the previous completed checkpoint; payloads are the same full payloads a
+blocking write ships).
 
 A fourth knob, **store backend**, selects which
 :class:`~repro.checkpoint.store.CheckpointStore` holds the payloads and

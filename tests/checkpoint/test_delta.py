@@ -1,4 +1,8 @@
-"""Delta codec + incremental pipeline: keyframes, chains, bound preservation."""
+"""Delta codec: bitwise exactness, damaged frames, and no pipeline use.
+
+The ``delta64`` codec has no writer in the checkpoint pipeline; its
+exactness and damage tests stay until the codec modules are deleted.
+"""
 
 import dataclasses
 
@@ -8,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.checkpoint import CheckpointPipeline, MemoryCheckpointStore
+from repro.checkpoint import (
+    CheckpointPayload,
+    CheckpointPipeline,
+    serialize_checkpoint,
+)
 from repro.checkpoint.delta import (
     DELTA_COMPRESSOR,
     delta_decode,
@@ -17,7 +25,7 @@ from repro.checkpoint.delta import (
 )
 from repro.compression.codec import CodecFormatError
 from repro.core.schemes import CheckpointingScheme
-from repro.solvers import CGSolver, JacobiSolver
+from repro.solvers import JacobiSolver
 
 finite_vectors = arrays(
     np.float64,
@@ -117,152 +125,10 @@ class TestMalformedFrames:
         assert survived < 64
 
 
-class TestIncrementalPipeline:
-    def test_lossless_chain_restores_bitwise_after_n_deltas(self):
-        """Every payload of a committed delta chain restores bit-for-bit."""
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-            keyframe_interval=4,
-        )
-        states = _drifting_states()
-        snaps = []
-        for i, x in enumerate(states):
-            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
-            pipeline.commit(snap)
-            snaps.append(snap)
-        shipped = [s.variables[-1].compressor for s in snaps]
-        assert DELTA_COMPRESSOR in shipped  # deltas actually won somewhere
-        for i, (x, snap) in enumerate(zip(states, snaps)):
-            restored = pipeline.restore(payload=snap.payload)
-            assert restored.x.tobytes() == x.tobytes(), f"checkpoint {i}"
+class TestPipelineShipsNoDeltas:
+    """The codec above stays until its modules go; no pipeline writes it."""
 
-    def test_keyframe_cadence(self):
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-            keyframe_interval=4,
-        )
-        states = _drifting_states(steps=9)
-        for i, x in enumerate(states):
-            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
-            pipeline.commit(snap)
-            if i % 4 == 0:
-                # Keyframes never reference a base, whatever the history.
-                assert snap.base_id is None
-            elif i > 0:
-                assert snap.base_id == i - 1
-
-    def test_lossy_chain_respects_bound_after_n_deltas(self, poisson_small):
-        """Restores along a lossy delta chain honour the pointwise bound with
-        zero accumulation (deltas ride the bound-respecting reconstruction)."""
-        eb = 1e-4
-        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=50000)
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossy(eb),
-            solver=solver,
-            incremental=True,
-            keyframe_interval=4,
-        )
-        captured = []
-        solver.solve(poisson_small.b, callback=lambda s: captured.append(s.x.copy()))
-        states = captured[:: max(1, len(captured) // 10)][:10]
-        for i, x in enumerate(states):
-            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
-            pipeline.commit(snap)
-            restored = pipeline.restore(payload=snap.payload)
-            assert np.all(
-                np.abs(restored.x - x) <= eb * np.abs(x) + 1e-300
-            ), f"bound violated at delta-chain position {i}"
-
-    def test_exact_resume_vectors_survive_the_chain(self, poisson_small):
-        solver = CGSolver(poisson_small.A, rtol=1e-7, max_iter=1000)
-        states = []
-        solver.solve(poisson_small.b, callback=lambda s: states.append(s))
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            solver=solver,
-            store=MemoryCheckpointStore(),
-            incremental=True,
-        )
-        picks = states[2:8]
-        for i, state in enumerate(picks):
-            resume = solver.capture_resume_state(state)
-            snap = pipeline.snapshot(
-                state.x, iteration=state.iteration, resume_state=resume,
-                checkpoint_id=i,
-            )
-            pipeline.commit(snap)
-            restored = pipeline.restore(i)
-            assert restored.x.tobytes() == state.x.tobytes()
-            assert (
-                restored.resume_state.vectors["p"].tobytes()
-                == resume.vectors["p"].tobytes()
-            )
-
-    def test_restore_without_base_raises(self):
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-        )
-        states = _drifting_states(steps=3)
-        delta_snap = None
-        for i, x in enumerate(states):
-            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
-            pipeline.commit(snap)
-            if snap.base_id is not None:
-                delta_snap = snap
-        assert delta_snap is not None
-        fresh = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-        )
-        with pytest.raises(KeyError, match="base checkpoint"):
-            fresh.restore(payload=delta_snap.payload)
-
-    def test_uncommitted_snapshot_is_not_a_base(self):
-        """Deltas reference the last *committed* payload, not the last taken."""
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.lossless(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-            keyframe_interval=100,
-        )
-        states = _drifting_states(steps=4)
-        first = pipeline.snapshot(states[0], iteration=0, checkpoint_id=1)
-        pipeline.commit(first)
-        discarded = pipeline.snapshot(states[1], iteration=1, checkpoint_id=2)
-        assert discarded.base_id == 1
-        # The dirty write never commits; the next snapshot still bases on 1.
-        third = pipeline.snapshot(states[2], iteration=2, checkpoint_id=3)
-        assert third.base_id == 1
-        pipeline.commit(third)
-        restored = pipeline.restore(payload=third.payload)
-        assert restored.x.tobytes() == states[2].tobytes()
-
-    def test_delta_base_survives_in_place_mutation_of_source(self):
-        """The committed base must be frozen even if the caller keeps
-        mutating the snapshotted buffer (solvers update x in place)."""
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-            keyframe_interval=100,
-        )
-        live = np.linspace(1.0, 2.0, 256)
-        pipeline.commit(pipeline.snapshot(live, iteration=0, checkpoint_id=1))
-        second = live * (1.0 + 1e-12)
-        snap = pipeline.snapshot(second, iteration=1, checkpoint_id=2)
-        pipeline.commit(snap)
-        live *= -3.0  # the solver moves on; the frozen base must not follow
-        restored = pipeline.restore(payload=snap.payload)
-        assert restored.x.tobytes() == second.tobytes()
-
-    def test_non_incremental_payloads_carry_no_deltas(self):
+    def test_payloads_carry_no_deltas(self):
         pipeline = CheckpointPipeline(
             CheckpointingScheme.lossless(), spec=JacobiSolver.checkpoint_spec
         )
@@ -270,22 +136,32 @@ class TestIncrementalPipeline:
         for i, x in enumerate(states):
             snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
             pipeline.commit(snap)
-            assert snap.base_id is None
             assert all(m.compressor != DELTA_COMPRESSOR for m in snap.variables)
 
-    def test_delta_ships_only_when_smaller(self, rng):
-        """Uncorrelated successive states fall back to the full payload."""
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(),
-            spec=JacobiSolver.checkpoint_spec,
-            incremental=True,
-            keyframe_interval=100,
+    def test_restoring_a_delta_entry_raises_and_never_decodes(self, monkeypatch):
+        """A hand-built ``delta64`` entry is refused by name: the restore
+        path has no delta branch, so no codec function ever runs on it."""
+        import repro.checkpoint.delta as delta_module
+
+        base, value = _drifting_states(steps=2)
+        payload = serialize_checkpoint(
+            CheckpointPayload(
+                entries={
+                    "iteration": 1,
+                    "x": delta_encode(value, base, base_id=0),
+                },
+                meta={"kind": "dynamic", "pipeline_version": 1, "iteration": 1},
+            )
         )
-        a = rng.standard_normal(256)
-        b = rng.standard_normal(256) * 1e17  # nothing in common with a
-        pipeline.commit(pipeline.snapshot(a, iteration=0, checkpoint_id=1))
-        snap = pipeline.snapshot(b, iteration=1, checkpoint_id=2)
-        (x_meas,) = [m for m in snap.variables if m.name == "x"]
-        assert x_meas.compressor != DELTA_COMPRESSOR
-        restored = pipeline.restore(payload=snap.payload)
-        assert restored.x.tobytes() == b.tobytes()
+
+        def never(*args, **kwargs):
+            raise AssertionError("a delta entry was decoded")
+
+        for name in ("delta_decode", "decode_frame", "decode_signed"):
+            monkeypatch.setattr(delta_module, name, never)
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.lossless(), spec=JacobiSolver.checkpoint_spec
+        )
+        pipeline.commit(pipeline.snapshot(base, iteration=0, checkpoint_id=0))
+        with pytest.raises(KeyError, match="unknown compressor 'delta64'"):
+            pipeline.restore(payload=payload)

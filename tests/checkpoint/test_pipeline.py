@@ -182,6 +182,241 @@ class TestPropertyRoundTrip:
         assert np.all(np.abs(restored.x - x) <= tolerance + 1e-300)
 
 
+def _memo_states(count=4, n=96):
+    """Nearby CG-shaped states (``x`` plus the declared ``p``/``rho``)."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(n)
+    states = []
+    for step in range(count):
+        x = x + rng.standard_normal(n) * 10.0 ** (-3 - step)
+        resume = ResumeState(
+            iteration=step,
+            vectors={"p": rng.standard_normal(n)},
+            scalars={"rho": float(step) + 0.5},
+        )
+        states.append((x.copy(), resume))
+    return states
+
+
+MEMO_SCHEMES = {
+    "traditional": CheckpointingScheme.traditional,
+    "lossless": CheckpointingScheme.lossless,
+    "lossy": lambda: CheckpointingScheme.lossy(1e-4),
+    "adaptive": lambda: CheckpointingScheme.lossy(1e-4, adaptive=True),
+}
+
+#: One snapshot call: ``(state, checkpoint id, residual norm, committed?)``
+#: — an uncommitted snapshot is a checkpoint a mid-write failure discarded.
+memo_calls = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([1.0, 1e-3, 1e-7]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestSnapshotMemoDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme_name=st.sampled_from(sorted(MEMO_SCHEMES)),
+        histories=st.lists(memo_calls, min_size=2, max_size=3),
+    )
+    def test_memo_serves_the_bytes_a_fresh_pass_writes(self, scheme_name, histories):
+        """Memoized and memo-free pipelines write byte-identical payloads
+        over random snapshot/commit/discard histories, and the memo answers
+        every repeated call whatever was committed or discarded before it."""
+        from repro.engine.replay import SnapshotMemo
+
+        states = _memo_states()
+        memo = SnapshotMemo()
+        seen, repeats = set(), 0
+        for history in histories:
+            scheme = MEMO_SCHEMES[scheme_name]()
+            memoed, reference = (
+                CheckpointPipeline(
+                    scheme, spec=CGSolver.checkpoint_spec, store=MemoryCheckpointStore()
+                )
+                for _ in range(2)
+            )
+            memoed.enable_snapshot_memo(memo, b"context")
+            for state, checkpoint_id, residual_norm, committed in history:
+                call = (state, checkpoint_id, residual_norm)
+                repeats += call in seen
+                seen.add(call)
+                x, resume = states[state]
+                kwargs = dict(
+                    iteration=10 * state,
+                    resume_state=resume,
+                    residual_norm=residual_norm,
+                    b_norm=1.0,
+                    checkpoint_id=checkpoint_id,
+                )
+                got = memoed.snapshot(x, **kwargs)
+                want = reference.snapshot(x, **kwargs)
+                assert got.payload == want.payload
+                assert got.checkpoint_id == want.checkpoint_id == checkpoint_id
+                if committed:
+                    memoed.commit(got)
+                    reference.commit(want)
+            for checkpoint_id in reference.store.ids():
+                assert memoed.store.read(checkpoint_id) == reference.store.read(
+                    checkpoint_id
+                )
+                restored = memoed.restore(checkpoint_id)
+                expected = reference.restore(checkpoint_id)
+                assert restored.x.tobytes() == expected.x.tobytes()
+        assert memo.hits == repeats
+
+
+def _drifting_states(n=256, steps=8, seed=5):
+    """Successive iterate-like states that stay close to each other."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    states = [x.copy()]
+    for step in range(1, steps):
+        x = x + rng.standard_normal(n) * 10.0 ** (-6.0 - 0.4 * step)
+        states.append(x.copy())
+    return states
+
+
+class TestFullPayloads:
+    """Every payload is self-contained: it restores on its own, whatever
+    was committed, discarded or mutated around it."""
+
+    def test_every_lossless_payload_restores_bitwise_on_a_fresh_pipeline(self):
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.lossless(), spec=JacobiSolver.checkpoint_spec
+        )
+        states = _drifting_states()
+        snaps = []
+        for i, x in enumerate(states):
+            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
+            pipeline.commit(snap)
+            snaps.append(snap)
+        for i, (x, snap) in enumerate(zip(states, snaps)):
+            fresh = CheckpointPipeline(
+                CheckpointingScheme.lossless(), spec=JacobiSolver.checkpoint_spec
+            )
+            restored = fresh.restore(payload=snap.payload)
+            assert restored.x.tobytes() == x.tobytes(), f"checkpoint {i}"
+            assert restored.iteration == i
+
+    def test_lossy_restores_respect_the_bound_at_every_checkpoint(
+        self, poisson_small
+    ):
+        """The pointwise bound holds at every checkpoint of a run, with no
+        error carried from one payload to the next."""
+        eb = 1e-4
+        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=50000)
+        pipeline = CheckpointPipeline(CheckpointingScheme.lossy(eb), solver=solver)
+        captured = []
+        solver.solve(poisson_small.b, callback=lambda s: captured.append(s.x.copy()))
+        states = captured[:: max(1, len(captured) // 10)][:10]
+        for i, x in enumerate(states):
+            snap = pipeline.snapshot(x, iteration=i, checkpoint_id=i)
+            pipeline.commit(snap)
+            restored = pipeline.restore(payload=snap.payload)
+            assert np.all(
+                np.abs(restored.x - x) <= eb * np.abs(x) + 1e-300
+            ), f"bound violated at checkpoint {i}"
+
+    def test_exact_resume_vectors_survive_every_checkpoint(self, poisson_small):
+        solver = CGSolver(poisson_small.A, rtol=1e-7, max_iter=1000)
+        states = []
+        solver.solve(poisson_small.b, callback=lambda s: states.append(s))
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.lossless(),
+            solver=solver,
+            store=MemoryCheckpointStore(),
+        )
+        picks = states[2:8]
+        resumes = [solver.capture_resume_state(state) for state in picks]
+        for i, (state, resume) in enumerate(zip(picks, resumes)):
+            pipeline.commit(
+                pipeline.snapshot(
+                    state.x, iteration=state.iteration, resume_state=resume,
+                    checkpoint_id=i,
+                )
+            )
+        # Read back after the whole run: no later write disturbs an earlier one.
+        for i, (state, resume) in enumerate(zip(picks, resumes)):
+            restored = pipeline.restore(i)
+            assert restored.x.tobytes() == state.x.tobytes()
+            assert (
+                restored.resume_state.vectors["p"].tobytes()
+                == resume.vectors["p"].tobytes()
+            )
+
+    def test_discarded_snapshot_leaves_the_next_payload_unchanged(self):
+        """A mid-write failure discards a snapshot; the next payload is the
+        one a pipeline that never took it would write."""
+        states = _drifting_states(steps=3)
+        with_discard, without = (
+            CheckpointPipeline(
+                CheckpointingScheme.lossless(),
+                spec=JacobiSolver.checkpoint_spec,
+                store=MemoryCheckpointStore(),
+            )
+            for _ in range(2)
+        )
+        for pipeline in (with_discard, without):
+            pipeline.commit(pipeline.snapshot(states[0], iteration=0, checkpoint_id=1))
+        with_discard.snapshot(states[1], iteration=1, checkpoint_id=2)
+        got = with_discard.snapshot(states[2], iteration=2, checkpoint_id=3)
+        want = without.snapshot(states[2], iteration=2, checkpoint_id=3)
+        assert got.payload == want.payload
+        with_discard.commit(got)
+        assert with_discard.store.ids() == [1, 3]
+        assert with_discard.restore(3).x.tobytes() == states[2].tobytes()
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+    def test_payload_survives_in_place_mutation_of_source(self, memo):
+        """Solvers update ``x`` in place; a taken payload must not follow,
+        and a memo must not serve it for the mutated buffer."""
+        from repro.engine.replay import SnapshotMemo
+
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.traditional(), spec=JacobiSolver.checkpoint_spec
+        )
+        if memo:
+            pipeline.enable_snapshot_memo(SnapshotMemo(), b"context")
+        live = np.linspace(1.0, 2.0, 256)
+        original = live.copy()
+        snap = pipeline.snapshot(live, iteration=1, checkpoint_id=1)
+        live *= -3.0  # the solver moves on
+        assert pipeline.restore(payload=snap.payload).x.tobytes() == original.tobytes()
+        again = pipeline.snapshot(live, iteration=1, checkpoint_id=1)
+        assert pipeline.restore(payload=again.payload).x.tobytes() == live.tobytes()
+
+    @pytest.mark.parametrize("scheme_name", ["traditional", "lossless", "lossy"])
+    def test_payload_is_independent_of_the_history(self, scheme_name):
+        """A snapshot after a run of commits is byte-identical to the same
+        call on a pipeline that has taken nothing before."""
+        scheme = MEMO_SCHEMES[scheme_name]
+        states = _memo_states()
+        seasoned = CheckpointPipeline(scheme(), spec=CGSolver.checkpoint_spec)
+        for i, (x, resume) in enumerate(states[:-1]):
+            seasoned.commit(
+                seasoned.snapshot(
+                    x, iteration=i, resume_state=resume, residual_norm=1e-3,
+                    b_norm=1.0, checkpoint_id=i,
+                )
+            )
+        x, resume = states[-1]
+        kwargs = dict(
+            iteration=len(states), resume_state=resume, residual_norm=1e-3,
+            b_norm=1.0, checkpoint_id=len(states),
+        )
+        fresh = CheckpointPipeline(scheme(), spec=CGSolver.checkpoint_spec)
+        assert seasoned.snapshot(x, **kwargs).payload == fresh.snapshot(
+            x, **kwargs
+        ).payload
+
+
 class TestPerVariablePolicy:
     def test_lossy_x_exact_recurrence_per_variable_bounds(self, poisson_small):
         """A lossy scheme that *does* keep Krylov state stores it exactly

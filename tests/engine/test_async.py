@@ -2,7 +2,13 @@
 
 import pytest
 
+from repro.checkpoint import (
+    DELTA_COMPRESSOR,
+    CheckpointPipeline,
+    deserialize_checkpoint,
+)
 from repro.cluster.machine import ClusterModel
+from repro.compression.base import CompressedBlob
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import FaultToleranceEngine, Scenario, run_failure_free
@@ -13,7 +19,7 @@ from repro.engine.events import (
     DrainStartedEvent,
     RecoveryEvent,
 )
-from repro.solvers import JacobiSolver
+from repro.solvers import CGSolver, JacobiSolver
 
 ASYNC = Scenario(write_mode="async")
 
@@ -266,69 +272,77 @@ class TestDrainSemantics:
             assert event.level == int(cycle[index % len(cycle)])
 
 
-class TestDeltaChainRecoveryPricing:
-    def test_recovery_reads_the_chain_not_just_the_delta(self, async_setup):
-        """Restoring a delta payload is priced at keyframe + deltas bytes."""
-        from repro.checkpoint.pipeline import PipelineSnapshot
-        from repro.engine import CheckpointRecord
+@pytest.fixture(scope="module")
+def cg_lossy_setup(poisson_small):
+    """CG under a lossy bound: restored iterates repeat nearly the same state,
+    so successive payloads are near-identical — where a delta writer, if one
+    were left, would ship deltas and chain recoveries."""
+    solver = CGSolver(poisson_small.A, rtol=1e-8, max_iter=100000)
+    baseline = run_failure_free(solver, poisson_small.b)
+    cluster = ClusterModel(num_processes=2048)
+    iteration_seconds = cluster.calibrated_iteration_time("cg", baseline.iterations)
+    return (
+        poisson_small, solver, baseline, cluster, paper_scale(2048), iteration_seconds
+    )
 
-        engine = _engine(
-            async_setup,
-            CheckpointingScheme.lossless(),
+
+class TestFullPayloads:
+    """Async checkpoints ship one self-contained payload each."""
+
+    def test_async_run_commits_no_delta_entry(self, cg_lossy_setup, monkeypatch):
+        committed = []
+        commit = CheckpointPipeline.commit
+
+        def recording_commit(pipeline, snapshot):
+            committed.append(snapshot)
+            return commit(pipeline, snapshot)
+
+        monkeypatch.setattr(CheckpointPipeline, "commit", recording_commit)
+        _engine(
+            cg_lossy_setup,
+            CheckpointingScheme.lossy(1e-4),
             mtti_seconds=None,
-            checkpoint_interval_seconds=300.0,
+            checkpoint_interval_seconds=120.0,
             scenario=ASYNC,
+            seed=2018,
+        ).run()
+        assert committed
+        for snapshot in committed:
+            entries = deserialize_checkpoint(snapshot.payload).entries
+            blobs = [e for e in entries.values() if isinstance(e, CompressedBlob)]
+            assert blobs
+            assert all(blob.compressor != DELTA_COMPRESSOR for blob in blobs)
+
+    def test_each_recovery_reads_its_own_record(self, cg_lossy_setup, monkeypatch):
+        """A recovery is priced at its record's model bytes, never a chain."""
+        recoveries = []
+        price = FaultToleranceEngine._recovery_seconds
+
+        def recording_price(engine, last):
+            seconds = price(engine, last)
+            recoveries.append((last, seconds))
+            return seconds
+
+        monkeypatch.setattr(FaultToleranceEngine, "_recovery_seconds", recording_price)
+        scheme = CheckpointingScheme.lossy(1e-4)
+        engine = _engine(
+            cg_lossy_setup,
+            scheme,
+            mtti_seconds=300.0,
+            checkpoint_interval_seconds=120.0,
+            scenario=ASYNC,
+            seed=2018,
         )
         engine.run()
-        snapshot = PipelineSnapshot(checkpoint_id=9, iteration=9, payload=b"")
-        common = dict(
-            checkpoint_id=9,
-            iteration=9,
-            snapshot=snapshot,
-            compression_ratio=1.0,
-            model_uncompressed_bytes=1e9,
-            model_compressed_bytes=5e8,
-            compute_seconds_at_completion=0.0,
-        )
-        full = CheckpointRecord(**common)
-        delta = CheckpointRecord(
-            **common,
-            restore_uncompressed_bytes=3e9,
-            restore_compressed_bytes=1.5e9,
-        )
-        assert engine._recovery_seconds(delta) > engine._recovery_seconds(full)
-
-    def test_records_carry_monotone_chain_bytes(self, async_setup):
-        engine = _engine(
-            async_setup,
-            CheckpointingScheme.lossless(),
-            mtti_seconds=None,
-            checkpoint_interval_seconds=60.0,
-            scenario=ASYNC,
-        )
-        engine.run()
-        chain = engine._state.restore_chain
-        assert chain
-        last = engine._state.last_checkpoint
-        assert last.restore_compressed_bytes >= last.model_compressed_bytes
-        delta_ids = [
-            cid
-            for cid, (_, compressed) in chain.items()
-            if compressed > 1.5 * last.model_compressed_bytes
-        ]
-        keyframe_like = [
-            cid
-            for cid, (_, compressed) in chain.items()
-            if compressed <= 1.5 * last.model_compressed_bytes
-        ]
-        # A lossless run at this interval ships some deltas near convergence;
-        # their restore chains must exceed any single full payload.
-        assert keyframe_like  # keyframes price only themselves
-        if delta_ids:
-            for cid in delta_ids:
-                assert chain[cid][1] > max(
-                    chain[k][1] for k in keyframe_like
-                ) or chain[cid][1] > last.model_compressed_bytes
+        from_records = [(rec, s) for rec, s in recoveries if rec is not None]
+        assert len(from_records) > 10
+        for record, seconds in from_records:
+            assert seconds == engine.cluster.recovery_seconds(
+                record.model_uncompressed_bytes,
+                record.model_compressed_bytes,
+                static_bytes=engine.scale.static_bytes,
+                compressed=scheme.uses_compression,
+            )
 
 
 class TestInterference:
