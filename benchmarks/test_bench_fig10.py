@@ -4,44 +4,72 @@ This is the paper's headline experiment.  The assertions check the claims
 that survive the laptop-scale substitution documented in DESIGN.md: the lossy
 scheme has the lowest measured fault-tolerance overhead for every method, and
 the lossy checkpoint itself is several times cheaper than the traditional one.
+
+One configuration seed draws only 10 failure-injected repetitions per cell,
+and at that size which scheme wins a close race is a coin flip: whether a
+repetition sees 3 or 8 failures moves a cell's mean overhead by more than the
+schemes differ.  The overhead claims are therefore judged on means pooled over
+:data:`POOLED_SEEDS` x 10 repetitions; the per-seed checkpoint costs and
+Young intervals are deterministic and are asserted for every seed.
 """
+
+from statistics import fmean
 
 from conftest import run_once
 
 from repro.experiments import fig10_table, run_fig10
+from repro.experiments.fig10_experimental_vs_expected import PAPER_SCHEMES
+
+#: Configuration seeds whose repetitions are pooled (6 x 10 = 60 per cell).
+POOLED_SEEDS = (2018, 1, 2, 3, 4, 5)
+
+
+def _run_pooled(config):
+    return [run_fig10(config.with_overrides(seed=seed)) for seed in POOLED_SEEDS]
 
 
 def test_bench_fig10_experimental_vs_expected(benchmark, bench_config):
     config = bench_config.with_overrides(repetitions=10)
-    result = run_once(benchmark, run_fig10, config)
-    print("\n" + fig10_table(result))
+    results = run_once(benchmark, _run_pooled, config)
+    print("\n" + fig10_table(results[0]))
 
-    for method in result.methods:
-        lossy = result.experimental[(method, "lossy")]
-        traditional = result.experimental[(method, "traditional")]
-        # Headline claim: lossy checkpointing reduces the fault-tolerance
-        # overhead relative to traditional checkpointing for every method.
-        assert lossy < traditional
-        # The checkpoint itself is dramatically smaller/cheaper.
-        assert (
-            result.checkpoint_seconds[(method, "lossy")]
-            < 0.5 * result.checkpoint_seconds[(method, "traditional")]
-        )
-        # Young-optimal intervals: cheaper checkpoints mean shorter intervals.
-        assert result.intervals[(method, "lossy")] < result.intervals[(method, "traditional")]
+    # Equal repetitions per seed, so the mean of the per-seed means is the
+    # mean over all pooled repetitions.
+    pooled = {
+        (method, scheme): fmean(r.experimental[(method, scheme)] for r in results)
+        for method in results[0].methods
+        for scheme in PAPER_SCHEMES
+    }
+    print(
+        f"pooled over seeds {POOLED_SEEDS}: "
+        + "; ".join(f"{m}/{s} {100 * v:.1f}%" for (m, s), v in pooled.items())
+    )
 
-    # Jacobi also beats lossless checkpointing outright (paper: 24% reduction).
-    # GMRES and CG are the closest races at this reduced scale: the measured
-    # lossy compression ratios are 5-12x instead of the paper's 20-60x and a
-    # 35-120 virtual-minute run only sees 1-3 failures, so they are allowed to
-    # tie with lossless within noise (EXPERIMENTS.md discusses the gap).
-    # Since payload format v2 the byte-shuffled lossless stage is itself ~5x
-    # faster than the seed's plain DEFLATE, which narrows lossy's margin over
-    # lossless further — for CG, where a lossy restart also pays rework
-    # iterations, lossy may now lose to lossless outright.  The paper's
-    # headline claims (lossy vs traditional, asserted above) are unaffected.
-    assert result.experimental[("jacobi", "lossy")] < result.experimental[("jacobi", "lossless")]
-    assert result.experimental[("gmres", "lossy")] < 1.3 * result.experimental[
-        ("gmres", "lossless")
-    ]
-    assert result.experimental[("cg", "lossy")] < 2.0 * result.experimental[("cg", "lossless")]
+    for result in results:
+        for method in result.methods:
+            # The checkpoint itself is dramatically smaller/cheaper.
+            assert (
+                result.checkpoint_seconds[(method, "lossy")]
+                < 0.5 * result.checkpoint_seconds[(method, "traditional")]
+            )
+            # Young-optimal intervals: cheaper checkpoints mean shorter intervals.
+            assert (
+                result.intervals[(method, "lossy")]
+                < result.intervals[(method, "traditional")]
+            )
+
+    # Headline claim: lossy checkpointing reduces the fault-tolerance
+    # overhead relative to traditional checkpointing for every method.
+    for method in results[0].methods:
+        assert pooled[(method, "lossy")] < pooled[(method, "traditional")]
+
+    # Jacobi and GMRES also beat lossless checkpointing outright (paper: 24%
+    # and 20-58% reductions).  CG is the closest race at this reduced scale:
+    # the measured lossy compression ratios are 5-12x instead of the paper's
+    # 20-60x, the byte-shuffled lossless stage is itself cheap, and a lossy CG
+    # restart also pays rework iterations, so lossy may lose to lossless
+    # outright there.  The paper's headline claims (lossy vs traditional,
+    # asserted above) are unaffected.
+    assert pooled[("jacobi", "lossy")] < pooled[("jacobi", "lossless")]
+    assert pooled[("gmres", "lossy")] < pooled[("gmres", "lossless")]
+    assert pooled[("cg", "lossy")] < 2.0 * pooled[("cg", "lossless")]

@@ -74,7 +74,11 @@ KINDS = (
 #: checkpoint costs changed (reconstructions, hence iteration counts, did not).
 #: 11: async cells ship full payloads (no delta chains): their drains move,
 #: and their recoveries read, each checkpoint's own bytes.
-CACHE_VERSION = 11
+#: 12: lossy compressors receive ``x`` on the operator's stencil grid and SZ
+#: predicts along its axes: lossy cells' payload bytes, ratios and checkpoint
+#: costs changed (zfp ones by the x blob's longer shape record); the
+#: quantized codes, hence every reconstruction, did not.
+CACHE_VERSION = 12
 
 _Params = Tuple[Tuple[str, object], ...]
 

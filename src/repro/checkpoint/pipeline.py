@@ -296,6 +296,12 @@ class CheckpointPipeline:
         self._exact_compressor: Compressor = (
             make_compressor("zlib") if scheme.lossy else scheme.compressor()
         )
+        # A lossy compressor sees ``x`` on the grid the solver's operator
+        # describes, so its predictor can follow every stencil axis; exact
+        # payloads and every other variable keep the flat layout.
+        self._grid = (
+            solver.grid_shape if scheme.lossy and solver is not None else None
+        )
         self._decompressors: Dict[str, Compressor] = {}
         self._next_id = 0
         # Optional snapshot memo (see :meth:`enable_snapshot_memo`): a
@@ -389,10 +395,10 @@ class CheckpointPipeline:
             if cached is not None:
                 return cached
 
-        values: Dict[str, object] = {
-            "iteration": int(iteration),
-            "x": np.ascontiguousarray(x),
-        }
+        x = np.ascontiguousarray(x)
+        if self._grid is not None:
+            x = x.reshape(self._grid)
+        values: Dict[str, object] = {"iteration": int(iteration), "x": x}
         if resume_state is not None:
             for name in self.spec.extra_vectors:
                 values[name] = resume_state.vectors.get(name)
@@ -504,7 +510,7 @@ class CheckpointPipeline:
         *,
         payload: Optional[bytes] = None,
     ) -> RestoredCheckpoint:
-        """Decompress one checkpoint back into ``x`` + resume state.
+        """Decompress one checkpoint back into a flat ``x`` + resume state.
 
         Reads ``payload`` when given (the engine's in-memory record), else
         the identified — or latest — checkpoint from the store.  This is the
@@ -547,7 +553,7 @@ class CheckpointPipeline:
         return RestoredCheckpoint(
             checkpoint_id=int(checkpoint_id) if checkpoint_id is not None else -1,
             iteration=iteration,
-            x=_writable_f64(entries["x"]),
+            x=_writable_f64(entries["x"]).reshape(-1),
             resume_state=resume,
             tag=dict(parsed.meta.get("tag", {})),
         )

@@ -76,16 +76,22 @@ def quantize_absolute(
             f"error bound {bound:g} is too tight relative to data magnitude "
             f"{max_abs:g} for 63-bit integer codes"
         )
-    codes = np.rint(values / quantum).astype(np.int64)
+    scratch = np.divide(values, quantum)
+    np.rint(scratch, out=scratch)
+    codes = scratch.astype(np.int64)
     # Rounding in the division can land on the wrong grid neighbour for
     # large-magnitude values (the quotient is off by an ulp), pushing the
     # reconstruction error past the bound.  Nudge offending codes one grid
     # step toward the value; the remaining error is then the irreducible
-    # half-ulp of the reconstruction product itself.
+    # half-ulp of the reconstruction product itself.  ``scratch`` holds the
+    # codes as exact floats (|code| < 2**62), so the error reuses its memory.
     if codes.size:
-        error = values - codes.astype(np.float64) * quantum
-        bad = np.abs(error) > bound
+        np.multiply(scratch, quantum, out=scratch)
+        np.subtract(values, scratch, out=scratch)
+        np.abs(scratch, out=scratch)
+        bad = scratch > bound
         if np.any(bad):
+            error = values - codes.astype(np.float64) * quantum
             step = np.where(error > 0, 1, -1).astype(np.int64)
             codes = np.where(bad, codes + step, codes)
     return QuantizedArray(codes=codes, quantum=quantum)
@@ -93,7 +99,9 @@ def quantize_absolute(
 
 def dequantize_absolute(quantized: QuantizedArray) -> np.ndarray:
     """Reconstruct the float values from :func:`quantize_absolute` output."""
-    return quantized.codes.astype(np.float64) * quantized.quantum
+    values = quantized.codes.astype(np.float64)
+    values *= quantized.quantum
+    return values
 
 
 def quantization_error(values: np.ndarray, quantized: QuantizedArray) -> Tuple[float, float]:

@@ -54,8 +54,13 @@ class PointwiseRelativeTransform:
             raise ValueError("cannot transform non-finite values")
         zero_mask = values == 0.0
         negative_mask = values < 0.0
-        nonzero = values[~zero_mask]
-        log_values = np.log(np.abs(nonzero))
+        # Gather the nonzeros only when there are zeros to drop.
+        if zero_mask.any():
+            magnitudes = values[~zero_mask]
+            np.abs(magnitudes, out=magnitudes)
+        else:
+            magnitudes = np.abs(values.reshape(-1))
+        log_values = np.log(magnitudes, out=magnitudes)
         log_bound = float(np.log1p(eb) * (1.0 - _SAFETY))
         return cls(
             log_values=log_values,
@@ -72,11 +77,33 @@ class PointwiseRelativeTransform:
                 "reconstructed log array has wrong shape "
                 f"{reconstructed_log.shape}, expected {self.log_values.shape}"
             )
-        result = np.zeros(self.zero_mask.shape, dtype=np.float64)
-        magnitudes = np.exp(reconstructed_log)
-        result[~self.zero_mask] = magnitudes
-        signs = np.where(self.negative_mask, -1.0, 1.0)
-        return result * signs
+        no_zeros = reconstructed_log.size == self.zero_mask.size
+        return _signed_magnitudes(
+            reconstructed_log, self.negative_mask, None if no_zeros else self.zero_mask
+        )
+
+
+def _signed_magnitudes(log_values, negative_mask, zero_mask) -> np.ndarray:
+    """``exp`` of the logs on the nonzero slots, negated where ``negative_mask``.
+
+    ``zero_mask=None`` means there are no zeros, so no scatter is needed.
+    Negating in place matches multiplying by ``-1.0`` bit for bit.
+    """
+    magnitudes = np.exp(log_values)
+    if zero_mask is None:
+        result = magnitudes.reshape(negative_mask.shape)
+    else:
+        result = np.zeros(zero_mask.shape, dtype=np.float64)
+        result[~zero_mask] = magnitudes
+    np.negative(result, out=result, where=negative_mask)
+    return result
+
+
+def _unpack_mask(section: bytes, count: int) -> np.ndarray:
+    """A boolean mask from its ``np.packbits`` bytes (0/1 bytes viewed as bool)."""
+    return np.unpackbits(
+        np.frombuffer(section, dtype=np.uint8), count=count
+    ).view(bool)
 
 
 def reconstruct_from_masks(
@@ -85,18 +112,17 @@ def reconstruct_from_masks(
     """Rebuild the full array from reconstructed logs plus packed masks.
 
     The decode-side counterpart of serializing a transform's masks with
-    ``np.packbits``; shared by the SZ-like and ZFP-like decoders.
+    ``np.packbits``; shared by the SZ-like and ZFP-like decoders.  When
+    there is one log per element the zero mask is empty and never unpacked.
     """
-    negative_mask = np.unpackbits(
-        np.frombuffer(neg_section, dtype=np.uint8), count=count
-    ).astype(bool)
-    zero_mask = np.unpackbits(
-        np.frombuffer(zero_section, dtype=np.uint8), count=count
-    ).astype(bool)
-    transform = PointwiseRelativeTransform(
-        log_values=np.empty(int((~zero_mask).sum()), dtype=np.float64),
-        negative_mask=negative_mask,
-        zero_mask=zero_mask,
-        log_bound=0.0,
-    )
-    return transform.backward(log_recon)
+    negative_mask = _unpack_mask(neg_section, count)
+    if log_recon.size == count:
+        return _signed_magnitudes(log_recon, negative_mask, None)
+    zero_mask = _unpack_mask(zero_section, count)
+    nonzero = count - int(np.count_nonzero(zero_mask))
+    if log_recon.shape != (nonzero,):
+        raise ValueError(
+            "reconstructed log array has wrong shape "
+            f"{log_recon.shape}, expected {(nonzero,)}"
+        )
+    return _signed_magnitudes(log_recon, negative_mask, zero_mask)

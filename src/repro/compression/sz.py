@@ -11,7 +11,14 @@ vectorised formulation (see :mod:`repro.compression.quantization`):
    :mod:`repro.compression.relative`),
 2. quantize all values onto the global error-bounded integer grid,
 3. apply a first-order ("lorenzo") or second-order ("linear") integer
-   predictor — ``np.diff`` of the codes — so smooth data produces tiny codes,
+   predictor so smooth data produces tiny codes.  On a multidimensional
+   input with one code per element, "lorenzo" is SZ's multidimensional
+   Lorenzo predictor of order 1: one first difference along every axis
+   (the checkpoint pipeline hands ``x`` over on its operator's stencil
+   grid), and the code header records the grid.  Otherwise — a 1-D input,
+   "linear", or ``pw_rel`` data whose exact zeros are masked out of the
+   codes — it is ``np.diff`` of the flattened codes, byte-identical to the
+   payloads written before the grid path existed,
 4. split the zigzag-mapped residual codes into byte planes
    (:func:`~repro.compression.filters.code_planes`) and ship them through
    the sharded, entropy-gated frame of :mod:`repro.compression.sharded`
@@ -31,9 +38,10 @@ storage of the raw bytes (still satisfying the bound trivially).
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +75,9 @@ _PREDICTORS = ("lorenzo", "linear")
 
 #: v2 code-stream header section: quantum (f64), predictor order (i64),
 #: code count, total element count (== code count except under ``pw_rel``,
-#: where zeros are masked out of the code stream), plane count k.
+#: where zeros are masked out of the code stream), plane count k.  An N-D
+#: code stream's header appends its grid: the axis count d (u8), then d axis
+#: lengths (u64 each, C order).
 _V2_CODE_HEADER = struct.Struct("<dqQQB")
 
 
@@ -91,6 +101,65 @@ def _unpredict_codes(residuals: np.ndarray, order: int) -> np.ndarray:
     return codes
 
 
+def _predict_grid(codes: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
+    """Order-1 Lorenzo residuals of ``codes`` laid out on ``grid``.
+
+    One first difference per axis (the first slab of each axis kept as is),
+    alternating between two buffers so no operand aliases its output.  The
+    int64 arithmetic wraps modulo 2**64 exactly as :func:`_unpredict_grid`'s
+    ``cumsum`` does, so the round trip is exact for any codes.
+    """
+    source = codes.reshape(grid)
+    buffers = (np.empty_like(source), np.empty_like(source))
+    for axis in range(source.ndim):
+        target = buffers[axis % 2]
+        head = (slice(None),) * axis
+        np.subtract(
+            source[head + (slice(1, None),)],
+            source[head + (slice(None, -1),)],
+            out=target[head + (slice(1, None),)],
+        )
+        target[head + (slice(0, 1),)] = source[head + (slice(0, 1),)]
+        source = target
+    return source.reshape(-1)
+
+
+def _unpredict_grid(residuals: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
+    """Invert :func:`_predict_grid` in place: one ``cumsum`` per axis."""
+    codes = residuals.reshape(grid)
+    for axis in range(codes.ndim):
+        np.cumsum(codes, axis=axis, out=codes)
+    return residuals
+
+
+def _parse_code_header(header: bytes) -> tuple:
+    """``(quantum, order, count, total, k, grid)`` from a v2 code header.
+
+    ``grid`` is ``None`` for a flat code stream.  A truncated header, a grid
+    trailer of the wrong length, or a grid whose axes do not multiply to the
+    code count raises ``ValueError``.
+    """
+    fixed = _V2_CODE_HEADER.size
+    if len(header) < fixed:
+        raise ValueError(f"truncated SZ code header: {len(header)} of {fixed} bytes")
+    fields = _V2_CODE_HEADER.unpack_from(header)
+    if len(header) == fixed:
+        return (*fields, None)
+    rank = header[fixed]
+    expected = fixed + 1 + 8 * rank
+    if rank < 2 or len(header) != expected:
+        raise ValueError(
+            f"SZ code header holds {len(header)} bytes, expected {expected} "
+            f"for a {rank}-D grid (at least 2-D)"
+        )
+    grid = struct.unpack_from(f"<{rank}Q", header, fixed + 1)
+    if math.prod(grid) != fields[2]:
+        raise ValueError(
+            f"SZ code header grid {grid} does not hold its {fields[2]} codes"
+        )
+    return (*fields, grid)
+
+
 class SZCompressor(Compressor):
     """Prediction + error-bounded quantization lossy compressor (SZ-like).
 
@@ -101,8 +170,9 @@ class SZCompressor(Compressor):
         float, which is interpreted as a *pointwise relative* bound — the
         paper's convention (``eb = 1e-4`` for Jacobi/CG).
     predictor:
-        ``"lorenzo"`` (first-order differencing, default) or ``"linear"``
-        (second-order differencing), mirroring SZ's preceding-neighbour and
+        ``"lorenzo"`` (first-order differencing, default; along every axis
+        of a multidimensional input) or ``"linear"`` (second-order
+        differencing of the flattened codes), mirroring SZ's Lorenzo and
         linear-fit predictors.
     zlib_level:
         DEFLATE effort for the entropy-coded shards (and the raw fallback).
@@ -162,9 +232,9 @@ class SZCompressor(Compressor):
         }
 
         if self.error_bound.mode is ErrorBoundMode.POINTWISE_RELATIVE:
-            payload, scheme = self._compress_pointwise_relative(flat)
+            payload, scheme = self._compress_pointwise_relative(flat, data.shape)
         else:
-            payload, scheme = self._compress_absolute_like(flat)
+            payload, scheme = self._compress_absolute_like(flat, data.shape)
         meta["scheme"] = scheme
         return CompressedBlob(
             payload=payload,
@@ -184,7 +254,9 @@ class SZCompressor(Compressor):
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- absolute / value-range relative -------------------------------
-    def _compress_absolute_like(self, flat: np.ndarray) -> "tuple[bytes, str]":
+    def _compress_absolute_like(
+        self, flat: np.ndarray, shape: Tuple[int, ...]
+    ) -> "tuple[bytes, str]":
         bound = self.error_bound.absolute_for(flat)
         if bound <= 0.0:  # resolved bound underflowed (denormal-scale data)
             return self._raw_fallback(flat), "raw"
@@ -193,14 +265,16 @@ class SZCompressor(Compressor):
         except QuantizationOverflow:
             return self._raw_fallback(flat), "raw"
         payload = compress_sections(
-            self._code_sections(quantized, flat.size),
+            self._code_sections(quantized, shape),
             level=self.zlib_level,
             threads=self.threads,
         )
         return payload, "abs"
 
     # -- pointwise relative ---------------------------------------------
-    def _compress_pointwise_relative(self, flat: np.ndarray) -> "tuple[bytes, str]":
+    def _compress_pointwise_relative(
+        self, flat: np.ndarray, shape: Tuple[int, ...]
+    ) -> "tuple[bytes, str]":
         transform = PointwiseRelativeTransform.forward(flat, self.error_bound.value)
         try:
             # forward() already validated finiteness of the input, and the log
@@ -210,7 +284,7 @@ class SZCompressor(Compressor):
             )
         except QuantizationOverflow:
             return self._raw_fallback(flat), "raw"
-        sections = self._code_sections(quantized, flat.size)
+        sections = self._code_sections(quantized, shape)
         # packbits accepts bool arrays directly; the astype copy is waste.
         sections.append(np.packbits(transform.negative_mask))
         sections.append(np.packbits(transform.zero_mask))
@@ -220,25 +294,41 @@ class SZCompressor(Compressor):
         return payload, "pw_rel"
 
     # -- v2 code-stream helpers (byte planes in a sharded frame) --------
-    def _code_sections(self, quantized: QuantizedArray, total_count: int) -> List:
-        """v2 sections for one quantized code stream: header, then planes."""
+    def _code_sections(
+        self, quantized: QuantizedArray, shape: Tuple[int, ...]
+    ) -> List:
+        """v2 sections for one quantized code stream: header, then planes.
+
+        The Lorenzo predictor works along every axis of ``shape`` when there
+        is one code per element; otherwise (a 1-D input, ``pw_rel`` with
+        exact zeros masked out of the codes, the ``linear`` predictor) it
+        differences the flat stream and the header carries no grid.
+        """
+        codes = quantized.codes
+        total = math.prod(shape)
         order = 1 if self.predictor == "lorenzo" else 2
-        residuals = _predict_codes(quantized.codes, order)
+        if order == 1 and len(shape) > 1 and codes.size == total:
+            residuals = _predict_grid(codes, shape)
+            trailer = struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+        else:
+            residuals = _predict_codes(codes, order)
+            trailer = b""
         planes = code_planes(zigzag_encode(residuals))
         header = _V2_CODE_HEADER.pack(
-            quantized.quantum,
-            order,
-            quantized.codes.size,
-            int(total_count),
-            len(planes),
+            quantized.quantum, order, codes.size, total, len(planes)
         )
-        return [header, *planes]
+        return [header + trailer, *planes]
 
     def _decode_v2(self, payload, scheme: str) -> np.ndarray:
         sections = decompress_sections(payload)
-        quantum, order, count, total, k = _V2_CODE_HEADER.unpack(bytes(sections[0]))
+        quantum, order, count, total, k, grid = _parse_code_header(
+            bytes(sections[0])
+        )
         residuals = zigzag_decode(codes_from_planes(sections[1:1 + k], count))
-        codes = _unpredict_codes(residuals, order)
+        if grid is None:
+            codes = _unpredict_codes(residuals, order)
+        else:
+            codes = _unpredict_grid(residuals, grid)
         quantized = QuantizedArray(codes=codes, quantum=quantum)
         recon = dequantize_absolute(quantized)
         if scheme != "pw_rel":

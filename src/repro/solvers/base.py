@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
+from functools import cached_property
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
@@ -299,6 +300,18 @@ class IterativeSolver(abc.ABC):
         if recorder is not None:
             recorder.on_result(result)
         return result
+
+    @cached_property
+    def grid_shape(self) -> Optional[Tuple[int, ...]]:
+        """The grid ``x`` lives on when ``A`` is a stencil operator, else None.
+
+        Read off the matrix by :func:`repro.sparse.stencil_grid` once per
+        solver instance; the checkpoint pipeline hands lossy compressors
+        ``x`` in this shape so they can predict along every grid axis.
+        """
+        from repro.sparse import stencil_grid
+
+        return stencil_grid(self.A)
 
     @contextmanager
     def recording(self, recorder):

@@ -14,6 +14,7 @@ from repro.sparse.poisson import (
     poisson_3d,
     poisson_system,
     PoissonProblem,
+    stencil_grid,
 )
 from repro.sparse.kkt import kkt_system, KKTProblem
 from repro.sparse.matrices import (
@@ -39,6 +40,7 @@ __all__ = [
     "poisson_3d",
     "poisson_system",
     "PoissonProblem",
+    "stencil_grid",
     "kkt_system",
     "KKTProblem",
     "random_spd",

@@ -38,6 +38,7 @@ __all__ = [
     "poisson_3d",
     "poisson_system",
     "PoissonProblem",
+    "stencil_grid",
 ]
 
 
@@ -89,6 +90,43 @@ def _laplacian_nd(shape: Tuple[int, ...], sign: str, dtype) -> sp.csr_matrix:
         operator = term if operator is None else operator + term
     assert operator is not None
     return (s * operator).tocsr()
+
+
+def stencil_grid(A) -> Optional[Tuple[int, ...]]:
+    """The C-order grid shape a stencil operator acts on, or ``None``.
+
+    A Kronecker-sum operator on an ``(m_0, ..., m_{d-1})`` grid (the output
+    of :func:`_laplacian_nd`) couples row ``i`` only to the rows one stride
+    away along each axis, so its positive diagonal offsets are exactly the
+    axis strides ``1 | m_{d-1} | m_{d-1} m_{d-2} | ...``, each dividing the
+    next and the last dividing ``N``.  This reads those offsets off a CSR
+    matrix with one ``bincount`` over ``indices - row`` and, when they form
+    such a divisor chain, returns the shape they spell.  A genuine grid never
+    couples across an axis boundary, so an offset that occurs on more rows
+    than its axis allows (a pentadiagonal band, say, whose offsets 1 and 2
+    would spell an ``(N/2, 2)`` "grid") is rejected too.  Dense input,
+    matrices without off-diagonal couplings and anything else (KKT blocks,
+    random patterns, permuted grids) give ``None``.
+    """
+    if not sp.issparse(A) or A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return None
+    A = A.tocsr()
+    n = int(A.shape[0])
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    offsets = A.indices - rows
+    counts = np.bincount(offsets[offsets > 0])
+    strides = np.flatnonzero(counts).tolist()
+    if not strides or strides[0] != 1:
+        return None
+    spans = strides[1:] + [n]
+    if any(span % stride for stride, span in zip(strides, spans)):
+        return None
+    shape = tuple(span // stride for stride, span in zip(strides, spans))
+    # Rows with a neighbour one stride ahead: all but the last slab of the axis.
+    for stride, extent in zip(strides, shape):
+        if counts[stride] > n - n // extent:
+            return None
+    return shape[::-1]
 
 
 def poisson_2d(n: int, *, sign: str = "spd", dtype=np.float64) -> sp.csr_matrix:

@@ -1,5 +1,8 @@
 """CheckpointPipeline: bitwise round trips, per-variable bounds, measurement."""
 
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.checkpoint import CheckpointPipeline, MemoryCheckpointStore
+from repro.checkpoint.serialization import deserialize_checkpoint
+from repro.compression import make_compressor
 from repro.compression.errorbounds import (
     FixedBoundPolicy,
     PerVariableBoundPolicy,
@@ -17,6 +22,7 @@ from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
 from repro.solvers.base import ResumeState
+from repro.sparse import poisson_system
 
 SOLVER_FACTORIES = {
     "jacobi": lambda A: JacobiSolver(A, rtol=1e-4, max_iter=50000),
@@ -501,3 +507,77 @@ class TestMeasurement:
         assert {m.name for m in snap.vector_measurements} == {"x"}
         restored = pipeline.restore(payload=snap.payload)
         assert restored.resume_state is None
+
+
+#: SHA-256 of exact payloads (CG and Jacobi on ``poisson_small`` after 12
+#: iterations, with resume state) written before lossy payloads learned the
+#: grid layout: giving lossy compressors the grid must not move a byte here.
+_EXACT_PAYLOAD_SHA256 = {
+    ("cg", "traditional"): "a06bca448ac145295de6ab49e7860a3e8b47e9b17fdcada40b076584efc1a830",
+    ("cg", "lossless"): "6e0f264255e55a9320e5d0a5b56b337c69f68ccf669c1c29bb73a0679dbd2015",
+    ("jacobi", "traditional"): "ae7be61b89a43ebd87d3a2b44eb68e7cbbc59afb5ec7aa5fbe24a81abe7bc7bb",
+    ("jacobi", "lossless"): "3459c2e0e8e331b21bf38362159647a965deb3e4d0c393b6296d4bfab190275e",
+}
+
+
+class TestGridLayout:
+    """Lossy compressors see ``x`` on the operator's grid; nothing else moves."""
+
+    def _stream_pipeline(self, compressor, n=10):
+        # Built the way the checkpoint-stream benchmark builds its pipelines.
+        problem = poisson_system(n, seed=2018)
+        solver = CGSolver(problem.A, rtol=1e-15, max_iter=14)
+        states = []
+        solver.solve(problem.b, callback=states.append)
+        pipeline = CheckpointPipeline(
+            CheckpointingScheme.lossy(1e-4, compressor=compressor),
+            solver=solver,
+            store=MemoryCheckpointStore(),
+        )
+        return pipeline, solver, states[-1]
+
+    @pytest.mark.parametrize("compressor", ["sz", "zfp"])
+    def test_lossy_x_ships_on_the_grid_and_restores_flat(self, compressor):
+        pipeline, solver, state = self._stream_pipeline(compressor)
+        snap = pipeline.snapshot(
+            state.x, iteration=state.iteration,
+            resume_state=solver.capture_resume_state(state),
+            residual_norm=state.residual_norm, b_norm=1.0, checkpoint_id=0,
+        )
+        blob = deserialize_checkpoint(snap.payload).entries["x"]
+        assert blob.compressor == compressor
+        assert blob.shape == (10, 10, 10)
+        assert snap.ratio_of("x") == pytest.approx(state.x.nbytes / blob.nbytes)
+        pipeline.commit(snap)
+        restored = pipeline.restore(0)
+        assert restored.x.shape == (1000,)
+        assert restored.x.flags.writeable and restored.x.flags.c_contiguous
+        # The grid layout moves bytes only: x decodes to exactly what the
+        # compressor makes of the flat vector.
+        flat = make_compressor(compressor, error_bound=1e-4)
+        assert restored.x.tobytes() == flat.decompress(flat.compress(state.x)).tobytes()
+
+    def test_no_grid_without_a_stencil(self, kkt_small):
+        solver = GMRESSolver(kkt_small.K, rtol=1e-6, max_iter=50)
+        pipeline = CheckpointPipeline(CheckpointingScheme.lossy(1e-4), solver=solver)
+        x = np.linspace(1.0, 2.0, solver.n)
+        snap = pipeline.snapshot(x)
+        assert deserialize_checkpoint(snap.payload).entries["x"].shape == (solver.n,)
+
+    @pytest.mark.parametrize("scheme_name", sorted(EXACT_SCHEMES))
+    @pytest.mark.parametrize("method", ["cg", "jacobi"])
+    def test_exact_payload_bytes_unchanged(self, poisson_small, method, scheme_name):
+        if scheme_name == "lossless" and "ng" in zlib.ZLIB_RUNTIME_VERSION:
+            pytest.skip("DEFLATE payload pins assume the reference zlib")
+        solver = SOLVER_FACTORIES[method](poisson_small.A)
+        states = []
+        solver.solve(poisson_small.b, callback=states.append, max_iter=12)
+        state = states[-1]
+        pipeline = CheckpointPipeline(EXACT_SCHEMES[scheme_name](), solver=solver)
+        snap = pipeline.snapshot(
+            state.x, iteration=state.iteration,
+            resume_state=solver.capture_resume_state(state),
+            residual_norm=state.residual_norm, b_norm=1.0,
+        )
+        digest = hashlib.sha256(snap.payload).hexdigest()
+        assert digest == _EXACT_PAYLOAD_SHA256[(method, scheme_name)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.compression.quantization import (
     QuantizationOverflow,
@@ -74,3 +75,41 @@ class TestQuantizeAbsolute:
         q = quantize_absolute(arr, 0.6)
         recon = dequantize_absolute(q)
         assert np.max(np.abs(arr - recon)) <= 0.6 * (1 + 1e-12) + 2e-16 * 999999.0
+
+
+def _reference_codes(values, bound):
+    """The allocation-per-step formula ``quantize_absolute`` had before it
+    reused its temporaries; kept as the bitwise reference."""
+    quantum = 2.0 * bound
+    codes = np.rint(values / quantum).astype(np.int64)
+    error = values - codes.astype(np.float64) * quantum
+    bad = np.abs(error) > bound
+    if np.any(bad):
+        step = np.where(error > 0, 1, -1).astype(np.int64)
+        codes = np.where(bad, codes + step, codes)
+    return codes
+
+
+class TestInPlaceFormulaMatchesReference:
+    @given(
+        values=hnp.arrays(
+            np.float64, st.integers(1, 300),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+        bound=st.sampled_from([1e-9, 1e-4, 0.6, 3.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_codes_and_reconstruction_bitwise(self, values, bound):
+        q = quantize_absolute(values, bound)
+        reference = _reference_codes(values, bound)
+        assert q.codes.tobytes() == reference.tobytes()
+        recon = dequantize_absolute(q)
+        assert recon.tobytes() == (reference.astype(np.float64) * q.quantum).tobytes()
+
+    def test_nudged_codes_match_reference(self):
+        # rint(999999.0 / 1.2) lands on the wrong grid neighbour: the
+        # correction branch runs.
+        arr = np.asarray([999999.0, 1.0, -999999.0])
+        assert quantize_absolute(arr, 0.6).codes.tobytes() == (
+            _reference_codes(arr, 0.6).tobytes()
+        )

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.compression.relative import PointwiseRelativeTransform
+from repro.compression.relative import (
+    PointwiseRelativeTransform,
+    reconstruct_from_masks,
+)
 
 
 class TestPointwiseRelativeTransform:
@@ -43,3 +49,59 @@ class TestPointwiseRelativeTransform:
         transform = PointwiseRelativeTransform.forward(np.array([1.0, 2.0]), 1e-3)
         with pytest.raises(ValueError):
             transform.backward(np.zeros(3))
+
+
+def _reference_forward_logs(values):
+    """``forward``'s log formula before it skipped the gather without zeros."""
+    return np.log(np.abs(values[values != 0.0]))
+
+
+def _reference_backward(logs, negative_mask, zero_mask):
+    """``backward``'s formula before the no-zero fast path and in-place signs."""
+    result = np.zeros(zero_mask.shape, dtype=np.float64)
+    result[~zero_mask] = np.exp(logs)
+    return result * np.where(negative_mask, -1.0, 1.0)
+
+
+_signed_values = hnp.arrays(
+    np.float64,
+    st.integers(1, 200),
+    elements=st.one_of(
+        st.just(0.0),
+        st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+class TestFastPathsMatchReference:
+    @given(values=_signed_values, with_zeros=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_forward_and_backward_bitwise(self, values, with_zeros):
+        if not with_zeros:
+            values = np.where(values == 0.0, 1.5, values)
+        transform = PointwiseRelativeTransform.forward(values, 1e-4)
+        assert transform.log_values.tobytes() == _reference_forward_logs(values).tobytes()
+        perturbed = transform.log_values + 0.25 * transform.log_bound
+        expected = _reference_backward(
+            perturbed, transform.negative_mask, transform.zero_mask
+        )
+        assert transform.backward(perturbed).tobytes() == expected.tobytes()
+        packed = (np.packbits(transform.negative_mask), np.packbits(transform.zero_mask))
+        rebuilt = reconstruct_from_masks(perturbed, *packed, values.size)
+        assert rebuilt.tobytes() == expected.tobytes()
+
+    def test_multidimensional_transform_keeps_flat_logs(self):
+        values = np.array([[1.0, -2.0], [3.0, -4.0]])
+        transform = PointwiseRelativeTransform.forward(values, 1e-4)
+        assert transform.log_values.shape == (4,)
+        out = transform.backward(transform.log_values)
+        assert out.shape == (2, 2)
+        assert out.tobytes() == _reference_backward(
+            transform.log_values, transform.negative_mask, transform.zero_mask
+        ).tobytes()
+
+    def test_mask_reconstruction_rejects_a_wrong_log_count(self):
+        zero_mask = np.array([True, False, False, True])
+        packed = (np.packbits(np.zeros(4, dtype=bool)), np.packbits(zero_mask))
+        with pytest.raises(ValueError, match="wrong shape"):
+            reconstruct_from_masks(np.zeros(3), *packed, 4)

@@ -77,3 +77,18 @@ class TestSolverRegistry:
         M = JacobiPreconditioner(poisson_medium.A)
         with pytest.raises(ValueError):
             make_solver("cg", poisson_small.A, preconditioner=M)
+
+
+class TestGridShape:
+    def test_read_off_the_operator_once(self, poisson_small, monkeypatch):
+        import repro.sparse
+
+        solver = make_solver("cg", poisson_small.A)
+        assert solver.grid_shape == (8, 8, 8)
+        monkeypatch.setattr(
+            repro.sparse, "stencil_grid", lambda A: pytest.fail("recomputed")
+        )
+        assert solver.grid_shape == (8, 8, 8)
+
+    def test_none_without_a_stencil(self, kkt_small):
+        assert make_solver("gmres", kkt_small.K).grid_shape is None

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.sparse.kkt import kkt_system
+from repro.sparse.matrices import random_spd
 from repro.sparse.poisson import (
     PoissonProblem,
+    _laplacian_nd,
     poisson_1d,
     poisson_2d,
     poisson_3d,
     poisson_system,
+    stencil_grid,
 )
 
 
@@ -109,3 +113,52 @@ class TestPoissonSystem:
     def test_nnz_property(self):
         prob = poisson_system(4)
         assert prob.nnz == prob.A.nnz
+
+
+class TestStencilGrid:
+    @pytest.mark.parametrize(
+        "A, shape",
+        [
+            (poisson_1d(11), (11,)),
+            (poisson_2d(7), (7, 7)),
+            (poisson_3d(6), (6, 6, 6)),
+            (poisson_3d(5, sign="paper"), (5, 5, 5)),
+            (_laplacian_nd((4, 5, 6), "spd", np.float64), (4, 5, 6)),
+            (_laplacian_nd((2, 3, 2, 4), "spd", np.float64), (2, 3, 2, 4)),
+        ],
+    )
+    def test_recognises_grid_operators(self, A, shape):
+        assert stencil_grid(A) == shape
+
+    def test_size_one_axis_folds_away(self):
+        # A length-1 axis couples nothing, so the grid has one axis fewer.
+        assert stencil_grid(_laplacian_nd((3, 1, 4), "spd", np.float64)) == (3, 4)
+
+    def test_other_formats_are_read_as_csr(self):
+        assert stencil_grid(poisson_3d(4).tocoo()) == (4, 4, 4)
+
+    def test_kkt_is_not_a_grid(self):
+        assert stencil_grid(kkt_system(5, dims=3, seed=11).K) is None
+
+    def test_random_spd_is_not_a_grid(self):
+        assert stencil_grid(random_spd(120, density=0.05, seed=3)) is None
+
+    def test_permuted_poisson_is_not_a_grid(self):
+        A = poisson_3d(5)
+        perm = np.random.default_rng(0).permutation(A.shape[0])
+        assert stencil_grid(A[perm][:, perm]) is None
+
+    def test_dense_input_is_not_read(self):
+        assert stencil_grid(poisson_3d(4).toarray()) is None
+
+    def test_band_crossing_axis_boundaries_is_not_a_grid(self):
+        # Offsets {1, 2} form the divisor chain of an (N/2, 2) grid, but the
+        # offset-1 coupling runs across every would-be row boundary.
+        A = sp.diags(
+            [np.ones(18), np.ones(19), np.full(20, 4.0), np.ones(19), np.ones(18)],
+            offsets=[-2, -1, 0, 1, 2], format="csr",
+        )
+        assert stencil_grid(A) is None
+
+    def test_diagonal_has_no_grid(self):
+        assert stencil_grid(sp.identity(9, format="csr")) is None
