@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index) with the DEFAULT experiment configuration, asserts the
+Each benchmark regenerates one table or figure of the paper (see README.md's
+"Paper figure map") with the DEFAULT experiment configuration, asserts the
 qualitative claims (who wins, roughly by how much, where crossovers fall) and
 prints the corresponding text table so `pytest benchmarks/ --benchmark-only -s`
 reproduces the whole evaluation section in one go.

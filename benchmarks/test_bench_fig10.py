@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 10 (experimental vs expected overhead at 2,048 procs).
 
 This is the paper's headline experiment.  The assertions check the claims
-that survive the laptop-scale substitution documented in DESIGN.md: the lossy
+that survive the laptop-scale substitution of the cluster model: the lossy
 scheme has the lowest measured fault-tolerance overhead for every method, and
 the lossy checkpoint itself is several times cheaper than the traditional one.
 

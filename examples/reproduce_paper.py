@@ -2,8 +2,8 @@
 """Regenerate every table and figure of the paper's evaluation section.
 
 Runs the full experiment harness (Figures 1-10 and Table 3) with the default
-configuration and prints each artefact as a text table.  This is the script
-whose output backs EXPERIMENTS.md.
+configuration and prints each artefact as a text table; README.md's "Paper
+figure map" lists the module behind each one.
 
 Every figure is expressed as a campaign (see :mod:`repro.campaign`), so the
 expensive cells fan out over worker processes and are cached on disk: a

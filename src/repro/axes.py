@@ -1,8 +1,13 @@
-"""The named values of the scenario and error-bound-policy axes.
+"""The named values of the method, scenario and error-bound-policy axes.
 
 Imports nothing, so campaign cells validate against them without loading the
 engine or the compressors, which re-export the same tuples.
 """
+
+#: Solver methods a campaign cell runs.  ``jacobi``, ``gmres``, ``cg`` and
+#: ``bicgstab`` solve the Eq. (15) Poisson system; ``kkt`` is GMRES(30) with
+#: point Jacobi on the synthetic KKT system of Fig. 3.
+METHODS = ("jacobi", "gmres", "cg", "bicgstab", "kkt")
 
 #: Failure-model names a scenario accepts.  ``scripted`` (failures at
 #: explicit virtual times, via ``failure_params=(("times", (...)),)``) is for

@@ -190,6 +190,7 @@ class RunSpec:
         # per-name policy mapping they need, so it would silently run
         # something else.
         for name, label, known in (
+            ("method", "method", axes.METHODS),
             ("failure_model", "failure model", axes.CAMPAIGN_FAILURE_MODELS),
             ("recovery_levels", "recovery levels", axes.RECOVERY_LEVELS),
             ("write_mode", "write mode", axes.WRITE_MODES),

@@ -1,13 +1,13 @@
-"""Simulated HPC cluster: machine model, failures, partitioning.
+"""Simulated HPC cluster: machine model and failures.
 
 The paper's evaluation ran on 2,048 cores of the Bebop cluster with roughly
 80 GB checkpoints going to a parallel file system.  This subpackage provides
-the laptop-scale substitute documented in DESIGN.md: vectors and solvers run
-for real at reduced size, while wall-clock seconds for compute, checkpoint
-writes and recovery reads are *modeled* by :class:`~repro.cluster.machine.ClusterModel`,
-calibrated against the numbers the paper itself reports (a 78.8 GB traditional
-checkpoint takes about 120 s; Jacobi/GMRES/CG baselines of 50/120/35 minutes
-at 2,048 processes).
+a laptop-scale substitute: vectors and solvers run for real at reduced size,
+while wall-clock seconds for compute, checkpoint writes and recovery reads are
+*modeled* by :class:`~repro.cluster.machine.ClusterModel`, calibrated against
+the numbers the paper itself reports (a 78.8 GB traditional checkpoint takes
+about 120 s; Jacobi/GMRES/CG baselines of 50/120/35 minutes at 2,048
+processes).
 """
 
 from repro.cluster.machine import MachineSpec, ClusterModel, BEBOP_LIKE
@@ -21,7 +21,6 @@ from repro.cluster.failures import (
     ScriptedFailureModel,
     make_failure_model,
 )
-from repro.cluster.partition import block_partition, local_sizes, BlockPartition
 
 __all__ = [
     "MachineSpec",
@@ -35,7 +34,4 @@ __all__ = [
     "BurstyFailureModel",
     "ScriptedFailureModel",
     "make_failure_model",
-    "block_partition",
-    "local_sizes",
-    "BlockPartition",
 ]

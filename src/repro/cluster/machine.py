@@ -2,8 +2,7 @@
 
 :class:`ClusterModel` converts *what happened numerically* (bytes compressed,
 bytes written, iterations executed) into *modeled wall-clock seconds at the
-paper's scale*.  It is the documented substitution for the 2,048-core Bebop
-runs (DESIGN.md, "What is measured vs. what is modeled"):
+paper's scale*.  It is the substitution for the 2,048-core Bebop runs:
 
 * checkpoint time = parallel compression time + storage write of the
   compressed bytes,
@@ -188,7 +187,7 @@ class ClusterModel:
         the rollback costs in the same *proportion* to productive work as in
         the paper, the virtual per-iteration time is stretched so that the
         failure-free virtual runtime equals the paper's baseline runtime for
-        this method (DESIGN.md, "What is measured vs. what is modeled").
+        this method.
         """
         local_iterations = int(local_iterations)
         if local_iterations < 1:

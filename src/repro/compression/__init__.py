@@ -1,11 +1,11 @@
 """Error-bounded lossy and lossless compressors for checkpoint payloads.
 
 This subpackage stands in for the SZ, ZFP and Gzip compressors the paper
-plugs into its checkpointing pipeline (see DESIGN.md for the substitution
-table).  All compressors implement the same :class:`~repro.compression.base.Compressor`
-interface so the checkpointing layer and the experiment harness can treat
-"traditional" (identity), "lossless" (DEFLATE/LZMA) and "lossy" (SZ-like,
-ZFP-like) checkpointing uniformly.
+plugs into its checkpointing pipeline.  All compressors implement the same
+:class:`~repro.compression.base.Compressor` interface so the checkpointing
+layer and the experiment harness can treat "traditional" (identity),
+"lossless" (DEFLATE/LZMA) and "lossy" (SZ-like, ZFP-like) checkpointing
+uniformly.
 
 The lossy compressors guarantee their error bounds: for every element of the
 decompressed array, the deviation from the original respects the requested

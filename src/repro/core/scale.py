@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.cluster.partition import block_partition
-
 __all__ = ["ExperimentScale", "PAPER_WEAK_SCALING", "paper_scale"]
 
 _DOUBLE = 8  # bytes per element
@@ -82,10 +80,6 @@ class ExperimentScale:
     def per_process_vector_bytes(self) -> float:
         """Mean bytes of one dynamic vector owned by each process."""
         return self.vector_bytes / self.num_processes
-
-    def per_process_elements(self) -> int:
-        """Elements owned by rank 0 under the block partition (representative)."""
-        return block_partition(self.global_elements, self.num_processes).counts[0]
 
 
 def paper_scale(num_processes: int) -> ExperimentScale:

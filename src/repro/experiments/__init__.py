@@ -7,8 +7,7 @@ through :func:`repro.campaign.executor.run_campaign` (accepting ``n_workers``
 and ``cache`` so figures parallelise and memoise on disk) and post-processes
 the cell results into a plain dataclass, and a ``*_table`` helper renders the
 text table printed by the ``examples``/benchmark harness.  The mapping from
-paper artefact to module is listed in DESIGN.md's per-experiment index and in
-EXPERIMENTS.md.
+paper artefact to module is README.md's "Paper figure map".
 """
 
 from repro.experiments.config import (

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
+from repro.axes import METHODS
 from repro.precond import JacobiPreconditioner
 from repro.sparse.kkt import KKTProblem, kkt_system
 from repro.sparse.poisson import PoissonProblem, poisson_system
@@ -97,10 +98,10 @@ DEFAULT_CONFIG = ExperimentConfig()
 def method_problem(config: ExperimentConfig, method: str, *, seed_offset: int = 0):
     """Build the local test problem a given method is evaluated on.
 
-    Jacobi, GMRES and CG all use the 3D Poisson system (Eq. (15)); the KKT
-    problem of Fig. 3 is built separately via :func:`repro.sparse.kkt.kkt_system`.
+    Every method but ``kkt`` uses the 3D Poisson system (Eq. (15)); the KKT
+    problem of Fig. 3 is built separately by :func:`kkt_problem`.
     """
-    if method in ("jacobi", "gmres", "cg", "gauss_seidel", "sor", "ssor", "bicgstab"):
+    if method in METHODS and method != "kkt":
         return poisson_system(config.grid_n, seed=config.seed + seed_offset)
     raise ValueError(f"unknown method {method!r}")
 

@@ -1,26 +1,20 @@
 """Preconditioners for the iterative solvers.
 
-The paper uses PETSc's default block-Jacobi preconditioner with ILU/IC inside
-each block, and a plain (point) Jacobi preconditioner for the KKT240 study.
-This subpackage implements those plus identity and SSOR preconditioning, all
-behind a single :class:`~repro.precond.base.Preconditioner` interface whose
-``solve`` method applies ``M^{-1}`` to a vector.
+The Poisson runs of the reproduction solve without preconditioning
+(:class:`~repro.precond.base.IdentityPreconditioner`, the solvers' default),
+the KKT study of Fig. 3 uses point Jacobi as the paper does, and the
+quickstart example shows CG with IC(0).  All share one
+:class:`~repro.precond.base.Preconditioner` interface whose ``solve`` method
+applies ``M^{-1}`` to a vector.
 """
 
-from repro.precond.base import Preconditioner, IdentityPreconditioner, make_preconditioner
+from repro.precond.base import Preconditioner, IdentityPreconditioner
 from repro.precond.jacobi import JacobiPreconditioner
-from repro.precond.block_jacobi import BlockJacobiPreconditioner
-from repro.precond.ilu import ILU0Preconditioner
 from repro.precond.ichol import IncompleteCholeskyPreconditioner
-from repro.precond.ssor import SSORPreconditioner
 
 __all__ = [
     "Preconditioner",
     "IdentityPreconditioner",
-    "make_preconditioner",
     "JacobiPreconditioner",
-    "BlockJacobiPreconditioner",
-    "ILU0Preconditioner",
     "IncompleteCholeskyPreconditioner",
-    "SSORPreconditioner",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.precond.base import Preconditioner, register_preconditioner
+from repro.precond.base import Preconditioner
 
 __all__ = ["IncompleteCholeskyPreconditioner", "ic0_factor"]
 
@@ -80,8 +80,6 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
     applied progressively until the factorization succeeds.
     """
 
-    name = "ic0"
-
     def __init__(self, A, *, shift: float = 0.0, max_shift_attempts: int = 8) -> None:
         super().__init__(A)
         import scipy.sparse.linalg  # noqa: F401 - binds sp.linalg
@@ -105,6 +103,3 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
     def _solve(self, r: np.ndarray) -> np.ndarray:
         y = sp.linalg.spsolve_triangular(self._L, r, lower=True)
         return sp.linalg.spsolve_triangular(self._LT, y, lower=False)
-
-
-register_preconditioner("ic0", IncompleteCholeskyPreconditioner)

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.precond.base import Preconditioner, register_preconditioner
+from repro.precond.base import Preconditioner
 
 __all__ = ["JacobiPreconditioner"]
 
 
 class JacobiPreconditioner(Preconditioner):
     """Diagonal scaling preconditioner ``z = D^{-1} r``."""
-
-    name = "jacobi"
 
     def __init__(self, A) -> None:
         super().__init__(A)
@@ -27,6 +25,3 @@ class JacobiPreconditioner(Preconditioner):
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         return r * self._inv_diag
-
-
-register_preconditioner("jacobi", JacobiPreconditioner)

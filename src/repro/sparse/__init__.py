@@ -2,10 +2,10 @@
 
 This subpackage is the "problem substrate" of the reproduction: it builds the
 3D Poisson system of the paper's Eq. (15), synthetic symmetric-indefinite KKT
-systems standing in for SuiteSparse KKT240, and a handful of auxiliary
-generators (SPD, diagonally dominant, tridiagonal) used by tests and
-ablations.  It also provides the spectral analysis (iteration matrix, spectral
-radius) needed by Theorem 2's extra-iteration bound for stationary methods.
+systems standing in for SuiteSparse KKT240, and random SPD and diagonally
+dominant matrices used by the solver tests.  It also provides the Jacobi
+iteration matrix and spectral radius that Theorem 2's extra-iteration bound
+for stationary methods needs.
 """
 
 from repro.sparse.poisson import (
@@ -17,22 +17,8 @@ from repro.sparse.poisson import (
     stencil_grid,
 )
 from repro.sparse.kkt import kkt_system, KKTProblem
-from repro.sparse.matrices import (
-    random_spd,
-    diagonally_dominant,
-    tridiagonal,
-    random_sparse_system,
-)
-from repro.sparse.analysis import (
-    jacobi_iteration_matrix,
-    gauss_seidel_iteration_matrix,
-    sor_iteration_matrix,
-    spectral_radius,
-    estimate_spectral_radius_power,
-    is_symmetric,
-    is_diagonally_dominant,
-)
-from repro.sparse.io import save_csr, load_csr
+from repro.sparse.matrices import random_spd, diagonally_dominant
+from repro.sparse.analysis import jacobi_iteration_matrix, spectral_radius
 
 __all__ = [
     "poisson_1d",
@@ -45,15 +31,6 @@ __all__ = [
     "KKTProblem",
     "random_spd",
     "diagonally_dominant",
-    "tridiagonal",
-    "random_sparse_system",
     "jacobi_iteration_matrix",
-    "gauss_seidel_iteration_matrix",
-    "sor_iteration_matrix",
     "spectral_radius",
-    "estimate_spectral_radius_power",
-    "is_symmetric",
-    "is_diagonally_dominant",
-    "save_csr",
-    "load_csr",
 ]

@@ -15,9 +15,6 @@ objective on the state/control variables), ``B`` is a discretised constraint
 Jacobian, and ``C`` is a small positive-semidefinite regularisation block.
 Such matrices are symmetric indefinite — exactly the property that rules out
 CG and makes preconditioned GMRES the paper's solver of choice for Fig. 3.
-
-See DESIGN.md ("What the authors used vs. what we build") for the
-substitution rationale.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
-"""Auxiliary sparse-matrix generators used by tests and ablation studies.
+"""Random sparse-matrix generators used by the solver and property tests.
 
 These complement :mod:`repro.sparse.poisson` with matrices whose properties
-are easy to control (condition number, diagonal dominance, bandwidth), so that
-solver and compressor behaviour can be probed away from the single Poisson
-family the paper evaluates.
+are easy to control (condition number, diagonal dominance, symmetry), so that
+solver behaviour can be probed away from the single Poisson family the paper
+evaluates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,25 +15,7 @@ import scipy.sparse as sp
 
 from repro.utils.rng import default_rng
 
-__all__ = [
-    "random_spd",
-    "diagonally_dominant",
-    "tridiagonal",
-    "random_sparse_system",
-    "SparseSystem",
-]
-
-
-def tridiagonal(
-    n: int, diag: float = 2.0, off: float = -1.0, *, dtype=np.float64
-) -> sp.csr_matrix:
-    """Return the ``n x n`` tridiagonal matrix ``tridiag(off, diag, off)``."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    main = np.full(n, diag, dtype=dtype)
-    side = np.full(n - 1, off, dtype=dtype)
-    return sp.diags([side, main, side], offsets=[-1, 0, 1], format="csr", dtype=dtype)
+__all__ = ["random_spd", "diagonally_dominant"]
 
 
 def random_spd(
@@ -105,42 +86,3 @@ def diagonally_dominant(
         else np.asarray(np.abs(A).sum(axis=1)).ravel()
     diag = dominance * np.maximum(row_sums, 1.0)
     return (A + sp.diags(diag, format="csr")).tocsr()
-
-
-@dataclass
-class SparseSystem:
-    """A generic sparse linear system bundle ``A x = b`` with known solution."""
-
-    A: sp.csr_matrix
-    b: np.ndarray
-    x_true: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Number of unknowns."""
-        return self.A.shape[0]
-
-
-def random_sparse_system(
-    n: int,
-    *,
-    kind: str = "spd",
-    density: float = 0.01,
-    seed: Optional[int] = None,
-) -> SparseSystem:
-    """Build a random sparse system with a known smooth-ish solution.
-
-    ``kind`` selects the generator: ``"spd"`` (CG-friendly), ``"dominant"``
-    (stationary-method friendly).
-    """
-    rng = default_rng(seed)
-    if kind == "spd":
-        A = random_spd(n, density=density, seed=rng)
-    elif kind == "dominant":
-        A = diagonally_dominant(n, density=density, seed=rng)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    t = np.linspace(0.0, 1.0, n)
-    x_true = np.sin(2 * np.pi * t) + 0.25 * np.cos(6 * np.pi * t)
-    b = A @ x_true
-    return SparseSystem(A=A, b=b, x_true=x_true)

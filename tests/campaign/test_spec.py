@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.axes import METHODS
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 
@@ -9,6 +10,16 @@ class TestRunSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown cell kind"):
             RunSpec(kind="nonsense")
+
+    @pytest.mark.parametrize("method", ["sor", "cgg", "gauss_seidel", "ssor", "CG"])
+    def test_rejects_unknown_method(self, method):
+        # Validated at construction, not after a worker has built the problem.
+        with pytest.raises(ValueError, match="unknown method"):
+            RunSpec(method=method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_accepts_every_method(self, method):
+        assert RunSpec(method=method).method == method
 
     def test_params_are_normalised_and_sorted(self):
         a = RunSpec(params={"b": 2, "a": 1})

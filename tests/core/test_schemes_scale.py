@@ -120,10 +120,6 @@ class TestExperimentScale:
         scale = ExperimentScale(num_processes=128, grid_n=100, static_multiplier=10.0)
         assert scale.static_bytes == pytest.approx(10.0 * scale.vector_bytes)
 
-    def test_per_process_elements(self):
-        scale = ExperimentScale(num_processes=7, grid_n=10)
-        assert scale.per_process_elements() == (1000 + 6) // 7
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentScale(num_processes=0, grid_n=10)

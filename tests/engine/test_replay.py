@@ -37,7 +37,7 @@ from repro.engine.replay import (
     scheme_fingerprint,
     solver_fingerprint,
 )
-from repro.precond import JacobiPreconditioner, SSORPreconditioner
+from repro.precond import IncompleteCholeskyPreconditioner, JacobiPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
 
 SOLVER_FACTORIES = {
@@ -373,8 +373,8 @@ class TestSnapshotMemoAndFingerprints:
 _PRECONDITIONERS = {
     "identity": lambda A: None,
     "jacobi": JacobiPreconditioner,
-    "ssor-1.0": lambda A: SSORPreconditioner(A, omega=1.0),
-    "ssor-1.2": lambda A: SSORPreconditioner(A, omega=1.2),
+    "ic0-0.0": lambda A: IncompleteCholeskyPreconditioner(A, shift=0.0),
+    "ic0-0.1": lambda A: IncompleteCholeskyPreconditioner(A, shift=0.1),
 }
 
 
@@ -402,8 +402,8 @@ class TestPreconditionerSoundness:
         [
             ("identity", "jacobi"),
             ("jacobi", "identity"),
-            ("ssor-1.0", "ssor-1.2"),
-            ("ssor-1.2", "ssor-1.0"),
+            ("ic0-0.0", "ic0-0.1"),
+            ("ic0-0.1", "ic0-0.0"),
         ],
     )
     def test_no_hits_against_another_preconditioners_recordings(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.axes import METHODS
 from repro.experiments.config import (
     DEFAULT_CONFIG,
     PAPER_RTOL,
@@ -47,8 +48,16 @@ class TestFactories:
         assert solver.restart == 30
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            method_problem(SMALL_CONFIG, "simplex")
+        # "sor" has no campaign solver, and "kkt" builds its own problem.
+        for method in ("simplex", "sor", "kkt"):
+            with pytest.raises(ValueError, match="unknown method"):
+                method_problem(SMALL_CONFIG, method)
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "kkt"])
+    def test_every_poisson_method_builds_a_problem_and_a_solver(self, method):
+        problem = method_problem(SMALL_CONFIG, method)
+        assert problem.A.shape[0] == SMALL_CONFIG.grid_n ** 3
+        assert method_solver(SMALL_CONFIG, method, problem).n == problem.A.shape[0]
 
     def test_kkt_problem_and_solver(self):
         problem = kkt_problem(SMALL_CONFIG)

@@ -2,19 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.sparse.analysis import (
-    condition_number_estimate,
-    estimate_spectral_radius_power,
-    gauss_seidel_iteration_matrix,
-    is_diagonally_dominant,
-    is_symmetric,
     jacobi_iteration_matrix,
-    sor_iteration_matrix,
     spectral_radius,
     spectral_radius_from_convergence,
 )
-from repro.sparse.poisson import poisson_1d, poisson_2d
+from repro.sparse.matrices import diagonally_dominant
+from repro.sparse.poisson import poisson_1d, poisson_2d, poisson_3d
 
 
 class TestIterationMatrices:
@@ -25,46 +21,63 @@ class TestIterationMatrices:
         expected = np.cos(np.pi / (n + 1))
         assert spectral_radius(G) == pytest.approx(expected, rel=1e-10)
 
-    def test_gauss_seidel_radius_is_jacobi_squared(self):
-        # Classical result for consistently ordered matrices.
-        n = 8
-        A = poisson_1d(n)
-        rho_j = spectral_radius(jacobi_iteration_matrix(A))
-        rho_gs = spectral_radius(gauss_seidel_iteration_matrix(A))
-        assert rho_gs == pytest.approx(rho_j**2, rel=1e-8)
+    @pytest.mark.parametrize("poisson", [poisson_1d, poisson_2d, poisson_3d])
+    def test_jacobi_radius_known_for_every_poisson_dimension(self, poisson):
+        # The d-dimensional 7-/5-/3-point Laplacian on n points per axis has
+        # rho(G_J) = cos(pi/(n+1)), independent of d.
+        n = 5
+        G = jacobi_iteration_matrix(poisson(n))
+        assert spectral_radius(G) == pytest.approx(np.cos(np.pi / (n + 1)), rel=1e-10)
 
-    def test_sor_optimal_omega_beats_gauss_seidel(self):
-        A = poisson_1d(12)
-        rho_j = spectral_radius(jacobi_iteration_matrix(A))
-        omega_opt = 2.0 / (1.0 + np.sqrt(1.0 - rho_j**2))
-        rho_sor = spectral_radius(sor_iteration_matrix(A, omega_opt))
-        rho_gs = spectral_radius(gauss_seidel_iteration_matrix(A))
-        assert rho_sor < rho_gs
+    def test_jacobi_matrix_is_identity_minus_scaled_a(self):
+        A = diagonally_dominant(20, density=0.2, symmetric=False, seed=3)
+        G = jacobi_iteration_matrix(A).toarray()
+        D_inv = np.diag(1.0 / A.diagonal())
+        assert np.allclose(G, np.eye(20) - D_inv @ A.toarray())
+        assert np.all(np.diag(G) == 0.0)
+
+    def test_diagonal_dominance_bounds_the_jacobi_radius(self):
+        # Row sums of |G| are 1/dominance, which bounds rho(G).
+        A = diagonally_dominant(30, density=0.2, dominance=2.0, seed=4)
+        R = spectral_radius(jacobi_iteration_matrix(A))
+        assert R <= 0.5 + 1e-12
 
     def test_jacobi_requires_nonzero_diagonal(self):
         A = np.array([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
             jacobi_iteration_matrix(A)
 
-    def test_sor_omega_range(self):
-        with pytest.raises(ValueError):
-            sor_iteration_matrix(poisson_1d(5), omega=2.5)
-
 
 class TestSpectralRadiusEstimators:
-    def test_power_iteration_matches_dense(self):
-        G = jacobi_iteration_matrix(poisson_2d(6))
-        exact = spectral_radius(G)
-        estimate = estimate_spectral_radius_power(G, seed=0, iterations=500)
-        assert estimate == pytest.approx(exact, rel=1e-3)
-
-    def test_power_iteration_zero_matrix(self):
-        assert estimate_spectral_radius_power(np.zeros((4, 4)), seed=0) == 0.0
-
     def test_convergence_based_estimate(self):
         # If the error decays by 1e-4 over 100 iterations, R = (1e-4)^(1/100).
         R = spectral_radius_from_convergence(1.0, 1e-4, 100)
         assert R == pytest.approx(10 ** (-4 / 100))
+
+    def test_convergence_estimate_recovers_jacobi_radius(self):
+        # Section 5's estimator, fed the error of an actual Jacobi run,
+        # approaches the exact rho(G_J) = cos(pi/(n+1)).
+        n, iterations = 10, 200
+        A = poisson_1d(n)
+        rng = np.random.default_rng(0)
+        x_star = rng.standard_normal(n)
+        b = A @ x_star
+        x = np.zeros(n)
+        for _ in range(iterations):
+            x = x + (b - A @ x) / A.diagonal()
+        R = spectral_radius_from_convergence(
+            np.linalg.norm(x_star), np.linalg.norm(x - x_star), iterations
+        )
+        assert R == pytest.approx(np.cos(np.pi / (n + 1)), rel=2e-2)
+
+    def test_spectral_radius_same_for_sparse_and_dense(self):
+        G = jacobi_iteration_matrix(poisson_2d(4))
+        assert spectral_radius(G) == spectral_radius(G.toarray())
+        assert sp.issparse(G)
+
+    def test_spectral_radius_of_rotation_uses_complex_moduli(self):
+        # Eigenvalues +-0.5i: the radius is their modulus, not a real part.
+        assert spectral_radius(np.array([[0.0, -0.5], [0.5, 0.0]])) == pytest.approx(0.5)
 
     def test_convergence_estimate_caps_at_one(self):
         assert spectral_radius_from_convergence(1.0, 2.0, 10) == 1.0
@@ -78,22 +91,3 @@ class TestSpectralRadiusEstimators:
     def test_spectral_radius_requires_square(self):
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 3)))
-
-
-class TestMatrixPredicates:
-    def test_is_symmetric_true_and_false(self):
-        assert is_symmetric(poisson_2d(4))
-        asym = poisson_2d(4).tolil()
-        asym[0, 1] = 99.0
-        assert not is_symmetric(asym.tocsr())
-
-    def test_is_diagonally_dominant(self):
-        assert is_diagonally_dominant(poisson_1d(6))
-        assert not is_diagonally_dominant(
-            np.array([[1.0, 5.0], [5.0, 1.0]]), strict=True
-        )
-
-    def test_condition_estimate_poisson(self):
-        cond = condition_number_estimate(poisson_1d(20))
-        dense = np.linalg.cond(poisson_1d(20).toarray())
-        assert cond == pytest.approx(dense, rel=1e-2)

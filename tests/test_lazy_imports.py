@@ -4,8 +4,8 @@ The campaign front end (``cli``, ``spec``, ``cache``, ``report``,
 ``executor``) imports no numerics: a rerun served from the cache loads neither
 NumPy nor SciPy, and a run with pending cells loads the execution stack once,
 before any worker pool forks.  ``scipy.fft`` (with the ``scipy.special`` it
-pulls in), ``scipy.linalg`` and ``scipy.sparse.linalg`` are imported by the
-constructors or functions that call them, never at module level
+pulls in) and ``scipy.sparse.linalg`` (with the ``scipy.linalg`` it pulls in)
+are imported by the constructors that call them, never at module level
 (docs/architecture.md, "Imports").  Each test runs in a fresh interpreter,
 since this process has long since loaded all of them.
 """
@@ -145,12 +145,9 @@ def test_deferred_importers_load_at_construction_and_work():
         import sys
         import numpy as np
         from repro.compression.zfp import ZFPCompressor
-        from repro.precond import BlockJacobiPreconditioner
         from repro.solvers import GaussSeidelSolver, SORSolver, SSORSolver
         from repro.sparse import poisson_system
-        from repro.sparse.analysis import (
-            condition_number_estimate, jacobi_iteration_matrix, spectral_radius,
-        )
+        from repro.sparse.analysis import jacobi_iteration_matrix, spectral_radius
 
         def built_loading(module, factory):
             assert module not in sys.modules, module
@@ -164,21 +161,16 @@ def test_deferred_importers_load_at_construction_and_work():
         assert np.all(np.abs(recon - data) <= 1e-4 * np.abs(data) * (1 + 1e-8))
 
         problem = poisson_system(5, seed=1)
-        M = built_loading("scipy.linalg", lambda: BlockJacobiPreconditioner(problem.A, 4))
-        assert np.all(np.isfinite(M.solve(problem.b)))
         built_loading("scipy.sparse.linalg", lambda: GaussSeidelSolver(problem.A))
         for cls in (GaussSeidelSolver, SORSolver, SSORSolver):
             assert cls(problem.A, rtol=1e-6).solve(problem.b).converged
         assert 0.0 < spectral_radius(jacobi_iteration_matrix(problem.A)) < 1.0
-        assert condition_number_estimate(problem.A) > 1.0
         print("ok")
     """)
     assert out.strip() == "ok"
 
 
-@pytest.mark.parametrize(
-    "name", ["ILU0Preconditioner", "IncompleteCholeskyPreconditioner", "SSORPreconditioner"]
-)
+@pytest.mark.parametrize("name", ["IncompleteCholeskyPreconditioner"])
 def test_triangular_preconditioners_import_their_own_solver(name):
     """Each one imports ``scipy.sparse.linalg`` itself, when it is built."""
     out = _run_fresh(f"""
