@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from repro.campaign.cache import ResultCache
 from repro.campaign.execute import PROFILE_ENV
 from repro.campaign.executor import CellOutcome, run_campaign
-from repro.campaign.report import CampaignReport
+from repro.campaign.report import CampaignReport, _dumps_indented
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 __all__ = ["main", "PRESETS", "demo_campaign"]
@@ -164,6 +164,18 @@ def _progress_printer(stream) -> "callable":
     return progress
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so a killed run leaves old or new, never torn."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -236,6 +248,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"unknown --group-by field(s) {', '.join(unknown)}; "
             f"choose from {', '.join(sorted(valid_axes))}"
         )
+    # Checked before any cell runs, so a typo costs nothing.
+    if args.json and not Path(args.json).parent.is_dir():
+        parser.error(
+            f"cannot write --json {args.json}: "
+            f"{Path(args.json).parent} is not a directory"
+        )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     n_workers = None if args.workers == 0 else args.workers
     progress = None if args.quiet else _progress_printer(sys.stderr)
@@ -260,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.cached_count} from cache, {result.wall_seconds:.1f}s wall"
     )
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_dict(by=by), indent=2, sort_keys=True))
+        _write_atomically(Path(args.json), _dumps_indented(report.to_dict(by=by)))
         print(f"report written to {args.json}")
     if args.profile:
         profiles = sorted(Path(args.profile).glob("*.pstats"))
