@@ -33,6 +33,4 @@ WRITE_MODES = ("blocking", "async")
 STORE_BACKENDS = ("pfs", "memory", "disk", "object", "chunked")
 
 #: Error-bound policy names accepted as a campaign-grid axis.
-#: ``per_variable`` is deliberately excluded: a grid cell cannot carry the
-#: per-name mapping, so it is constructed programmatically instead.
 BOUND_POLICIES = ("fixed", "value_range", "residual_adaptive")

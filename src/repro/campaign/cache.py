@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.campaign.spec import RunSpec
 
@@ -103,22 +103,6 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
-
-    def keys(self) -> Iterator[str]:
-        """Cache keys currently stored."""
-        for path in sorted(self.directory.glob("*.json")):
-            yield path.stem
-
-    def clear(self) -> int:
-        """Remove every entry; returns how many were deleted."""
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
 
 class MemoStore:

@@ -201,6 +201,3 @@ class CampaignReport:
             ],
         }
 
-    def to_json(self, by: Sequence[str] = ("method", "scheme", "num_processes")) -> str:
-        """Canonical JSON of :meth:`to_dict` (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(by), sort_keys=True, separators=(",", ":"))

@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import axes
@@ -185,9 +185,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}; known: {KINDS}")
-        # The campaign vocabularies leave out "scripted" failures and
-        # "per_variable" bounds: a cell cannot carry the failure times or the
-        # per-name policy mapping they need, so it would silently run
+        # The campaign vocabulary leaves out "scripted" failures: a cell
+        # cannot carry the failure times they need, so it would silently run
         # something else.
         for name, label, known in (
             ("method", "method", axes.METHODS),
@@ -208,10 +207,6 @@ class RunSpec:
             if key == name:
                 return value
         return default
-
-    def with_overrides(self, **kwargs) -> "RunSpec":
-        """Copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -2,10 +2,11 @@
 
 The workflow mirrors the paper's description of its library integration
 (Section 4.2): *declare* the variables to protect (``Protect`` — the
-solver's :class:`~repro.solvers.base.CheckpointSpec` names the dynamic ones,
-``static=`` the ones stored once; the residual is recomputed, never stored),
-*snapshot* them periodically (``Snapshot``), and *restore* them after a
-failure.  :class:`~repro.checkpoint.pipeline.CheckpointPipeline` compresses
+solver's :class:`~repro.solvers.base.CheckpointSpec` names the dynamic ones;
+the static ones — matrix, preconditioner, right-hand side — are rebuilt on
+recovery and priced by the cluster model, and the residual is recomputed,
+never stored), *snapshot* them periodically (``Snapshot``), and *restore*
+them after a failure.  :class:`~repro.checkpoint.pipeline.CheckpointPipeline` compresses
 the dynamic variables through any
 :class:`~repro.compression.base.Compressor` and persists the resulting
 payload through a pluggable :class:`~repro.checkpoint.store.CheckpointStore`
@@ -25,7 +26,6 @@ from repro.checkpoint.store import (
     MemoryCheckpointStore,
     SimulatedObjectStore,
     StoreProfile,
-    StoreStat,
     WriteReceipt,
 )
 from repro.checkpoint.chunked import ChunkedStore, DEFAULT_CHUNK_SIZE, chunk_digest
@@ -58,7 +58,6 @@ __all__ = [
     "SimulatedObjectStore",
     "ChunkedStore",
     "StoreProfile",
-    "StoreStat",
     "WriteReceipt",
     "FAILURE_SCOPES",
     "STORE_PROFILES",

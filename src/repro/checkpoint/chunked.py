@@ -5,7 +5,7 @@ chunk by its BLAKE2b digest, and stores chunks once in a refcounted pool on
 the wrapped backend's blob namespace.  Each checkpoint is represented by a
 small JSON *manifest* (chunk digests in order plus the total length) written
 under the checkpoint's integer id, so the wrapped store's ``ids`` /
-``latest_id`` / ``prune`` semantics carry over unchanged.
+``delete`` semantics carry over unchanged.
 
 Identical blocks — across FTI level replicas or repeated writes of
 slowly-changing state — are therefore stored (and, in the engine's
@@ -35,7 +35,6 @@ from typing import Dict, List, Tuple
 from repro.checkpoint.store import (
     CheckpointStore,
     StoreProfile,
-    StoreStat,
     WriteReceipt,
 )
 
@@ -259,14 +258,6 @@ class ChunkedStore(CheckpointStore):
     @property
     def profile(self) -> StoreProfile:
         return self.base.profile
-
-    def stat(self, checkpoint_id: int) -> StoreStat:
-        manifest = self._load_manifest(checkpoint_id)
-        return StoreStat(
-            checkpoint_id=int(checkpoint_id),
-            nbytes=int(manifest["length"]),
-            backend=f"chunked({self.base.profile.name})",
-        )
 
     def dedup_stats(self) -> Dict[str, float]:
         """Cumulative write-traffic dedup over this store's lifetime."""

@@ -254,15 +254,10 @@ class CheckpointPipeline:
         Optional :class:`~repro.checkpoint.store.CheckpointStore` (plain or
         multilevel) that :meth:`commit` persists payloads into and
         :meth:`restore` reads from.
-    static:
-        Optional mapping of static variables (``A`` component arrays, ``b``)
-        snapshotted once by :meth:`snapshot_static` under id ``-1``.
 
     Every payload is self-contained: each variable ships its full compressed
     form, so a restore reads exactly one payload.
     """
-
-    _STATIC_ID = -1
 
     def __init__(
         self,
@@ -271,7 +266,6 @@ class CheckpointPipeline:
         solver: Optional[IterativeSolver] = None,
         spec: Optional[CheckpointSpec] = None,
         store: Optional[CheckpointStore] = None,
-        static: Optional[Mapping[str, np.ndarray]] = None,
     ) -> None:
         if spec is None:
             if solver is None:
@@ -281,7 +275,6 @@ class CheckpointPipeline:
         self.solver = solver
         self.spec = spec
         self.store = store
-        self._static = {name: np.asarray(value) for name, value in (static or {}).items()}
         # The paper's Protect(): ``(name, compressible)`` of every dynamic
         # variable, in payload order.
         dynamic = [("iteration", False), ("x", True)]
@@ -474,35 +467,6 @@ class CheckpointPipeline:
             return None
         return self.store.write(snapshot.checkpoint_id, snapshot.payload)
 
-    def snapshot_static(self) -> Optional[PipelineSnapshot]:
-        """Persist the static variables once (id ``-1``); no compression."""
-        if not self._static:
-            return None
-        payload = CheckpointPayload(
-            meta={"kind": "static", "pipeline_version": PIPELINE_VERSION}
-        )
-        measurements = []
-        for name, raw in self._static.items():
-            value = _exact_entry(raw)
-            payload.entries[name] = value
-            nbytes = value.nbytes if isinstance(value, np.ndarray) else SCALAR_BYTES
-            measurements.append(
-                VariableMeasurement(
-                    name=name,
-                    kind="vector" if isinstance(value, np.ndarray) else "scalar",
-                    uncompressed_bytes=int(nbytes),
-                    stored_bytes=int(nbytes),
-                )
-            )
-        snapshot = PipelineSnapshot(
-            checkpoint_id=self._STATIC_ID,
-            iteration=-1,
-            payload=serialize_checkpoint(payload),
-            variables=measurements,
-        )
-        self.commit(snapshot)
-        return snapshot
-
     # -- restore ---------------------------------------------------------------
     def restore(
         self,
@@ -521,9 +485,9 @@ class CheckpointPipeline:
             if self.store is None:
                 raise ValueError("no payload given and the pipeline has no store")
             if checkpoint_id is None:
-                ids = [i for i in self.store.ids() if i != self._STATIC_ID]
+                ids = self.store.ids()
                 if not ids:
-                    raise KeyError("no dynamic checkpoint available to restore")
+                    raise KeyError("no checkpoint available to restore")
                 checkpoint_id = ids[-1]
             payload = self.store.read(checkpoint_id)
         parsed = deserialize_checkpoint(payload)
@@ -557,13 +521,6 @@ class CheckpointPipeline:
             resume_state=resume,
             tag=dict(parsed.meta.get("tag", {})),
         )
-
-    def restore_static(self) -> Dict[str, object]:
-        """Load the static payload written by :meth:`snapshot_static`."""
-        if self.store is None:
-            raise ValueError("the pipeline has no store to read statics from")
-        parsed = deserialize_checkpoint(self.store.read(self._STATIC_ID))
-        return dict(parsed.entries)
 
     # -- internals -------------------------------------------------------------
     def _compressor_for(

@@ -51,11 +51,6 @@ class CheckpointPayload:
     entries: Dict[str, Entry] = field(default_factory=dict)
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def nbytes(self) -> int:
-        """Exact serialized size: ``len(serialize_checkpoint(self))``."""
-        index, _chunks, body_size = _build_index(self)
-        return _PREFIX + len(index) + body_size
-
 
 def _entry_header(value: Entry) -> Dict[str, object]:
     if isinstance(value, CompressedBlob):

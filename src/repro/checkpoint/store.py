@@ -3,9 +3,7 @@
 A :class:`CheckpointStore` persists opaque checkpoint payloads keyed by an
 integer checkpoint id.  Every backend also carries a :class:`StoreProfile` —
 the latency / bandwidth / durability envelope the engine uses to *price*
-writes, reads, and asynchronous drains against the modeled cluster — and
-answers :meth:`CheckpointStore.survives` for a given failure scope so the
-multilevel policy can compose real backends instead of bare multipliers.
+writes, reads, and asynchronous drains against the modeled cluster.
 
 Concrete back ends:
 
@@ -41,7 +39,6 @@ from repro.utils.validation import check_nonnegative
 __all__ = [
     "FAILURE_SCOPES",
     "StoreProfile",
-    "StoreStat",
     "WriteReceipt",
     "CheckpointStore",
     "MemoryCheckpointStore",
@@ -129,17 +126,6 @@ class StoreProfile:
             nbytes, num_processes, self.write_bandwidth * self.async_bandwidth_fraction
         )
 
-    def survives(self, failure_scope: str) -> bool:
-        """True if data in this store survives a failure of ``failure_scope``."""
-        if failure_scope not in FAILURE_SCOPES:
-            raise ValueError(
-                f"failure_scope must be one of {FAILURE_SCOPES}, got {failure_scope!r}"
-            )
-        return FAILURE_SCOPES.index(self.durability) >= FAILURE_SCOPES.index(
-            failure_scope
-        )
-
-
 #: The paper's parallel file system, calibrated on its anchor measurement:
 #: one traditional checkpoint of a 78.8 GiB vector from 2,048 processes takes
 #: about 120 s (bandwidth term ~103 s + contention ~16 s + latency).
@@ -218,15 +204,6 @@ class WriteReceipt:
     chunks_new: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class StoreStat:
-    """Metadata about one stored checkpoint (cf. ``os.stat``)."""
-
-    checkpoint_id: int
-    nbytes: int
-    backend: str
-
-
 class CheckpointStore(abc.ABC):
     """Abstract key-value store for serialized checkpoints."""
 
@@ -252,19 +229,6 @@ class CheckpointStore(abc.ABC):
         """The latency/bandwidth/durability envelope used to price this store."""
         return PFS_PROFILE
 
-    def survives(self, failure_scope: str) -> bool:
-        """True if checkpoints in this store survive ``failure_scope`` failures."""
-        return self.profile.survives(failure_scope)
-
-    def stat(self, checkpoint_id: int) -> StoreStat:
-        """Metadata for one checkpoint; raises ``KeyError`` like :meth:`read`."""
-        payload = self.read(checkpoint_id)
-        return StoreStat(
-            checkpoint_id=int(checkpoint_id),
-            nbytes=len(payload),
-            backend=self.profile.name,
-        )
-
     # -- auxiliary blob namespace -----------------------------------------
     # Chunk pools and level replicas live beside the integer-keyed
     # checkpoints without colliding with them.  Backends that cannot hold
@@ -288,20 +252,6 @@ class CheckpointStore(abc.ABC):
     def blob_keys(self) -> List[str]:
         """All stored blob keys in sorted order."""
         raise NotImplementedError(f"{type(self).__name__} does not store blobs")
-
-    # -- conveniences ------------------------------------------------------
-    def latest_id(self) -> Optional[int]:
-        """The most recent checkpoint id, or None if the store is empty."""
-        ids = self.ids()
-        return ids[-1] if ids else None
-
-    def prune(self, keep_last: int = 1) -> None:
-        """Delete all but the most recent ``keep_last`` checkpoints."""
-        if keep_last < 0:
-            raise ValueError(f"keep_last must be >= 0, got {keep_last}")
-        ids = self.ids()
-        for checkpoint_id in ids[: max(0, len(ids) - keep_last)]:
-            self.delete(checkpoint_id)
 
 
 class MemoryCheckpointStore(CheckpointStore):
@@ -350,12 +300,6 @@ class MemoryCheckpointStore(CheckpointStore):
 
     def blob_keys(self) -> List[str]:
         return sorted(self._blobs)
-
-    def total_bytes(self) -> int:
-        """Total bytes currently held by the store (checkpoints + blobs)."""
-        return sum(len(v) for v in self._data.values()) + sum(
-            len(v) for v in self._blobs.values()
-        )
 
 
 class FileCheckpointStore(CheckpointStore):

@@ -220,8 +220,7 @@ class FailureInjector:
     mtti:
         Mean time to interruption in (virtual) seconds; ``None`` or ``inf``
         disables failures entirely (failure-free baseline runs).  When a
-        ``model`` is given, ``mtti`` is only consulted for the
-        :attr:`failure_rate` diagnostic.
+        ``model`` is given, the model's own mean gap is recorded instead.
     seed:
         RNG seed / generator for reproducibility.
     model:
@@ -263,35 +262,6 @@ class FailureInjector:
                 self.model.next_gap(self._rng, failure_index=0, last_time=0.0)
             )
 
-    @property
-    def failure_rate(self) -> float:
-        """Failures per (virtual) second — the model's lambda."""
-        return 0.0 if not self.mtti else 1.0 / self.mtti
-
-    def next_failure_time(self) -> float:
-        """Virtual time of the next pending failure (inf when disabled)."""
-        if self._next_time is None:
-            return float("inf")
-        return self._next_time
-
-    def failure_in(self, start: float, stop: float) -> Optional[float]:
-        """Return the pending failure's time if it strikes by ``stop``.
-
-        A pending failure whose arrival time already lies at or before
-        ``start`` is *latent*: :meth:`consume` re-armed it inside a phase
-        whose full cost had already been charged to the clock (an interrupted
-        attempt is billed as one whole phase).  A latent failure strikes in
-        the first window that looks for one — otherwise it would sit in the
-        past forever and silently disable failure injection for the rest of
-        the run (short gaps make this common under the bursty/Weibull
-        models, and possible even for Poisson arrivals).
-        """
-        if self._next_time is None:
-            return None
-        if self._next_time <= stop:
-            return self._next_time
-        return None
-
     def consume(self, time: float, phase: str = "compute") -> FailureEvent:
         """Record the pending failure as having struck at ``time`` and re-arm."""
         if self.model is None:
@@ -311,8 +281,7 @@ class FailureInjector:
 
         Unlike :meth:`consume`, peeking never touches the RNG stream — the
         arrival is drawn when the previous one is consumed, so posting it to
-        a calendar once is equivalent to re-checking ``failure_in`` per
-        phase.
+        a calendar once is equivalent to re-checking it per phase.
         """
         return float("inf") if self._next_time is None else self._next_time
 

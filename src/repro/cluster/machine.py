@@ -26,8 +26,8 @@ when the event fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict
 
 from repro.checkpoint.store import PFS_PROFILE, StoreProfile
 from repro.utils.validation import check_nonnegative, check_positive
@@ -50,9 +50,6 @@ PAPER_BASELINE_SECONDS: Dict[str, float] = {
     "jacobi": 3000.0,
     "gmres": 7200.0,
     "cg": 2100.0,
-    "gauss_seidel": 3000.0,
-    "sor": 3000.0,
-    "ssor": 3000.0,
     "bicgstab": 2100.0,
 }
 
@@ -62,9 +59,6 @@ PAPER_BASELINE_ITERATIONS: Dict[str, int] = {
     "jacobi": 3941,
     "gmres": 5875,
     "cg": 2376,
-    "gauss_seidel": 3941,
-    "sor": 3941,
-    "ssor": 3941,
     "bicgstab": 2376,
 }
 
@@ -119,12 +113,6 @@ class MachineSpec:
         if int(self.async_staging_slots) < 1:
             raise ValueError("async_staging_slots must be >= 1")
 
-    @property
-    def total_cores(self) -> int:
-        """Total cores of the machine."""
-        return self.nodes * self.cores_per_node
-
-
 #: The default machine — 64 dual-socket nodes with 32 cores each, like the
 #: Bebop partition the paper used.
 BEBOP_LIKE = MachineSpec()
@@ -140,9 +128,6 @@ class ClusterModel:
         MPI processes of the modeled job (the paper sweeps 256 - 2,048).
     spec:
         Machine description; defaults to :data:`BEBOP_LIKE`.
-    iteration_seconds:
-        Per-method seconds per iteration; defaults to the paper-derived table
-        :data:`PAPER_ITERATION_SECONDS`.
     profile:
         Latency/bandwidth envelope of the store checkpoints are written to
         and recovered from; defaults to the paper's parallel file system.
@@ -150,9 +135,6 @@ class ClusterModel:
 
     num_processes: int = 2048
     spec: MachineSpec = field(default_factory=lambda: BEBOP_LIKE)
-    iteration_seconds: Dict[str, float] = field(
-        default_factory=lambda: dict(PAPER_ITERATION_SECONDS)
-    )
     profile: StoreProfile = PFS_PROFILE
 
     def __post_init__(self) -> None:
@@ -160,24 +142,7 @@ class ClusterModel:
         if self.num_processes < 1:
             raise ValueError("num_processes must be >= 1")
 
-    # -- scaling helpers -----------------------------------------------------
-    def with_processes(self, num_processes: int) -> "ClusterModel":
-        """A copy of this model for a different process count."""
-        return replace(self, num_processes=int(num_processes))
-
     # -- compute time ---------------------------------------------------------
-    def iteration_time(self, method: str, *, override: Optional[float] = None) -> float:
-        """Seconds per solver iteration of ``method`` at this scale."""
-        if override is not None:
-            return check_positive(override, "iteration time override")
-        try:
-            return self.iteration_seconds[method]
-        except KeyError:
-            raise KeyError(
-                f"no iteration-time calibration for method {method!r}; "
-                f"known: {sorted(self.iteration_seconds)}"
-            ) from None
-
     def calibrated_iteration_time(self, method: str, local_iterations: int) -> float:
         """Per-iteration virtual time for a *reduced-size* local run.
 

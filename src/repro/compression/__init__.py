@@ -20,7 +20,6 @@ from repro.compression.base import (
     CompressionRecord,
     register_compressor,
     make_compressor,
-    available_compressors,
 )
 from repro.compression.codec import (
     FORMAT_VERSION,
@@ -36,10 +35,8 @@ from repro.compression.errorbounds import (
     ErrorBoundMode,
     ErrorBoundPolicy,
     FixedBoundPolicy,
-    PerVariableBoundPolicy,
     ResidualAdaptiveBoundPolicy,
     ValueRangeBoundPolicy,
-    available_bound_policies,
     make_bound_policy,
 )
 from repro.compression.identity import IdentityCompressor
@@ -47,7 +44,6 @@ from repro.compression.lossless import ZlibCompressor, LzmaCompressor
 from repro.compression.sz import SZCompressor
 from repro.compression.zfp import ZFPCompressor
 from repro.compression.metrics import (
-    compression_ratio,
     max_abs_error,
     max_pointwise_relative_error,
     value_range_relative_error,
@@ -62,7 +58,6 @@ __all__ = [
     "CompressionRecord",
     "register_compressor",
     "make_compressor",
-    "available_compressors",
     "FORMAT_VERSION",
     "CodecFormatError",
     "encode_signed",
@@ -75,16 +70,13 @@ __all__ = [
     "FixedBoundPolicy",
     "ValueRangeBoundPolicy",
     "ResidualAdaptiveBoundPolicy",
-    "PerVariableBoundPolicy",
     "BOUND_POLICIES",
     "make_bound_policy",
-    "available_bound_policies",
     "IdentityCompressor",
     "ZlibCompressor",
     "LzmaCompressor",
     "SZCompressor",
     "ZFPCompressor",
-    "compression_ratio",
     "max_abs_error",
     "max_pointwise_relative_error",
     "value_range_relative_error",

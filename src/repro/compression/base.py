@@ -22,7 +22,6 @@ __all__ = [
     "Compressor",
     "register_compressor",
     "make_compressor",
-    "available_compressors",
 ]
 
 
@@ -94,13 +93,6 @@ class CompressionRecord:
     original_bytes: int
     compressed_bytes: int
     seconds: float
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio achieved by this call."""
-        if self.compressed_bytes == 0:
-            return float("inf")
-        return self.original_bytes / self.compressed_bytes
 
 
 class Compressor(abc.ABC):
@@ -175,11 +167,6 @@ class Compressor(abc.ABC):
         self.last_record = record
         return arr
 
-    def roundtrip(self, data: np.ndarray) -> Tuple[np.ndarray, CompressedBlob]:
-        """Convenience: compress then decompress, returning both results."""
-        blob = self.compress(data)
-        return self.decompress(blob), blob
-
     # -- bookkeeping --------------------------------------------------------
     def mean_seconds(self, operation: str) -> float:
         """Mean seconds per call for ``operation`` ('compress'/'decompress')."""
@@ -231,6 +218,3 @@ def make_compressor(name: str, **kwargs) -> Compressor:
     return factory(**kwargs)
 
 
-def available_compressors() -> List[str]:
-    """Names of all registered compressors."""
-    return sorted(_REGISTRY)

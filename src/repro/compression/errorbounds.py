@@ -11,8 +11,7 @@ three modes and knows how to resolve itself against a concrete array.
 time.  The paper treats this per method (fixed ``1e-4`` for Jacobi/CG, the
 Theorem-3 residual-adaptive bound for GMRES); the policy protocol makes the
 choice a first-class, pluggable object on the checkpointing scheme so any
-solver can be paired with any policy — including a per-variable policy that
-resolves a different bound for each checkpointed variable of one payload.
+solver can be paired with any policy.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -33,10 +32,8 @@ __all__ = [
     "FixedBoundPolicy",
     "ValueRangeBoundPolicy",
     "ResidualAdaptiveBoundPolicy",
-    "PerVariableBoundPolicy",
     "BOUND_POLICIES",
     "make_bound_policy",
-    "available_bound_policies",
 ]
 
 
@@ -66,16 +63,6 @@ class ErrorBound:
         object.__setattr__(self, "value", value)
 
     # -- constructors ------------------------------------------------------
-    @classmethod
-    def absolute(cls, value: float) -> "ErrorBound":
-        """Absolute bound: every element may move by at most ``value``."""
-        return cls(ErrorBoundMode.ABSOLUTE, value)
-
-    @classmethod
-    def value_range_relative(cls, value: float) -> "ErrorBound":
-        """Bound relative to the data's value range (SZ's ``REL`` mode)."""
-        return cls(ErrorBoundMode.VALUE_RANGE_RELATIVE, value)
-
     @classmethod
     def pointwise_relative(cls, value: float) -> "ErrorBound":
         """Pointwise relative bound (the paper's ``eb``)."""
@@ -181,7 +168,7 @@ class ValueRangeBoundPolicy(ErrorBoundPolicy):
         object.__setattr__(self, "value", float(self.value))
 
     def resolve(self, *, variable="x", residual_norm=None, b_norm=None):
-        return ErrorBound.value_range_relative(self.value)
+        return ErrorBound(ErrorBoundMode.VALUE_RANGE_RELATIVE, self.value)
 
     def describe(self) -> str:
         return f"value_range({self.value:g})"
@@ -230,43 +217,6 @@ class ResidualAdaptiveBoundPolicy(ErrorBoundPolicy):
         return f"residual_adaptive(safety={self.safety_factor:g})"
 
 
-@dataclass(frozen=True)
-class PerVariableBoundPolicy(ErrorBoundPolicy):
-    """Dispatch to a different policy per checkpointed variable.
-
-    ``policies`` maps variable names to policies; unlisted variables fall
-    back to ``default`` (or abstain when ``default`` is ``None``, keeping the
-    compressor's configured bound).  This is the generalization the paper's
-    per-method treatment hints at: one payload can compress ``x`` under the
-    Theorem-3 adaptive bound while pinning any other lossily-stored variable
-    to its own fixed bound.
-    """
-
-    policies: Mapping[str, ErrorBoundPolicy] = field(default_factory=dict)
-    default: Optional[ErrorBoundPolicy] = None
-    name = "per_variable"
-
-    def __post_init__(self) -> None:
-        # Freeze the mapping so the dataclass stays hashable in spirit even
-        # though dicts are not (policies are never mutated after creation).
-        object.__setattr__(self, "policies", dict(self.policies))
-
-    def resolve(self, *, variable="x", residual_norm=None, b_norm=None):
-        policy = self.policies.get(variable, self.default)
-        if policy is None:
-            return None
-        return policy.resolve(
-            variable=variable, residual_norm=residual_norm, b_norm=b_norm
-        )
-
-    def describe(self) -> str:
-        inner = ", ".join(
-            f"{name}={policy.describe()}" for name, policy in sorted(self.policies.items())
-        )
-        tail = f", default={self.default.describe()}" if self.default else ""
-        return f"per_variable({inner}{tail})"
-
-
 _POLICY_FACTORIES: Dict[str, Callable[..., ErrorBoundPolicy]] = {
     "fixed": lambda error_bound=1e-4, **_: FixedBoundPolicy(
         error_bound
@@ -296,8 +246,3 @@ def make_bound_policy(name: str, **kwargs) -> ErrorBoundPolicy:
             f"unknown error-bound policy {name!r}; known: {sorted(_POLICY_FACTORIES)}"
         ) from None
     return factory(**kwargs)
-
-
-def available_bound_policies() -> List[str]:
-    """Names of all registered error-bound policies."""
-    return sorted(_POLICY_FACTORIES)

@@ -14,7 +14,6 @@ import numpy as np
 from repro.compression.base import Compressor
 
 __all__ = [
-    "compression_ratio",
     "max_abs_error",
     "max_pointwise_relative_error",
     "value_range_relative_error",
@@ -22,15 +21,6 @@ __all__ = [
     "evaluate_compressor",
     "CompressorEvaluation",
 ]
-
-
-def compression_ratio(original_bytes: int, compressed_bytes: int) -> float:
-    """Ratio of original to compressed size (larger is better)."""
-    if original_bytes < 0 or compressed_bytes < 0:
-        raise ValueError("byte counts must be non-negative")
-    if compressed_bytes == 0:
-        return float("inf")
-    return original_bytes / compressed_bytes
 
 
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:

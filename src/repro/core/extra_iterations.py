@@ -71,16 +71,6 @@ class ExtraIterationStudy:
             return 0
         return int(max(t.extra_iterations for t in self.trials))
 
-    def summary(self) -> Dict[str, float]:
-        """Dictionary summary used by the experiment reports."""
-        return {
-            "baseline_iterations": float(self.baseline_iterations),
-            "trials": float(len(self.trials)),
-            "mean_extra_iterations": self.mean_extra_iterations,
-            "mean_extra_fraction": self.mean_extra_fraction,
-            "max_extra_iterations": float(self.max_extra_iterations),
-        }
-
 
 def measure_extra_iterations(
     solver: IterativeSolver,

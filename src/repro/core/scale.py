@@ -77,10 +77,6 @@ class ExperimentScale:
         """Bytes of the static variables at paper scale."""
         return self.static_multiplier * self.vector_bytes
 
-    def per_process_vector_bytes(self) -> float:
-        """Mean bytes of one dynamic vector owned by each process."""
-        return self.vector_bytes / self.num_processes
-
 
 def paper_scale(num_processes: int) -> ExperimentScale:
     """The :class:`ExperimentScale` matching one of the paper's process counts."""

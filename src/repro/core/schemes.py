@@ -26,10 +26,9 @@ from repro.compression.base import Compressor, make_compressor
 from repro.compression.errorbounds import (
     ErrorBound,
     ErrorBoundPolicy,
-    ResidualAdaptiveBoundPolicy,
     make_bound_policy,
 )
-from repro.solvers.base import IterativeSolver, checkpoint_spec_for
+from repro.solvers import CHECKPOINT_SPECS, IterativeSolver
 
 __all__ = ["CheckpointingScheme"]
 
@@ -169,17 +168,6 @@ class CheckpointingScheme:
             self._cached_compressor = self.compressor_factory()
         return self._cached_compressor
 
-    @property
-    def adaptive_policy(self) -> Optional[ResidualAdaptiveBoundPolicy]:
-        """The residual-adaptive policy when one is configured (else ``None``).
-
-        Backward-compatible view of :attr:`bound_policy` for call sites that
-        only care whether the Theorem-3 adaptive bound is in effect.
-        """
-        if isinstance(self.bound_policy, ResidualAdaptiveBoundPolicy):
-            return self.bound_policy
-        return None
-
     def checkpoint_compressor(
         self,
         *,
@@ -218,19 +206,17 @@ class CheckpointingScheme:
         than a per-method special case: under exact schemes the count is
         ``x`` plus every extra vector the solver says an exact checkpoint
         must store (CG: ``p`` → 2; BiCGSTAB: ``r``/``r_hat``/``p``/``v`` → 5;
-        GMRES and the stationary methods: just ``x`` → 1), so the modeled
-        checkpoint sizes (Table 3) always match what is actually stored.
-        The lossy restarted scheme checkpoints only ``x`` (Algorithm 2).
+        GMRES and Jacobi: just ``x`` → 1), so the modeled checkpoint sizes
+        (Table 3) always match what is actually stored.  The lossy restarted
+        scheme checkpoints only ``x`` (Algorithm 2).
 
-        Accepts either a solver instance or a registered method name;
-        unregistered names fall back to a single vector.
+        Accepts either a solver instance or a method name of
+        :data:`repro.axes.METHODS`; any other name raises ``KeyError``.
         """
-        if not self.checkpoint_krylov_state:
-            return 1
         if isinstance(method, IterativeSolver):
             spec = method.checkpoint_spec
         else:
-            spec = checkpoint_spec_for(str(method))
-        if not spec.exact_resume:
+            spec = CHECKPOINT_SPECS[method]
+        if not self.checkpoint_krylov_state or not spec.exact_resume:
             return 1
         return spec.vector_count

@@ -42,7 +42,6 @@ from repro.engine.replay import (
     ReplaySession,
     SnapshotMemo,
     TrajectoryCache,
-    clear_global_cache,
     get_global_cache,
     get_global_snapshot_memo,
     replay_enabled,
@@ -87,5 +86,4 @@ __all__ = [
     "replay_enabled",
     "get_global_cache",
     "get_global_snapshot_memo",
-    "clear_global_cache",
 ]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional
 
@@ -171,11 +171,6 @@ class EventCalendar:
             event = heapq.heappop(heap)[2]
             self.next_time = heap[0][0] if heap else math.inf
             yield event
-
-    def clear(self) -> None:
-        """Drop every entry (sequence numbers keep counting up)."""
-        self._heap.clear()
-        self.next_time = math.inf
 
 
 @dataclass(slots=True)

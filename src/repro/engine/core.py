@@ -105,7 +105,7 @@ from repro.checkpoint.multilevel import (
 )
 from repro.checkpoint.pipeline import CheckpointPipeline, PipelineSnapshot
 from repro.checkpoint.store import CheckpointStore
-from repro.cluster.machine import ClusterModel
+from repro.cluster.machine import PAPER_ITERATION_SECONDS, ClusterModel
 from repro.engine.calendar import (
     ComputeChannel,
     EventCalendar,
@@ -335,7 +335,7 @@ class FaultToleranceEngine:
         self.iteration_seconds = (
             check_positive(iteration_seconds, "iteration_seconds")
             if iteration_seconds is not None
-            else self.cluster.iteration_time(self.method)
+            else PAPER_ITERATION_SECONDS[self.method]
         )
         if checkpoint_interval_seconds is None:
             if estimated_checkpoint_seconds is None:

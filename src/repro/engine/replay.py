@@ -81,7 +81,6 @@ __all__ = [
     "SnapshotMemo",
     "get_global_cache",
     "get_global_snapshot_memo",
-    "clear_global_cache",
 ]
 
 #: Environment escape hatch: set to ``off``/``0``/``false``/``no``/
@@ -119,8 +118,8 @@ def solver_fingerprint(solver: IterativeSolver) -> bytes:
     """Digest of everything that determines a solver's iteration trajectory.
 
     Covers the algorithm (class), the exact matrix bytes, the convergence
-    criterion, the method-specific shape parameters of the built-in solvers
-    (GMRES ``restart``, SOR/SSOR ``omega``) and the *action* of the
+    criterion, the method-specific shape parameter of the built-in solvers
+    (GMRES ``restart``) and the *action* of the
     preconditioner — probed on deterministic vectors, so differently
     configured preconditioners of the same class hash differently without
     the fingerprint having to know their parameters.  Cached per solver
@@ -140,10 +139,9 @@ def solver_fingerprint(solver: IterativeSolver) -> bytes:
     h.update(np.ascontiguousarray(A.data, dtype=np.float64).tobytes())
     crit = solver.criterion
     h.update(struct.pack("<ddd", crit.rtol, crit.atol, crit.divtol))
-    for attr in ("restart", "omega"):
-        value = getattr(solver, attr, None)
-        if isinstance(value, (int, float)):
-            h.update(f"{attr}={value!r}".encode("utf-8"))
+    restart = getattr(solver, "restart", None)
+    if isinstance(restart, (int, float)):
+        h.update(f"restart={restart!r}".encode("utf-8"))
     M = solver.preconditioner
     h.update(type(M).__qualname__.encode("utf-8"))
     for probe in _probe_vectors(solver.n):
@@ -317,11 +315,6 @@ class TrajectoryCache:
         else:
             self._pins[key] = count
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._pins.clear()
-        self.total_bytes = 0
-
     def _evict(self) -> None:
         while len(self._entries) > self.max_entries or self.total_bytes > self.max_bytes:
             victim = None
@@ -345,13 +338,6 @@ def get_global_cache() -> TrajectoryCache:
     if _GLOBAL_CACHE is None:
         _GLOBAL_CACHE = TrajectoryCache()
     return _GLOBAL_CACHE
-
-
-def clear_global_cache() -> None:
-    if _GLOBAL_CACHE is not None:
-        _GLOBAL_CACHE.clear()
-    if _GLOBAL_SNAPSHOT_MEMO is not None:
-        _GLOBAL_SNAPSHOT_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +427,6 @@ class SnapshotMemo:
             _, evicted = self._entries.popitem(last=False)
             self.total_bytes -= self._measure(evicted)
             self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.total_bytes = 0
-
 
 _GLOBAL_SNAPSHOT_MEMO: Optional[SnapshotMemo] = None
 

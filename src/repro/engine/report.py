@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.machine import ClusterModel
 from repro.solvers.base import IterativeSolver
-from repro.utils.validation import check_positive
 
 __all__ = ["BaselineRun", "FTRunReport", "run_failure_free"]
 
@@ -41,28 +39,6 @@ class BaselineRun:
     residual_norms: List[float]
     final_residual_norm: float
     x: np.ndarray
-
-    def productive_seconds(
-        self,
-        iteration_seconds: Optional[float] = None,
-        *,
-        cluster: Optional[ClusterModel] = None,
-        method: Optional[str] = None,
-    ) -> float:
-        """Failure-free productive time, ``iterations * Tit``.
-
-        Pass either ``iteration_seconds`` directly or a ``cluster`` model plus
-        the ``method`` name to look the per-iteration time up from the
-        calibration table.
-        """
-        if iteration_seconds is None:
-            if cluster is None or method is None:
-                raise ValueError(
-                    "provide iteration_seconds, or a cluster model and method "
-                    "name to derive it"
-                )
-            iteration_seconds = cluster.iteration_time(method)
-        return self.iterations * check_positive(iteration_seconds, "iteration_seconds")
 
 
 def run_failure_free(
@@ -106,16 +82,6 @@ class FTRunReport:
     def extra_iterations(self) -> int:
         """Iterations beyond the failure-free baseline (the measured N' total)."""
         return self.total_iterations - self.baseline_iterations
-
-    @property
-    def gave_up(self) -> bool:
-        """True when the run hit a restart/iteration cap before converging."""
-        return bool(self.info.get("gave_up", False))
-
-    @property
-    def write_mode(self) -> str:
-        """Which timeline the checkpoint writes ran on (default ``blocking``)."""
-        return str(self.info.get("write_mode", "blocking"))
 
     @property
     def io_drain_seconds(self) -> float:
@@ -191,12 +157,3 @@ class FTRunReport:
             info=dict(data.get("info", {})),
         )
 
-    def to_json(self, **kwargs) -> str:
-        """Serialize to a JSON string (``sort_keys`` for byte-determinism)."""
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FTRunReport":
-        """Rebuild a report from a :meth:`to_json` string."""
-        return cls.from_dict(json.loads(payload))

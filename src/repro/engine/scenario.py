@@ -44,7 +44,7 @@ write, duplicate chunks never hit the wire).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -214,31 +214,6 @@ class Scenario:
                 int(default_rng(seed).integers(0, 2**63 - 1)), "multilevel"
             )
         return MultilevelCheckpointStore(policy, seed=store_seed, backend=backend)
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (campaign cells, report info)."""
-        return {
-            "failure_model": self.failure_model,
-            "recovery_levels": self.recovery_levels,
-            "failure_params": [[k, v] for k, v in self.failure_params],
-            "write_mode": self.write_mode,
-            "store_backend": self.store_backend,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output (or parsed JSON)."""
-        return cls(
-            failure_model=str(data.get("failure_model", "poisson")),
-            recovery_levels=str(data.get("recovery_levels", "pfs")),
-            failure_params=tuple(
-                (str(k), v) for k, v in data.get("failure_params", [])
-            ),
-            write_mode=str(data.get("write_mode", "blocking")),
-            store_backend=str(data.get("store_backend", "pfs")),
-        )
-
 
 #: The default regime: homogeneous Poisson failures, PFS-only recovery,
 #: blocking writes to the PFS.

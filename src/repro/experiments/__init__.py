@@ -27,11 +27,6 @@ from repro.experiments.fig7_expected_overhead import run_fig7, fig7_table, fig7_
 from repro.experiments.fig8_convergence_iterations import run_fig8, fig8_table, fig8_cells
 from repro.experiments.fig9_jacobi_trajectories import run_fig9, fig9_table, fig9_cells
 from repro.experiments.fig10_experimental_vs_expected import run_fig10, fig10_table, fig10_cells
-from repro.experiments.async_overlap import (
-    run_async_overlap,
-    async_overlap_table,
-    async_overlap_cells,
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -67,7 +62,4 @@ __all__ = [
     "run_fig10",
     "fig10_table",
     "fig10_cells",
-    "run_async_overlap",
-    "async_overlap_table",
-    "async_overlap_cells",
 ]

@@ -43,6 +43,7 @@ __all__ = [
     "characterization_from_result",
 ]
 
+
 @dataclass
 class SchemeCharacterization:
     """Measured pipeline-payload behaviour of one scheme on one solver run."""
@@ -68,11 +69,6 @@ class SchemeCharacterization:
     def min_ratio(self) -> float:
         """Smallest per-sample ratio (the most conservative checkpoint)."""
         return float(min(self.ratios)) if self.ratios else 1.0
-
-    @property
-    def vector_count(self) -> int:
-        """Full-length vectors one measured payload stores."""
-        return max(1, len(self.variable_ratios))
 
 
 def measure_scheme_ratio(

@@ -2,8 +2,7 @@
 
 Implemented from scratch on NumPy/SciPy sparse primitives:
 
-* stationary methods: Jacobi, Gauss-Seidel, SOR, SSOR
-  (:mod:`repro.solvers.stationary`),
+* the stationary method: point Jacobi (:mod:`repro.solvers.stationary`),
 * Krylov methods: (preconditioned) conjugate gradient, restarted GMRES(k),
   BiCGSTAB (:mod:`repro.solvers.cg`, :mod:`repro.solvers.gmres`,
   :mod:`repro.solvers.bicgstab`).
@@ -14,6 +13,8 @@ they are configured once with the matrix/preconditioner/tolerances and expose
 fault-tolerance layer uses to take checkpoints and to inject failures.
 """
 
+from typing import Dict
+
 from repro.solvers.base import (
     IterativeSolver,
     SolveResult,
@@ -22,20 +23,21 @@ from repro.solvers.base import (
     SolverInterrupt,
     CheckpointSpec,
     ResumeState,
-    checkpoint_spec_for,
-    make_solver,
-    register_solver,
-    available_solvers,
 )
-from repro.solvers.stationary import (
-    JacobiSolver,
-    GaussSeidelSolver,
-    SORSolver,
-    SSORSolver,
-)
+from repro.solvers.stationary import JacobiSolver
 from repro.solvers.cg import CGSolver
 from repro.solvers.gmres import GMRESSolver
 from repro.solvers.bicgstab import BiCGStabSolver
+
+#: The checkpoint declaration of the solver each campaign method
+#: (:data:`repro.axes.METHODS`) runs; ``kkt`` is GMRES on the KKT system.
+CHECKPOINT_SPECS: Dict[str, CheckpointSpec] = {
+    "jacobi": JacobiSolver.checkpoint_spec,
+    "gmres": GMRESSolver.checkpoint_spec,
+    "cg": CGSolver.checkpoint_spec,
+    "bicgstab": BiCGStabSolver.checkpoint_spec,
+    "kkt": GMRESSolver.checkpoint_spec,
+}
 
 __all__ = [
     "IterativeSolver",
@@ -45,14 +47,8 @@ __all__ = [
     "SolverInterrupt",
     "CheckpointSpec",
     "ResumeState",
-    "checkpoint_spec_for",
-    "make_solver",
-    "register_solver",
-    "available_solvers",
+    "CHECKPOINT_SPECS",
     "JacobiSolver",
-    "GaussSeidelSolver",
-    "SORSolver",
-    "SSORSolver",
     "CGSolver",
     "GMRESSolver",
     "BiCGStabSolver",

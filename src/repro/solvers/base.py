@@ -33,10 +33,6 @@ __all__ = [
     "IterativeSolver",
     "CheckpointSpec",
     "ResumeState",
-    "checkpoint_spec_for",
-    "register_solver",
-    "make_solver",
-    "available_solvers",
 ]
 
 
@@ -432,48 +428,3 @@ class IterativeSolver(abc.ABC):
             f"{type(self).__name__}(n={self.n}, rtol={self.criterion.rtol}, "
             f"max_iter={self.max_iter})"
         )
-
-
-_REGISTRY: Dict[str, Callable[..., IterativeSolver]] = {}
-
-
-def register_solver(name: str, factory: Callable[..., IterativeSolver]) -> None:
-    """Register a solver factory under ``name`` for :func:`make_solver`."""
-    _REGISTRY[name] = factory
-
-
-def make_solver(name: str, A, **kwargs) -> IterativeSolver:
-    """Instantiate a registered solver for matrix ``A``.
-
-    Registered names: ``"jacobi"``, ``"gauss_seidel"``, ``"sor"``, ``"ssor"``,
-    ``"cg"``, ``"gmres"``, ``"bicgstab"``.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown solver {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return factory(A, **kwargs)
-
-
-def available_solvers() -> List[str]:
-    """Names of all registered solvers."""
-    return sorted(_REGISTRY)
-
-
-def checkpoint_spec_for(method: str) -> CheckpointSpec:
-    """The :class:`CheckpointSpec` declared by the solver registered as ``method``.
-
-    Unknown names (or factories that are not solver classes) fall back to the
-    default spec — one vector (``x``), no exact resume — which matches how the
-    engine treats a solver with no declaration.
-    """
-    if method not in _REGISTRY:
-        # The registry fills as solver modules are imported; pull in the
-        # built-in ones so a name lookup does not depend on import order.
-        import repro.solvers  # noqa: F401
-
-    factory = _REGISTRY.get(method)
-    spec = getattr(factory, "checkpoint_spec", None)
-    return spec if isinstance(spec, CheckpointSpec) else CheckpointSpec()

@@ -24,7 +24,6 @@ from repro.solvers.base import (
     CheckpointSpec,
     IterativeSolver,
     SolveResult,
-    register_solver,
 )
 
 __all__ = ["BiCGStabSolver"]
@@ -158,6 +157,3 @@ class BiCGStabSolver(IterativeSolver):
             b_norm=b_norm,
             info={"breakdown": breakdown},
         )
-
-
-register_solver("bicgstab", BiCGStabSolver)

@@ -27,7 +27,6 @@ from repro.solvers.base import (
     CheckpointSpec,
     IterativeSolver,
     SolveResult,
-    register_solver,
 )
 
 __all__ = ["CGSolver"]
@@ -135,6 +134,3 @@ class CGSolver(IterativeSolver):
             b_norm=b_norm,
             info={"breakdown": breakdown},
         )
-
-
-register_solver("cg", CGSolver)

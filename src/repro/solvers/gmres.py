@@ -24,7 +24,6 @@ from repro.solvers.base import (
     CheckpointSpec,
     IterativeSolver,
     SolveResult,
-    register_solver,
 )
 
 __all__ = ["GMRESSolver"]
@@ -197,6 +196,3 @@ class GMRESSolver(IterativeSolver):
         except np.linalg.LinAlgError:
             y = np.linalg.lstsq(H[:inner, :inner], g[:inner], rcond=None)[0]
         return x + V[:inner].T @ y
-
-
-register_solver("gmres", GMRESSolver)

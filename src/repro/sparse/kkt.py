@@ -52,16 +52,6 @@ class KKTProblem:
     n_primal: int
     n_dual: int
 
-    @property
-    def size(self) -> int:
-        """Total number of unknowns."""
-        return self.K.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored nonzeros."""
-        return self.K.nnz
-
 
 def kkt_system(
     n: int,

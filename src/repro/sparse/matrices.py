@@ -68,8 +68,8 @@ def diagonally_dominant(
     """Return a strictly diagonally dominant sparse matrix.
 
     ``dominance`` > 1 scales the diagonal to ``dominance * sum(|off-diag|)``
-    row-wise, which guarantees convergence of the Jacobi and Gauss-Seidel
-    iterations — useful for stationary-method tests that must converge.
+    row-wise, which guarantees convergence of the Jacobi iteration — useful
+    for stationary-method tests that must converge.
     """
     n = int(n)
     if n < 1:

@@ -14,7 +14,7 @@ seeds without loading any numerics.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,25 +37,6 @@ def default_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> Sequence[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from one seed.
-
-    Used by trial-based experiments (e.g. the Fig. 2 extra-iteration study and
-    the Fig. 10 failure-injection runs) so each trial gets an independent
-    stream while the whole experiment remains reproducible from a single seed.
-    """
-    import numpy as np
-
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive child seeds from the generator itself.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 def derive_seed(seed: Optional[int], *salts: "int | str") -> int:

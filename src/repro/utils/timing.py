@@ -1,42 +1,15 @@
-"""Wall-clock and virtual-clock timing utilities.
+"""The virtual clock of the simulated cluster timeline.
 
-Two clocks are used throughout the library:
-
-* :class:`Stopwatch` measures *real* elapsed seconds (used to time actual
-  compression/solve kernels on this machine).
-* :class:`VirtualClock` accumulates *modeled* seconds on the simulated
-  cluster timeline (used by the fault-tolerance runner, where one iteration
-  of a 2,048-process run "costs" the paper-scale iteration time, not the time
-  this laptop-scale reproduction happens to take).
+:class:`VirtualClock` accumulates *modeled* seconds (used by the
+fault-tolerance runner, where one iteration of a 2,048-process run "costs"
+the paper-scale iteration time, not the time this laptop-scale reproduction
+happens to take).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
-
-
-class Stopwatch:
-    """A minimal context-manager stopwatch measuring real elapsed seconds."""
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
 
 
 @dataclass
@@ -68,13 +41,3 @@ class VirtualClock:
         """Total modeled seconds spent in ``category`` so far."""
         return self.breakdown.get(category, 0.0)
 
-    def reset(self) -> None:
-        self.now = 0.0
-        self.breakdown.clear()
-        self.events.clear()
-
-    def copy(self) -> "VirtualClock":
-        clone = VirtualClock(now=self.now, record_events=self.record_events)
-        clone.breakdown = dict(self.breakdown)
-        clone.events = list(self.events)
-        return clone

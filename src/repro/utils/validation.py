@@ -8,7 +8,6 @@ inside NumPy/SciPy kernels.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,14 +26,6 @@ def check_nonnegative(value: Real, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value}")
-    return value
-
-
-def check_probability(value: Real, name: str) -> float:
-    """Return ``value`` as float, raising ``ValueError`` unless it is in [0, 1]."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
 
 
@@ -64,10 +55,3 @@ def check_square_matrix(A, name: str = "A") -> sp.csr_matrix:
     return mat
 
 
-def check_same_length(x: Sequence, y: Sequence, name_x: str, name_y: str) -> None:
-    """Raise ``ValueError`` unless ``x`` and ``y`` have the same length."""
-    if len(x) != len(y):
-        raise ValueError(
-            f"{name_x} and {name_y} must have the same length, "
-            f"got {len(x)} and {len(y)}"
-        )

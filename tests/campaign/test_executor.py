@@ -6,12 +6,19 @@ byte-identically to the serial path; re-running it against the same cache
 executes zero cells.
 """
 
+import json
+
 import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import ParallelExecutor, run_campaign
 from repro.campaign.report import CampaignReport
 from repro.campaign.spec import CampaignSpec, RunSpec
+
+
+def _report_json(result) -> str:
+    """The campaign report of ``result`` as sorted-key JSON."""
+    return json.dumps(CampaignReport(result).to_dict(), sort_keys=True)
 
 
 def demo_spec() -> CampaignSpec:
@@ -48,7 +55,7 @@ class TestSerialExecution:
 
     def test_rerun_is_identical(self, serial_result):
         again = run_campaign(demo_spec(), n_workers=1)
-        assert CampaignReport(again).to_json() == CampaignReport(serial_result).to_json()
+        assert _report_json(again) == _report_json(serial_result)
 
     def test_scenario_cells_execute(self):
         spec = CampaignSpec(
@@ -81,7 +88,7 @@ class TestParallelExecution:
     def test_parallel_matches_serial_byte_identically(self, serial_result):
         parallel = run_campaign(demo_spec(), n_workers=4)
         assert parallel.n_workers == 4
-        assert CampaignReport(parallel).to_json() == CampaignReport(serial_result).to_json()
+        assert _report_json(parallel) == _report_json(serial_result)
 
     def test_progress_callback_sees_every_cell(self):
         seen = []
@@ -108,7 +115,7 @@ class TestCacheIntegration:
         assert second.executed_count == 0
         assert second.cached_count == 24
         # Cache-served results are byte-identical to the fresh serial run.
-        assert CampaignReport(second).to_json() == CampaignReport(serial_result).to_json()
+        assert _report_json(second) == _report_json(serial_result)
 
     def test_changed_cells_execute_only_the_delta(self, tmp_path):
         cache = ResultCache(tmp_path)

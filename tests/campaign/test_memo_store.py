@@ -19,6 +19,11 @@ from repro.campaign.report import CampaignReport
 from repro.campaign.spec import CampaignSpec
 
 
+def _report_json(result) -> str:
+    """The campaign report of ``result`` as sorted-key JSON."""
+    return json.dumps(CampaignReport(result).to_dict(), sort_keys=True)
+
+
 def _clear_process_memos():
     """Drop the in-process lru layers so disk is the only warm cache."""
     execute._cached_setup.cache_clear()
@@ -124,7 +129,7 @@ class TestExecutorMemoIntegration:
             entry.unlink()
         warm = run_campaign(demo_spec(), n_workers=1, cache=tmp_path / "cache")
         assert warm.executed_count == len(demo_spec())
-        assert CampaignReport(warm).to_json() == CampaignReport(cold).to_json()
+        assert _report_json(warm) == _report_json(cold)
 
     def test_no_cache_means_no_memo_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -49,12 +49,6 @@ class TestRoundTrip:
         with pytest.raises(KeyError):
             store.read(42)
 
-    def test_stat_reports_logical_size(self, store):
-        store.write(3, b"z" * (2 * CHUNK + 5))
-        stat = store.stat(3)
-        assert stat.nbytes == 2 * CHUNK + 5
-        assert stat.backend.startswith("chunked(")
-
 
 class TestDedup:
     def test_duplicate_payload_adds_zero_unique_bytes(self, store):

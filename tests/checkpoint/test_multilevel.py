@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelCheckpointStore,
     MultilevelPolicy,
 )
 from repro.checkpoint.pipeline import CheckpointPipeline
+from repro.checkpoint.store import (
+    FileCheckpointStore,
+    MemoryCheckpointStore,
+    SimulatedObjectStore,
+)
 from repro.core.schemes import CheckpointingScheme
 from repro.solvers.base import CheckpointSpec
 
@@ -92,28 +98,8 @@ class TestMultilevelStore:
 _CYCLE = [CheckpointLevel.LOCAL, CheckpointLevel.PARTNER, CheckpointLevel.PFS]
 
 
-class TestDynamicOnlyCycle:
-    """The policy cycle must be keyed on new dynamic checkpoints only.
-
-    Regression: ``write`` used to advance the cycle for *every* write —
-    including the static checkpoint (id ``-1``) and overwrites — so a
-    ``snapshot_static()`` call silently shifted the level of every later
-    dynamic checkpoint.
-    """
-
-    def test_static_writes_do_not_shift_cycle(self):
-        store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        store.write(-1, b"static")
-        store.write(0, b"a")
-        store.write(-1, b"static again")
-        store.write(1, b"b")
-        store.write(2, b"c")
-        assert [store.level_of(i) for i in (0, 1, 2)] == _CYCLE
-
-    def test_static_checkpoint_pinned_to_pfs(self):
-        store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        store.write(-1, b"static")
-        assert store.level_of(-1) is CheckpointLevel.PFS
+class TestCycle:
+    """The policy cycle advances on new checkpoints only."""
 
     def test_overwrite_keeps_level_and_cycle_position(self):
         store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
@@ -123,23 +109,59 @@ class TestDynamicOnlyCycle:
         assert store.level_of(0) is CheckpointLevel.LOCAL
         assert store.level_of(1) is CheckpointLevel.PARTNER
 
-    def test_interleaved_snapshots_keep_level_sequence(self):
-        """Pin via the pipeline: snapshot_static() between snapshots is inert."""
+    def test_pipeline_commits_follow_the_cycle(self):
         store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
         x = np.linspace(1.0, 2.0, 256)
         pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(),
-            spec=CheckpointSpec(),
-            store=store,
-            static={"A": np.eye(4)},
+            CheckpointingScheme.traditional(), spec=CheckpointSpec(), store=store
         )
-        pipeline.snapshot_static()
-        pipeline.commit(pipeline.snapshot(x, iteration=0))
-        pipeline.snapshot_static()  # re-write static mid-run: must not drift levels
-        pipeline.commit(pipeline.snapshot(x, iteration=1))
-        pipeline.commit(pipeline.snapshot(x, iteration=2))
-        pipeline.snapshot_static()
-        pipeline.commit(pipeline.snapshot(x, iteration=3))
+        for iteration in range(4):
+            pipeline.commit(pipeline.snapshot(x, iteration=iteration))
         levels = [store.level_of(i) for i in (0, 1, 2, 3)]
         assert levels == _CYCLE + [_CYCLE[0]]
-        assert store.level_of(-1) is CheckpointLevel.PFS
+
+
+@pytest.fixture(params=["memory", "file", "object", "chunked"])
+def backend(request, tmp_path):
+    if request.param == "memory":
+        return MemoryCheckpointStore()
+    if request.param == "file":
+        return FileCheckpointStore(tmp_path / "ckpts")
+    if request.param == "object":
+        return SimulatedObjectStore()
+    return ChunkedStore(MemoryCheckpointStore(), chunk_size=4)
+
+
+def _has_replica(backend, key):
+    has_chunked = getattr(backend, "has_chunked_blob", None)
+    return has_chunked(key) if has_chunked is not None else backend.has_blob(key)
+
+
+class TestBackend:
+    """Every level writes to the one backend the store was given."""
+
+    def test_every_level_lands_in_the_backend(self, backend):
+        store = MultilevelCheckpointStore(
+            MultilevelPolicy(cycle=list(_CYCLE)), seed=0, backend=backend
+        )
+        payloads = [b"local payload", b"partner payload", b"pfs payload"]
+        for checkpoint_id, payload in enumerate(payloads):
+            store.write(checkpoint_id, payload)
+        assert [store.level_of(i) for i in range(3)] == _CYCLE
+        assert backend.ids() == store.ids() == [0, 1, 2]
+        assert [backend.read(i) for i in range(3)] == payloads
+        assert store.profile == backend.profile
+
+    def test_partner_replica_follows_its_checkpoint(self, backend):
+        store = MultilevelCheckpointStore(
+            MultilevelPolicy(cycle=list(_CYCLE)), seed=0, backend=backend
+        )
+        for checkpoint_id in range(3):
+            store.write(checkpoint_id, b"payload %d" % checkpoint_id)
+        # Only the PARTNER-level checkpoint (id 1) has a buddy replica.
+        assert [_has_replica(backend, f"replica/L2/{i}") for i in range(3)] == [
+            False, True, False,
+        ]
+        store.delete(1)
+        assert not _has_replica(backend, "replica/L2/1")
+        assert backend.ids() == [0, 2]

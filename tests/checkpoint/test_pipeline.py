@@ -1,5 +1,5 @@
 """CheckpointPipeline: bitwise round trips, per-variable bounds, measurement,
-snapshot/restore, timing attribution, static variables and file stores."""
+snapshot/restore, timing attribution and file stores."""
 
 import hashlib
 import zlib
@@ -20,7 +20,6 @@ from repro.compression import make_compressor
 from repro.compression.base import CompressionRecord
 from repro.compression.errorbounds import (
     FixedBoundPolicy,
-    PerVariableBoundPolicy,
     ResidualAdaptiveBoundPolicy,
     ValueRangeBoundPolicy,
 )
@@ -100,25 +99,6 @@ class TestExactRoundTrip:
         assert restored.x.tobytes() == state.x.tobytes()
         assert restored.resume_state.vectors["p"].tobytes() == resume.vectors["p"].tobytes()
 
-    def test_static_snapshot_round_trip(self, poisson_small):
-        solver = JacobiSolver(poisson_small.A, rtol=1e-4)
-        A = poisson_small.A.tocsr()
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(),
-            solver=solver,
-            store=MemoryCheckpointStore(),
-            static={
-                "A_data": A.data,
-                "A_indices": A.indices,
-                "A_indptr": A.indptr,
-                "b": poisson_small.b,
-            },
-        )
-        snap = pipeline.snapshot_static()
-        assert snap is not None and snap.checkpoint_id == -1
-        restored = pipeline.restore_static()
-        assert restored["b"].tobytes() == poisson_small.b.tobytes()
-        assert restored["A_data"].tobytes() == A.data.tobytes()
 
 
 # Hypothesis: arbitrary (finite) state round-trips bitwise through the full
@@ -432,18 +412,14 @@ class TestFullPayloads:
         ).payload
 
 
-class TestPerVariablePolicy:
-    def test_lossy_x_exact_recurrence_per_variable_bounds(self, poisson_small):
+class TestBoundPolicies:
+    def test_lossy_x_exact_recurrence(self, poisson_small):
         """A lossy scheme that *does* keep Krylov state stores it exactly
-        while x honours its per-variable resolved bound."""
+        while x honours its resolved bound."""
         solver = BiCGStabSolver(poisson_small.A, rtol=1e-7, max_iter=1000)
         state = _mid_run_state(solver, poisson_small.b)
         resume = solver.capture_resume_state(state)
-        policy = PerVariableBoundPolicy(
-            policies={"x": FixedBoundPolicy(1e-3)},
-            default=FixedBoundPolicy(1e-8),
-        )
-        scheme = CheckpointingScheme.lossy(1e-3, bound_policy=policy)
+        scheme = CheckpointingScheme.lossy(1e-3, bound_policy=FixedBoundPolicy(1e-3))
         # Force the (non-paper) hybrid: lossy x + declared recurrence state.
         scheme.checkpoint_krylov_state = True
         pipeline = CheckpointPipeline(scheme, solver=solver)
@@ -451,7 +427,7 @@ class TestPerVariablePolicy:
             state.x, iteration=state.iteration, resume_state=resume
         )
         restored = pipeline.restore(payload=snap.payload)
-        # x is lossy within its resolved per-variable bound...
+        # x is lossy within its resolved bound...
         assert np.all(
             np.abs(restored.x - state.x) <= 1e-3 * np.abs(state.x) + 1e-300
         )
@@ -684,20 +660,11 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError):
             CheckpointPipeline(CheckpointingScheme.traditional(), spec=_SPEC).restore()
 
-    def test_keep_last_prunes_old_checkpoints(self, solver_like_state):
-        pipeline = _pipeline_for(CheckpointingScheme.lossless())
-        for i in range(5):
-            solver_like_state["i"] = i
-            _snapshot(pipeline, solver_like_state)
-            pipeline.store.prune(keep_last=2)
-        assert pipeline.store.ids() == [3, 4]
-        assert pipeline.restore().iteration == 4
-
     def test_has_checkpoint_and_records(self, solver_like_state):
         pipeline = _pipeline_for(CheckpointingScheme.lossy(1e-3))
-        assert pipeline.store.latest_id() is None
+        assert pipeline.store.ids() == []
         snap = _snapshot(pipeline, solver_like_state)
-        assert pipeline.store.latest_id() == snap.checkpoint_id == 0
+        assert pipeline.store.ids() == [snap.checkpoint_id] == [0]
         assert snap.ratio_of("x") > 1.0
         assert [v.name for v in snap.vector_measurements] == ["x"]
 
@@ -746,18 +713,6 @@ class TestTimingAttribution:
         assert comp.last_record is None
 
 
-class TestStaticVariables:
-    def test_static_snapshot_and_restore(self):
-        static_value = np.arange(50, dtype=np.float64)
-        pipeline = _pipeline_for(static={"A": static_value})
-        snap = pipeline.snapshot_static()
-        assert snap is not None and snap.checkpoint_id == -1
-        assert np.array_equal(pipeline.restore_static()["A"], static_value)
-
-    def test_static_snapshot_none_when_no_statics(self):
-        assert _pipeline_for().snapshot_static() is None
-
-
 class TestFileBackedPipeline:
     def test_file_store_integration(self, solver_like_state, tmp_path):
         store = FileCheckpointStore(tmp_path / "ck")
@@ -769,7 +724,3 @@ class TestFileBackedPipeline:
         )
         restored = reader.restore()
         assert np.allclose(restored.x, solver_like_state["x"], rtol=1e-3)
-
-    def test_invalid_keep_last(self):
-        with pytest.raises(ValueError):
-            MemoryCheckpointStore().prune(keep_last=-1)

@@ -52,24 +52,6 @@ class TestSerialization:
         with pytest.raises(TypeError):
             serialize_checkpoint(payload)
 
-    def test_nbytes_is_exact_serialized_size(self, smooth_vector):
-        blob = SZCompressor(1e-4).compress(smooth_vector)
-        payloads = [
-            CheckpointPayload(entries={"x": np.zeros(100), "i": 5}),
-            CheckpointPayload(entries={"i": 1}, meta={"kind": "dynamic"}),
-            CheckpointPayload(
-                entries={
-                    "x": blob,
-                    "iteration": 42,
-                    "rho": 3.14,
-                    "raw": np.arange(10, dtype=np.int32),
-                },
-                meta={"tag": {"iteration": 42}},
-            ),
-        ]
-        for payload in payloads:
-            assert payload.nbytes() == len(serialize_checkpoint(payload))
-
     def test_truncated_index_rejected(self):
         raw = serialize_checkpoint(
             CheckpointPayload(entries={"i": 1}, meta={"kind": "dynamic"})

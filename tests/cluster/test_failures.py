@@ -9,35 +9,32 @@ from repro.cluster.failures import FailureInjector
 class TestFailureInjector:
     def test_disabled_injector_never_fails(self):
         injector = FailureInjector(None)
-        assert injector.next_failure_time() == float("inf")
-        assert injector.failure_in(0.0, 1e12) is None
-        assert injector.failure_rate == 0.0
-
-    def test_failure_rate(self):
-        assert FailureInjector(3600.0).failure_rate == pytest.approx(1.0 / 3600.0)
+        assert injector.peek() == float("inf")
+        assert injector.strike_time(0.0) == float("inf")
 
     def test_reproducible_with_seed(self):
-        a = FailureInjector(3600.0, seed=5).next_failure_time()
-        b = FailureInjector(3600.0, seed=5).next_failure_time()
+        a = FailureInjector(3600.0, seed=5).peek()
+        b = FailureInjector(3600.0, seed=5).peek()
         assert a == b
 
-    def test_failure_in_window_detection(self):
+    def test_latent_clamp_moves_a_past_arrival_to_the_window_start(self):
         injector = FailureInjector(100.0, seed=0)
-        t = injector.next_failure_time()
-        assert injector.failure_in(t - 1.0, t + 1.0) == t
-        # A pending failure at or before the window start is latent — it
-        # strikes in the first window that checks rather than sitting in the
-        # past forever.
-        assert injector.failure_in(t + 1.0, t + 2.0) == t
-        assert injector.failure_in(0.0, t - 1.0) is None
+        t = injector.peek()
+        assert injector.strike_time(t - 1.0) == t
+        # Without the clamp a latent arrival keeps its stale time; with it,
+        # the arrival strikes at the start of the window that finds it.
+        assert injector.strike_time(t + 1.0) == t
+        injector.latent_clamp = True
+        assert injector.strike_time(t - 1.0) == t
+        assert injector.strike_time(t + 1.0) == t + 1.0
 
     def test_consume_rearms(self):
         injector = FailureInjector(100.0, seed=1)
-        first = injector.next_failure_time()
+        first = injector.peek()
         event = injector.consume(first, "compute")
         assert event.time == first
         assert event.phase == "compute"
-        assert injector.next_failure_time() > first
+        assert injector.peek() > first
         assert injector.count == 1
 
     def test_consume_disabled_raises(self):
@@ -49,7 +46,7 @@ class TestFailureInjector:
         times = []
         t = 0.0
         for _ in range(2000):
-            nxt = injector.next_failure_time()
+            nxt = injector.peek()
             times.append(nxt - t)
             t = nxt
             injector.consume(nxt)
@@ -69,11 +66,12 @@ class TestFailureInjector:
         from repro.cluster.failures import ScriptedFailureModel
 
         injector = FailureInjector(model=ScriptedFailureModel([5.0, 7.0, 300.0]))
-        assert injector.failure_in(0.0, 10.0) == 5.0
+        injector.latent_clamp = True
+        assert injector.strike_time(0.0) == 5.0
         injector.consume(5.0, "recovery")
         # Re-armed at t=7, but the clock already sits at 10.
-        assert injector.next_failure_time() == 7.0
-        assert injector.failure_in(10.0, 20.0) == 7.0
-        injector.consume(7.0, "recovery")
-        assert injector.failure_in(20.0, 30.0) is None
-        assert injector.failure_in(250.0, 350.0) == 300.0
+        assert injector.peek() == 7.0
+        assert injector.strike_time(10.0) == 10.0
+        injector.consume(10.0, "recovery")
+        assert injector.peek() == 300.0
+        assert injector.strike_time(20.0) == 300.0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.machine import (
-    BEBOP_LIKE,
     ClusterModel,
     MachineSpec,
     PAPER_BASELINE_ITERATIONS,
@@ -27,9 +26,6 @@ class TestCalibrationTables:
 
 
 class TestMachineSpec:
-    def test_total_cores(self):
-        assert BEBOP_LIKE.total_cores == 64 * 32
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MachineSpec(nodes=0)
@@ -75,13 +71,6 @@ class TestClusterModel:
         with_static = cluster.recovery_seconds(unc, unc / 30.0, static_bytes=unc * 10)
         assert with_static > base
 
-    def test_iteration_time_lookup(self):
-        cluster = ClusterModel()
-        assert cluster.iteration_time("gmres") == PAPER_ITERATION_SECONDS["gmres"]
-        assert cluster.iteration_time("gmres", override=2.5) == 2.5
-        with pytest.raises(KeyError):
-            cluster.iteration_time("unknown-method")
-
     def test_calibrated_iteration_time(self):
         cluster = ClusterModel()
         # A local run with 100 iterations stretches to the paper's 3,000 s Jacobi baseline.
@@ -90,12 +79,6 @@ class TestClusterModel:
             cluster.calibrated_iteration_time("jacobi", 0)
         with pytest.raises(KeyError):
             cluster.calibrated_iteration_time("nope", 10)
-
-    def test_with_processes_copy(self):
-        cluster = ClusterModel(num_processes=256)
-        other = cluster.with_processes(2048)
-        assert other.num_processes == 2048
-        assert cluster.num_processes == 256
 
     def test_validation(self):
         with pytest.raises(ValueError):

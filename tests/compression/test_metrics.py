@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.compression.metrics import (
-    compression_ratio,
     evaluate_compressor,
     max_abs_error,
     max_pointwise_relative_error,
@@ -16,12 +15,6 @@ from repro.compression.identity import IdentityCompressor
 
 
 class TestScalarMetrics:
-    def test_compression_ratio(self):
-        assert compression_ratio(100, 10) == 10.0
-        assert compression_ratio(100, 0) == float("inf")
-        with pytest.raises(ValueError):
-            compression_ratio(-1, 10)
-
     def test_max_abs_error(self):
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([1.0, 2.5, 3.0])

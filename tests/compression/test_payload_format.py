@@ -50,7 +50,7 @@ class TestNoNestedDeflate:
         _assert_sections_not_deflate(decompress_sections(blob.payload))
 
     def test_sz_abs_single_entropy_stage(self, smooth_vector):
-        blob = SZCompressor(ErrorBound.absolute(1e-5)).compress(smooth_vector)
+        blob = SZCompressor(ErrorBound("abs", 1e-5)).compress(smooth_vector)
         assert blob.meta["scheme"] == "abs"
         assert blob.format_version == SHARDED_FORMAT_VERSION
         _assert_sections_not_deflate(decompress_sections(blob.payload))
@@ -62,7 +62,7 @@ class TestNoNestedDeflate:
         _assert_sections_not_deflate(decompress_sections(blob.payload))
 
     def test_zfp_abs_single_entropy_stage(self, smooth_vector):
-        blob = ZFPCompressor(ErrorBound.absolute(1e-5)).compress(smooth_vector)
+        blob = ZFPCompressor(ErrorBound("abs", 1e-5)).compress(smooth_vector)
         assert blob.meta["scheme"] == "zfp"
         assert blob.format_version == SHARDED_FORMAT_VERSION
         _assert_sections_not_deflate(decompress_sections(blob.payload))
@@ -100,7 +100,7 @@ class TestLegacyPayloadsDecode:
     @pytest.mark.parametrize("predictor", ["lorenzo", "linear"])
     def test_sz_abs_legacy(self, smooth_vector, predictor):
         blob = _unversioned_blob(smooth_vector, "sz", "abs", predictor=predictor)
-        compressor = SZCompressor(ErrorBound.absolute(1e-5), predictor=predictor)
+        compressor = SZCompressor(ErrorBound("abs", 1e-5), predictor=predictor)
         with pytest.raises(ValueError, match=_V0_REJECTED):
             compressor.decompress(blob)
 
@@ -113,7 +113,7 @@ class TestLegacyPayloadsDecode:
     def test_zfp_abs_legacy(self, smooth_vector):
         blob = _unversioned_blob(smooth_vector, "zfp", "zfp", block_size=64)
         with pytest.raises(ValueError, match=_V0_REJECTED):
-            ZFPCompressor(ErrorBound.absolute(1e-5)).decompress(blob)
+            ZFPCompressor(ErrorBound("abs", 1e-5)).decompress(blob)
 
     def test_zfp_pw_rel_legacy(self, smooth_vector):
         blob = _unversioned_blob(smooth_vector, "zfp", "pw_rel", block_size=64)
@@ -135,7 +135,7 @@ class TestLegacyPayloadsDecode:
 
 _SHARDED_READERS = {
     "sz": lambda: SZCompressor(1e-4),
-    "zfp": lambda: ZFPCompressor(ErrorBound.absolute(1e-5)),
+    "zfp": lambda: ZFPCompressor(ErrorBound("abs", 1e-5)),
     "zlib": ZlibCompressor,
     "lzma": LzmaCompressor,
 }

@@ -30,8 +30,8 @@ from repro.compression.sz import (
 from repro.sparse import poisson_system
 
 _MODES = {
-    "abs": lambda: ErrorBound.absolute(1e-3),
-    "rel": lambda: ErrorBound.value_range_relative(1e-4),
+    "abs": lambda: ErrorBound("abs", 1e-3),
+    "rel": lambda: ErrorBound("rel", 1e-4),
     "pw_rel": lambda: ErrorBound.pointwise_relative(1e-4),
 }
 
@@ -117,7 +117,7 @@ class TestGridPredictor:
 
 class TestGridHeader:
     def _sections(self):
-        compressor = SZCompressor(ErrorBound.absolute(1e-3))
+        compressor = SZCompressor(ErrorBound("abs", 1e-3))
         blob = compressor.compress(np.linspace(1.0, 2.0, 24).reshape(2, 3, 4))
         return compressor, blob, decompress_sections(blob.payload)
 
@@ -175,8 +175,8 @@ def test_flat_stream_payload_bytes_unchanged(case):
     compressor, data = {
         "pw_rel": (SZCompressor(1e-4), smooth),
         "pw_rel_zeros": (SZCompressor(1e-4), zeros),
-        "abs": (SZCompressor(ErrorBound.absolute(1e-6)), smooth),
-        "rel": (SZCompressor(ErrorBound.value_range_relative(1e-4)), smooth),
+        "abs": (SZCompressor(ErrorBound("abs", 1e-6)), smooth),
+        "rel": (SZCompressor(ErrorBound("rel", 1e-4)), smooth),
         "linear": (SZCompressor(1e-4, predictor="linear"), smooth),
         "zeros3d": (SZCompressor(1e-4), zeros[:8000].reshape(20, 20, 20)),
         "linear3d": (

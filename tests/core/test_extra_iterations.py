@@ -58,15 +58,6 @@ class TestMeasureExtraIterations:
         )
         assert all(1 <= t.restart_iteration < study.baseline_iterations for t in study.trials)
 
-    def test_summary_keys(self, poisson_medium):
-        solver = CGSolver(poisson_medium.A, rtol=1e-7, max_iter=5000)
-        study = measure_extra_iterations(
-            solver, poisson_medium.b, SZCompressor(1e-4), trials=3, seed=5
-        )
-        summary = study.summary()
-        assert {"baseline_iterations", "trials", "mean_extra_iterations",
-                "mean_extra_fraction", "max_extra_iterations"} <= set(summary)
-
     def test_trivial_problem_rejected(self):
         A = np.eye(4)
         solver = CGSolver(A, rtol=1e-12, max_iter=10)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.axes import METHODS
 from repro.compression.base import Compressor
 from repro.core.scale import ExperimentScale, PAPER_WEAK_SCALING, paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -69,8 +70,26 @@ class TestSchemes:
         # recurrence), not the hard-coded 2 the old table claimed.
         assert CheckpointingScheme.traditional().dynamic_vector_count("bicgstab") == 5
         assert CheckpointingScheme.lossy(1e-4).dynamic_vector_count("bicgstab") == 1
-        # Unknown methods fall back to one vector.
+        # ``kkt`` runs GMRES, so it takes GMRES's declaration.
         assert CheckpointingScheme.traditional().dynamic_vector_count("kkt") == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dynamic_vector_count_of_every_campaign_method(self, method):
+        exact = {"jacobi": 1, "gmres": 1, "cg": 2, "bicgstab": 5, "kkt": 1}[method]
+        assert CheckpointingScheme.traditional().dynamic_vector_count(method) == exact
+        assert CheckpointingScheme.lossless().dynamic_vector_count(method) == exact
+        assert CheckpointingScheme.lossy(1e-4).dynamic_vector_count(method) == 1
+
+    @pytest.mark.parametrize("method", ["cgg", "sor"])
+    @pytest.mark.parametrize(
+        "scheme",
+        [CheckpointingScheme.lossless(), CheckpointingScheme.lossy(1e-4)],
+        ids=["lossless", "lossy"],
+    )
+    def test_dynamic_vector_count_rejects_unknown_methods(self, scheme, method):
+        # A misspelt method used to count as one vector under every scheme.
+        with pytest.raises(KeyError):
+            scheme.dynamic_vector_count(method)
 
     def test_dynamic_vector_count_accepts_solver_instances(self, poisson_small):
         from repro.solvers import BiCGStabSolver, CGSolver, JacobiSolver
@@ -104,7 +123,7 @@ class TestExperimentScale:
         scale = paper_scale(2048)
         assert scale.grid_n == 2160
         # 2160^3 doubles ~ 75 GiB; per process ~ 37.5 MB (Table 3 reports ~39 MB).
-        per_process_mb = scale.per_process_vector_bytes() / 1024**2
+        per_process_mb = scale.vector_bytes / scale.num_processes / 1024**2
         assert 30.0 < per_process_mb < 45.0
 
     def test_all_paper_scales_defined(self):

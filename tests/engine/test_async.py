@@ -1,5 +1,7 @@
 """Two-channel timeline tests: overlapped drains, dirty writes, fallback."""
 
+import json
+
 import pytest
 
 from repro.checkpoint import (
@@ -20,6 +22,11 @@ from repro.engine.events import (
     RecoveryEvent,
 )
 from repro.solvers import CGSolver, JacobiSolver
+
+
+def _json(report) -> str:
+    """A report's canonical bytes: its dictionary as sorted-key JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 ASYNC = Scenario(write_mode="async")
 
@@ -59,15 +66,6 @@ class TestScenarioWriteMode:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown write mode"):
             Scenario(write_mode="overlapped")
-
-    def test_round_trip(self):
-        scenario = Scenario(write_mode="async", recovery_levels="fti")
-        rebuilt = Scenario.from_dict(scenario.to_dict())
-        assert rebuilt == scenario
-        assert rebuilt.asynchronous
-        # Pre-write-mode dicts default to blocking.
-        legacy = {k: v for k, v in scenario.to_dict().items() if k != "write_mode"}
-        assert Scenario.from_dict(legacy).write_mode == "blocking"
 
     def test_async_is_not_the_paper_regime(self):
         assert not ASYNC.is_paper_regime
@@ -133,7 +131,6 @@ class TestOverheadReduction:
             mtti_seconds=500.0,
             checkpoint_interval_seconds=150.0,
         ).run()
-        assert report.write_mode == "blocking"
         assert report.io_drain_seconds == 0.0
         for key in ("write_mode", "io_drain_seconds", "num_dirty_checkpoints"):
             assert key not in report.info
@@ -251,7 +248,7 @@ class TestDrainSemantics:
         )
         first = _engine(async_setup, CheckpointingScheme.lossy(1e-4), **kwargs).run()
         again = _engine(async_setup, CheckpointingScheme.lossy(1e-4), **kwargs).run()
-        assert first.to_json() == again.to_json()
+        assert _json(first) == _json(again)
         assert first.num_failures > 0
 
     def test_async_multilevel_prices_level_of_pending_queue(self, async_setup):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.failures import FailureInjector, ScriptedFailureModel
-from repro.cluster.machine import ClusterModel
+from repro.cluster.machine import PAPER_ITERATION_SECONDS, ClusterModel
 from repro.engine import FaultToleranceEngine
 from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
@@ -16,7 +16,7 @@ from repro.engine.events import (
     RecoveryEvent,
     RollbackEvent,
 )
-from repro.solvers import JacobiSolver
+from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
 from repro.utils.timing import VirtualClock
 
 
@@ -64,7 +64,6 @@ class TestGiveUpAccounting:
         )
         report = engine.run()
         assert not report.converged
-        assert report.gave_up
         assert report.info["gave_up"] is True
         assert report.info["give_up_reason"] == "max_restarts"
         # Progress is the iteration the failure interrupted (41), not 0.
@@ -94,7 +93,7 @@ class TestGiveUpAccounting:
             max_total_iterations=cap,
         )
         report = engine.run()
-        assert report.gave_up
+        assert report.info["gave_up"] is True
         assert report.info["give_up_reason"] == "max_total_iterations"
         assert report.total_iterations >= cap
         assert report.extra_iterations >= 10
@@ -108,7 +107,6 @@ class TestGiveUpAccounting:
         )
         report = engine.run()
         assert report.converged
-        assert not report.gave_up
         assert "gave_up" not in report.info
 
 
@@ -228,3 +226,35 @@ class TestEventLog:
         assert times == sorted(times)
         checkpoints = engine.events.of_type(CheckpointTakenEvent)
         assert len(checkpoints) == report.num_checkpoints
+
+
+class TestDefaultIterationSeconds:
+    """Without ``iteration_seconds`` the engine prices an iteration at the
+    paper's 2,048-process rate of the method it runs."""
+
+    @pytest.mark.parametrize(
+        "solver_cls", [JacobiSolver, GMRESSolver, CGSolver, BiCGStabSolver],
+        ids=lambda cls: cls.name,
+    )
+    def test_defaults_to_the_paper_rate_of_the_solver(self, poisson_small, solver_cls):
+        solver = solver_cls(poisson_small.A, rtol=1e-4, max_iter=100)
+        engine = FaultToleranceEngine(
+            solver, poisson_small.b, CheckpointingScheme.traditional(),
+            checkpoint_interval_seconds=100.0,
+        )
+        assert engine.method == solver_cls.name
+        assert engine.iteration_seconds == PAPER_ITERATION_SECONDS[solver_cls.name]
+
+    def test_method_without_a_paper_rate_needs_an_explicit_one(self, poisson_small):
+        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100)
+        scheme = CheckpointingScheme.traditional()
+        with pytest.raises(KeyError):
+            FaultToleranceEngine(
+                solver, poisson_small.b, scheme, method="unknown-method",
+                checkpoint_interval_seconds=100.0,
+            )
+        engine = FaultToleranceEngine(
+            solver, poisson_small.b, scheme, method="unknown-method",
+            iteration_seconds=2.5, checkpoint_interval_seconds=100.0,
+        )
+        assert engine.iteration_seconds == 2.5

@@ -1,4 +1,4 @@
-"""Paper-regime report pins (byte-identical ``FTRunReport.to_json()``).
+"""Paper-regime report pins (byte-identical ``FTRunReport.to_dict()`` as sorted-key JSON).
 
 The default scenario — Poisson failure arrivals, PFS-only recovery,
 blocking writes, checkpoints priced from their measured pipeline payloads —
@@ -27,6 +27,11 @@ from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import FaultToleranceEngine, run_failure_free
 from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
+
+
+def _json(report) -> str:
+    """A report's canonical bytes: its dictionary as sorted-key JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_regime.json"
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -124,7 +129,7 @@ def _run_case(grid_setup, name):
 def _assert_pinned(grid_setup, golden, name):
     report = _run_case(grid_setup, name)
     assert name in golden, f"{name} missing from fixture — regenerate"
-    assert json.loads(report.to_json()) == golden[name], (
+    assert json.loads(_json(report)) == golden[name], (
         f"{name}: FTRunReport drifted from the paper-regime pin"
     )
     return report
@@ -166,7 +171,7 @@ def test_pin_covers_the_whole_grid(grid_setup, golden):
 @pytest.mark.skipif(not _REGEN, reason="set REPRO_REGEN_GOLDEN=1 to regenerate")
 def test_regenerate_golden(grid_setup):
     payload = {
-        name: json.loads(_run_case(grid_setup, name).to_json())
+        name: json.loads(_json(_run_case(grid_setup, name)))
         for name in sorted(_cases(grid_setup[4]))
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

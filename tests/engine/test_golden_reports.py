@@ -4,7 +4,7 @@ The paper regime (blocking writes, Poisson arrivals, PFS-only recovery) is
 byte-pinned across every solver and scheme in ``test_equivalence.py``.  This
 suite extends the bit-identity net to the other axes — async write mode, FTI
 multilevel recovery, bursty failure models, chunked stores, and CG
-resume-state payloads — by pinning ``FTRunReport.to_json()`` for a scenario
+resume-state payloads — by pinning ``FTRunReport.to_dict()`` as sorted-key JSON for a scenario
 grid captured from the engine *before* the event-calendar refactor.
 
 Regenerate (only when a behavior change is intentional) with::
@@ -26,6 +26,11 @@ from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import FaultToleranceEngine, Scenario, run_failure_free
 from repro.solvers import CGSolver, JacobiSolver
+
+
+def _json(report) -> str:
+    """A report's canonical bytes: its dictionary as sorted-key JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -128,7 +133,7 @@ def test_report_matches_golden(golden_setup, golden, name):
     report = _run_case(golden_setup, name)
     assert name in golden, f"{name} missing from fixture — regenerate"
     expected = golden[name]
-    actual = json.loads(report.to_json())
+    actual = json.loads(_json(report))
     assert actual == expected, (
         f"{name}: FTRunReport drifted from the pre-refactor engine"
     )
@@ -137,7 +142,7 @@ def test_report_matches_golden(golden_setup, golden, name):
 @pytest.mark.skipif(not _REGEN, reason="set REPRO_REGEN_GOLDEN=1 to regenerate")
 def test_regenerate_golden(golden_setup):
     payload = {
-        name: json.loads(_run_case(golden_setup, name).to_json())
+        name: json.loads(_json(_run_case(golden_setup, name)))
         for name in sorted(_GRID)
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

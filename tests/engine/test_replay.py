@@ -1,7 +1,7 @@
 """Trajectory-replay cache: byte-identity, caches, gates and counters.
 
 The replay cache may change *when* solver numerics execute, never *what* the
-engine reports: ``FTRunReport.to_json()`` must be byte-identical with replay
+engine reports: ``FTRunReport.to_dict()`` as sorted-key JSON must be byte-identical with replay
 off, replay on against a cold cache, and replay on against a warm cache — the
 hypothesis sweep drives that across scheme × failure-model × recovery-levels ×
 write-mode (async cells exercise mid-drain failures, ``fti`` cells exercise
@@ -10,6 +10,8 @@ multilevel level-loss fallbacks).  The unit tests pin the cache mechanics
 kwarg override, the run counters the benchmark artifact reports, and the
 checkpoint-payload memo that rides on the same switch.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ from repro.core.schemes import CheckpointingScheme
 from repro.engine import (
     FaultToleranceEngine,
     Scenario,
-    clear_global_cache,
-    get_global_cache,
     get_global_snapshot_memo,
     run_failure_free,
 )
@@ -39,6 +39,19 @@ from repro.engine.replay import (
 )
 from repro.precond import IncompleteCholeskyPreconditioner, JacobiPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
+import repro.engine.replay as replay_module
+
+
+def _json(report) -> str:
+    """A report's canonical bytes: its dictionary as sorted-key JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def clear_global_cache():
+    """Start over with empty process-wide trajectory and snapshot caches."""
+    replay_module._GLOBAL_CACHE = None
+    replay_module._GLOBAL_SNAPSHOT_MEMO = None
+
 
 SOLVER_FACTORIES = {
     "jacobi": lambda A: JacobiSolver(A, rtol=1e-4, max_iter=100000),
@@ -126,7 +139,7 @@ class TestByteIdentity:
         warm, _ = _run(
             setup, method, scheme_name, scenario, seed, replay=True, solver=solver
         )
-        assert off.to_json() == cold.to_json() == warm.to_json()
+        assert _json(off) == _json(cold) == _json(warm)
 
     def test_async_mid_drain_failures_replay_identically(self, setup):
         """The heaviest async case: every failure lands mid-drain or deferred."""
@@ -137,7 +150,7 @@ class TestByteIdentity:
         cold, _ = _run(setup, "jacobi", "traditional", scenario, 2018, True, solver)
         warm, eng = _run(setup, "jacobi", "traditional", scenario, 2018, True, solver)
         assert off.num_failures > 0
-        assert off.to_json() == cold.to_json() == warm.to_json()
+        assert _json(off) == _json(cold) == _json(warm)
         assert eng.replay_hits > 0
         assert eng.replay_iterations_saved > 0
 
@@ -148,7 +161,7 @@ class TestByteIdentity:
         solver = SOLVER_FACTORIES["jacobi"](setup[0].A)
         cold, _ = _run(setup, "jacobi", "lossy", scenario, 2018, True, solver)
         warm, eng = _run(setup, "jacobi", "lossy", scenario, 2018, True, solver)
-        assert off.to_json() == cold.to_json() == warm.to_json()
+        assert _json(off) == _json(cold) == _json(warm)
         assert eng.replay_hits > 0
 
     def test_cross_scenario_catchup_is_bitwise(self, setup):
@@ -168,7 +181,7 @@ class TestByteIdentity:
             setup, "jacobi", "traditional", asynchronous, 2018, True, solver
         )
         assert eng.replay_hits > 0
-        assert off.to_json() == replayed.to_json()
+        assert _json(off) == _json(replayed)
 
 
 class TestSwitches:
@@ -330,7 +343,7 @@ class TestSnapshotMemoAndFingerprints:
         assert report.num_checkpoints > 0
         assert (memo.misses, memo.hits) == (misses, hits)
         off, _ = _run(setup, "jacobi", "traditional", scenario, 2018, False)
-        assert report.to_json() == off.to_json()
+        assert _json(report) == _json(off)
 
     def test_scheme_fingerprint_distinguishes_configurations(self):
         prints = {
@@ -432,7 +445,7 @@ class TestPreconditionerSoundness:
         report, warm = run(replayed)
         assert warm.replay_hits == cold.replay_hits
         assert warm.replay_iterations_saved == cold.replay_iterations_saved
-        assert report.to_json() == cold_report.to_json()
+        assert _json(report) == _json(cold_report)
 
 
 class TestSessionInternals:

@@ -1,5 +1,7 @@
 """Scenario tests: pluggable failure models and multilevel recovery costing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ from repro.engine import Scenario
 from repro.engine.events import CheckpointTakenEvent, RecoveryEvent
 from repro.utils.rng import default_rng
 from repro.solvers import JacobiSolver
+
+
+def _json(report) -> str:
+    """A report's canonical bytes: its dictionary as sorted-key JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 class TestFailureModels:
@@ -63,13 +70,12 @@ class TestFailureModels:
 
     def test_scripted_model_places_exact_times(self):
         injector = FailureInjector(model=ScriptedFailureModel([10.0, 25.0]))
-        assert injector.next_failure_time() == 10.0
-        assert injector.failure_in(0.0, 50.0) == 10.0
+        assert injector.peek() == 10.0
+        assert injector.strike_time(0.0) == 10.0
         injector.consume(10.0, "compute")
-        assert injector.next_failure_time() == 25.0
+        assert injector.peek() == 25.0
         injector.consume(25.0, "compute")
-        assert injector.next_failure_time() == float("inf")
-        assert injector.failure_in(0.0, 1e12) is None
+        assert injector.peek() == float("inf")
 
     def test_scripted_validation(self):
         with pytest.raises(ValueError):
@@ -82,9 +88,9 @@ class TestFailureModels:
         a = FailureInjector(700.0, seed=5)
         b = FailureInjector(700.0, seed=5, model=PoissonFailureModel(700.0))
         for _ in range(50):
-            assert a.next_failure_time() == b.next_failure_time()
-            a.consume(a.next_failure_time())
-            b.consume(b.next_failure_time())
+            assert a.peek() == b.peek()
+            a.consume(a.peek())
+            b.consume(b.peek())
 
     def test_poisson_scenario_injector_draws_the_default_stream(self):
         """The default scenario's injector draws what ``FailureInjector(mtti)``
@@ -92,15 +98,15 @@ class TestFailureModels:
         a = FailureInjector(700.0, seed=5)
         b = Scenario().build_injector(700.0, seed=5)
         for _ in range(50):
-            assert a.next_failure_time() == b.next_failure_time()
-            a.consume(a.next_failure_time())
-            b.consume(b.next_failure_time())
+            assert a.peek() == b.peek()
+            a.consume(a.peek())
+            b.consume(b.peek())
 
     @pytest.mark.parametrize("mtti", [None, float("inf")])
     def test_scenario_injector_disabled_without_mtti(self, mtti):
         injector = Scenario(failure_model="weibull").build_injector(mtti, seed=5)
         assert injector.model is None
-        assert injector.next_failure_time() == float("inf")
+        assert injector.peek() == float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -139,23 +145,15 @@ class TestScenarioRuns:
         assert Scenario().is_paper_regime
         assert not Scenario(failure_model="weibull").is_paper_regime
 
-    def test_scenario_round_trip(self):
-        scenario = Scenario(
-            failure_model="weibull",
-            recovery_levels="fti",
-            failure_params=(("shape", 0.5),),
-        )
-        assert Scenario.from_dict(scenario.to_dict()) == scenario
-
     @pytest.mark.parametrize("model", ["weibull", "bursty"])
     def test_alternative_models_deterministic_and_distinct(self, scenario_setup, model):
         scheme = CheckpointingScheme.lossy(1e-4)
         _, first = _run(scenario_setup, scheme, Scenario(failure_model=model))
         _, again = _run(scenario_setup, scheme, Scenario(failure_model=model))
-        assert first.to_json() == again.to_json()
+        assert _json(first) == _json(again)
         assert first.info["failure_model"] == model
         _, poisson = _run(scenario_setup, scheme, Scenario())
-        assert first.to_json() != poisson.to_json()
+        assert _json(first) != _json(poisson)
         assert "failure_model" not in poisson.info
 
     def test_fti_recovery_prices_levels(self, scenario_setup):
@@ -171,7 +169,7 @@ class TestScenarioRuns:
         _, pfs_report = _run(scenario_setup, scheme, Scenario())
         assert pfs_report.num_failures > 0
         # Same failure stream, different recovery/checkpoint pricing.
-        assert report.to_json() != pfs_report.to_json()
+        assert _json(report) != _json(pfs_report)
 
     def test_fti_cheap_levels_write_faster(self, scenario_setup):
         scheme = CheckpointingScheme.traditional()
@@ -250,7 +248,7 @@ class TestScenarioRuns:
         _, again = _run(
             scenario_setup, CheckpointingScheme.lossy(1e-4), scenario, seed=23
         )
-        assert again.to_json() == report.to_json()
+        assert _json(again) == _json(report)
 
     def test_fti_survival_keeps_pfs_checkpoints(self, scenario_setup):
         # All-PFS cycle: survival is certain, so recoveries never fall back.

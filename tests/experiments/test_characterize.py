@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign import execute
 from repro.cluster.machine import ClusterModel
+from repro.compression.errorbounds import ResidualAdaptiveBoundPolicy
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.experiments.characterize import (
@@ -97,8 +98,8 @@ class TestStandardSchemes:
     def test_three_schemes_in_paper_order(self):
         schemes = standard_schemes(1e-4, method="jacobi")
         assert [s.name for s in schemes] == ["traditional", "lossless", "lossy"]
-        assert schemes[2].adaptive_policy is None
+        assert not isinstance(schemes[2].bound_policy, ResidualAdaptiveBoundPolicy)
 
     def test_gmres_gets_adaptive_policy(self):
         schemes = standard_schemes(1e-4, method="gmres")
-        assert schemes[2].adaptive_policy is not None
+        assert isinstance(schemes[2].bound_policy, ResidualAdaptiveBoundPolicy)

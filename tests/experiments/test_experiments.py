@@ -189,30 +189,3 @@ class TestFig10:
                 (method, "traditional")
             ]
         assert "Figure 10" in fig10_table(result)
-
-
-class TestAsyncOverlap:
-    def test_reduction_positive_and_paired_seeds(self):
-        from repro.experiments.async_overlap import (
-            async_overlap_cells,
-            async_overlap_table,
-            run_async_overlap,
-        )
-
-        cells = async_overlap_cells(CFG, schemes=("traditional",), repetitions=2)
-        # The async/blocking pair of one repetition shares its failure seed,
-        # so the comparison is same-failure-stream.
-        by_rep = {}
-        for cell in cells:
-            by_rep.setdefault(cell.repetition, set()).add(cell.seed)
-        assert all(len(seeds) == 1 for seeds in by_rep.values())
-        assert by_rep[0] != by_rep[1]
-
-        result = run_async_overlap(CFG, schemes=("traditional",), repetitions=2)
-        # Overlap must strictly reduce the stop-the-world write overhead.
-        assert result.reduction("traditional") > 0.0
-        assert result.overhead[("traditional", "async")] < (
-            result.overhead[("traditional", "blocking")]
-        )
-        table = async_overlap_table(result)
-        assert "traditional" in table and "reduction" in table

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.solvers import available_solvers, make_solver
+from repro.solvers import CGSolver, GMRESSolver
 from repro.solvers.base import ConvergenceCriterion, SolveResult
 
 
@@ -52,38 +52,24 @@ class TestSolveResult:
         assert np.isnan(result.final_residual_norm)
 
 
-class TestSolverRegistry:
-    def test_all_expected_names(self):
-        names = available_solvers()
-        for expected in ("jacobi", "gauss_seidel", "sor", "ssor", "cg", "gmres", "bicgstab"):
-            assert expected in names
-
-    def test_make_solver(self, poisson_small):
-        solver = make_solver("cg", poisson_small.A, rtol=1e-6)
-        result = solver.solve(poisson_small.b)
-        assert result.converged
-
-    def test_unknown_solver(self, poisson_small):
-        with pytest.raises(KeyError):
-            make_solver("multigrid", poisson_small.A)
-
+class TestSolverConstruction:
     def test_validation_of_parameters(self, poisson_small):
         with pytest.raises(ValueError):
-            make_solver("cg", poisson_small.A, max_iter=0)
+            CGSolver(poisson_small.A, max_iter=0)
 
     def test_preconditioner_size_mismatch(self, poisson_small, poisson_medium):
         from repro.precond import JacobiPreconditioner
 
         M = JacobiPreconditioner(poisson_medium.A)
         with pytest.raises(ValueError):
-            make_solver("cg", poisson_small.A, preconditioner=M)
+            CGSolver(poisson_small.A, preconditioner=M)
 
 
 class TestGridShape:
     def test_read_off_the_operator_once(self, poisson_small, monkeypatch):
         import repro.sparse
 
-        solver = make_solver("cg", poisson_small.A)
+        solver = CGSolver(poisson_small.A)
         assert solver.grid_shape == (8, 8, 8)
         monkeypatch.setattr(
             repro.sparse, "stencil_grid", lambda A: pytest.fail("recomputed")
@@ -91,4 +77,4 @@ class TestGridShape:
         assert solver.grid_shape == (8, 8, 8)
 
     def test_none_without_a_stencil(self, kkt_small):
-        assert make_solver("gmres", kkt_small.K).grid_shape is None
+        assert GMRESSolver(kkt_small.K).grid_shape is None

@@ -3,30 +3,49 @@
 import numpy as np
 import pytest
 
+from repro.axes import METHODS
 from repro.solvers import (
+    CHECKPOINT_SPECS,
     BiCGStabSolver,
     GMRESSolver,
     JacobiSolver,
-    checkpoint_spec_for,
 )
 from repro.solvers.base import CheckpointSpec, ResumeState, SolveResult
 
 
 class TestDeclarations:
-    def test_registered_specs(self):
-        assert checkpoint_spec_for("cg").extra_vectors == ("p",)
-        assert checkpoint_spec_for("cg").vector_count == 2
-        assert checkpoint_spec_for("bicgstab").extra_vectors == ("r", "r_hat", "p", "v")
-        assert checkpoint_spec_for("bicgstab").vector_count == 5
-        assert checkpoint_spec_for("gmres").vector_count == 1
-        assert checkpoint_spec_for("gmres").restart_boundary_only
-        assert checkpoint_spec_for("jacobi").vector_count == 1
-        assert checkpoint_spec_for("jacobi").exact_resume
+    def test_method_specs(self):
+        assert CHECKPOINT_SPECS["cg"].extra_vectors == ("p",)
+        assert CHECKPOINT_SPECS["cg"].vector_count == 2
+        assert CHECKPOINT_SPECS["bicgstab"].extra_vectors == ("r", "r_hat", "p", "v")
+        assert CHECKPOINT_SPECS["bicgstab"].vector_count == 5
+        assert CHECKPOINT_SPECS["gmres"].vector_count == 1
+        assert CHECKPOINT_SPECS["gmres"].restart_boundary_only
+        assert CHECKPOINT_SPECS["kkt"] is CHECKPOINT_SPECS["gmres"]
+        assert CHECKPOINT_SPECS["jacobi"].vector_count == 1
+        assert CHECKPOINT_SPECS["jacobi"].exact_resume
 
-    def test_unknown_method_gets_default_spec(self):
-        spec = checkpoint_spec_for("not-a-solver")
-        assert spec == CheckpointSpec()
-        assert not spec.exact_resume
+    def test_one_spec_per_campaign_method(self):
+        assert tuple(CHECKPOINT_SPECS) == METHODS
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_campaign_solver_declares_its_method_spec(self, method):
+        from repro.experiments.config import (
+            ExperimentConfig,
+            kkt_problem,
+            kkt_solver,
+            method_problem,
+            method_solver,
+        )
+
+        config = ExperimentConfig(grid_n=4, kkt_n=3, max_iter=10)
+        if method == "kkt":
+            solver = kkt_solver(config, kkt_problem(config))
+        else:
+            solver = method_solver(config, method, method_problem(config, method))
+        # The lookup the scheme prices payloads with is the spec of the
+        # solver a campaign cell of that method actually runs.
+        assert solver.checkpoint_spec is CHECKPOINT_SPECS[method]
 
     def test_unsupported_solver_rejects_resume_state(self, poisson_small):
         class NoResumeSolver(JacobiSolver):

@@ -10,8 +10,8 @@ class TestKKTSystem:
     def test_sizes(self):
         prob = kkt_system(4, dims=2, seed=0)
         assert prob.n_primal == 16
-        assert prob.size == prob.n_primal + prob.n_dual
-        assert prob.K.shape == (prob.size, prob.size)
+        size = prob.n_primal + prob.n_dual
+        assert prob.K.shape == (size, size)
 
     def test_symmetric(self):
         prob = kkt_system(4, dims=2, seed=1)

@@ -46,7 +46,7 @@ class TestSolverPlusCheckpointManager:
                 pipeline.commit(snapshot)
 
         solver.solve(problem.b, callback=callback)
-        assert pipeline.store.latest_id() is not None
+        assert len(pipeline.store.ids()) == 1
 
         # "Failure": nothing of the run survives but the store; restore and
         # resume the same Krylov sequence.
@@ -122,7 +122,7 @@ class TestFailureInjectionStatistics:
             count = 0
             t = 0.0
             while True:
-                nxt = injector.next_failure_time()
+                nxt = injector.peek()
                 if nxt > horizon:
                     break
                 injector.consume(nxt)

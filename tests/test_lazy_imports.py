@@ -145,7 +145,6 @@ def test_deferred_importers_load_at_construction_and_work():
         import sys
         import numpy as np
         from repro.compression.zfp import ZFPCompressor
-        from repro.solvers import GaussSeidelSolver, SORSolver, SSORSolver
         from repro.sparse import poisson_system
         from repro.sparse.analysis import jacobi_iteration_matrix, spectral_radius
 
@@ -157,13 +156,11 @@ def test_deferred_importers_load_at_construction_and_work():
 
         data = np.sin(np.linspace(0.0, 6.0, 500)) + 2.0
         zfp = built_loading("scipy.fft", lambda: ZFPCompressor(1e-4))
-        recon, _ = pickle.loads(pickle.dumps(zfp)).roundtrip(data)
+        zfp = pickle.loads(pickle.dumps(zfp))
+        recon = zfp.decompress(zfp.compress(data))
         assert np.all(np.abs(recon - data) <= 1e-4 * np.abs(data) * (1 + 1e-8))
 
         problem = poisson_system(5, seed=1)
-        built_loading("scipy.sparse.linalg", lambda: GaussSeidelSolver(problem.A))
-        for cls in (GaussSeidelSolver, SORSolver, SSORSolver):
-            assert cls(problem.A, rtol=1e-6).solve(problem.b).converged
         assert 0.0 < spectral_radius(jacobi_iteration_matrix(problem.A)) < 1.0
         print("ok")
     """)

@@ -1,11 +1,10 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import default_rng, derive_seed, spawn_rngs
+from repro.utils.rng import default_rng, derive_seed
 
 
 class TestDefaultRng:
@@ -24,30 +23,6 @@ class TestDefaultRng:
 
     def test_none_gives_generator(self):
         assert isinstance(default_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_independent_streams(self):
-        gens = spawn_rngs(0, 2)
-        a = gens[0].random(100)
-        b = gens[1].random(100)
-        assert not np.allclose(a, b)
-
-    def test_reproducible(self):
-        a = spawn_rngs(7, 3)[1].random(5)
-        b = spawn_rngs(7, 3)[1].random(5)
-        assert np.array_equal(a, b)
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        gens = spawn_rngs(np.random.default_rng(1), 3)
-        assert len(gens) == 3
 
 
 class TestDeriveSeed:

@@ -7,8 +7,6 @@ import scipy.sparse as sp
 from repro.utils.validation import (
     check_nonnegative,
     check_positive,
-    check_probability,
-    check_same_length,
     check_square_matrix,
     check_vector,
 )
@@ -29,15 +27,6 @@ class TestScalarChecks:
     def test_nonnegative_rejects_negative(self):
         with pytest.raises(ValueError):
             check_nonnegative(-0.1, "x")
-
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_probability_accepts(self, value):
-        assert check_probability(value, "p") == value
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1])
-    def test_probability_rejects(self, value):
-        with pytest.raises(ValueError):
-            check_probability(value, "p")
 
 
 class TestVectorCheck:
@@ -72,12 +61,3 @@ class TestSquareMatrixCheck:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             check_square_matrix(sp.csr_matrix((0, 0)))
-
-
-class TestSameLength:
-    def test_accepts_equal(self):
-        check_same_length([1, 2], [3, 4], "a", "b")
-
-    def test_rejects_unequal(self):
-        with pytest.raises(ValueError):
-            check_same_length([1], [2, 3], "a", "b")
