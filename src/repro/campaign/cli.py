@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from repro.campaign.cache import ResultCache
 from repro.campaign.execute import PROFILE_ENV
 from repro.campaign.executor import CellOutcome, run_campaign
-from repro.campaign.report import CampaignReport, _dumps_indented
+from repro.campaign.report import CampaignReport
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 __all__ = ["main", "PRESETS", "demo_campaign"]
@@ -278,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.cached_count} from cache, {result.wall_seconds:.1f}s wall"
     )
     if args.json:
-        _write_atomically(Path(args.json), _dumps_indented(report.to_dict(by=by)))
+        _write_atomically(Path(args.json), report.to_json(by=by))
         print(f"report written to {args.json}")
     if args.profile:
         profiles = sorted(Path(args.profile).glob("*.pstats"))

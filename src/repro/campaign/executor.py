@@ -17,10 +17,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.execute import _scheme_key, configure_memo_store, execute_cell, load_stack
+from repro.campaign.fragment import CellFragment
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 __all__ = ["CellOutcome", "CampaignResult", "ParallelExecutor", "run_campaign"]
@@ -31,13 +32,22 @@ ProgressFn = Callable[[int, int, "CellOutcome"], None]
 
 @dataclass
 class CellOutcome:
-    """One executed (or cache-served) campaign cell."""
+    """One executed (or cache-served) campaign cell.
+
+    The cell's result lives in its :class:`~repro.campaign.fragment.
+    CellFragment`; :attr:`result` decodes it on first use.
+    """
 
     index: int
     spec: RunSpec
-    result: Dict[str, object]
+    fragment: CellFragment
     cached: bool
     seconds: float = 0.0
+
+    @property
+    def result(self) -> Dict[str, object]:
+        """The cell's result dictionary."""
+        return self.fragment.result
 
 
 @dataclass
@@ -135,7 +145,7 @@ class ParallelExecutor:
         for index, cell in enumerate(cells):
             hit = self.cache.get(cell) if self.cache is not None else None
             if hit is not None:
-                outcome = CellOutcome(index=index, spec=cell, result=hit, cached=True)
+                outcome = CellOutcome(index=index, spec=cell, fragment=hit, cached=True)
                 outcomes[index] = outcome
                 done += 1
                 if self.progress:
@@ -166,13 +176,11 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
     def _execute_one(self, index: int, cell: RunSpec) -> CellOutcome:
-        cell_start = time.perf_counter()
-        result = execute_cell(cell)
-        seconds = time.perf_counter() - cell_start
+        fragment, seconds = _execute_cell(cell)
         if self.cache is not None:
-            self.cache.put(cell, result)
+            self.cache.put(cell, fragment)
         return CellOutcome(
-            index=index, spec=cell, result=result, cached=False, seconds=seconds
+            index=index, spec=cell, fragment=fragment, cached=False, seconds=seconds
         )
 
     def _execute_parallel(
@@ -209,13 +217,13 @@ class ParallelExecutor:
                         if first_error is None:
                             first_error = exc
                         continue
-                    for index, (result, seconds) in zip(chunk, chunk_results):
+                    for index, (fragment, seconds) in zip(chunk, chunk_results):
                         if self.cache is not None:
-                            self.cache.put(cells[index], result)
+                            self.cache.put(cells[index], fragment)
                         outcome = CellOutcome(
                             index=index,
                             spec=cells[index],
-                            result=result,
+                            fragment=fragment,
                             cached=False,
                             seconds=seconds,
                         )
@@ -275,14 +283,21 @@ def _init_worker(memo_dir: Optional[str] = None) -> None:
     configure_memo_store(memo_dir)
 
 
-def _execute_chunk(chunk: List[RunSpec]):
+def _execute_cell(cell: RunSpec) -> Tuple[CellFragment, float]:
+    """Run ``cell``; its fragment, and the seconds :func:`execute_cell` took.
+
+    The result is encoded here, where the cell runs, and the dictionary is
+    dropped: the fragment's text is what the cache and the report store.
+    """
+    start = time.perf_counter()
+    result = execute_cell(cell)
+    seconds = time.perf_counter() - start
+    return CellFragment.render(cell, result), seconds
+
+
+def _execute_chunk(chunk: List[RunSpec]) -> List[Tuple[CellFragment, float]]:
     """Worker-side execution of a batch of cells (module-level for pickling)."""
-    results = []
-    for cell in chunk:
-        start = time.perf_counter()
-        result = execute_cell(cell)
-        results.append((result, time.perf_counter() - start))
-    return results
+    return [_execute_cell(cell) for cell in chunk]
 
 
 def run_campaign(

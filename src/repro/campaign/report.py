@@ -9,74 +9,14 @@ cache-served executions of the same spec render byte-identical reports.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Sequence, Tuple
 
 from repro.campaign.executor import CampaignResult
+from repro.campaign.fragment import CELL_INDENT, _dumps_indented
 from repro.utils.tables import format_table
 
 __all__ = ["CampaignReport"]
-
-#: The C encoder's compact, key-sorted rendering of a whole subtree.
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _dumps_indented(obj, nl: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, only faster.
-
-    With an indent, ``json`` runs its pure-Python encoder.  Here the
-    containers are walked in Python but each list of plain numbers (e.g. a
-    ``residual_trace`` of ``[it, res]`` pairs) is encoded once by the C
-    encoder and re-indented with string operations.  ``nl`` is the newline
-    plus indentation of the line ``obj`` starts on.  Whatever this walk does
-    not handle (non-``str`` keys, unknown types) goes to the stdlib; its
-    output holds no raw newline, so re-indenting it is a plain replace.
-    """
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int or (kind is float and math.isfinite(obj)):
-        return repr(obj)
-    inner = nl + "  "
-    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        if not obj:
-            return "{}"
-        items = (
-            encode_basestring_ascii(key) + ": " + _dumps_indented(value, inner)
-            for key, value in sorted(obj.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if not isinstance(obj[0], dict):
-            text = _compact(obj)
-            # No strings (nor keys, so no non-empty dicts): every comma and
-            # bracket is structure, and "{}" renders the same indented.
-            if '"' not in text:
-                body = text[1:-1]
-                if "[" not in body:
-                    return "[" + inner + body.replace(",", "," + inner) + nl + "]"
-                rows = body[1:-1]
-                if (
-                    body[0] == "[" and body[-1] == "]" and "[]" not in body
-                    and rows.count("[") == rows.count("]") == rows.count("],[")
-                ):
-                    # Non-empty flat rows: each "],[" is a joint between two.
-                    deeper = inner + "  "
-                    rows = rows.replace(",", "," + deeper).replace(
-                        "]," + deeper + "[", inner + "]," + inner + "[" + deeper
-                    )
-                    return "[" + inner + "[" + deeper + rows + inner + "]" + nl + "]"
-        items = (_dumps_indented(value, inner) for value in obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if obj is None or obj is True or obj is False or kind is float:
-        return _compact(obj)
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
-
 
 #: Per-cell metrics pulled out of an ``ft`` result for aggregation.
 _FT_METRICS = (
@@ -96,7 +36,7 @@ _FT_REPORT_METRICS = (
 
 
 def _cell_metrics(spec, result: Dict[str, object]) -> Dict[str, float]:
-    """Flatten one cell result into a {metric: value} mapping."""
+    """Flatten one cell result (its scalars suffice) into {metric: value}."""
     metrics: Dict[str, float] = {}
     if spec.kind == "ft":
         for name in _FT_METRICS:
@@ -134,7 +74,7 @@ class CampaignReport:
         for outcome in self.result.outcomes:
             key = tuple(getattr(outcome.spec, axis) for axis in by)
             groups.setdefault(key, []).append(
-                _cell_metrics(outcome.spec, outcome.result)
+                _cell_metrics(outcome.spec, outcome.fragment.scalars)
             )
         aggregated: Dict[Tuple, Dict[str, float]] = {}
         for key, rows in groups.items():
@@ -183,21 +123,46 @@ class CampaignReport:
         return format_table(headers, rows, title=title)
 
     # ------------------------------------------------------------------
-    def to_dict(self, by: Sequence[str] = ("method", "scheme", "num_processes")) -> Dict:
+    def to_dict(
+        self, by: Sequence[str] = ("method", "scheme", "num_processes"), *, cells: bool = True
+    ) -> Dict:
         """Deterministic JSON-safe summary (used for byte-identity checks).
 
         Deliberately excludes wall-clock timing and worker counts so that the
-        serial and parallel paths serialize identically.
+        serial and parallel paths serialize identically.  ``cells=False``
+        leaves out the per-cell list, which :meth:`to_json` splices in from
+        the cells' fragments instead of decoding them.
         """
         aggregated = self.aggregate(by)
-        return {
+        summary: Dict = {
             "name": self.result.name,
-            "cells": [
-                {"spec": o.spec.to_dict(), "result": o.result}
-                for o in self.result.outcomes
-            ],
             "aggregate": [
                 {"key": list(key), "metrics": row} for key, row in aggregated.items()
             ],
         }
+        if cells:
+            summary["cells"] = [
+                {"spec": o.spec.to_dict(), "result": o.result}
+                for o in self.result.outcomes
+            ]
+        return summary
 
+    # ------------------------------------------------------------------
+    def to_json(self, by: Sequence[str] = ("method", "scheme", "num_processes")) -> str:
+        """``json.dumps(self.to_dict(by), indent=2, sort_keys=True)``, by splicing.
+
+        Each cell's fragment already is its text at its place in ``cells``,
+        so only the summary members are encoded here.  The keys are written
+        in sorted order: ``aggregate``, ``cells``, ``name``.
+        """
+        summary = self.to_dict(by, cells=False)
+        pieces = ['{\n  "aggregate": ', _dumps_indented(summary["aggregate"], "\n  ")]
+        if self.result.outcomes:
+            pieces.append(',\n  "cells": [')
+            for outcome in self.result.outcomes:
+                pieces += (CELL_INDENT, outcome.fragment.text, ",")
+            pieces[-1] = "\n  ]"
+        else:
+            pieces.append(',\n  "cells": []')
+        pieces += (',\n  "name": ', _dumps_indented(summary["name"], "\n  "), "\n}")
+        return "".join(pieces)

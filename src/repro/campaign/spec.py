@@ -78,7 +78,10 @@ KINDS = (
 #: predicts along its axes: lossy cells' payload bytes, ratios and checkpoint
 #: costs changed (zfp ones by the x blob's longer shape record); the
 #: quantized codes, hence every reconstruction, did not.
-CACHE_VERSION = 12
+#: 13: a result-cache entry is the cell's report fragment behind a header
+#: of its digest, length and scalars (memos carry the same header); cell
+#: results themselves did not change.
+CACHE_VERSION = 13
 
 _Params = Tuple[Tuple[str, object], ...]
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import abc
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -101,16 +102,20 @@ class Compressor(abc.ABC):
     Subclasses implement :meth:`_compress_array` / :meth:`_decompress_array`;
     the public :meth:`compress` / :meth:`decompress` wrappers add input
     validation and per-call timing records (used by the experiment harness to
-    report compression throughput).
+    report compression throughput).  Only the last :attr:`RECORD_HISTORY`
+    records are kept: a compressor bound to a long-lived scheme sees one
+    call per snapshot and restore.
     """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
     #: Whether decompression reproduces the input bit-for-bit.
     lossless: bool = False
+    #: How many of the most recent calls :attr:`records` holds.
+    RECORD_HISTORY = 64
 
     def __init__(self) -> None:
-        self.records: List[CompressionRecord] = []
+        self.records: Deque[CompressionRecord] = deque(maxlen=self.RECORD_HISTORY)
         #: Record of the most recent compress/decompress call on this
         #: instance.  Prefer :meth:`compress_with_record` when the instance
         #: may be shared (several managers, ``with_error_bound`` swaps):
@@ -169,7 +174,7 @@ class Compressor(abc.ABC):
 
     # -- bookkeeping --------------------------------------------------------
     def mean_seconds(self, operation: str) -> float:
-        """Mean seconds per call for ``operation`` ('compress'/'decompress')."""
+        """Mean seconds per recorded call for ``operation`` ('compress'/'decompress')."""
         times = [r.seconds for r in self.records if r.operation == operation]
         return float(np.mean(times)) if times else 0.0
 

@@ -26,6 +26,18 @@ def _model_spec(tmp_path):
     return path
 
 
+def _ft_spec_path(tmp_path):
+    """Four small failure-injected cells (two methods x two failure models)."""
+    spec = CampaignSpec(
+        name="cli-ft", kind="ft", methods=("jacobi", "cg"), schemes=("traditional",),
+        failure_models=("poisson", "bursty"), mttis=(1800.0,),
+        checkpoint_intervals=(150.0,), repetitions=1, grid_n=6, seed=3,
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(spec.to_json())
+    return spec, path
+
+
 class TestPresets:
     def test_demo_campaign_has_at_least_24_cells(self):
         assert len(demo_campaign()) >= 24
@@ -77,13 +89,7 @@ class TestJsonReport:
     """``--json``: checked up front, written atomically, stdlib-identical bytes."""
 
     def test_json_equals_the_stdlib_encoding_of_the_report(self, tmp_path):
-        spec = CampaignSpec(
-            name="cli-ft", kind="ft", methods=("jacobi", "cg"), schemes=("traditional",),
-            failure_models=("poisson", "bursty"), mttis=(1800.0,),
-            checkpoint_intervals=(150.0,), repetitions=1, grid_n=6, seed=3,
-        )
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec, spec_path = _ft_spec_path(tmp_path)
         out_path, cache = tmp_path / "report.json", tmp_path / "cache"
         argv = ["--spec", str(spec_path), "--cache-dir", str(cache), "--quiet"]
         assert main(argv + ["--json", str(out_path)]) == 0
@@ -93,6 +99,29 @@ class TestJsonReport:
         mask = os.umask(0)
         os.umask(mask)
         assert out_path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    def test_json_is_identical_cold_warm_parallel_and_uncached(self, tmp_path, capsys):
+        """The spliced report does not depend on where the fragments came from."""
+        _, spec_path = _ft_spec_path(tmp_path)
+        runs = {
+            "cold": ["--cache-dir", str(tmp_path / "serial")],
+            "warm": ["--cache-dir", str(tmp_path / "serial")],
+            "parallel": ["--cache-dir", str(tmp_path / "pool"), "--workers", "2"],
+            "uncached": ["--no-cache"],
+        }
+        reports, logs = {}, {}
+        for name, options in runs.items():
+            out_path = tmp_path / f"{name}.json"
+            argv = ["--spec", str(spec_path), "--quiet", *options, "--json", str(out_path)]
+            assert main(argv) == 0
+            logs[name] = capsys.readouterr().out
+            reports[name] = out_path.read_bytes()
+        assert "4 cells: 0 executed, 4 from cache" in logs["warm"]
+        for name in ("cold", "parallel", "uncached"):
+            assert "4 cells: 4 executed, 0 from cache" in logs[name], name
+        assert reports["warm"] == reports["cold"]
+        assert reports["parallel"] == reports["cold"]
+        assert reports["uncached"] == reports["cold"]
 
     @pytest.mark.parametrize("parent", ["missing", "file"])
     def test_bad_destination_fails_before_any_cell_runs(self, tmp_path, capsys, parent):

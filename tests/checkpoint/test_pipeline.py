@@ -705,6 +705,18 @@ class TestTimingAttribution:
             assert measurement.stored_bytes == nbytes
         assert shared.records[-1].seconds == 999.0
 
+    def test_records_stay_bounded_over_a_long_stream(self):
+        comp = IdentityCompressor()
+        data = np.arange(8, dtype=np.float64)
+        for _ in range(10_000):
+            blob, record = comp.compress_with_record(data)
+        comp.decompress(blob)
+        assert len(comp.records) == comp.RECORD_HISTORY
+        assert comp.records[-2] is record
+        assert comp.records[-1] is comp.last_record
+        assert comp.last_record.operation == "decompress"
+        assert [r.operation for r in comp.records].count("compress") == comp.RECORD_HISTORY - 1
+
     def test_reset_records_clears_last_record(self, smooth_vector):
         comp = ZlibCompressor()
         comp.compress(smooth_vector)
