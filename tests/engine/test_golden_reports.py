@@ -3,8 +3,8 @@
 The paper regime (blocking writes, Poisson arrivals, PFS-only recovery) is
 byte-pinned across every solver and scheme in ``test_equivalence.py``.  This
 suite extends the bit-identity net to the other axes — async write mode, FTI
-multilevel recovery, bursty failure models, chunked stores, and CG
-resume-state payloads — by pinning ``FTRunReport.to_dict()`` as sorted-key JSON for a scenario
+multilevel recovery, bursty failure models, the priced disk/object stores, the
+chunked store, and CG resume-state payloads — by pinning ``FTRunReport.to_dict()`` as sorted-key JSON for a scenario
 grid captured from the engine *before* the event-calendar refactor.
 
 Regenerate (only when a behavior change is intentional) with::
@@ -73,6 +73,16 @@ _GRID = {
         "jacobi",
         lambda: CheckpointingScheme.lossy(1e-4),
         Scenario(write_mode="async", store_backend="chunked"),
+    ),
+    "lossy-fti-disk": (
+        "jacobi",
+        lambda: CheckpointingScheme.lossy(1e-4),
+        Scenario(recovery_levels="fti", store_backend="disk"),
+    ),
+    "lossless-async-object": (
+        "jacobi",
+        lambda: CheckpointingScheme.lossless(),
+        Scenario(write_mode="async", store_backend="object"),
     ),
     "cg-lossy-async": (
         "cg",
