@@ -24,7 +24,7 @@ def test_bench_ablation_multilevel_checkpointing(benchmark):
     def simulate(policy_name, policy, seed):
         store = MultilevelCheckpointStore(policy, seed=seed)
         for i in range(num_checkpoints):
-            store.write(i, b"x")
+            store.record(i)
         write_cost = sum(
             pfs_write_seconds * store.cost_multiplier_of(i) for i in store.ids()
         )

@@ -10,7 +10,9 @@ them after a failure.  :class:`~repro.checkpoint.pipeline.CheckpointPipeline` co
 the dynamic variables through any
 :class:`~repro.compression.base.Compressor` and persists the resulting
 payload through a pluggable :class:`~repro.checkpoint.store.CheckpointStore`
-(in-memory, on-disk, or the FTI-style multilevel scheme).
+(in-memory, on-disk, or a simulated object store);
+:class:`~repro.checkpoint.multilevel.MultilevelCheckpointStore` assigns FTI
+levels and draws their survival.
 """
 
 from repro.checkpoint.serialization import (

@@ -19,8 +19,8 @@ discard.
 
 Besides integer-keyed checkpoints, the store offers *chunked blobs*
 (:meth:`ChunkedStore.put_chunked_blob`): string-keyed objects that share the
-same chunk pool.  The multilevel store uses them for partner-level replicas,
-so a replica of a payload whose chunks are already pooled adds zero unique
+same chunk pool.  The fault-tolerance engine uses them for PARTNER-level
+replicas, so a replica of a payload whose chunks are already pooled adds zero unique
 bytes.
 
 The manifest layout is documented in ``docs/payload-format.md``.

@@ -12,14 +12,10 @@ The paper writes all checkpoints at L4 through MPI-IO; this module adds the
 multilevel policy so the ablation benchmarks can quantify how much of the
 lossy-checkpointing gain survives when cheaper levels absorb most failures.
 
-The store wraps one real :class:`~repro.checkpoint.store.CheckpointStore`
-backend (in-memory by default) that every level writes to, and a level's
-*price* is the storage profile's seconds times the level's cost multiplier
-(:attr:`MultilevelPolicy.cost_multiplier`).
-Partner-level checkpoints additionally write a buddy replica
-through the backend's blob namespace — when the backend dedups
-(:class:`~repro.checkpoint.chunked.ChunkedStore`), the replica shares chunks
-with the primary copy and adds zero unique bytes.
+The store is level bookkeeping over checkpoint ids: it holds no payload.  A
+level's *price* is the storage profile's seconds times the level's cost
+multiplier (:attr:`MultilevelPolicy.cost_multiplier`), charged by the
+fault-tolerance engine from the payload's measured size.
 """
 
 from __future__ import annotations
@@ -28,12 +24,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.checkpoint.store import (
-    CheckpointStore,
-    MemoryCheckpointStore,
-    StoreProfile,
-    WriteReceipt,
-)
 from repro.utils.rng import default_rng
 
 __all__ = ["CheckpointLevel", "MultilevelPolicy", "MultilevelCheckpointStore"]
@@ -106,104 +96,53 @@ class MultilevelPolicy:
         return self.cycle[int(checkpoint_index) % len(self.cycle)]
 
 
-class MultilevelCheckpointStore(CheckpointStore):
-    """Store that assigns each checkpoint a level and models level survival.
+class MultilevelCheckpointStore:
+    """Assigns each checkpoint a level and models level survival.
 
-    ``write`` assigns the level from the policy cycle and writes the payload
-    to the backend; ``surviving_id`` draws which of the stored checkpoints
+    :meth:`record` assigns a committed checkpoint its level from the policy
+    cycle; :meth:`surviving_id` draws which of the recorded checkpoints
     survive a failure (PFS always survives) and returns the newest survivor
     — that is the checkpoint a recovery would actually restart from.
 
-    The policy cycle is keyed on *new* checkpoints only: overwriting an
-    existing checkpoint keeps its level and does not advance the cycle.
-
-    ``backend`` is the store every level writes to (an in-memory store when
-    omitted).  Partner-level writes add a buddy replica under the blob key
-    ``replica/L2/<id>``, via the dedup pool when the backend offers one.
+    The policy cycle is keyed on *new* checkpoints only: recording an
+    existing checkpoint again keeps its level and does not advance the cycle.
     """
 
-    def __init__(
-        self,
-        policy: Optional[MultilevelPolicy] = None,
-        *,
-        seed=None,
-        backend: Optional[CheckpointStore] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[MultilevelPolicy] = None, *, seed=None) -> None:
         self.policy = policy or MultilevelPolicy()
-        self._backend = backend if backend is not None else MemoryCheckpointStore()
         self._levels: Dict[int, CheckpointLevel] = {}
-        self._writes = 0
+        self._recorded = 0
         self._rng = default_rng(seed)
 
-    @staticmethod
-    def _replica_key(checkpoint_id: int) -> str:
-        return f"replica/L{int(CheckpointLevel.PARTNER)}/{int(checkpoint_id)}"
-
-    def _write_replica(self, checkpoint_id: int, payload: bytes) -> None:
-        key = self._replica_key(checkpoint_id)
-        put_chunked = getattr(self._backend, "put_chunked_blob", None)
-        try:
-            if put_chunked is not None:
-                put_chunked(key, payload)
-            else:
-                self._backend.put_blob(key, payload)
-        except NotImplementedError:
-            pass  # backend has no blob namespace; replica stays modeled-only
-
-    def _delete_replica(self, checkpoint_id: int) -> None:
-        key = self._replica_key(checkpoint_id)
-        delete_chunked = getattr(self._backend, "delete_chunked_blob", None)
-        try:
-            if delete_chunked is not None:
-                delete_chunked(key)
-            else:
-                self._backend.delete_blob(key)
-        except NotImplementedError:
-            pass
-
-    # -- CheckpointStore interface -----------------------------------------
-    def write(self, checkpoint_id: int, payload: bytes) -> WriteReceipt:
+    def record(self, checkpoint_id: int) -> CheckpointLevel:
+        """Record a committed checkpoint; return the level it was written to."""
         checkpoint_id = int(checkpoint_id)
         level = self._levels.get(checkpoint_id)
         if level is None:
-            level = self.policy.level_for(self._writes)
-            self._writes += 1
-        self._levels[checkpoint_id] = level
-        receipt = self._backend.write(checkpoint_id, payload)
-        if level == CheckpointLevel.PARTNER:
-            self._write_replica(checkpoint_id, payload)
-        return receipt
-
-    def read(self, checkpoint_id: int) -> bytes:
-        return self._backend.read(int(checkpoint_id))
+            level = self.policy.level_for(self._recorded)
+            self._recorded += 1
+            self._levels[checkpoint_id] = level
+        return level
 
     def ids(self) -> List[int]:
-        return self._backend.ids()
+        """Recorded checkpoint ids in ascending order."""
+        return sorted(self._levels)
 
     def delete(self, checkpoint_id: int) -> None:
-        checkpoint_id = int(checkpoint_id)
-        level = self._levels.pop(checkpoint_id, None)
-        self._backend.delete(checkpoint_id)
-        if level == CheckpointLevel.PARTNER:
-            self._delete_replica(checkpoint_id)
+        """Forget a checkpoint (no-op if absent)."""
+        self._levels.pop(int(checkpoint_id), None)
 
-    # -- profile & durability ---------------------------------------------
-    @property
-    def profile(self) -> StoreProfile:
-        return self._backend.profile
-
-    # -- multilevel-specific ---------------------------------------------------
     def next_level(self, offset: int = 0) -> CheckpointLevel:
         """Level the *next* new checkpoint will be written to.
 
         Lets a caller price a write before performing it (the fault-tolerance
         engine charges the level's cost even for an attempt that a failure
         later discards); the cycle itself only advances on an actual
-        :meth:`write`.  ``offset`` peeks further ahead: an asynchronous engine
+        :meth:`record`.  ``offset`` peeks further ahead: an asynchronous engine
         with ``offset`` checkpoints still draining prices the next write at
         the level it will hold once those pending writes commit.
         """
-        return self.policy.level_for(self._writes + int(offset))
+        return self.policy.level_for(self._recorded + int(offset))
 
     def level_of(self, checkpoint_id: int) -> CheckpointLevel:
         """The level the given checkpoint was written to."""
@@ -216,7 +155,7 @@ class MultilevelCheckpointStore(CheckpointStore):
     def surviving_id(self) -> Optional[int]:
         """Newest checkpoint that survives a simulated failure, if any."""
         for checkpoint_id in reversed(self.ids()):
-            level = self._levels.get(checkpoint_id, CheckpointLevel.PFS)
+            level = self._levels[checkpoint_id]
             if self._rng.random() <= self.policy.survival_probability[level]:
                 return checkpoint_id
         return None

@@ -17,14 +17,13 @@ fault-tolerance engine's write/restore path alike:
 * the variables are packed into **one versioned serialized payload**
   (:mod:`repro.checkpoint.serialization`) whose *measured* byte size — not a
   modeled estimate — is what the engine prices through
-  :meth:`~repro.cluster.machine.ClusterModel.checkpoint_seconds` and writes
-  into the (possibly multilevel) :class:`~repro.checkpoint.store.
+  :meth:`~repro.cluster.machine.ClusterModel.checkpoint_seconds`, and what
+  a standalone user commits into a :class:`~repro.checkpoint.store.
   CheckpointStore`;
 * :meth:`CheckpointPipeline.restore` is the single inverse: it decompresses
   ``x`` (the rollback distortion of a lossy restore happens here), rebuilds
   the :class:`~repro.solvers.base.ResumeState` and hands both back, whether
-  the payload came from the engine's in-memory record or a multilevel
-  fallback read.
+  the payload came from the engine's in-memory record or a store read.
 
 Paper-scale accounting
 ----------------------
@@ -251,8 +250,8 @@ class CheckpointPipeline:
         Explicit :class:`~repro.solvers.base.CheckpointSpec`; defaults to the
         solver's declaration.
     store:
-        Optional :class:`~repro.checkpoint.store.CheckpointStore` (plain or
-        multilevel) that :meth:`commit` persists payloads into and
+        Optional :class:`~repro.checkpoint.store.CheckpointStore` that
+        :meth:`commit` persists payloads into and
         :meth:`restore` reads from.
 
     Every payload is self-contained: each variable ships its full compressed
@@ -459,8 +458,8 @@ class CheckpointPipeline:
     def commit(self, snapshot: PipelineSnapshot) -> Optional[WriteReceipt]:
         """Persist a snapshot into the pipeline's store (no-op without one).
 
-        Kept separate from :meth:`snapshot` so the engine can price — and on
-        a mid-write failure discard — a checkpoint without it ever becoming
+        Kept separate from :meth:`snapshot` so a caller can price — and on a
+        mid-write failure discard — a checkpoint without it ever becoming
         restorable.  A commit changes no later snapshot's bytes.
         """
         if self.store is None:
@@ -478,8 +477,8 @@ class CheckpointPipeline:
 
         Reads ``payload`` when given (the engine's in-memory record), else
         the identified — or latest — checkpoint from the store.  This is the
-        single restore path: the lossy rollback distortion, a multilevel
-        fallback read and a standalone user's restore all land here.
+        single restore path: the engine's lossy rollback distortion, a
+        multilevel fallback and a standalone user's restore all land here.
         """
         if payload is None:
             if self.store is None:

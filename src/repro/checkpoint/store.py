@@ -7,10 +7,7 @@ writes, reads, and asynchronous drains against the modeled cluster.
 
 Concrete back ends:
 
-* :class:`MemoryCheckpointStore` — keeps payloads in RAM.  This is what the
-  fault-tolerance runner uses by default: the *timing* of writes is priced
-  from the profile (:class:`~repro.cluster.machine.ClusterModel`), so the
-  store itself only needs to hold the real bytes.
+* :class:`MemoryCheckpointStore` — keeps payloads in RAM.
 * :class:`FileCheckpointStore` — one file per checkpoint under a directory,
   like FTI's one-file-per-process layout.  Writes are crash-safe: payloads
   land in a same-directory temp file, are fsynced, and are published with an
@@ -19,6 +16,13 @@ Concrete back ends:
   store (high latency, modest bandwidth, system-scope durability) whose
   profile the engine prices; it also counts PUT/GET/DELETE operations the
   way an object-store bill would.
+
+The fault-tolerance engine builds none of them: it prices a checkpoint
+through the selected backend's profile
+(:class:`~repro.cluster.machine.ClusterModel`) and keeps the payload in its
+own record.  The stores are the library that standalone
+:class:`~repro.checkpoint.pipeline.CheckpointPipeline` users and the
+storage benchmarks perform real I/O with.
 
 :class:`~repro.checkpoint.chunked.ChunkedStore` wraps any of these with
 content-addressed chunk dedup via the blob API (:meth:`put_blob` et al.),

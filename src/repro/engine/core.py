@@ -19,10 +19,13 @@ checks:
   :class:`~repro.checkpoint.multilevel.MultilevelCheckpointStore`, cheap
   levels may not survive a failure, and a recovery is priced at the level of
   the checkpoint it actually restores instead of always charging a PFS read;
-* every checkpoint is written and restored through the single
+* every checkpoint is snapshotted and restored through the single
   :class:`~repro.checkpoint.pipeline.CheckpointPipeline`: the solver's
   declared state is compressed per variable, packed into one serialized
   payload, and priced from that payload's measured per-variable byte sizes.
+  The payload stays in the engine's checkpoint record; storage is priced
+  through the scenario's profile, never performed (the ``chunked``
+  backend's dedup pool is the one store that holds bytes).
 
 Reports are byte-pinned by the golden-report fixtures: the paper regime
 (the default :class:`~repro.engine.scenario.Scenario`) across every solver
@@ -98,13 +101,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelCheckpointStore,
     MultilevelPolicy,
 )
 from repro.checkpoint.pipeline import CheckpointPipeline, PipelineSnapshot
-from repro.checkpoint.store import CheckpointStore
+from repro.checkpoint.store import SimulatedObjectStore
 from repro.cluster.machine import PAPER_ITERATION_SECONDS, ClusterModel
 from repro.engine.calendar import (
     ComputeChannel,
@@ -374,12 +378,13 @@ class FaultToleranceEngine:
         self._clock: VirtualClock = VirtualClock()
         self._async: bool = self.scenario.asynchronous
         self._injector = None
-        self._store: Optional[MultilevelCheckpointStore] = None
-        #: Physical payload backend selected by ``scenario.store_backend``
-        #: (None for ``pfs``: the paper's file system is priced, never
-        #: written — the checkpoint records hold the payloads).
-        self._backend: Optional[CheckpointStore] = None
-        self._backend_dir = None  # TemporaryDirectory for the disk backend
+        #: FTI level bookkeeping (None under PFS-only recovery).
+        self._multilevel: Optional[MultilevelCheckpointStore] = None
+        #: The chunk pool of the ``chunked`` backend, the one store that holds
+        #: payload bytes: its dedup preview prices each write.  Every other
+        #: backend is priced, never written — the checkpoint records hold the
+        #: payloads.
+        self._dedup: Optional[ChunkedStore] = None
         self._pipeline: Optional[CheckpointPipeline] = None
         self._state: EngineState = EngineState(
             next_checkpoint_due=self.checkpoint_interval_seconds
@@ -430,26 +435,16 @@ class FaultToleranceEngine:
         # arrival untouched (byte-pinned by the paper-regime golden reports).
         self._injector.latent_clamp = self._async
         self._injector.reschedule(calendar)
-        if self.scenario.store_backend == "disk":
-            import tempfile
-
-            # Held on self so the payload files outlive run() for inspection;
-            # the TemporaryDirectory finalizer cleans up with the engine.
-            self._backend_dir = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-        self._backend = self.scenario.build_backend_store(
-            directory=self._backend_dir.name if self._backend_dir else None
+        self._multilevel = self.scenario.build_multilevel_store(
+            self.seed, policy=self.multilevel_policy
         )
-        self._store = self.scenario.build_multilevel_store(
-            self.seed, policy=self.multilevel_policy, backend=self._backend
+        self._dedup = (
+            ChunkedStore(SimulatedObjectStore())
+            if self.scenario.store_backend == "chunked"
+            else None
         )
         self._staging_slots = int(self.cluster.spec.async_staging_slots)
-        self._pipeline = CheckpointPipeline(
-            self.scheme,
-            solver=self.solver,
-            # Multilevel wraps the physical backend when both are selected;
-            # a bare backend persists payloads even under PFS-only recovery.
-            store=self._store if self._store is not None else self._backend,
-        )
+        self._pipeline = CheckpointPipeline(self.scheme, solver=self.solver)
         self._vectors = self.scheme.dynamic_vector_count(self.solver)
         self.events = (
             EventLog(max_events=self.max_events) if self.record_events else None
@@ -739,7 +734,7 @@ class FaultToleranceEngine:
         write is priced, so the cost can come from what the checkpoint
         actually contains.  A failure landing inside the checkpoint window
         discards the incomplete checkpoint (the previous complete one remains
-        valid, and nothing is committed to the store); under the lossy scheme
+        valid, and nothing is committed); under the lossy scheme
         it also interrupts the solve, matching the paper's methodology where
         failures may occur during the checkpoint/recovery period.
         """
@@ -796,10 +791,10 @@ class FaultToleranceEngine:
         model_uncompressed, model_compressed = snapshot.scaled_bytes(self.scale)
         ratio = model_uncompressed / max(model_compressed, 1e-12)
         level: Optional[int] = None
-        if self._store is not None:
+        if self._multilevel is not None:
             # With drains outstanding the level cycle has already been
             # "claimed" by the pending writes, so peek past them.
-            level = int(self._store.next_level(self._io.in_flight))
+            level = int(self._multilevel.next_level(self._io.in_flight))
         # A dedup backend only ships the chunks the pool does not already
         # hold; duplicate bytes never hit the wire, so they cost nothing.
         ship_compressed = model_compressed * self._dedup_fraction(snapshot)
@@ -852,15 +847,7 @@ class FaultToleranceEngine:
             compute_seconds_at_completion=self._compute.seconds_total,
             level=level,
         )
-        if self._pipeline.store is not None:
-            self._pipeline.commit(snapshot)
-        if self._store is not None:
-            record.level = int(self._store.level_of(record.checkpoint_id))
-            state.records[record.checkpoint_id] = record
-            self._prune_unreachable_records()
-        state.last_checkpoint = record
-        state.num_checkpoints += 1
-        state.compression_ratios.append(ratio)
+        self._commit(record)
         self._compute.mark()
         self._set_due(clock.now + self.checkpoint_interval_seconds)
         self._record(
@@ -960,10 +947,9 @@ class FaultToleranceEngine:
     def _settle_drains(self, until: float) -> None:
         """Deliver every ``drain-complete`` due by I/O-channel time ``until``.
 
-        A committed drain becomes the newest recovery point: the payload is
-        persisted through the pipeline (entering the multilevel survival
-        cycle under ``fti`` scenarios) and the rollback anchor rebases onto
-        it.  If the commit frees a staging slot while a capture is deferred,
+        A committed drain becomes the newest recovery point (entering the
+        multilevel survival cycle under ``fti`` scenarios) and the rollback
+        anchor rebases onto it.  If the commit frees a staging slot while a capture is deferred,
         the backpressure episode ends with a ``staging-slot-freed`` posting
         (delivered synchronously here).
         """
@@ -974,14 +960,7 @@ class FaultToleranceEngine:
             pending: PendingDrain = event.payload
             self._io.complete_one()
             record = pending.record
-            self._pipeline.commit(record.snapshot)
-            if self._store is not None:
-                record.level = int(self._store.level_of(record.checkpoint_id))
-                state.records[record.checkpoint_id] = record
-                self._prune_unreachable_records()
-            state.last_checkpoint = record
-            state.num_checkpoints += 1
-            state.compression_ratios.append(record.compression_ratio)
+            self._commit(record)
             state.drain_times.append(pending.seconds)
             self._compute.rebase(record.compute_seconds_at_completion)
             self._record(
@@ -1111,9 +1090,9 @@ class FaultToleranceEngine:
         lost compute is re-executed too.
         """
         state = self._state
-        if self._store is None or not state.records:
+        if self._multilevel is None or not state.records:
             return
-        survivor_id = self._store.surviving_id()
+        survivor_id = self._multilevel.surviving_id()
         if (
             survivor_id is not None
             and state.last_checkpoint is not None
@@ -1122,12 +1101,7 @@ class FaultToleranceEngine:
             return
         for checkpoint_id in sorted(state.records):
             if survivor_id is None or checkpoint_id > survivor_id:
-                self._store.delete(checkpoint_id)
-        state.records = {
-            checkpoint_id: record
-            for checkpoint_id, record in state.records.items()
-            if survivor_id is not None and checkpoint_id <= survivor_id
-        }
+                self._drop(checkpoint_id)
         new_last = (
             state.records.get(survivor_id) if survivor_id is not None else None
         )
@@ -1147,7 +1121,7 @@ class FaultToleranceEngine:
         instead of growing with run length.
         """
         state = self._state
-        survival = self._store.policy.survival_probability
+        survival = self._multilevel.policy.survival_probability
         certain = [
             checkpoint_id
             for checkpoint_id, record in state.records.items()
@@ -1158,30 +1132,76 @@ class FaultToleranceEngine:
         newest_certain = max(certain)
         for checkpoint_id in sorted(state.records):
             if checkpoint_id < newest_certain:
-                self._store.delete(checkpoint_id)
-                del state.records[checkpoint_id]
+                self._drop(checkpoint_id)
+
+    def _commit(self, record: CheckpointRecord) -> None:
+        """Make a completed checkpoint the newest recovery point.
+
+        Under ``fti`` the checkpoint takes its level from the cycle and joins
+        the live records a survival draw may fall back to.
+        """
+        state = self._state
+        if self._multilevel is not None:
+            record.level = int(self._multilevel.record(record.checkpoint_id))
+        # Pool before pruning: chunks shared with a pruned checkpoint stay
+        # pooled instead of counting as new unique bytes.
+        self._dedup_write(record)
+        if self._multilevel is not None:
+            state.records[record.checkpoint_id] = record
+            self._prune_unreachable_records()
+        state.last_checkpoint = record
+        state.num_checkpoints += 1
+        state.compression_ratios.append(record.compression_ratio)
+
+    def _drop(self, checkpoint_id: int) -> None:
+        """Discard a live ``fti`` checkpoint a recovery can no longer use."""
+        record = self._state.records.pop(checkpoint_id)
+        self._multilevel.delete(checkpoint_id)
+        self._dedup_delete(record)
+
+    # -- the chunked backend's dedup pool ------------------------------------
+    @staticmethod
+    def _replica_key(checkpoint_id: int) -> str:
+        """Blob key of a PARTNER-level checkpoint's buddy replica."""
+        return f"replica/L{int(CheckpointLevel.PARTNER)}/{int(checkpoint_id)}"
 
     def _dedup_fraction(self, snapshot: PipelineSnapshot) -> float:
-        """Fraction of this payload's bytes a dedup backend actually ships.
+        """Fraction of this payload's bytes the chunked backend ships.
 
-        1.0 (exact) for every non-dedup backend.  For a chunked backend,
-        only the chunks the pool does not already hold travel to storage;
-        the fraction previews that split on the real serialized payload
-        before anything is committed.
+        1.0 (exact) for every other backend.  Only the chunks the pool does
+        not already hold travel to storage; the fraction previews that split
+        on the real serialized payload before anything is committed.
         """
-        preview = getattr(self._backend, "preview_write", None)
-        if preview is None:
+        if self._dedup is None:
             return 1.0
-        nbytes, unique_new = preview(snapshot.payload)
+        nbytes, unique_new = self._dedup.preview_write(snapshot.payload)
         if nbytes <= 0:
             return 1.0
         return unique_new / nbytes
+
+    def _dedup_write(self, record: CheckpointRecord) -> None:
+        """Pool a committed payload, plus its buddy replica at PARTNER level
+        (the replica shares the primary's chunks, so it adds no unique bytes)."""
+        if self._dedup is None:
+            return
+        payload = record.snapshot.payload
+        self._dedup.write(record.checkpoint_id, payload)
+        if record.level == CheckpointLevel.PARTNER:
+            self._dedup.put_chunked_blob(self._replica_key(record.checkpoint_id), payload)
+
+    def _dedup_delete(self, record: CheckpointRecord) -> None:
+        """Release a dropped checkpoint's chunks (and its replica's)."""
+        if self._dedup is None:
+            return
+        self._dedup.delete(record.checkpoint_id)
+        if record.level == CheckpointLevel.PARTNER:
+            self._dedup.delete_chunked_blob(self._replica_key(record.checkpoint_id))
 
     def _level_multiplier(self, level: Optional[int]) -> float:
         """FTI cost multiplier of ``level`` (1.0 outside the level cycle)."""
         if level is None:
             return 1.0
-        return self._store.policy.cost_multiplier[CheckpointLevel(level)]
+        return self._multilevel.policy.cost_multiplier[CheckpointLevel(level)]
 
     def _recovery_seconds(self, last: Optional[CheckpointRecord]) -> float:
         if last is None:
@@ -1243,19 +1263,18 @@ class FaultToleranceEngine:
             info["recovery_levels"] = self.scenario.recovery_levels
         # A constant, kept so every pinned report stays byte-identical.
         info["checkpoint_costing"] = "measured"
-        if self._backend is not None:
+        if self.scenario.store_backend != "pfs":
             info["store_backend"] = self.scenario.store_backend
-            dedup_stats = getattr(self._backend, "dedup_stats", None)
-            if dedup_stats is not None:
-                # Byte counts only — deterministic payload accounting, never
-                # host wall-clock (WriteReceipt.seconds stays out of reports).
-                stats = dedup_stats()
-                info["logical_bytes"] = stats["logical_bytes"]
-                info["unique_bytes"] = stats["unique_bytes"]
-                ratio = stats["dedup_ratio"]
-                info["dedup_ratio"] = (
-                    ratio if ratio == ratio and ratio != float("inf") else None
-                )
+        if self._dedup is not None:
+            # Byte counts only — deterministic payload accounting, never
+            # host wall-clock (WriteReceipt.seconds stays out of reports).
+            stats = self._dedup.dedup_stats()
+            info["logical_bytes"] = stats["logical_bytes"]
+            info["unique_bytes"] = stats["unique_bytes"]
+            ratio = stats["dedup_ratio"]
+            info["dedup_ratio"] = (
+                ratio if ratio == ratio and ratio != float("inf") else None
+            )
         if self._async:
             info["write_mode"] = "async"
             info["io_drain_seconds"] = float(sum(state.drain_times))

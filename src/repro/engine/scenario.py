@@ -31,14 +31,17 @@ the previous completed checkpoint; payloads are the same full payloads a
 blocking write ships).
 
 A fourth knob, **store backend**, selects which
-:class:`~repro.checkpoint.store.CheckpointStore` holds the payloads and
-which :class:`~repro.checkpoint.store.StoreProfile` prices the writes,
-reads, and drains: ``pfs`` (the default — the paper's implicit parallel
-file system: the cluster model's own profile, no payload-holding store),
-``memory`` (node-RAM staging), ``disk`` (node-local
-burst buffer), ``object`` (a simulated remote object store), or ``chunked``
-(content-addressed dedup over the object store — unique bytes price the
-write, duplicate chunks never hit the wire).
+:class:`~repro.checkpoint.store.StoreProfile` prices the writes, reads, and
+drains: ``pfs`` (the default — the paper's implicit parallel file system:
+the cluster model's own profile), ``memory`` (node-RAM staging), ``disk``
+(node-local burst buffer), ``object`` (a simulated remote object store), or
+``chunked`` (content-addressed dedup over the object store — unique bytes
+price the write, duplicate chunks never hit the wire).  Like the paper's
+Eqs. (5)–(8), every backend prices a checkpoint from its payload size and
+the profile's bandwidth; no payload is written anywhere.  ``chunked`` is
+the one exception: the engine pools its payloads in a
+:class:`~repro.checkpoint.chunked.ChunkedStore`, whose dedup preview
+decides how many bytes a write ships.
 """
 
 from __future__ import annotations
@@ -55,16 +58,8 @@ from repro.axes import (  # the axis vocabularies, re-exported
     STORE_BACKENDS,
     WRITE_MODES,
 )
-from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import MultilevelCheckpointStore, MultilevelPolicy
-from repro.checkpoint.store import (
-    OBJECT_PROFILE,
-    STORE_PROFILES,
-    CheckpointStore,
-    FileCheckpointStore,
-    MemoryCheckpointStore,
-    SimulatedObjectStore,
-)
+from repro.checkpoint.store import OBJECT_PROFILE, STORE_PROFILES
 from repro.cluster.failures import FailureInjector, make_failure_model
 from repro.cluster.machine import ClusterModel
 from repro.utils.rng import SeedLike, default_rng, derive_seed
@@ -79,8 +74,8 @@ __all__ = [
     "DEFAULT_SCENARIO",
 ]
 
-#: The profile each payload-holding backend is priced by (``chunked`` dedups
-#: over the simulated object store).
+#: The profile each non-``pfs`` backend is priced by (``chunked`` dedups over
+#: the simulated object store).
 _BACKEND_PROFILES = {**STORE_PROFILES, "chunked": OBJECT_PROFILE}
 
 _Params = Tuple[Tuple[str, object], ...]
@@ -144,7 +139,7 @@ class Scenario:
         """``cluster`` pricing storage through this scenario's backend.
 
         ``pfs`` is the cluster's own file system, so its profile stands;
-        every other backend substitutes the profile of the store it builds.
+        every other backend substitutes its store's profile.
         """
         if self.store_backend == "pfs":
             return cluster
@@ -162,38 +157,13 @@ class Scenario:
         )
         return FailureInjector(mtti_seconds, seed=seed, model=model)
 
-    def build_backend_store(
-        self, *, directory: Optional[str] = None
-    ) -> Optional[CheckpointStore]:
-        """The physical payload store this scenario's backend selects.
-
-        ``None`` for the default ``pfs`` backend: the paper's file system is
-        priced, not simulated — the engine's checkpoint records hold the
-        payloads and nothing is written.  ``disk`` needs a ``directory`` to
-        root the :class:`~repro.checkpoint.store.FileCheckpointStore` in.
-        """
-        if self.store_backend == "pfs":
-            return None
-        if self.store_backend == "memory":
-            return MemoryCheckpointStore()
-        if self.store_backend == "disk":
-            if directory is None:
-                raise ValueError("store_backend='disk' needs a directory")
-            return FileCheckpointStore(directory)
-        if self.store_backend == "object":
-            return SimulatedObjectStore()
-        if self.store_backend == "chunked":
-            return ChunkedStore(SimulatedObjectStore())
-        raise AssertionError(f"unhandled store backend {self.store_backend!r}")
-
     def build_multilevel_store(
         self,
         seed: SeedLike,
         *,
         policy: Optional[MultilevelPolicy] = None,
-        backend: Optional[CheckpointStore] = None,
     ) -> Optional[MultilevelCheckpointStore]:
-        """The multilevel store for one run (``None`` under PFS-only recovery).
+        """The level bookkeeping for one run (``None`` under PFS-only recovery).
 
         The store's survival draws get their own stream derived from the run
         seed so they do not perturb the failure-arrival stream.  Every
@@ -213,7 +183,7 @@ class Scenario:
             store_seed = derive_seed(
                 int(default_rng(seed).integers(0, 2**63 - 1)), "multilevel"
             )
-        return MultilevelCheckpointStore(policy, seed=store_seed, backend=backend)
+        return MultilevelCheckpointStore(policy, seed=store_seed)
 
 #: The default regime: homogeneous Poisson failures, PFS-only recovery,
 #: blocking writes to the PFS.

@@ -92,7 +92,7 @@ class TestMalformedFrames:
     carries no stronger checksum, so "never different numbers" is as strong
     as Adler-32 — which a single flipped bit *can* defeat (it did for 1 of
     41,600 flips of another frame tried while writing this test); a
-    per-payload checksum is ROADMAP item 5.
+    per-payload checksum is ROADMAP item 4.
     """
 
     @pytest.fixture(scope="class")

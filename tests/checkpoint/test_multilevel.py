@@ -1,20 +1,15 @@
-"""Tests for the FTI-style multilevel checkpoint store."""
+"""Tests for the FTI-style multilevel level bookkeeping."""
 
 import numpy as np
 import pytest
 
-from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelCheckpointStore,
     MultilevelPolicy,
 )
 from repro.checkpoint.pipeline import CheckpointPipeline
-from repro.checkpoint.store import (
-    FileCheckpointStore,
-    MemoryCheckpointStore,
-    SimulatedObjectStore,
-)
+from repro.checkpoint.store import CheckpointStore
 from repro.core.schemes import CheckpointingScheme
 from repro.solvers.base import CheckpointSpec
 
@@ -49,32 +44,36 @@ class TestMultilevelPolicy:
 
 
 class TestMultilevelStore:
-    def test_write_assigns_levels_from_cycle(self):
+    def test_record_assigns_levels_from_cycle(self):
         policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL, CheckpointLevel.PFS])
         store = MultilevelCheckpointStore(policy, seed=0)
-        store.write(0, b"a")
-        store.write(1, b"b")
+        assert store.record(0) is CheckpointLevel.LOCAL
+        assert store.record(1) is CheckpointLevel.PFS
         assert store.level_of(0) is CheckpointLevel.LOCAL
         assert store.level_of(1) is CheckpointLevel.PFS
 
-    def test_read_delete_roundtrip(self):
+    def test_delete_forgets_the_checkpoint(self):
         store = MultilevelCheckpointStore(seed=0)
-        store.write(0, b"payload")
-        assert store.read(0) == b"payload"
+        store.record(0)
+        store.record(1)
         store.delete(0)
-        assert store.ids() == []
+        store.delete(7)  # absent: no-op
+        assert store.ids() == [1]
+
+    def test_holds_no_payload(self):
+        assert not isinstance(MultilevelCheckpointStore(), CheckpointStore)
 
     def test_cost_multiplier_of(self):
         policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL])
         store = MultilevelCheckpointStore(policy, seed=0)
-        store.write(0, b"x")
+        store.record(0)
         assert store.cost_multiplier_of(0) == policy.cost_multiplier[CheckpointLevel.LOCAL]
 
     def test_pfs_checkpoint_always_survives(self):
         policy = MultilevelPolicy(cycle=[CheckpointLevel.PFS])
         store = MultilevelCheckpointStore(policy, seed=1)
-        store.write(0, b"x")
-        store.write(1, b"y")
+        store.record(0)
+        store.record(1)
         assert store.surviving_id() == 1
 
     def test_local_checkpoints_sometimes_lost(self):
@@ -85,10 +84,22 @@ class TestMultilevelStore:
             survival_probability=survival,
         )
         store = MultilevelCheckpointStore(policy, seed=2)
-        store.write(0, b"pfs")
-        store.write(1, b"local")
+        store.record(0)
+        store.record(1)
         # The newest (local) checkpoint never survives; recovery falls back to PFS.
         assert store.surviving_id() == 0
+
+    def test_survival_draws_newest_first_over_ascending_ids(self):
+        """One draw per checkpoint, newest id first, whatever the record order."""
+        policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL])
+        store = MultilevelCheckpointStore(policy, seed=5)
+        for checkpoint_id in (3, 0, 2):
+            store.record(checkpoint_id)
+        draws = np.random.default_rng(5).random(3)
+        p = policy.survival_probability[CheckpointLevel.LOCAL]
+        survivors = [i for i, u in zip((2, 0), draws[1:]) if u <= p]
+        expected = 3 if draws[0] <= p else (survivors[0] if survivors else None)
+        assert store.surviving_id() == expected
 
     def test_no_checkpoints_returns_none(self):
         store = MultilevelCheckpointStore(seed=0)
@@ -103,9 +114,9 @@ class TestCycle:
 
     def test_overwrite_keeps_level_and_cycle_position(self):
         store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        store.write(0, b"a")
-        store.write(0, b"a v2")
-        store.write(1, b"b")
+        store.record(0)
+        assert store.record(0) is CheckpointLevel.LOCAL
+        store.record(1)
         assert store.level_of(0) is CheckpointLevel.LOCAL
         assert store.level_of(1) is CheckpointLevel.PARTNER
 
@@ -113,55 +124,9 @@ class TestCycle:
         store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
         x = np.linspace(1.0, 2.0, 256)
         pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(), spec=CheckpointSpec(), store=store
+            CheckpointingScheme.traditional(), spec=CheckpointSpec()
         )
         for iteration in range(4):
-            pipeline.commit(pipeline.snapshot(x, iteration=iteration))
+            store.record(pipeline.snapshot(x, iteration=iteration).checkpoint_id)
         levels = [store.level_of(i) for i in (0, 1, 2, 3)]
         assert levels == _CYCLE + [_CYCLE[0]]
-
-
-@pytest.fixture(params=["memory", "file", "object", "chunked"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        return MemoryCheckpointStore()
-    if request.param == "file":
-        return FileCheckpointStore(tmp_path / "ckpts")
-    if request.param == "object":
-        return SimulatedObjectStore()
-    return ChunkedStore(MemoryCheckpointStore(), chunk_size=4)
-
-
-def _has_replica(backend, key):
-    has_chunked = getattr(backend, "has_chunked_blob", None)
-    return has_chunked(key) if has_chunked is not None else backend.has_blob(key)
-
-
-class TestBackend:
-    """Every level writes to the one backend the store was given."""
-
-    def test_every_level_lands_in_the_backend(self, backend):
-        store = MultilevelCheckpointStore(
-            MultilevelPolicy(cycle=list(_CYCLE)), seed=0, backend=backend
-        )
-        payloads = [b"local payload", b"partner payload", b"pfs payload"]
-        for checkpoint_id, payload in enumerate(payloads):
-            store.write(checkpoint_id, payload)
-        assert [store.level_of(i) for i in range(3)] == _CYCLE
-        assert backend.ids() == store.ids() == [0, 1, 2]
-        assert [backend.read(i) for i in range(3)] == payloads
-        assert store.profile == backend.profile
-
-    def test_partner_replica_follows_its_checkpoint(self, backend):
-        store = MultilevelCheckpointStore(
-            MultilevelPolicy(cycle=list(_CYCLE)), seed=0, backend=backend
-        )
-        for checkpoint_id in range(3):
-            store.write(checkpoint_id, b"payload %d" % checkpoint_id)
-        # Only the PARTNER-level checkpoint (id 1) has a buddy replica.
-        assert [_has_replica(backend, f"replica/L2/{i}") for i in range(3)] == [
-            False, True, False,
-        ]
-        store.delete(1)
-        assert not _has_replica(backend, "replica/L2/1")
-        assert backend.ids() == [0, 2]

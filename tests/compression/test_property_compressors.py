@@ -112,7 +112,7 @@ class TestZFPProperties:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP.md item 7: ZFP's block DCT rounds past a bound within "
+        reason="ROADMAP.md item 12: ZFP's block DCT rounds past a bound within "
         "~1e-13 of the data magnitude without falling back to raw "
         "(Fox et al., arXiv:2003.02324)",
     )

@@ -55,6 +55,22 @@ class TestOtherModes:
         value_range = smooth_vector.max() - smooth_vector.min()
         assert max_abs_error(smooth_vector, recon) <= 1e-4 * value_range * (1 + 1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP.md item 12: the reconstruction product rounds past an "
+        "absolute bound of 1e-4 by under one ulp at 2**25",
+    )
+    def test_absolute_bound_holds_at_two_to_the_25(self):
+        comp = SZCompressor(ErrorBound("abs", 1e-4))
+        # Alone, 2**25 + 44/64 comes back 1.0000169e-4 away.
+        single = np.array([33554432.6875])
+        recon, _ = _roundtrip(comp, single)
+        assert max_abs_error(single, recon) <= 1e-4
+        # On the 1/64 grid over [2**25, 2**25 + 1), 8 of the 64 values violate.
+        grid = 2.0**25 + np.arange(64) / 64
+        recon, _ = _roundtrip(comp, grid)
+        assert np.count_nonzero(np.abs(recon - grid) > 1e-4) == 0
+
     def test_raw_fallback_on_impossible_bound(self):
         # Bound so tight that 63-bit codes overflow: falls back to lossless.
         data = np.array([1e30, -1e30, 5e29, 1.0])

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.checkpoint import (
-    DELTA_COMPRESSOR,
-    CheckpointPipeline,
-    deserialize_checkpoint,
-)
+from repro.checkpoint import DELTA_COMPRESSOR, deserialize_checkpoint
 from repro.cluster.machine import ClusterModel
 from repro.compression.base import CompressedBlob
 from repro.core.scale import paper_scale
@@ -263,7 +259,7 @@ class TestDrainSemantics:
         )
         engine.run()
         taken = engine.events.of_type(CheckpointTakenEvent)
-        cycle = engine._store.policy.cycle
+        cycle = engine._multilevel.policy.cycle
         assert len(taken) > len(cycle)
         for index, event in enumerate(taken):
             assert event.level == int(cycle[index % len(cycle)])
@@ -288,13 +284,13 @@ class TestFullPayloads:
 
     def test_async_run_commits_no_delta_entry(self, cg_lossy_setup, monkeypatch):
         committed = []
-        commit = CheckpointPipeline.commit
+        commit = FaultToleranceEngine._commit
 
-        def recording_commit(pipeline, snapshot):
-            committed.append(snapshot)
-            return commit(pipeline, snapshot)
+        def recording_commit(engine, record):
+            committed.append(record.snapshot)
+            return commit(engine, record)
 
-        monkeypatch.setattr(CheckpointPipeline, "commit", recording_commit)
+        monkeypatch.setattr(FaultToleranceEngine, "_commit", recording_commit)
         _engine(
             cg_lossy_setup,
             CheckpointingScheme.lossy(1e-4),

@@ -241,10 +241,10 @@ class TestScenarioRuns:
         # Records older than the newest certain-survival (PFS) checkpoint are
         # unreachable fallbacks and get pruned, bounding retention at one
         # level cycle.
-        cycle_length = len(engine._store.policy.cycle)
+        cycle_length = len(engine._multilevel.policy.cycle)
         assert report.num_checkpoints > cycle_length
         assert len(engine._state.records) <= cycle_length
-        assert len(engine._store.ids()) <= cycle_length
+        assert len(engine._multilevel.ids()) <= cycle_length
         _, again = _run(
             scenario_setup, CheckpointingScheme.lossy(1e-4), scenario, seed=23
         )

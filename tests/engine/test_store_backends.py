@@ -1,5 +1,6 @@
 """Pluggable store backends: engine pricing, bitwise restores, campaign dedup."""
 
+import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from repro.checkpoint import (
     CheckpointPipeline,
+    CheckpointStore,
     ChunkedStore,
     FileCheckpointStore,
     MemoryCheckpointStore,
     SimulatedObjectStore,
 )
 from repro.checkpoint.multilevel import CheckpointLevel
-from repro.checkpoint.store import PFS_PROFILE, StoreProfile
+from repro.checkpoint.store import OBJECT_PROFILE, STORE_PROFILES, StoreProfile
 from repro.cluster.machine import ClusterModel
 from repro.core.model import young_interval
 from repro.core.scale import paper_scale
@@ -161,6 +163,51 @@ class TestEngineBackends:
         assert info["dedup_ratio"] is None or info["dedup_ratio"] > 1.0
         assert info["logical_bytes"] > info["unique_bytes"]
 
+    def test_chunked_partner_replica_follows_its_checkpoint(
+        self, backend_setup, monkeypatch
+    ):
+        """The chunk pool holds exactly the live FTI checkpoints, each PARTNER
+        one with its buddy replica, after every commit and every drop."""
+        seen = {"partner": 0, "dropped": 0}
+        committed = set()
+
+        def check(engine):
+            pool, records = engine._dedup, engine._state.records
+            committed.update(records)
+            assert pool.ids() == sorted(records)
+            for checkpoint_id in committed:
+                record = records.get(checkpoint_id)
+                partner = record is not None and record.level == CheckpointLevel.PARTNER
+                key = f"replica/L2/{checkpoint_id}"
+                assert pool.has_chunked_blob(key) is partner
+                if record is not None:
+                    assert pool.read(checkpoint_id) == record.snapshot.payload
+                if partner:
+                    assert pool.get_chunked_blob(key) == record.snapshot.payload
+                    seen["partner"] += 1
+
+        def checked(method, counter=None):
+            original = getattr(FaultToleranceEngine, method)
+
+            def wrapper(engine, *args):
+                original(engine, *args)
+                if counter is not None:
+                    seen[counter] += 1
+                check(engine)
+
+            monkeypatch.setattr(FaultToleranceEngine, method, wrapper)
+
+        checked("_commit")
+        checked("_drop", "dropped")
+        scenario = Scenario(
+            failure_model="scripted",
+            failure_params=(("times", (700.0, 1500.0)),),
+            recovery_levels="fti",
+            store_backend="chunked",
+        )
+        _run(backend_setup, scenario)
+        assert seen["partner"] and seen["dropped"]
+
     def test_chunked_backend_cheaper_than_object(self, backend_setup):
         """Dedup prices writes at the unique-bytes fraction of the object store."""
         kwargs = dict(
@@ -181,6 +228,46 @@ class TestEngineBackends:
         _, memory = _run(backend_setup, Scenario(store_backend="memory", **kwargs))
         _, obj = _run(backend_setup, Scenario(store_backend="object", **kwargs))
         assert memory.info["io_drain_seconds"] < obj.info["io_drain_seconds"]
+
+
+def _store_classes(cls=CheckpointStore):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _store_classes(sub)
+
+
+class TestPricedBackendsWriteNothing:
+    @pytest.mark.parametrize("write_mode", ["blocking", "async"])
+    @pytest.mark.parametrize("recovery_levels", ["pfs", "fti"])
+    @pytest.mark.parametrize("backend", ["memory", "disk", "object"])
+    def test_cell_creates_no_file_and_calls_no_write(
+        self, monkeypatch, backend, recovery_levels, write_mode
+    ):
+        from repro.campaign.execute import execute_cell
+        from repro.campaign.spec import RunSpec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a priced backend performed storage")
+
+        for cls in _store_classes():
+            monkeypatch.setattr(cls, "write", refuse)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        result = execute_cell(
+            RunSpec(
+                kind="ft",
+                method="jacobi",
+                scheme="lossy",
+                recovery_levels=recovery_levels,
+                write_mode=write_mode,
+                store_backend=backend,
+                num_processes=256,
+                mtti_seconds=900.0,
+                grid_n=10,
+            )
+        )
+        assert result["report"]["num_checkpoints"] > 0
+        assert result["report"]["info"]["store_backend"] == backend
 
 
 class _RecordingProfile(StoreProfile):
@@ -205,16 +292,14 @@ class TestOneLevelRule:
     """One algebra, one level rule: ``profile seconds x cost multiplier``."""
 
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_scenario_prices_through_the_store_it_builds(self, backend, tmp_path):
+    def test_scenario_prices_through_its_backend_profile(self, backend):
         cluster = ClusterModel(num_processes=256)
-        scenario = Scenario(store_backend=backend)
-        priced = scenario.priced_on(cluster)
-        store = scenario.build_backend_store(directory=str(tmp_path))
-        if store is None:  # pfs: the cluster's own file system, nothing built
-            assert priced is cluster and priced.profile is PFS_PROFILE
-        else:
-            assert priced.profile is store.profile
-            assert priced.num_processes == 256 and priced.spec is cluster.spec
+        priced = Scenario(store_backend=backend).priced_on(cluster)
+        expected = OBJECT_PROFILE if backend == "chunked" else STORE_PROFILES[backend]
+        assert priced.profile is expected
+        assert priced.num_processes == 256 and priced.spec is cluster.spec
+        if backend == "pfs":  # the cluster's own file system
+            assert priced is cluster
 
     @pytest.mark.parametrize("backend", ["pfs", "memory", "disk", "object"])
     def test_fti_events_cost_multiplier_times_profile(self, backend_setup, backend):
@@ -244,7 +329,7 @@ class TestOneLevelRule:
         profile = _RecordingProfile(engine.cluster.profile)
         engine.cluster = replace(engine.cluster, profile=profile)
         engine.run()
-        multipliers = engine._store.policy.cost_multiplier
+        multipliers = engine._multilevel.policy.cost_multiplier
         taken = [e for e in engine.events if isinstance(e, CheckpointTakenEvent)]
         assert {e.level for e in taken} >= {1, 2}
         for event in taken:
