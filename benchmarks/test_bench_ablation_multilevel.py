@@ -6,13 +6,15 @@ checkpoint stream becomes when most checkpoints go to faster levels — and how
 often a failure then has to fall back to an older surviving checkpoint.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from conftest import run_once
 
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
-    MultilevelCheckpointStore,
     MultilevelPolicy,
+    surviving_id,
 )
 from repro.utils.tables import format_table
 
@@ -22,18 +24,17 @@ def test_bench_ablation_multilevel_checkpointing(benchmark):
     num_checkpoints = 60
 
     def simulate(policy_name, policy, seed):
-        store = MultilevelCheckpointStore(policy, seed=seed)
-        for i in range(num_checkpoints):
-            store.record(i)
+        levels = [policy.level_for(i) for i in range(num_checkpoints)]
+        ledger = {i: SimpleNamespace(level=int(level)) for i, level in enumerate(levels)}
         write_cost = sum(
-            pfs_write_seconds * store.cost_multiplier_of(i) for i in store.ids()
+            pfs_write_seconds * policy.cost_multiplier[level] for level in levels
         )
         # Sample the rollback distance (in checkpoints) seen by failures.
         rng = np.random.default_rng(seed)
+        newest = num_checkpoints - 1
         distances = []
         for _ in range(200):
-            surviving = store.surviving_id()
-            newest = store.ids()[-1]
+            surviving = surviving_id(ledger, policy, rng)
             distances.append(newest - (surviving if surviving is not None else -1))
         return {
             "name": policy_name,

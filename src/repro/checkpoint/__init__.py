@@ -11,8 +11,8 @@ the dynamic variables through any
 :class:`~repro.compression.base.Compressor` and persists the resulting
 payload through a pluggable :class:`~repro.checkpoint.store.CheckpointStore`
 (in-memory, on-disk, or a simulated object store);
-:class:`~repro.checkpoint.multilevel.MultilevelCheckpointStore` assigns FTI
-levels and draws their survival.
+:class:`~repro.checkpoint.multilevel.MultilevelPolicy` assigns FTI levels
+and :func:`~repro.checkpoint.multilevel.surviving_id` draws their survival.
 """
 
 from repro.checkpoint.serialization import (
@@ -34,7 +34,7 @@ from repro.checkpoint.chunked import ChunkedStore, DEFAULT_CHUNK_SIZE, chunk_dig
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelPolicy,
-    MultilevelCheckpointStore,
+    surviving_id,
 )
 from repro.checkpoint.pipeline import (
     PIPELINE_VERSION,
@@ -67,7 +67,7 @@ __all__ = [
     "chunk_digest",
     "CheckpointLevel",
     "MultilevelPolicy",
-    "MultilevelCheckpointStore",
+    "surviving_id",
     "CheckpointPipeline",
     "PipelineSnapshot",
     "RestoredCheckpoint",

@@ -12,21 +12,23 @@ The paper writes all checkpoints at L4 through MPI-IO; this module adds the
 multilevel policy so the ablation benchmarks can quantify how much of the
 lossy-checkpointing gain survives when cheaper levels absorb most failures.
 
-The store is level bookkeeping over checkpoint ids: it holds no payload.  A
-level's *price* is the storage profile's seconds times the level's cost
-multiplier (:attr:`MultilevelPolicy.cost_multiplier`), charged by the
-fault-tolerance engine from the payload's measured size.
+The policy is the whole model: checkpoint ``i`` goes to
+:meth:`MultilevelPolicy.level_for` ``(i)``, and :func:`surviving_id` draws
+which checkpoints of a ledger survive a failure.  A level's *price* is the
+storage profile's seconds times the level's cost multiplier
+(:attr:`MultilevelPolicy.cost_multiplier`), charged by the fault-tolerance
+engine from the payload's measured size.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-from repro.utils.rng import default_rng
+from repro.utils.rng import SeedLike, default_rng, derive_seed
 
-__all__ = ["CheckpointLevel", "MultilevelPolicy", "MultilevelCheckpointStore"]
+__all__ = ["CheckpointLevel", "MultilevelPolicy", "survival_rng", "surviving_id"]
 
 
 class CheckpointLevel(enum.IntEnum):
@@ -96,66 +98,43 @@ class MultilevelPolicy:
         return self.cycle[int(checkpoint_index) % len(self.cycle)]
 
 
-class MultilevelCheckpointStore:
-    """Assigns each checkpoint a level and models level survival.
+def survival_rng(seed: SeedLike):
+    """The generator of one run's survival draws, derived from the run seed.
 
-    :meth:`record` assigns a committed checkpoint its level from the policy
-    cycle; :meth:`surviving_id` draws which of the recorded checkpoints
-    survive a failure (PFS always survives) and returns the newest survivor
-    — that is the checkpoint a recovery would actually restart from.
-
-    The policy cycle is keyed on *new* checkpoints only: recording an
-    existing checkpoint again keeps its level and does not advance the cycle.
+    The run seed also drives the failure injector, so the survival stream is
+    derived without drawing from it: an int maps to
+    ``derive_seed(seed, "multilevel")``, a ``Generator`` spawns an
+    independent child (which leaves the parent's own stream — the failure
+    arrivals — where it was), and a ``SeedSequence`` draws one child seed
+    from a fresh generator of its own.  Every ``SeedLike`` flavour yields a
+    distinct, reproducible stream; ``None`` means fresh entropy, like the
+    injector.
     """
+    import numpy as np
 
-    def __init__(self, policy: Optional[MultilevelPolicy] = None, *, seed=None) -> None:
-        self.policy = policy or MultilevelPolicy()
-        self._levels: Dict[int, CheckpointLevel] = {}
-        self._recorded = 0
-        self._rng = default_rng(seed)
+    if seed is None:
+        return default_rng(None)
+    if isinstance(seed, (int, np.integer)):
+        return default_rng(derive_seed(int(seed), "multilevel"))
+    if isinstance(seed, np.random.Generator):
+        return seed.spawn(1)[0]
+    return default_rng(
+        derive_seed(int(default_rng(seed).integers(0, 2**63 - 1)), "multilevel")
+    )
 
-    def record(self, checkpoint_id: int) -> CheckpointLevel:
-        """Record a committed checkpoint; return the level it was written to."""
-        checkpoint_id = int(checkpoint_id)
-        level = self._levels.get(checkpoint_id)
-        if level is None:
-            level = self.policy.level_for(self._recorded)
-            self._recorded += 1
-            self._levels[checkpoint_id] = level
-        return level
 
-    def ids(self) -> List[int]:
-        """Recorded checkpoint ids in ascending order."""
-        return sorted(self._levels)
+def surviving_id(records: Mapping[int, object], policy: MultilevelPolicy, rng) -> Optional[int]:
+    """Newest checkpoint in ``records`` that survives a simulated failure.
 
-    def delete(self, checkpoint_id: int) -> None:
-        """Forget a checkpoint (no-op if absent)."""
-        self._levels.pop(int(checkpoint_id), None)
-
-    def next_level(self, offset: int = 0) -> CheckpointLevel:
-        """Level the *next* new checkpoint will be written to.
-
-        Lets a caller price a write before performing it (the fault-tolerance
-        engine charges the level's cost even for an attempt that a failure
-        later discards); the cycle itself only advances on an actual
-        :meth:`record`.  ``offset`` peeks further ahead: an asynchronous engine
-        with ``offset`` checkpoints still draining prices the next write at
-        the level it will hold once those pending writes commit.
-        """
-        return self.policy.level_for(self._recorded + int(offset))
-
-    def level_of(self, checkpoint_id: int) -> CheckpointLevel:
-        """The level the given checkpoint was written to."""
-        return self._levels[int(checkpoint_id)]
-
-    def cost_multiplier_of(self, checkpoint_id: int) -> float:
-        """Relative write cost of the given checkpoint (PFS = 1)."""
-        return self.policy.cost_multiplier[self.level_of(checkpoint_id)]
-
-    def surviving_id(self) -> Optional[int]:
-        """Newest checkpoint that survives a simulated failure, if any."""
-        for checkpoint_id in reversed(self.ids()):
-            level = self._levels[checkpoint_id]
-            if self._rng.random() <= self.policy.survival_probability[level]:
-                return checkpoint_id
-        return None
+    ``records`` maps checkpoint ids to anything with an FTI ``level``
+    attribute (the engine's checkpoint ledger).  Ids are visited newest
+    (largest) first, one ``rng.random()`` each, until one survives with its
+    level's probability; sorting the ids makes the draw consume the same
+    stream whatever order the ledger was filled in.  ``None`` when no
+    checkpoint survives (or there is none).
+    """
+    survival = policy.survival_probability
+    for checkpoint_id in sorted(records, reverse=True):
+        if rng.random() <= survival[CheckpointLevel(records[checkpoint_id].level)]:
+            return checkpoint_id
+    return None

@@ -253,10 +253,6 @@ class FailureInjector:
         #: timeline; the blocking timeline keeps the stale arrival untouched
         #: (byte-pinned by the paper-regime golden reports).
         self.latent_clamp: bool = False
-        #: The calendar entry carrying the pending arrival (set by
-        #: :meth:`reschedule`; cancelled and re-posted when the arrival
-        #: re-arms).
-        self._scheduled = None
         if self.model is not None:
             self._next_time = float(
                 self.model.next_gap(self._rng, failure_index=0, last_time=0.0)
@@ -275,13 +271,14 @@ class FailureInjector:
         )
         return event
 
-    # -- calendar interface -------------------------------------------------
+    # -- timeline interface -------------------------------------------------
     def peek(self) -> float:
         """Arrival time of the pending failure (``inf`` when disabled).
 
         Unlike :meth:`consume`, peeking never touches the RNG stream — the
-        arrival is drawn when the previous one is consumed, so posting it to
-        a calendar once is equivalent to re-checking it per phase.
+        arrival is drawn when the previous one is consumed, so a timeline
+        may cache it as its next failure time and refresh the cache only
+        after each :meth:`consume`.
         """
         return float("inf") if self._next_time is None else self._next_time
 
@@ -298,22 +295,6 @@ class FailureInjector:
         if self.latent_clamp and window_start > time:
             return float(window_start)
         return time
-
-    def reschedule(self, calendar) -> None:
-        """Post the pending arrival to ``calendar`` as a failure-strike event.
-
-        Cancels the previously posted entry (if any), so the calendar holds
-        at most one live strike per injector.  Call after every
-        :meth:`consume` — and once up front — to keep the calendar current.
-        No-op when failure injection is disabled.
-        """
-        if self._scheduled is not None:
-            self._scheduled.cancel()
-            self._scheduled = None
-        if self._next_time is not None:
-            self._scheduled = calendar.post(
-                self._next_time, "failure-strike", payload=self
-            )
 
     @property
     def count(self) -> int:

@@ -16,9 +16,11 @@ checks:
   Weibull infant-mortality and bursty/correlated arrivals);
 * recovery is multilevel-aware: under the ``fti`` scenario checkpoints walk
   the FTI level cycle of
-  :class:`~repro.checkpoint.multilevel.MultilevelCheckpointStore`, cheap
-  levels may not survive a failure, and a recovery is priced at the level of
-  the checkpoint it actually restores instead of always charging a PFS read;
+  :class:`~repro.checkpoint.multilevel.MultilevelPolicy`, cheap levels may
+  not survive a failure (:func:`~repro.checkpoint.multilevel.surviving_id`
+  draws over the engine's one checkpoint ledger, ``EngineState.records``),
+  and a recovery is priced at the level of the checkpoint it actually
+  restores instead of always charging a PFS read;
 * every checkpoint is snapshotted and restored through the single
   :class:`~repro.checkpoint.pipeline.CheckpointPipeline`: the solver's
   declared state is compressed per variable, packed into one serialized
@@ -31,63 +33,62 @@ Reports are byte-pinned by the golden-report fixtures: the paper regime
 (the default :class:`~repro.engine.scenario.Scenario`) across every solver
 and scheme, and the async, multilevel, bursty and store-backend axes.
 
-Event calendar
+Timeline state
 --------------
-Everything that can *interrupt or gate* the compute loop is a typed
-:class:`~repro.engine.calendar.ScheduledEvent` on an
-:class:`~repro.engine.calendar.EventCalendar`:
+Three things can interrupt or gate the compute loop: a failure strikes, a
+checkpoint comes due, a drain finishes.  Each is plain state:
 
-* ``failure-strike`` — the injector's pending arrival.  The
-  :class:`~repro.cluster.failures.FailureInjector` owns its single live
-  posting (:meth:`~repro.cluster.failures.FailureInjector.reschedule`): it
-  is posted once up front and re-posted after every consume, so the hot
-  loop's only per-iteration failure work is one float comparison against
-  :attr:`~repro.engine.calendar.EventCalendar.next_time`.
-* ``checkpoint-due`` — the checkpoint cadence.  Every due-time change
-  cancels the previous posting and posts a new one (lazy cancellation).
-* ``compute-phase-end`` — posted at every solver-segment boundary
-  (converged, interrupted, budget-capped) and retired inline by the run
-  loop, which is its handler; the posting claims the boundary's slot in the
-  global event sequence.
-* ``drain-complete`` / ``staging-slot-freed`` — see below.
+* the **next failure time** — the injector's pending arrival
+  (:meth:`~repro.cluster.failures.FailureInjector.peek`), re-armed only when
+  a strike is consumed;
+* the **next checkpoint due time** — ``EngineState.next_checkpoint_due``,
+  moved only by ``_set_due``;
+* the **drain queue** — a first-in-first-out ``deque`` of
+  :class:`PendingDrain`, one per staged checkpoint.
 
-Simultaneous events resolve by ``(time, seq)``: posting order breaks ties,
-identically on every same-seed run.  A strike that lands *inside* an
-iteration window preempts a cadence event with an earlier due time — the
-cadence action only runs at the iteration boundary, by which point the
-machine is already down (``_dispatch_boundary``).
+The compute loop gates on one cached float, the earlier of the two compute
+times, refreshed whenever either moves; so the hot loop's only per-iteration
+timeline work is one float comparison.  A strike that lands *inside* an
+iteration window preempts a checkpoint that came due earlier — the
+checkpoint only runs at the iteration boundary, by which point the machine
+is already down (``_dispatch_boundary``).
+
+Every scheduling decision — the initial and each re-armed failure arrival,
+each due-time change, each solver-segment boundary, each staged drain and
+each staging slot a commit frees — claims one number from the run's event
+sequence, and so does every recorded event.  ``events_processed`` is that
+count, and the ``seq`` stamps of a recorded
+:class:`~repro.engine.events.EventLog` give one total order over the run.
 
 Two-channel timeline (``write_mode="async"``)
 ---------------------------------------------
 The paper — and the default ``blocking`` mode — charges the whole checkpoint
 write inline on one serialized clock.  Under the scenario's asynchronous
-write mode the timeline splits into two
-:class:`~repro.engine.calendar.Channel` objects, each with its own calendar:
+write mode the timeline splits into two channels
+(:mod:`repro.engine.calendar`):
 
 * the **compute channel** (:class:`~repro.engine.calendar.ComputeChannel`)
   — iterations, inline captures, recoveries, rollbacks.  It also anchors
   the incremental rollback accounting: the compute-seconds total at the
   newest committed checkpoint, so the rollback span is an O(1) difference.
-* the **I/O channel** (:class:`~repro.engine.calendar.IOChannel`) — one
-  ``drain-complete`` event per staged checkpoint, serialized on the
-  channel's ``busy_until`` clock and priced at the contended async
-  bandwidth (:meth:`~repro.cluster.machine.ClusterModel.drain_seconds`);
-  while a drain is in flight, compute iterations pay a small interference
-  surcharge.
+* the **I/O channel** (:class:`~repro.engine.calendar.Channel`) — one drain
+  per staged checkpoint, serialized on the channel's ``busy_until`` clock
+  and priced at the contended async bandwidth
+  (:meth:`~repro.cluster.machine.ClusterModel.drain_seconds`); while a drain
+  is in flight, compute iterations pay a small interference surcharge.
 
-I/O-channel completions are only *observable* from the compute channel at
-synchronization points — checkpoint entry, an I/O-channel failure, and the
-end of the run — which is why the drains live on their own calendar: a
-``drain-complete`` whose time has passed is not delivered until the compute
-channel synchronizes (both calendars share one
-:class:`~repro.engine.calendar.SequenceCounter`, so the global order is
-still total).  A checkpoint becomes *recoverable only when its drain
-commits* — a failure mid-drain discards the dirty write and recovery falls
-back to the previous completed checkpoint.  When every staging slot holds
-an in-flight drain the capture defers (backpressure), and the commit that
-frees a slot posts ``staging-slot-freed`` to end the deferral episode.
-Every payload is a full one, as in blocking mode: a drain ships, and a
-recovery reads, exactly the checkpoint's own bytes.
+Because the I/O channel is serialized, each drain ends no earlier than the
+one staged before it, so the drain queue completes from the left.
+Completions are only *observable* from the compute channel at
+synchronization points — checkpoint entry, a failure, and the end of the
+run — where ``_settle_drains`` commits every drain that ended by then.  A
+checkpoint becomes *recoverable only when its drain commits* — a failure
+mid-drain discards the dirty write (the queue is cleared) and recovery
+falls back to the previous completed checkpoint.  When every staging slot
+holds an in-flight drain the capture defers (backpressure), and the commit
+that frees a slot ends the deferral episode.  Every payload is a full one,
+as in blocking mode: a drain ships, and a recovery reads, exactly the
+checkpoint's own bytes.
 
 Blocking mode takes none of these paths and stays byte-identical to the
 single-clock engine (pinned by the equivalence suite).
@@ -95,28 +96,23 @@ single-clock engine (pinned by the equivalence suite).
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
-    MultilevelCheckpointStore,
     MultilevelPolicy,
+    survival_rng,
+    surviving_id,
 )
 from repro.checkpoint.pipeline import CheckpointPipeline, PipelineSnapshot
 from repro.checkpoint.store import SimulatedObjectStore
 from repro.cluster.machine import PAPER_ITERATION_SECONDS, ClusterModel
-from repro.engine.calendar import (
-    ComputeChannel,
-    EventCalendar,
-    EventKind,
-    IOChannel,
-    SequenceCounter,
-)
+from repro.engine.calendar import Channel, ComputeChannel
 from repro.engine.events import (
     CheckpointDeferredEvent,
     CheckpointDiscardedEvent,
@@ -188,38 +184,35 @@ class CheckpointRecord:
 class PendingDrain:
     """One staged checkpoint still flushing on the I/O channel.
 
-    Carried as the payload of the checkpoint's ``drain-complete`` event on
-    the I/O calendar.  The record is fully priced and holds its payload, but
-    it is *not* recoverable until the drain commits: a failure before
-    ``end`` discards it (dirty write) and recovery falls back to the
-    previous completed checkpoint.
+    An entry of the engine's drain queue.  The record is fully priced and
+    holds its payload, but it is *not* recoverable until the drain commits:
+    a failure before ``end`` discards it (dirty write) and recovery falls
+    back to the previous completed checkpoint.
     """
 
     record: CheckpointRecord
-    #: I/O-channel interval of the drain (``start`` may be after the capture
-    #: finished when an earlier drain still held the channel).
-    start: float
+    #: I/O-channel time the drain finishes.
     end: float
     seconds: float
 
 
 @dataclass
 class EngineState:
-    """Explicit mutable state of one run (replaces the old dict closure).
+    """Explicit mutable state of one run.
 
-    Channel clocks live on the engine's
-    :class:`~repro.engine.calendar.ComputeChannel` /
-    :class:`~repro.engine.calendar.IOChannel` objects, and in-flight drains
-    on the I/O calendar; this dataclass keeps the run's *outcome* state —
-    checkpoints, counters, traces.
+    The failure arrival lives on the injector, the channel clocks and the
+    drain queue on the engine; this dataclass keeps the checkpoint cadence
+    and the run's *outcome* state — checkpoints, counters, traces.
     """
 
     next_checkpoint_due: float
     last_checkpoint: Optional[CheckpointRecord] = None
-    #: All live checkpoints by id — only populated under multilevel scenarios,
-    #: where a failure may destroy recent cheap-level checkpoints and the
-    #: recovery falls back to an older survivor.
+    #: The checkpoint ledger: every live checkpoint by id — only populated
+    #: under multilevel scenarios, where a failure may destroy recent
+    #: cheap-level checkpoints and the recovery falls back to an older
+    #: survivor.
     records: Dict[int, CheckpointRecord] = field(default_factory=dict)
+    #: Committed checkpoints; under ``fti`` also the level cycle's position.
     num_checkpoints: int = 0
     num_inline_failures: int = 0
     compression_ratios: List[float] = field(default_factory=list)
@@ -229,10 +222,11 @@ class EngineState:
     interrupted_at: Optional[int] = None
     gave_up: bool = False
     give_up_reason: Optional[str] = None
-    # -- asynchronous (two-channel) write mode only ------------------------
-    #: Id the next async checkpoint gets (ids are assigned at capture, but
-    #: ``num_checkpoints`` only counts drains that completed).
+    #: Id the next checkpoint gets.  Ids are assigned when a write window
+    #: completes; ``num_checkpoints`` only counts commits, so the two part
+    #: once a failure discards an in-flight async drain.
     next_checkpoint_id: int = 0
+    # -- asynchronous (two-channel) write mode only ------------------------
     #: Drain seconds of every *completed* checkpoint (I/O-channel time).
     drain_times: List[float] = field(default_factory=list)
     #: Checkpoints whose drain a failure interrupted (dirty writes).
@@ -378,8 +372,10 @@ class FaultToleranceEngine:
         self._clock: VirtualClock = VirtualClock()
         self._async: bool = self.scenario.asynchronous
         self._injector = None
-        #: FTI level bookkeeping (None under PFS-only recovery).
-        self._multilevel: Optional[MultilevelCheckpointStore] = None
+        #: The FTI level cycle and the survival draws' generator (both None
+        #: under PFS-only recovery).
+        self._policy: Optional[MultilevelPolicy] = None
+        self._survival_rng = None
         #: The chunk pool of the ``chunked`` backend, the one store that holds
         #: payload bytes: its dedup preview prices each write.  Every other
         #: backend is priced, never written — the checkpoint records hold the
@@ -390,19 +386,19 @@ class FaultToleranceEngine:
             next_checkpoint_due=self.checkpoint_interval_seconds
         )
         self._vectors: int = 0
-        # Calendar machinery: one global sequence, one calendar per channel.
-        self._sequence = SequenceCounter()
-        self._calendar = EventCalendar(self._sequence)
-        self._io_calendar = EventCalendar(self._sequence)
-        self._compute = ComputeChannel("compute")
-        self._io = IOChannel("io")
-        self._due_event = None  # live CHECKPOINT_DUE posting (or None)
+        # Timeline state (see the module docstring).
+        self._seq = 0
+        self._next_event_time = 0.0
+        self._drains: Deque[PendingDrain] = deque()
+        self._compute = ComputeChannel()
+        self._io = Channel()
 
     @property
     def events_processed(self) -> int:
-        """Calendar sequence numbers claimed so far — every scheduled and
-        recorded event of the run (the benchmark's throughput numerator)."""
-        return self._sequence.value
+        """Event sequence numbers claimed so far — every scheduling decision
+        and recorded event of the run (the benchmark's throughput
+        numerator)."""
+        return self._seq
 
     @property
     def replay_hits(self) -> int:
@@ -422,22 +418,23 @@ class FaultToleranceEngine:
             self.baseline = run_failure_free(self.solver, self.b, x0=self.x0)
 
         clock = self._clock = VirtualClock()
-        self._sequence = SequenceCounter()
-        calendar = self._calendar = EventCalendar(self._sequence)
-        self._io_calendar = EventCalendar(self._sequence)
-        self._compute = ComputeChannel("compute")
-        self._io = IOChannel("io")
-        self._due_event = None
+        self._seq = 0
+        self._drains = deque()
+        self._compute = ComputeChannel()
+        self._io = Channel()
         self._injector = self.scenario.build_injector(self.mtti_seconds, self.seed)
         self._async = self.scenario.asynchronous
         # Latent arrivals strike at the window that finds them on the
         # two-channel timeline only; the blocking timeline keeps the stale
         # arrival untouched (byte-pinned by the paper-regime golden reports).
         self._injector.latent_clamp = self._async
-        self._injector.reschedule(calendar)
-        self._multilevel = self.scenario.build_multilevel_store(
-            self.seed, policy=self.multilevel_policy
-        )
+        if self._injector.model is not None:
+            self._claim()  # the first failure arrival
+        if self.scenario.multilevel:
+            self._policy = self.multilevel_policy or MultilevelPolicy()
+            self._survival_rng = survival_rng(self.seed)
+        else:
+            self._policy = self._survival_rng = None
         self._dedup = (
             ChunkedStore(SimulatedObjectStore())
             if self.scenario.store_backend == "chunked"
@@ -481,22 +478,13 @@ class FaultToleranceEngine:
         restarts = 0
 
         while True:
-            interrupted = False
             try:
                 result = self._solve_once(x_current, resume, iteration_offset)
             except _FailureSignal:
-                interrupted = True
                 result = None
-            # The segment boundary claims its slot in the global sequence;
-            # the code below *is* its handler, so the posting retires
-            # immediately (lazy cancellation).
-            calendar.post(
-                clock.now,
-                EventKind.COMPUTE_PHASE_END,
-                payload="interrupted" if interrupted else "solved",
-            ).cancel()
+            self._claim()  # the solver-segment boundary
 
-            if not interrupted and result is not None:
+            if result is not None:
                 total_iterations = iteration_offset + result.iterations
                 converged = result.converged
                 if (
@@ -505,15 +493,7 @@ class FaultToleranceEngine:
                     and total_iterations >= self.max_total_iterations
                 ):
                     # The iteration budget — not the solver — ended the run.
-                    state.gave_up = True
-                    state.give_up_reason = "max_total_iterations"
-                    self._record(
-                        GiveUpEvent(
-                            time=clock.now,
-                            reason="max_total_iterations",
-                            iterations_reached=total_iterations,
-                        )
-                    )
+                    self._give_up("max_total_iterations", total_iterations)
                 break
 
             # ---- failure path: recover from the last complete checkpoint ----
@@ -522,36 +502,14 @@ class FaultToleranceEngine:
                 # Give up — but report the progress actually made instead of
                 # a stale zero (the interrupted iteration is the furthest
                 # point the timeline reached).
-                state.gave_up = True
-                state.give_up_reason = "max_restarts"
                 total_iterations = (
                     int(state.interrupted_at)
                     if state.interrupted_at is not None
                     else iteration_offset
                 )
-                self._record(
-                    GiveUpEvent(
-                        time=clock.now,
-                        reason="max_restarts",
-                        iterations_reached=total_iterations,
-                    )
-                )
+                self._give_up("max_restarts", total_iterations)
                 break
-            self._apply_survival()
-            last = state.last_checkpoint
-            recovery_seconds = self._recovery_seconds(last)
-            self._advance_with_failures(recovery_seconds, "recovery")
-            state.recovery_times.append(recovery_seconds)
-            self._record(
-                RecoveryEvent(
-                    time=clock.now,
-                    seconds=recovery_seconds,
-                    from_iteration=0 if last is None else last.iteration,
-                    from_scratch=last is None,
-                    level=None if last is None else last.level,
-                )
-            )
-
+            last = self._recover()
             if last is None:
                 # No checkpoint survived (or none was taken yet): restart
                 # from the initial guess.
@@ -577,16 +535,8 @@ class FaultToleranceEngine:
                 self.max_total_iterations is not None
                 and iteration_offset >= self.max_total_iterations
             ):
-                state.gave_up = True
-                state.give_up_reason = "max_total_iterations"
                 total_iterations = iteration_offset
-                self._record(
-                    GiveUpEvent(
-                        time=clock.now,
-                        reason="max_total_iterations",
-                        iterations_reached=total_iterations,
-                    )
-                )
+                self._give_up("max_total_iterations", total_iterations)
                 break
 
         if self._async:
@@ -601,10 +551,9 @@ class FaultToleranceEngine:
         """Compute event: one solver iteration on the virtual timeline.
 
         The hot path does exactly three things — advance the two clocks,
-        append the residual trace, and compare the calendar's cached
-        ``next_time`` against the clock.  Failure strikes and checkpoint
-        cadence only cost anything when an event is actually due
-        (:meth:`_dispatch_boundary`).
+        append the residual trace, and compare the cached next event time
+        against the clock.  Failure strikes and checkpoint cadence only cost
+        anything when one is actually due (:meth:`_dispatch_boundary`).
         """
         clock = self._clock
         seconds = self.iteration_seconds
@@ -632,45 +581,53 @@ class FaultToleranceEngine:
                     residual_norm=it_state.residual_norm,
                 )
             )
-        if self._calendar.next_time <= clock.now:
+        if self._next_event_time <= clock.now:
             self._dispatch_boundary(it_state, start)
 
     def _dispatch_boundary(self, it_state: IterationState, window_start: float) -> None:
-        """Deliver calendar events due at this iteration boundary.
+        """Act on the failure strike and checkpoint due at this boundary.
 
-        At most two kinds can be actionable here and each has at most one
-        live posting, so delivery is kind-routed rather than heap-popped:
+        * The strike first — a strike inside the window preempts the
+          checkpoint, which only runs at the boundary (by then the machine is
+          already down).  At most one strike is delivered per boundary; an
+          arrival re-armed into this same window is found by the *next*
+          window, exactly as the per-phase window checks did.
+        * The checkpoint second, against the due time the strike handler may
+          just have reset.
 
-        * ``failure-strike`` first — a strike inside the window preempts the
-          cadence action, which only runs at the boundary (by then the
-          machine is already down).  At most one strike is delivered per
-          boundary; an arrival re-armed into this same window is found by
-          the *next* window, exactly as the per-phase window checks did.
-        * ``checkpoint-due`` second, against the due time the strike handler
-          may just have reset.
-
-        ``drain-complete`` events live on the I/O calendar and are never
-        delivered here — the compute channel only observes them at
-        synchronization points.
+        Drain completions are never delivered here — the compute channel only
+        observes them at synchronization points.
         """
-        head = self._calendar.peek()  # also skips lazily-cancelled postings
         clock = self._clock
-        if head is None or head.time > clock.now:
-            return
         injector = self._injector
         state = self._state
         if injector.peek() <= clock.now:
-            failure_time = injector.strike_time(window_start)
-            if self.scheme.lossy:
-                self._consume_strike(failure_time, "compute")
-                self._on_io_channel_failure(failure_time)
-                state.interrupted_at = it_state.iteration
-                raise _FailureSignal(it_state.iteration, "failure during compute")
-            self._on_inline_failure(failure_time, "compute")
+            self._on_failure(it_state, injector.strike_time(window_start), "compute")
         if clock.now >= state.next_checkpoint_due and self._checkpoint_allowed(
             it_state, overdue_seconds=clock.now - state.next_checkpoint_due
         ):
             self._on_checkpoint(it_state)
+
+    def _on_failure(
+        self, it_state: IterationState, failure_time: float, phase: str
+    ) -> None:
+        """A failure struck the compute or checkpoint window ending now.
+
+        Exact schemes pay recovery plus rollback inline
+        (:meth:`_on_inline_failure`) and the solve goes on.  The lossy scheme
+        interrupts the solve: the run loop recovers and restarts it from the
+        restored iterate.  A failure inside a checkpoint window also pushes
+        the due time a full interval out.
+        """
+        if not self.scheme.lossy:
+            self._on_inline_failure(failure_time, phase)
+            return
+        self._consume_strike(failure_time, phase)
+        self._on_io_channel_failure(failure_time)
+        self._state.interrupted_at = it_state.iteration
+        if phase == "checkpoint":
+            self._set_due(self._clock.now + self.checkpoint_interval_seconds)
+        raise _FailureSignal(it_state.iteration, f"failure during {phase}")
 
     def _on_inline_failure(self, failure_time: float, phase: str) -> None:
         """Exact-scheme failure: pure time cost (recovery + rollback).
@@ -693,20 +650,7 @@ class FaultToleranceEngine:
         state.num_inline_failures += 1
         self._on_io_channel_failure(failure_time)
         checkpoint_was_due = clock.now >= state.next_checkpoint_due
-        self._apply_survival()
-        last = state.last_checkpoint
-        recovery_seconds = self._recovery_seconds(last)
-        self._advance_with_failures(recovery_seconds, "recovery")
-        state.recovery_times.append(recovery_seconds)
-        self._record(
-            RecoveryEvent(
-                time=clock.now,
-                seconds=recovery_seconds,
-                from_iteration=0 if last is None else last.iteration,
-                from_scratch=last is None,
-                level=None if last is None else last.level,
-            )
-        )
+        self._recover()
         rollback_seconds = self._compute.since_checkpoint
         self._advance_with_failures(rollback_seconds, "rollback")
         self._record(RollbackEvent(time=clock.now, seconds=rollback_seconds))
@@ -732,11 +676,16 @@ class FaultToleranceEngine:
         materialized and serialized through the
         :class:`~repro.checkpoint.pipeline.CheckpointPipeline` *before* the
         write is priced, so the cost can come from what the checkpoint
-        actually contains.  A failure landing inside the checkpoint window
-        discards the incomplete checkpoint (the previous complete one remains
-        valid, and nothing is committed); under the lossy scheme
-        it also interrupts the solve, matching the paper's methodology where
-        failures may occur during the checkpoint/recovery period.
+        actually contains.  Blocking and async writes share one write
+        window: a blocking write stalls the solver for the whole priced
+        write, an async one only for compression plus node-local staging
+        (the storage write then drains on the I/O channel,
+        :meth:`_enqueue_drain`).  A failure landing inside the window
+        discards the incomplete checkpoint before anything is committed or
+        staged (the previous complete one remains valid); under the lossy
+        scheme it also interrupts the solve, matching the paper's
+        methodology where failures may occur during the checkpoint/recovery
+        period.
         """
         clock = self._clock
         state = self._state
@@ -750,7 +699,7 @@ class FaultToleranceEngine:
             # Synchronization point: commit every drain that finished before
             # this capture so the rollback anchor is current.
             self._settle_drains(clock.now)
-            if self._io.in_flight >= self._staging_slots:
+            if len(self._drains) >= self._staging_slots:
                 # Backpressure: every node-local staging buffer still holds
                 # an in-flight drain, so the compute channel has nowhere to
                 # stage this payload.  Leave the checkpoint due — it is
@@ -767,13 +716,10 @@ class FaultToleranceEngine:
                         CheckpointDeferredEvent(
                             time=clock.now,
                             iteration=it_state.iteration,
-                            pending=self._io.in_flight,
+                            pending=len(self._drains),
                         )
                     )
                 return
-        checkpoint_id = (
-            state.next_checkpoint_id if self._async else state.num_checkpoints
-        )
         resume = (
             self.solver.capture_resume_state(it_state)
             if self.scheme.checkpoint_krylov_state
@@ -785,60 +731,49 @@ class FaultToleranceEngine:
             resume_state=resume,
             residual_norm=it_state.residual_norm,
             b_norm=self.b_norm,
-            checkpoint_id=checkpoint_id,
+            checkpoint_id=state.next_checkpoint_id,
         )
 
         model_uncompressed, model_compressed = snapshot.scaled_bytes(self.scale)
         ratio = model_uncompressed / max(model_compressed, 1e-12)
         level: Optional[int] = None
-        if self._multilevel is not None:
-            # With drains outstanding the level cycle has already been
-            # "claimed" by the pending writes, so peek past them.
-            level = int(self._multilevel.next_level(self._io.in_flight))
+        if self._policy is not None:
+            # Drains still in flight commit first, so they hold the level
+            # cycle's next positions.
+            level = int(
+                self._policy.level_for(state.num_checkpoints + len(self._drains))
+            )
         # A dedup backend only ships the chunks the pool does not already
         # hold; duplicate bytes never hit the wire, so they cost nothing.
         ship_compressed = model_compressed * self._dedup_fraction(snapshot)
-
         if self._async:
-            self._enqueue_drain(
-                it_state,
-                snapshot,
-                ratio=ratio,
-                model_uncompressed=model_uncompressed,
-                model_compressed=model_compressed,
-                ship_compressed=ship_compressed,
-                level=level,
+            seconds = self.cluster.capture_seconds(
+                model_uncompressed,
+                model_compressed,
+                compressed=self.scheme.uses_compression,
             )
-            return
-
-        ckpt_seconds = self.cluster.checkpoint_seconds(
-            model_uncompressed,
-            ship_compressed,
-            compressed=self.scheme.uses_compression,
-            write_cost_multiplier=self._level_multiplier(level),
-        )
+        else:
+            seconds = self.cluster.checkpoint_seconds(
+                model_uncompressed,
+                ship_compressed,
+                compressed=self.scheme.uses_compression,
+                write_cost_multiplier=self._level_multiplier(level),
+            )
 
         start = clock.now
-        clock.advance(ckpt_seconds, "checkpoint")
-        state.checkpoint_times.append(ckpt_seconds)
+        clock.advance(seconds, "checkpoint")
+        state.checkpoint_times.append(seconds)
         if self._injector.peek() <= clock.now:
             failure_time = self._injector.strike_time(start)
-            # Incomplete checkpoint: do not record or commit it.
+            # Incomplete checkpoint: do not record, commit or stage it.
             self._record(
                 CheckpointDiscardedEvent(time=clock.now, iteration=it_state.iteration)
             )
-            if self.scheme.lossy:
-                self._consume_strike(failure_time, "checkpoint")
-                state.interrupted_at = it_state.iteration
-                self._set_due(clock.now + self.checkpoint_interval_seconds)
-                raise _FailureSignal(
-                    it_state.iteration, "failure during checkpoint"
-                )
-            self._on_inline_failure(failure_time, "checkpoint")
+            self._on_failure(it_state, failure_time, "checkpoint")
             return
 
         record = CheckpointRecord(
-            checkpoint_id=state.num_checkpoints,
+            checkpoint_id=state.next_checkpoint_id,
             iteration=it_state.iteration,
             snapshot=snapshot,
             compression_ratio=ratio,
@@ -847,118 +782,63 @@ class FaultToleranceEngine:
             compute_seconds_at_completion=self._compute.seconds_total,
             level=level,
         )
-        self._commit(record)
-        self._compute.mark()
-        self._set_due(clock.now + self.checkpoint_interval_seconds)
-        self._record(
-            CheckpointTakenEvent(
+        state.next_checkpoint_id += 1
+        if self._async:
+            event = self._enqueue_drain(record, ship_compressed)
+        else:
+            self._commit(record)
+            self._compute.mark()
+            event = CheckpointTakenEvent(
                 time=clock.now,
                 iteration=it_state.iteration,
-                seconds=ckpt_seconds,
+                seconds=seconds,
                 compression_ratio=ratio,
-                level=record.level,
+                level=level,
             )
-        )
+        self._set_due(clock.now + self.checkpoint_interval_seconds)
+        self._record(event)
 
     # -- asynchronous I/O channel --------------------------------------------
     def _enqueue_drain(
-        self,
-        it_state: IterationState,
-        snapshot: PipelineSnapshot,
-        *,
-        ratio: float,
-        model_uncompressed: float,
-        model_compressed: float,
-        ship_compressed: float,
-        level: Optional[int],
-    ) -> None:
-        """Async checkpoint: inline capture on the compute channel, then a
-        ``drain-complete`` event on the I/O calendar.
+        self, record: CheckpointRecord, ship_compressed: float
+    ) -> DrainStartedEvent:
+        """Stage a captured checkpoint's storage write on the I/O channel.
 
-        The solver stalls only for compression + node-local staging; the
-        storage write of the payload acquires the I/O channel — starting when
-        the channel frees up — and its completion is posted at the drain's
-        end time.  Until a synchronization point
-        delivers that event the checkpoint is a *dirty* write: a failure
-        discards it and recovery falls back to the previous completed
-        checkpoint.  A failure during the capture itself discards the
-        snapshot before anything is staged (as in blocking mode).
+        The write acquires the channel — starting when the channel frees up
+        — and joins the drain queue.  Until a synchronization point settles
+        it the checkpoint is a *dirty* write: a failure discards it and
+        recovery falls back to the previous completed checkpoint.  Returns
+        the event that narrates the staging.
         """
-        clock = self._clock
-        state = self._state
-        capture_seconds = self.cluster.capture_seconds(
-            model_uncompressed,
-            model_compressed,
-            compressed=self.scheme.uses_compression,
+        now = self._clock.now
+        seconds = self.cluster.drain_seconds(
+            ship_compressed, write_cost_multiplier=self._level_multiplier(record.level)
         )
-        start = clock.now
-        clock.advance(capture_seconds, "checkpoint")
-        state.checkpoint_times.append(capture_seconds)
-        if self._injector.peek() <= clock.now:
-            failure_time = self._injector.strike_time(start)
-            # The capture never finished: nothing was staged, nothing drains.
-            self._record(
-                CheckpointDiscardedEvent(time=clock.now, iteration=it_state.iteration)
-            )
-            if self.scheme.lossy:
-                self._consume_strike(failure_time, "checkpoint")
-                self._on_io_channel_failure(failure_time)
-                state.interrupted_at = it_state.iteration
-                self._set_due(clock.now + self.checkpoint_interval_seconds)
-                raise _FailureSignal(
-                    it_state.iteration, "failure during checkpoint capture"
-                )
-            self._on_inline_failure(failure_time, "checkpoint")
-            return
-
-        drain_seconds = self.cluster.drain_seconds(
-            ship_compressed, write_cost_multiplier=self._level_multiplier(level)
-        )
-        drain_start, drain_end = self._io.enqueue(clock.now, drain_seconds)
-        record = CheckpointRecord(
-            checkpoint_id=snapshot.checkpoint_id,
-            iteration=it_state.iteration,
-            snapshot=snapshot,
-            compression_ratio=ratio,
-            model_uncompressed_bytes=model_uncompressed,
-            model_compressed_bytes=model_compressed,
-            compute_seconds_at_completion=self._compute.seconds_total,
-            level=level,
-        )
-        self._io_calendar.post(
-            drain_end,
-            EventKind.DRAIN_COMPLETE,
-            payload=PendingDrain(
-                record=record, start=drain_start, end=drain_end, seconds=drain_seconds
-            ),
-        )
-        state.next_checkpoint_id += 1
-        self._set_due(clock.now + self.checkpoint_interval_seconds)
-        self._record(
-            DrainStartedEvent(
-                time=clock.now,
-                checkpoint_id=record.checkpoint_id,
-                iteration=it_state.iteration,
-                drain_start=drain_start,
-                seconds=drain_seconds,
-            )
+        start, end = self._io.acquire(now, seconds)
+        self._drains.append(PendingDrain(record=record, end=end, seconds=seconds))
+        self._claim()  # the drain's completion
+        return DrainStartedEvent(
+            time=now,
+            checkpoint_id=record.checkpoint_id,
+            iteration=record.iteration,
+            drain_start=start,
+            seconds=seconds,
         )
 
     def _settle_drains(self, until: float) -> None:
-        """Deliver every ``drain-complete`` due by I/O-channel time ``until``.
+        """Commit every queued drain that finished by I/O-channel time ``until``.
 
-        A committed drain becomes the newest recovery point (entering the
-        multilevel survival cycle under ``fti`` scenarios) and the rollback
-        anchor rebases onto it.  If the commit frees a staging slot while a capture is deferred,
-        the backpressure episode ends with a ``staging-slot-freed`` posting
-        (delivered synchronously here).
+        The serialized channel ends each drain no earlier than the one
+        before it, so the queue settles from the left.  A committed drain
+        becomes the newest recovery point (entering the multilevel survival
+        cycle under ``fti`` scenarios) and the rollback anchor rebases onto
+        it.  If the commit frees a staging slot while a capture is deferred,
+        the backpressure episode ends.
         """
-        if self._io.in_flight == 0:
-            return
+        drains = self._drains
         state = self._state
-        for event in self._io_calendar.pop_due(until):
-            pending: PendingDrain = event.payload
-            self._io.complete_one()
+        while drains and drains[0].end <= until:
+            pending = drains.popleft()
             record = pending.record
             self._commit(record)
             state.drain_times.append(pending.seconds)
@@ -979,17 +859,10 @@ class FaultToleranceEngine:
                     level=record.level,
                 )
             )
-            if (
-                state.checkpoint_deferred
-                and self._io.in_flight < self._staging_slots
-            ):
-                # The episode ends here; the still-due checkpoint-due event
-                # drives the retake at the next boundary.
-                self._calendar.post(
-                    pending.end,
-                    EventKind.STAGING_SLOT_FREED,
-                    payload=record.checkpoint_id,
-                ).cancel()
+            if state.checkpoint_deferred and len(drains) < self._staging_slots:
+                # The episode ends here; the checkpoint still due is retaken
+                # at the next boundary.
+                self._claim()  # the freed staging slot
                 state.checkpoint_deferred = False
 
     def _on_io_channel_failure(self, failure_time: float) -> None:
@@ -1007,36 +880,60 @@ class FaultToleranceEngine:
             return
         state = self._state
         self._settle_drains(failure_time)
-        for event in self._io_calendar.pop_due(math.inf):
-            pending: PendingDrain = event.payload
+        for pending in self._drains:
             state.num_dirty_checkpoints += 1
             self._record(
                 CheckpointDiscardedEvent(
                     time=failure_time, iteration=pending.record.iteration
                 )
             )
+        self._drains.clear()
         self._io.reset(failure_time)
         # The staging buffers are free again: a later deferral is a new
-        # backpressure episode and records its own event (no slot-freed
-        # posting — the slots were torn down, not drained).
+        # backpressure episode and records its own event (no slot is
+        # counted as freed — the slots were torn down, not drained).
         state.checkpoint_deferred = False
 
     # -- internals -----------------------------------------------------------
+    def _claim(self) -> int:
+        """Claim the next number of the run's event sequence."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def _rearm(self) -> None:
+        """Refresh the cached time of the next failure strike or due checkpoint."""
+        self._next_event_time = min(
+            self._injector.peek(), self._state.next_checkpoint_due
+        )
+
     def _set_due(self, time: float) -> None:
-        """Move the checkpoint cadence: cancel the live ``checkpoint-due``
-        posting and post the new due time (lazy cancellation)."""
+        """Move the checkpoint cadence (claims a sequence number)."""
         self._state.next_checkpoint_due = time
-        if self._due_event is not None:
-            self._due_event.cancel()
-        self._due_event = self._calendar.post(time, EventKind.CHECKPOINT_DUE)
+        self._claim()
+        self._rearm()
 
     def _consume_strike(self, failure_time: float, phase: str) -> None:
-        """Record the strike, re-arm the injector, re-post its calendar entry."""
+        """Record the strike and re-arm the injector's next arrival."""
         event = self._injector.consume(failure_time, phase)
         self._record(
             FailureHitEvent(time=failure_time, phase=phase, index=event.index)
         )
-        self._injector.reschedule(self._calendar)
+        self._claim()  # the re-armed arrival
+        self._rearm()
+
+    def _give_up(self, reason: str, iterations_reached: int) -> None:
+        """End the run before convergence."""
+        state = self._state
+        state.gave_up = True
+        state.give_up_reason = reason
+        self._record(
+            GiveUpEvent(
+                time=self._clock.now,
+                reason=reason,
+                iterations_reached=iterations_reached,
+            )
+        )
 
     def _checkpoint_allowed(
         self, it_state: IterationState, *, overdue_seconds: float = 0.0
@@ -1080,19 +977,43 @@ class FaultToleranceEngine:
             resume_state=resume,
         )
 
+    def _recover(self) -> Optional[CheckpointRecord]:
+        """Recovery phase after a failure; returns the checkpoint it read.
+
+        Draws which checkpoints survived, then reads back the newest
+        survivor — or, with none left, only rebuilds the environment and
+        static data (``None``: restart from the initial guess).
+        """
+        state = self._state
+        self._apply_survival()
+        last = state.last_checkpoint
+        recovery_seconds = self._recovery_seconds(last)
+        self._advance_with_failures(recovery_seconds, "recovery")
+        state.recovery_times.append(recovery_seconds)
+        self._record(
+            RecoveryEvent(
+                time=self._clock.now,
+                seconds=recovery_seconds,
+                from_iteration=0 if last is None else last.iteration,
+                from_scratch=last is None,
+                level=None if last is None else last.level,
+            )
+        )
+        return last
+
     def _apply_survival(self) -> None:
         """Draw which multilevel checkpoints survived the failure just hit.
 
         PFS-only scenarios keep every checkpoint (no-op).  Under ``fti``
-        scenarios each stored checkpoint survives with its level's
+        scenarios each checkpoint of the ledger survives with its level's
         probability; newer casualties are discarded and the engine falls back
         to the newest survivor — rebasing the rollback anchor so the extra
         lost compute is re-executed too.
         """
         state = self._state
-        if self._multilevel is None or not state.records:
+        if self._policy is None or not state.records:
             return
-        survivor_id = self._multilevel.surviving_id()
+        survivor_id = surviving_id(state.records, self._policy, self._survival_rng)
         if (
             survivor_id is not None
             and state.last_checkpoint is not None
@@ -1113,15 +1034,15 @@ class FaultToleranceEngine:
     def _prune_unreachable_records(self) -> None:
         """Drop checkpoints no survival draw can ever return.
 
-        ``surviving_id`` scans newest-first and always stops at a checkpoint
-        whose level survives with certainty (PFS in the default policy), so
-        anything older than the newest certain survivor is unreachable as a
-        fallback — and never drawn for, so pruning does not perturb the
-        survival RNG stream.  This bounds retention at one level cycle
-        instead of growing with run length.
+        :func:`~repro.checkpoint.multilevel.surviving_id` scans newest-first
+        and always stops at a checkpoint whose level survives with certainty
+        (PFS in the default policy), so anything older than the newest
+        certain survivor is unreachable as a fallback — and never drawn for,
+        so pruning does not perturb the survival RNG stream.  This bounds
+        retention at one level cycle instead of growing with run length.
         """
         state = self._state
-        survival = self._multilevel.policy.survival_probability
+        survival = self._policy.survival_probability
         certain = [
             checkpoint_id
             for checkpoint_id, record in state.records.items()
@@ -1137,16 +1058,14 @@ class FaultToleranceEngine:
     def _commit(self, record: CheckpointRecord) -> None:
         """Make a completed checkpoint the newest recovery point.
 
-        Under ``fti`` the checkpoint takes its level from the cycle and joins
-        the live records a survival draw may fall back to.
+        Under ``fti`` the checkpoint joins the ledger a survival draw may
+        fall back to.
         """
         state = self._state
-        if self._multilevel is not None:
-            record.level = int(self._multilevel.record(record.checkpoint_id))
         # Pool before pruning: chunks shared with a pruned checkpoint stay
         # pooled instead of counting as new unique bytes.
         self._dedup_write(record)
-        if self._multilevel is not None:
+        if self._policy is not None:
             state.records[record.checkpoint_id] = record
             self._prune_unreachable_records()
         state.last_checkpoint = record
@@ -1155,9 +1074,7 @@ class FaultToleranceEngine:
 
     def _drop(self, checkpoint_id: int) -> None:
         """Discard a live ``fti`` checkpoint a recovery can no longer use."""
-        record = self._state.records.pop(checkpoint_id)
-        self._multilevel.delete(checkpoint_id)
-        self._dedup_delete(record)
+        self._dedup_delete(self._state.records.pop(checkpoint_id))
 
     # -- the chunked backend's dedup pool ------------------------------------
     @staticmethod
@@ -1201,7 +1118,7 @@ class FaultToleranceEngine:
         """FTI cost multiplier of ``level`` (1.0 outside the level cycle)."""
         if level is None:
             return 1.0
-        return self._multilevel.policy.cost_multiplier[CheckpointLevel(level)]
+        return self._policy.cost_multiplier[CheckpointLevel(level)]
 
     def _recovery_seconds(self, last: Optional[CheckpointRecord]) -> float:
         if last is None:
@@ -1240,7 +1157,7 @@ class FaultToleranceEngine:
 
     def _record(self, event) -> None:
         if self.events is not None:
-            event.stamp(self._sequence.claim())
+            event.stamp(self._claim())
             self.events.append(event)
 
     def _build_report(

@@ -39,18 +39,18 @@ __all__ = [
 class EngineEvent:
     """Base class: ``time`` is the virtual time the event completed.
 
-    ``seq`` is the event's position in the calendar's global sequence —
-    stamped at recording time from the same monotonic counter that orders
-    :class:`~repro.engine.calendar.ScheduledEvent` tie-breaks, so one
-    recorded run carries a single total order across scheduled and observed
-    events.  ``-1`` means the event was built outside a calendar run.
+    ``seq`` is the event's position in the run's event sequence — stamped
+    at recording time from the same counter every scheduling decision of
+    the run claims from, so one recorded run carries a single total order
+    across scheduled and observed events.  ``-1`` means the event was built
+    outside an engine run.
     """
 
     time: float
     seq: int = field(default=-1, kw_only=True, compare=False)
 
     def stamp(self, seq: int) -> None:
-        """Assign the calendar sequence number (events stay frozen otherwise)."""
+        """Assign the sequence number (events stay frozen otherwise)."""
         object.__setattr__(self, "seq", int(seq))
 
 

@@ -36,7 +36,7 @@ declares ``bitwise_resume`` (stationary methods, BiCGSTAB, GMRES at a cycle
 end; *not* CG, whose resume recomputes ``r = b - A x``).
 
 Because replayed states carry the recorded bits, every downstream decision —
-clock arithmetic, calendar postings, failure draws, checkpoint payload
+clock arithmetic, due times, failure draws, checkpoint payload
 bytes — is unchanged, and reports stay byte-identical with the cache on or
 off (pinned by the equivalence, golden-report and replay hypothesis
 suites).

@@ -10,9 +10,11 @@ failure-injection methodology that the original runner hard-wired:
 * **recovery levels** — where checkpoints live and therefore what a
   recovery costs: ``pfs`` always prices a parallel-file-system round trip
   (the paper's L4-only setup), ``fti`` walks the FTI level cycle of
-  :class:`~repro.checkpoint.multilevel.MultilevelCheckpointStore`, so most
+  :class:`~repro.checkpoint.multilevel.MultilevelPolicy`, so most
   checkpoints are cheap local/partner copies that may not survive a failure
-  (falling back to an older, safer checkpoint costs extra rollback).
+  (falling back to an older, safer checkpoint costs extra rollback).  The
+  engine keeps the levels on its own checkpoint ledger and draws survival
+  with :func:`~repro.checkpoint.multilevel.surviving_id`.
 
 Every scenario prices a checkpoint from the byte size of the serialized
 :class:`~repro.checkpoint.pipeline.CheckpointPipeline` payload it actually
@@ -49,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.axes import (  # the axis vocabularies, re-exported
     CAMPAIGN_FAILURE_MODELS,
     FAILURE_MODELS,
@@ -58,11 +58,10 @@ from repro.axes import (  # the axis vocabularies, re-exported
     STORE_BACKENDS,
     WRITE_MODES,
 )
-from repro.checkpoint.multilevel import MultilevelCheckpointStore, MultilevelPolicy
 from repro.checkpoint.store import OBJECT_PROFILE, STORE_PROFILES
 from repro.cluster.failures import FailureInjector, make_failure_model
 from repro.cluster.machine import ClusterModel
-from repro.utils.rng import SeedLike, default_rng, derive_seed
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "Scenario",
@@ -145,7 +144,7 @@ class Scenario:
             return cluster
         return replace(cluster, profile=_BACKEND_PROFILES[self.store_backend])
 
-    # -- factories -----------------------------------------------------------
+    # -- factory -------------------------------------------------------------
     def build_injector(
         self, mtti_seconds: Optional[float], seed: SeedLike
     ) -> FailureInjector:
@@ -157,33 +156,6 @@ class Scenario:
         )
         return FailureInjector(mtti_seconds, seed=seed, model=model)
 
-    def build_multilevel_store(
-        self,
-        seed: SeedLike,
-        *,
-        policy: Optional[MultilevelPolicy] = None,
-    ) -> Optional[MultilevelCheckpointStore]:
-        """The level bookkeeping for one run (``None`` under PFS-only recovery).
-
-        The store's survival draws get their own stream derived from the run
-        seed so they do not perturb the failure-arrival stream.  Every
-        ``SeedLike`` flavour yields a distinct, reproducible child seed —
-        collapsing non-int seeds to one constant would correlate the
-        survival outcomes of supposedly independent runs.
-        """
-        if not self.multilevel:
-            return None
-        if seed is None:
-            store_seed: SeedLike = None  # fresh entropy, like the injector
-        elif isinstance(seed, (int, np.integer)):
-            store_seed = derive_seed(int(seed), "multilevel")
-        else:
-            # SeedSequence / Generator: draw one child seed from it (the
-            # injector owns its own draws, so the streams stay distinct).
-            store_seed = derive_seed(
-                int(default_rng(seed).integers(0, 2**63 - 1)), "multilevel"
-            )
-        return MultilevelCheckpointStore(policy, seed=store_seed)
 
 #: The default regime: homogeneous Poisson failures, PFS-only recovery,
 #: blocking writes to the PFS.

@@ -1,17 +1,15 @@
-"""Tests for the FTI-style multilevel level bookkeeping."""
+"""Tests for the FTI-style multilevel policy and survival draw."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
-    MultilevelCheckpointStore,
     MultilevelPolicy,
+    surviving_id,
 )
-from repro.checkpoint.pipeline import CheckpointPipeline
-from repro.checkpoint.store import CheckpointStore
-from repro.core.schemes import CheckpointingScheme
-from repro.solvers.base import CheckpointSpec
 
 
 class TestMultilevelPolicy:
@@ -43,38 +41,19 @@ class TestMultilevelPolicy:
         )
 
 
-class TestMultilevelStore:
-    def test_record_assigns_levels_from_cycle(self):
-        policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL, CheckpointLevel.PFS])
-        store = MultilevelCheckpointStore(policy, seed=0)
-        assert store.record(0) is CheckpointLevel.LOCAL
-        assert store.record(1) is CheckpointLevel.PFS
-        assert store.level_of(0) is CheckpointLevel.LOCAL
-        assert store.level_of(1) is CheckpointLevel.PFS
+def _ledger(levels):
+    """A checkpoint ledger: id -> a record carrying only its FTI level."""
+    return {
+        checkpoint_id: SimpleNamespace(level=int(level))
+        for checkpoint_id, level in levels.items()
+    }
 
-    def test_delete_forgets_the_checkpoint(self):
-        store = MultilevelCheckpointStore(seed=0)
-        store.record(0)
-        store.record(1)
-        store.delete(0)
-        store.delete(7)  # absent: no-op
-        assert store.ids() == [1]
 
-    def test_holds_no_payload(self):
-        assert not isinstance(MultilevelCheckpointStore(), CheckpointStore)
-
-    def test_cost_multiplier_of(self):
-        policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL])
-        store = MultilevelCheckpointStore(policy, seed=0)
-        store.record(0)
-        assert store.cost_multiplier_of(0) == policy.cost_multiplier[CheckpointLevel.LOCAL]
-
+class TestSurvivingId:
     def test_pfs_checkpoint_always_survives(self):
         policy = MultilevelPolicy(cycle=[CheckpointLevel.PFS])
-        store = MultilevelCheckpointStore(policy, seed=1)
-        store.record(0)
-        store.record(1)
-        assert store.surviving_id() == 1
+        ledger = _ledger({0: CheckpointLevel.PFS, 1: CheckpointLevel.PFS})
+        assert surviving_id(ledger, policy, np.random.default_rng(1)) == 1
 
     def test_local_checkpoints_sometimes_lost(self):
         survival = {level: 1.0 for level in CheckpointLevel}
@@ -83,50 +62,26 @@ class TestMultilevelStore:
             cycle=[CheckpointLevel.PFS, CheckpointLevel.LOCAL],
             survival_probability=survival,
         )
-        store = MultilevelCheckpointStore(policy, seed=2)
-        store.record(0)
-        store.record(1)
+        ledger = _ledger({0: CheckpointLevel.PFS, 1: CheckpointLevel.LOCAL})
         # The newest (local) checkpoint never survives; recovery falls back to PFS.
-        assert store.surviving_id() == 0
+        assert surviving_id(ledger, policy, np.random.default_rng(2)) == 0
 
     def test_survival_draws_newest_first_over_ascending_ids(self):
-        """One draw per checkpoint, newest id first, whatever the record order."""
+        """One draw per checkpoint, newest id first, whatever the ledger order."""
         policy = MultilevelPolicy(cycle=[CheckpointLevel.LOCAL])
-        store = MultilevelCheckpointStore(policy, seed=5)
-        for checkpoint_id in (3, 0, 2):
-            store.record(checkpoint_id)
+        ledger = _ledger({i: CheckpointLevel.LOCAL for i in (3, 0, 2)})
         draws = np.random.default_rng(5).random(3)
         p = policy.survival_probability[CheckpointLevel.LOCAL]
         survivors = [i for i, u in zip((2, 0), draws[1:]) if u <= p]
         expected = 3 if draws[0] <= p else (survivors[0] if survivors else None)
-        assert store.surviving_id() == expected
+        assert surviving_id(ledger, policy, np.random.default_rng(5)) == expected
 
-    def test_no_checkpoints_returns_none(self):
-        store = MultilevelCheckpointStore(seed=0)
-        assert store.surviving_id() is None
+    def test_stops_drawing_at_the_first_survivor(self):
+        policy = MultilevelPolicy()
+        ledger = _ledger({0: CheckpointLevel.LOCAL, 1: CheckpointLevel.PFS})
+        rng = np.random.default_rng(3)
+        assert surviving_id(ledger, policy, rng) == 1
+        assert rng.random() == np.random.default_rng(3).random(2)[1]
 
-
-_CYCLE = [CheckpointLevel.LOCAL, CheckpointLevel.PARTNER, CheckpointLevel.PFS]
-
-
-class TestCycle:
-    """The policy cycle advances on new checkpoints only."""
-
-    def test_overwrite_keeps_level_and_cycle_position(self):
-        store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        store.record(0)
-        assert store.record(0) is CheckpointLevel.LOCAL
-        store.record(1)
-        assert store.level_of(0) is CheckpointLevel.LOCAL
-        assert store.level_of(1) is CheckpointLevel.PARTNER
-
-    def test_pipeline_commits_follow_the_cycle(self):
-        store = MultilevelCheckpointStore(MultilevelPolicy(cycle=list(_CYCLE)), seed=0)
-        x = np.linspace(1.0, 2.0, 256)
-        pipeline = CheckpointPipeline(
-            CheckpointingScheme.traditional(), spec=CheckpointSpec()
-        )
-        for iteration in range(4):
-            store.record(pipeline.snapshot(x, iteration=iteration).checkpoint_id)
-        levels = [store.level_of(i) for i in (0, 1, 2, 3)]
-        assert levels == _CYCLE + [_CYCLE[0]]
+    def test_empty_ledger_returns_none(self):
+        assert surviving_id({}, MultilevelPolicy(), np.random.default_rng(0)) is None

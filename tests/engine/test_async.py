@@ -259,7 +259,7 @@ class TestDrainSemantics:
         )
         engine.run()
         taken = engine.events.of_type(CheckpointTakenEvent)
-        cycle = engine._multilevel.policy.cycle
+        cycle = engine._policy.cycle
         assert len(taken) > len(cycle)
         for index, event in enumerate(taken):
             assert event.level == int(cycle[index % len(cycle)])

@@ -1,16 +1,16 @@
-"""Property-based determinism tests for the event-calendar engine.
+"""Property-based determinism tests for the engine's timeline.
 
-The calendar's contract is that a run is a pure function of its inputs:
+The timeline's contract is that a run is a pure function of its inputs:
 two engines built from the same configuration and seed must narrate the
 *identical* event sequence — same events, same times, same global sequence
-numbers (including every ``(time, seq)`` tie-break).  Hypothesis drives the
-configuration space (seed, MTTI, cadence, write mode, failure model) so the
-guarantee is exercised well beyond the handful of pinned fixtures.
+numbers.  Hypothesis drives the configuration space (seed, MTTI, cadence,
+write mode, failure model) so the guarantee is exercised well beyond the
+handful of pinned fixtures.
 
-A second suite drives :class:`~repro.engine.calendar.EventCalendar`
-directly: whatever mix of times (duplicates included) is posted, events pop
-in ``(time, seq)`` order, i.e. simultaneous events resolve in posting
-order.
+A second suite drives the async drain queue through whole runs with
+scripted drain durations (zero-second drains queued behind long ones
+included): drains complete in the order they were staged, and a drain a
+failure discarded never completes.
 
 Note that a recorded :class:`~repro.engine.events.EventLog` is *not*
 globally timestamp-sorted — async drain completions are recorded at the
@@ -19,7 +19,9 @@ stamps are strictly increasing: recording order is dispatch order.
 """
 
 import json
-import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,13 @@ from repro.cluster.machine import ClusterModel
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import FaultToleranceEngine, Scenario, run_failure_free
-from repro.engine.calendar import EventCalendar, EventKind
+from repro.engine.events import (
+    CheckpointDiscardedEvent,
+    CheckpointTakenEvent,
+    DrainCompletedEvent,
+    DrainStartedEvent,
+    FailureHitEvent,
+)
 from repro.solvers import JacobiSolver
 
 
@@ -111,49 +119,126 @@ class TestSameSeedSameTimeline:
         assert engine.events_processed > max(seqs)
 
 
-class TestCalendarOrdering:
-    @given(
-        times=st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=80,
+@dataclass
+class _ScriptedDrains(ClusterModel):
+    """A cluster whose drains take scripted durations (cycled), so a test can
+    queue zero-second drains behind long ones."""
+
+    script: Tuple[float, ...] = (0.0,)
+    drains: int = 0
+
+    def drain_seconds(self, compressed_bytes, *, write_cost_multiplier=1.0):
+        seconds = self.script[self.drains % len(self.script)]
+        self.drains += 1
+        return seconds
+
+
+def _drain_history(events):
+    """Replay a recorded log against a model FIFO queue.
+
+    Returns the ``(time, checkpoint_id)`` completions and the ids a failure
+    discarded, asserting on the way that every completion is the oldest
+    drain still queued and never a discarded one.  A discard recorded right
+    after a failure strike (and the drains it settles) is a dirty drain; a
+    capture-window discard is recorded before its strike.
+    """
+    queue = deque()
+    iteration_of = {}
+    completed, discarded = [], set()
+    after_strike = False
+    for event in events:
+        if isinstance(event, DrainStartedEvent):
+            queue.append(event.checkpoint_id)
+            iteration_of[event.checkpoint_id] = event.iteration
+        elif isinstance(event, DrainCompletedEvent):
+            assert event.checkpoint_id not in discarded
+            assert queue and queue.popleft() == event.checkpoint_id
+            completed.append((event.time, event.checkpoint_id))
+        elif isinstance(event, CheckpointDiscardedEvent) and after_strike and queue:
+            dropped = queue.popleft()
+            assert iteration_of[dropped] == event.iteration
+            discarded.add(dropped)
+        if isinstance(event, FailureHitEvent):
+            after_strike = True
+        elif not isinstance(
+            event, (DrainCompletedEvent, CheckpointTakenEvent, CheckpointDiscardedEvent)
+        ):
+            after_strike = False
+    assert not queue, "the end of the run settles every drain"
+    return completed, discarded
+
+
+class TestDrainQueue:
+    """Drains complete in the order they were staged, ties included, and a
+    drain a failure discarded never completes."""
+
+    @classmethod
+    def setup_class(cls):
+        from repro.sparse import poisson_system
+
+        cls.problem = poisson_system(8, seed=42)
+        cls.solver = JacobiSolver(cls.problem.A, rtol=1e-4, max_iter=100000)
+        cls.baseline = run_failure_free(cls.solver, cls.problem.b)
+
+    def _run(self, script, *, seed, mtti, interval, scheme):
+        cluster = _ScriptedDrains(num_processes=2048, script=tuple(script))
+        engine = FaultToleranceEngine(
+            self.solver,
+            self.problem.b,
+            scheme,
+            cluster=cluster,
+            scale=paper_scale(2048),
+            mtti_seconds=mtti,
+            checkpoint_interval_seconds=interval,
+            iteration_seconds=cluster.calibrated_iteration_time(
+                "jacobi", self.baseline.iterations
+            ),
+            baseline=self.baseline,
+            seed=seed,
+            scenario=Scenario(write_mode="async"),
+            record_events=True,
         )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pops_in_time_seq_order(self, times):
-        calendar = EventCalendar()
-        posted = [
-            calendar.post(time, EventKind.COMPUTE_PHASE_END, payload=index)
-            for index, time in enumerate(times)
-        ]
-        drained = list(calendar.pop_due(math.inf))
-        assert len(drained) == len(posted)
-        keys = [(event.time, event.seq) for event in drained]
-        assert keys == sorted(keys)
-        # Ties resolve in posting order: payload index tracks posting.
-        for earlier, later in zip(drained, drained[1:]):
-            if earlier.time == later.time:
-                assert earlier.payload < later.payload
+        report = engine.run()
+        return engine, report
 
     @given(
-        times=st.lists(
-            st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2, max_size=40
+        script=st.lists(
+            st.sampled_from([0.0, 0.0, 5.0, 90.0, 250.0]), min_size=1, max_size=6
         ),
-        cancel_every=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        mtti=st.sampled_from([None, 200.0, 600.0]),
+        interval=st.sampled_from([60.0, 120.0]),
+        lossy=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_cancelled_events_never_surface(self, times, cancel_every):
-        calendar = EventCalendar()
-        live = []
-        for index, time in enumerate(times):
-            event = calendar.post(time, EventKind.CHECKPOINT_DUE, payload=index)
-            if index % cancel_every == 0:
-                event.cancel()
-            else:
-                live.append(event)
-        drained = list(calendar.pop_due(math.inf))
-        assert [event.payload for event in drained] == sorted(
-            (event.payload for event in live),
-            key=lambda payload: (times[payload], payload),
+    @settings(max_examples=25, deadline=None)
+    def test_drains_complete_in_staging_order(self, script, seed, mtti, interval, lossy):
+        scheme = (
+            CheckpointingScheme.lossy(1e-4)
+            if lossy
+            else CheckpointingScheme.traditional()
         )
-        assert len(calendar) == 0
+        engine, report = self._run(
+            script, seed=seed, mtti=mtti, interval=interval, scheme=scheme
+        )
+        completed, discarded = _drain_history(engine.events)
+        times = [time for time, _ in completed]
+        ids = [checkpoint_id for _, checkpoint_id in completed]
+        assert times == sorted(times)
+        assert ids == sorted(ids)
+        assert len(discarded) == report.info["num_dirty_checkpoints"]
+        assert len(completed) == report.num_checkpoints
+
+    def test_zero_second_drains_tie_behind_a_long_one(self):
+        """A zero-second drain staged behind a long one ends at the same
+        instant; the queue still completes the older drain first."""
+        engine, _ = self._run(
+            (250.0, 0.0),
+            seed=0,
+            mtti=None,
+            interval=60.0,
+            scheme=CheckpointingScheme.traditional(),
+        )
+        completed, _ = _drain_history(engine.events)
+        times = [time for time, _ in completed]
+        assert len(set(times)) < len(times), "no two drains ended together"
+        assert [i for _, i in completed] == sorted(i for _, i in completed)

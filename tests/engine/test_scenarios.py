@@ -8,6 +8,7 @@ import pytest
 from repro.checkpoint.multilevel import (
     CheckpointLevel,
     MultilevelPolicy,
+    survival_rng,
 )
 from repro.cluster.failures import (
     BurstyFailureModel,
@@ -23,8 +24,8 @@ from repro.engine import run_failure_free
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
 from repro.engine import Scenario
-from repro.engine.events import CheckpointTakenEvent, RecoveryEvent
-from repro.utils.rng import default_rng
+from repro.engine.events import CheckpointTakenEvent, FailureHitEvent, RecoveryEvent
+from repro.utils.rng import default_rng, derive_seed
 from repro.solvers import JacobiSolver
 
 
@@ -217,21 +218,47 @@ class TestScenarioRuns:
         assert all(r.from_scratch for r in recoveries)
         assert report.converged
 
-    def test_fti_store_seed_distinct_per_run_seed(self):
-        import numpy as np
+    def test_fti_survival_rng_distinct_per_run_seed(self):
+        def draws(seed):
+            return list(survival_rng(seed).random(8))
 
-        scenario = Scenario(recovery_levels="fti")
-        # np.integer seeds must not collapse to one shared survival stream.
-        store_a = scenario.build_multilevel_store(np.int64(1))
-        store_b = scenario.build_multilevel_store(np.int64(2))
-        draws_a = [store_a._rng.random() for _ in range(8)]
-        draws_b = [store_b._rng.random() for _ in range(8)]
-        assert draws_a != draws_b
-        # ...and a plain int and its np.integer twin agree.
-        store_c = scenario.build_multilevel_store(2)
-        assert draws_b == [store_c._rng.random() for _ in range(8)]
-        assert scenario.build_multilevel_store(None) is not None
-        assert Scenario().build_multilevel_store(1) is None
+        # np.integer seeds must not collapse to one shared survival stream...
+        assert draws(np.int64(1)) != draws(np.int64(2))
+        # ...a plain int and its np.integer twin agree, on the pinned
+        # derivation...
+        assert draws(2) == draws(np.int64(2))
+        assert draws(2) == list(default_rng(derive_seed(2, "multilevel")).random(8))
+        # ...and a SeedSequence gives the same stream every time.
+        assert draws(np.random.SeedSequence(5)) == draws(np.random.SeedSequence(5))
+        assert survival_rng(None) is not None
+
+    def test_fti_survival_rng_draws_nothing_from_a_generator_seed(self):
+        generator = default_rng(7)
+        state = generator.bit_generator.state
+        survival_rng(generator).random(8)
+        assert generator.bit_generator.state == state
+
+    def test_fti_and_pfs_see_the_same_arrivals_under_a_generator_seed(
+        self, scenario_setup
+    ):
+        """The survival stream must not shift the failure arrivals: blocking
+        strikes land at the arrival times, so both runs' strikes agree on
+        their common prefix."""
+        arrivals = {}
+        for levels in ("pfs", "fti"):
+            engine, _ = _run(
+                scenario_setup,
+                CheckpointingScheme.lossy(1e-4),
+                Scenario(recovery_levels=levels),
+                seed=default_rng(7),
+                record_events=True,
+            )
+            arrivals[levels] = [
+                event.time for event in engine.events.of_type(FailureHitEvent)
+            ]
+        common = min(len(times) for times in arrivals.values())
+        assert common >= 3
+        assert arrivals["fti"][:common] == arrivals["pfs"][:common]
 
     def test_fti_retention_bounded_and_deterministic(self, scenario_setup):
         scenario = Scenario(recovery_levels="fti")
@@ -241,10 +268,9 @@ class TestScenarioRuns:
         # Records older than the newest certain-survival (PFS) checkpoint are
         # unreachable fallbacks and get pruned, bounding retention at one
         # level cycle.
-        cycle_length = len(engine._multilevel.policy.cycle)
+        cycle_length = len(engine._policy.cycle)
         assert report.num_checkpoints > cycle_length
         assert len(engine._state.records) <= cycle_length
-        assert len(engine._multilevel.ids()) <= cycle_length
         _, again = _run(
             scenario_setup, CheckpointingScheme.lossy(1e-4), scenario, seed=23
         )

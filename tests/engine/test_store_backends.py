@@ -329,7 +329,7 @@ class TestOneLevelRule:
         profile = _RecordingProfile(engine.cluster.profile)
         engine.cluster = replace(engine.cluster, profile=profile)
         engine.run()
-        multipliers = engine._multilevel.policy.cost_multiplier
+        multipliers = engine._policy.cost_multiplier
         taken = [e for e in engine.events if isinstance(e, CheckpointTakenEvent)]
         assert {e.level for e in taken} >= {1, 2}
         for event in taken:
