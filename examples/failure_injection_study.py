@@ -6,7 +6,7 @@ the solver under injected failures (MTTI = 1 hour) with each checkpointing
 scheme at its Young-optimal interval on the simulated 2,048-process cluster,
 and compare the measured fault-tolerance overheads.
 
-Run:  python examples/failure_injection_study.py [jacobi|gmres|cg]
+Run:  python examples/failure_injection_study.py [jacobi|gmres|cg|bicgstab]
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from repro.checkpoint.serialization import (
     CheckpointPayload,
 )
 from repro.checkpoint.store import (
-    FAILURE_SCOPES,
     STORE_PROFILES,
     CheckpointStore,
     FileCheckpointStore,
@@ -61,7 +60,6 @@ __all__ = [
     "ChunkedStore",
     "StoreProfile",
     "WriteReceipt",
-    "FAILURE_SCOPES",
     "STORE_PROFILES",
     "DEFAULT_CHUNK_SIZE",
     "chunk_digest",

@@ -32,11 +32,7 @@ import hashlib
 import json
 from typing import Dict, List, Tuple
 
-from repro.checkpoint.store import (
-    CheckpointStore,
-    StoreProfile,
-    WriteReceipt,
-)
+from repro.checkpoint.store import CheckpointStore, WriteReceipt
 
 __all__ = ["ChunkedStore", "DEFAULT_CHUNK_SIZE", "chunk_digest"]
 
@@ -254,11 +250,7 @@ class ChunkedStore(CheckpointStore):
     def has_chunked_blob(self, key: str) -> bool:
         return self.base.has_blob(_MANIFEST_BLOB_PREFIX + str(key))
 
-    # -- profile & stats ---------------------------------------------------
-    @property
-    def profile(self) -> StoreProfile:
-        return self.base.profile
-
+    # -- stats -------------------------------------------------------------
     def dedup_stats(self) -> Dict[str, float]:
         """Cumulative write-traffic dedup over this store's lifetime."""
         return {

@@ -1,11 +1,7 @@
 """Checkpoint persistence back ends behind one ``CheckpointStore`` protocol.
 
 A :class:`CheckpointStore` persists opaque checkpoint payloads keyed by an
-integer checkpoint id.  Every backend also carries a :class:`StoreProfile` —
-the latency / bandwidth / durability envelope the engine uses to *price*
-writes, reads, and asynchronous drains against the modeled cluster.
-
-Concrete back ends:
+integer checkpoint id.  Concrete back ends:
 
 * :class:`MemoryCheckpointStore` — keeps payloads in RAM.
 * :class:`FileCheckpointStore` — one file per checkpoint under a directory,
@@ -13,16 +9,18 @@ Concrete back ends:
   land in a same-directory temp file, are fsynced, and are published with an
   atomic ``os.replace`` followed by a directory fsync.
 * :class:`SimulatedObjectStore` — an in-memory stand-in for a remote object
-  store (high latency, modest bandwidth, system-scope durability) whose
-  profile the engine prices; it also counts PUT/GET/DELETE operations the
-  way an object-store bill would.
+  store that counts PUT/GET/DELETE operations the way an object-store bill
+  would.
 
-The fault-tolerance engine builds none of them: it prices a checkpoint
-through the selected backend's profile
-(:class:`~repro.cluster.machine.ClusterModel`) and keeps the payload in its
-own record.  The stores are the library that standalone
+What a write, read or asynchronous drain *costs* is a separate matter: a
+:class:`StoreProfile` (latency / bandwidth envelope) prices it, and the
+built-in profiles (:data:`STORE_PROFILES`) describe the PFS, node memory,
+node-local disk and an object store.  The fault-tolerance engine builds no
+store: it prices a checkpoint through the profile of the scenario's backend
+(``ClusterModel.profile``, set by ``Scenario.priced_on``) and keeps the
+payload in its own record.  The stores are the library that standalone
 :class:`~repro.checkpoint.pipeline.CheckpointPipeline` users and the
-storage benchmarks perform real I/O with.
+checkpoint-stream benchmark perform real I/O with.
 
 :class:`~repro.checkpoint.chunked.ChunkedStore` wraps any of these with
 content-addressed chunk dedup via the blob API (:meth:`put_blob` et al.),
@@ -36,12 +34,11 @@ import abc
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.utils.validation import check_nonnegative
 
 __all__ = [
-    "FAILURE_SCOPES",
     "StoreProfile",
     "WriteReceipt",
     "CheckpointStore",
@@ -59,14 +56,10 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 _GIB = 1024**3
 
-#: Failure scopes a checkpoint may need to survive, narrowest first.  A store
-#: whose durability covers scope ``s`` also covers every narrower scope.
-FAILURE_SCOPES: Tuple[str, ...] = ("process", "node", "system")
-
 
 @dataclass(frozen=True)
 class StoreProfile:
-    """Latency / bandwidth / durability envelope of a checkpoint store.
+    """Latency / bandwidth envelope of a checkpoint store.
 
     The one storage-cost algebra: moving ``nbytes`` between
     ``num_processes`` ranks and the store costs ``latency +
@@ -77,9 +70,7 @@ class StoreProfile:
     *compressed* checkpoint times growing with scale in Figures 4-6 even
     though the payload is tiny.  An asynchronous drain only sees
     ``async_bandwidth_fraction`` of the write bandwidth: a background flush
-    contends with the running application's own traffic.  ``durability``
-    names the widest failure scope (:data:`FAILURE_SCOPES`) that data in
-    this store survives.
+    contends with the running application's own traffic.
     """
 
     name: str
@@ -88,7 +79,6 @@ class StoreProfile:
     latency: float = 0.5
     per_process_overhead: float = 0.008
     async_bandwidth_fraction: float = 0.7
-    durability: str = "system"
 
     def __post_init__(self) -> None:
         if self.write_bandwidth <= 0 or self.read_bandwidth <= 0:
@@ -97,10 +87,6 @@ class StoreProfile:
             raise ValueError("latency and per-process overhead must be >= 0")
         if not (0.0 < self.async_bandwidth_fraction <= 1.0):
             raise ValueError("async_bandwidth_fraction must be in (0, 1]")
-        if self.durability not in FAILURE_SCOPES:
-            raise ValueError(
-                f"durability must be one of {FAILURE_SCOPES}, got {self.durability!r}"
-            )
 
     # -- pricing -------------------------------------------------------------
     def _transfer_seconds(
@@ -140,11 +126,9 @@ PFS_PROFILE = StoreProfile(
     latency=0.5,
     per_process_overhead=0.008,
     async_bandwidth_fraction=0.7,
-    durability="system",
 )
 
-#: Node-RAM staging: enormous bandwidth, near-zero latency, but the payload
-#: dies with the process.
+#: Node-RAM staging: enormous bandwidth, near-zero latency.
 MEMORY_PROFILE = StoreProfile(
     name="memory",
     write_bandwidth=100.0 * PFS_PROFILE.write_bandwidth,
@@ -152,11 +136,9 @@ MEMORY_PROFILE = StoreProfile(
     latency=0.001,
     per_process_overhead=0.0001,
     async_bandwidth_fraction=0.9,
-    durability="process",
 )
 
-#: Node-local disk (SSD burst buffer): faster than the PFS, survives a process
-#: crash but not the loss of the node.
+#: Node-local disk (SSD burst buffer): faster than the PFS.
 DISK_PROFILE = StoreProfile(
     name="disk",
     write_bandwidth=20.0 * PFS_PROFILE.write_bandwidth,
@@ -164,11 +146,10 @@ DISK_PROFILE = StoreProfile(
     latency=0.01,
     per_process_overhead=0.001,
     async_bandwidth_fraction=0.8,
-    durability="node",
 )
 
-#: Remote object store: system-scope durable like the PFS but with much higher
-#: per-request latency and lower streaming bandwidth.
+#: Remote object store: much higher per-request latency and lower streaming
+#: bandwidth than the PFS.
 OBJECT_PROFILE = StoreProfile(
     name="object",
     write_bandwidth=0.5 * PFS_PROFILE.write_bandwidth,
@@ -176,7 +157,6 @@ OBJECT_PROFILE = StoreProfile(
     latency=4.0,
     per_process_overhead=0.012,
     async_bandwidth_fraction=0.9,
-    durability="system",
 )
 
 #: Built-in profiles by name.
@@ -227,12 +207,6 @@ class CheckpointStore(abc.ABC):
     def delete(self, checkpoint_id: int) -> None:
         """Remove a checkpoint (no-op if absent)."""
 
-    # -- profile & durability ---------------------------------------------
-    @property
-    def profile(self) -> StoreProfile:
-        """The latency/bandwidth/durability envelope used to price this store."""
-        return PFS_PROFILE
-
     # -- auxiliary blob namespace -----------------------------------------
     # Chunk pools and level replicas live beside the integer-keyed
     # checkpoints without colliding with them.  Backends that cannot hold
@@ -261,14 +235,9 @@ class CheckpointStore(abc.ABC):
 class MemoryCheckpointStore(CheckpointStore):
     """In-memory checkpoint store (payloads held as byte strings)."""
 
-    def __init__(self, profile: StoreProfile = MEMORY_PROFILE) -> None:
+    def __init__(self) -> None:
         self._data: Dict[int, bytes] = {}
         self._blobs: Dict[str, bytes] = {}
-        self._profile = profile
-
-    @property
-    def profile(self) -> StoreProfile:
-        return self._profile
 
     def write(self, checkpoint_id: int, payload: bytes) -> WriteReceipt:
         start = time.perf_counter()
@@ -319,16 +288,9 @@ class FileCheckpointStore(CheckpointStore):
 
     _BLOB_DIR = "blobs"
 
-    def __init__(
-        self, directory: PathLike, profile: StoreProfile = DISK_PROFILE
-    ) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._profile = profile
-
-    @property
-    def profile(self) -> StoreProfile:
-        return self._profile
 
     def _path(self, checkpoint_id: int) -> str:
         return os.path.join(self.directory, f"ckpt_{int(checkpoint_id):08d}.bin")
@@ -419,15 +381,12 @@ class FileCheckpointStore(CheckpointStore):
 class SimulatedObjectStore(MemoryCheckpointStore):
     """In-memory stand-in for a remote object store.
 
-    Holds real bytes like :class:`MemoryCheckpointStore` but reports the
-    :data:`OBJECT_PROFILE` envelope (high latency, modest bandwidth,
-    system-scope durability) so the engine prices it like S3-over-WAN, and
-    tallies PUT/GET/DELETE operation counts the way an object-store bill
-    would.
+    Holds real bytes like :class:`MemoryCheckpointStore` and tallies
+    PUT/GET/DELETE operation counts the way an object-store bill would.
     """
 
-    def __init__(self, profile: StoreProfile = OBJECT_PROFILE) -> None:
-        super().__init__(profile)
+    def __init__(self) -> None:
+        super().__init__()
         self.op_counts: Dict[str, int] = {"put": 0, "get": 0, "delete": 0}
 
     def write(self, checkpoint_id: int, payload: bytes) -> WriteReceipt:

@@ -74,7 +74,7 @@ SHARD_SIZE = 1 << 20
 
 #: Coded bytes (summed size of the shards that enter the codec) a frame
 #: needs before shard compression fans out over threads.  Chosen from the
-#: ``threads_sweep`` of ``benchmarks/test_bench_pipeline.py`` — lossless
+#: ``threads_sweep`` of a since-deleted pipeline microbenchmark — lossless
 #: float64 vectors, a quarter of whose bytes are coded (the mantissa planes
 #: ship raw); MiB/s of input at 1 thread vs 2 threads with fan-out forced,
 #: 2-CPU host, best of 5, range of the ratio over three runs:

@@ -21,7 +21,7 @@ planes.  This reproduction keeps the same structure at reduced complexity:
 Pointwise-relative bounds are supported through the same logarithmic
 transform the SZ-like compressor uses, so the checkpointing layer can swap
 SZ-like and ZFP-like compressors freely (the compressor-family ablation in
-``benchmarks/test_bench_ablation_compressors.py``).
+``tests/experiments/test_ablations.py``).
 
 Payloads carry ``format_version`` in their metadata; the reader accepts
 exactly the version this writer stamps and rejects any other (an older

@@ -17,7 +17,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.serialization import deserialize_checkpoint
 from repro.compression import make_compressor
-from repro.compression.base import CompressionRecord
+from repro.compression.base import CompressedBlob, CompressionRecord
 from repro.compression.errorbounds import (
     FixedBoundPolicy,
     ResidualAdaptiveBoundPolicy,
@@ -25,6 +25,7 @@ from repro.compression.errorbounds import (
 )
 from repro.compression.identity import IdentityCompressor
 from repro.compression.lossless import ZlibCompressor
+from repro.compression.sharded import SHARDED_FORMAT_VERSION
 from repro.compression.sz import SZCompressor
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -492,6 +493,51 @@ class TestMeasurement:
         assert {m.name for m in snap.vector_measurements} == {"x"}
         restored = pipeline.restore(payload=snap.payload)
         assert restored.resume_state is None
+
+
+#: Every scheme a pipeline is built for, by name.
+ALL_SCHEMES = {
+    **EXACT_SCHEMES,
+    "lossy": lambda: CheckpointingScheme.lossy(1e-4),
+    "lossy-adaptive": lambda: CheckpointingScheme.lossy(1e-4, adaptive=True),
+    "lossy-zfp": lambda: CheckpointingScheme.lossy(1e-4, compressor="zfp"),
+}
+
+
+@pytest.fixture(scope="module")
+def poisson_20():
+    return poisson_system(20, seed=42)
+
+
+class TestSchemeSolverMatrix:
+    @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
+    @pytest.mark.parametrize("method", sorted(SOLVER_FACTORIES))
+    def test_round_trip_and_payload_version(self, poisson_20, method, scheme_name):
+        """A mid-run state of every solver restores under every scheme."""
+        solver = SOLVER_FACTORIES[method](poisson_20.A)
+        state = _mid_run_state(solver, poisson_20.b, iterations=25)
+        scheme = ALL_SCHEMES[scheme_name]()
+        pipeline = CheckpointPipeline(scheme, solver=solver)
+        snap = pipeline.snapshot(
+            state.x,
+            iteration=state.iteration,
+            resume_state=(
+                solver.capture_resume_state(state) if scheme.checkpoint_krylov_state else None
+            ),
+            residual_norm=state.residual_norm,
+            b_norm=float(np.linalg.norm(poisson_20.b)),
+        )
+        assert snap.serialized_bytes > 0
+        assert pipeline.restore(payload=snap.payload).x.shape == state.x.shape
+        entries = deserialize_checkpoint(snap.payload).entries.values()
+        version = max(
+            (e.format_version for e in entries if isinstance(e, CompressedBlob)), default=0
+        )
+        # Compressing schemes write sharded v2 payloads; traditional stores raw.
+        if scheme_name == "traditional":
+            assert version < SHARDED_FORMAT_VERSION
+        else:
+            assert version == SHARDED_FORMAT_VERSION == 2
 
 
 #: SHA-256 of exact payloads (CG and Jacobi on ``poisson_small`` after 12

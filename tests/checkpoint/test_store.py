@@ -4,11 +4,8 @@ import os
 
 import pytest
 
+from repro.checkpoint.chunked import ChunkedStore
 from repro.checkpoint.store import (
-    DISK_PROFILE,
-    FAILURE_SCOPES,
-    MEMORY_PROFILE,
-    OBJECT_PROFILE,
     PFS_PROFILE,
     STORE_PROFILES,
     FileCheckpointStore,
@@ -20,12 +17,15 @@ from repro.checkpoint.multilevel import MultilevelPolicy
 from repro.cluster.machine import ClusterModel
 
 
-@pytest.fixture(params=["memory", "file", "object"])
+@pytest.fixture(params=["memory", "file", "object", "chunked"])
 def store(request, tmp_path):
+    """Every backend the engine can pick, behind the one store contract."""
     if request.param == "memory":
         return MemoryCheckpointStore()
     if request.param == "object":
         return SimulatedObjectStore()
+    if request.param == "chunked":
+        return ChunkedStore(MemoryCheckpointStore(), chunk_size=4)
     return FileCheckpointStore(tmp_path / "ckpts")
 
 
@@ -112,12 +112,6 @@ class TestStoreProfile:
             if profile.async_bandwidth_fraction < 1.0:
                 assert profile.drain_seconds(1e9) > profile.write_seconds(1e9)
 
-    def test_durability_of_builtin_profiles(self):
-        assert MEMORY_PROFILE.durability == "process"
-        assert DISK_PROFILE.durability == "node"
-        assert PFS_PROFILE.durability == OBJECT_PROFILE.durability == "system"
-        assert FAILURE_SCOPES == ("process", "node", "system")
-
     def test_scaled_multiplies_cost_exactly(self):
         """The one level rule: a level costs its multiplier times the profile's
         seconds — ``==``, for every built-in profile and every FTI level."""
@@ -158,10 +152,6 @@ class TestStoreProfile:
             StoreProfile(name="bad", write_bandwidth=0.0, read_bandwidth=1.0)
         with pytest.raises(ValueError):
             StoreProfile(name="bad", write_bandwidth=1.0, read_bandwidth=1.0, latency=-1)
-        with pytest.raises(ValueError):
-            StoreProfile(
-                name="bad", write_bandwidth=1.0, read_bandwidth=1.0, durability="nope"
-            )
 
 
 class TestSimulatedObjectStore:

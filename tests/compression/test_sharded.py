@@ -20,6 +20,7 @@ from repro.compression.sharded import (
     decompress_sections,
     resolve_threads,
 )
+from repro.core.schemes import CheckpointingScheme
 
 
 def _sections(seed, sizes):
@@ -175,6 +176,47 @@ class TestFanOutRule:
         assert compress_sections(sections) == reference
         with pytest.raises(_PoolBuilt):
             compress_sections(sections, threads=8)
+
+
+class TestRealThreshold:
+    """The fan-out rule at the shipped :data:`FANOUT_MIN_CODED_BYTES`, unpatched."""
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            CheckpointingScheme.lossless(),
+            CheckpointingScheme.lossy(1e-4),
+            CheckpointingScheme.lossy(1e-4, compressor="zfp"),
+        ],
+        ids=["lossless", "lossy-sz", "lossy-zfp"],
+    )
+    def test_two_mib_checkpoint_vector_never_fans_out(self, monkeypatch, scheme):
+        # Smooth field plus small noise, the shape of a solver iterate: the
+        # lossless frame codes its exponent planes, a quarter of the input,
+        # and the lossy frames code less still.
+        grid = 1e-3 * np.arange((2 << 20) // 8)
+        vector = 3.0 + np.sin(grid) + np.random.default_rng(2018).normal(0.0, 1e-3, grid.size)
+        compressor = scheme.compressor()
+        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "1")
+        reference = compressor.compress(vector).payload
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
+        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "8")
+        assert compressor.compress(vector).payload == reference
+
+    def test_smallest_fanning_frame_keeps_its_bytes(self, monkeypatch):
+        # One section of coded runs, exactly the threshold in size.
+        (section,) = _sections(25, [("runs", sharded.FANOUT_MIN_CODED_BYTES)])
+        reference = compress_sections([section], threads=1)
+        pools = []
+        real_pool = sharded.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", counting_pool)
+        assert compress_sections([section], threads=2) == reference
+        assert len(pools) == 1
 
 
 class TestFormatErrors:

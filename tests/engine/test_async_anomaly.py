@@ -1,6 +1,6 @@
 """Regression tests for the traditional-poisson-async failure explosion.
 
-An early ``BENCH_runner.json`` run recorded **2,455 failures** (vs 54 in
+An early engine-microbenchmark run recorded **2,455 failures** (vs 54 in
 blocking mode) for the traditional scheme under the two-channel timeline.
 The mechanism was a self-reinforcing cascade:
 
@@ -37,7 +37,7 @@ from repro.engine.events import (
 )
 from repro.solvers import JacobiSolver
 
-#: Expected failure-count ceiling per BENCH_runner series, ~1.5x headroom
+#: Expected failure-count ceiling per engine regime, ~1.5x headroom
 #: over the observed post-fix counts (54 / 16 / 16 / 131 / 16 at seed 2018,
 #: in the order below).  The pre-fix traditional-poisson-async run consumed
 #: 2,455 failures — any regression of the cascade blows straight through
@@ -81,7 +81,7 @@ _SERIES = {
 
 @pytest.fixture(scope="module")
 def bench_setup(poisson_small):
-    """The exact BENCH_runner configuration (paper scale, MTTI 300 s)."""
+    """The engine regimes' configuration (paper scale, MTTI 300 s)."""
     solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100000)
     baseline = run_failure_free(solver, poisson_small.b)
     cluster = ClusterModel(num_processes=2048)

@@ -110,6 +110,8 @@ class TestEngineBackends:
         assert report.converged
         assert report.num_failures == 2
         assert report.info["store_backend"] == backend
+        # Only the chunked backend dedups; the others ship every logical byte.
+        assert ("dedup_ratio" in report.info) == (backend == "chunked")
 
     def test_default_backend_reports_no_store_keys(self, backend_setup):
         scenario = Scenario(

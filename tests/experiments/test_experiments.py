@@ -38,6 +38,10 @@ class TestFig1:
         assert all(np.diff(row) > 0)
         column = [r[3] for r in result.overhead_fraction]
         assert all(np.diff(column) > 0)
+        # Monotone along every row, and the far corners ordered.
+        for row in result.overhead_fraction:
+            assert all(b >= a for a, b in zip(row, row[1:]))
+        assert result.at(3.5, 140.0) > result.at(0.25, 10.0)
 
     def test_table_renders(self):
         assert "Figure 1" in fig1_table(run_fig1())

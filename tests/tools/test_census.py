@@ -366,13 +366,15 @@ class TestArtefacts:
         assert examples and listed == examples
         assert set(census.EXAMPLE_ARGS) <= examples
 
-    def test_the_two_benchmark_runs_split_every_bench_file(self, artefacts):
-        benches = sorted(
-            str(path.relative_to(ROOT)) for path in ROOT.glob("benchmarks/test_bench_*.py")
-        )
+    def test_the_claim_runs_cover_every_claim_module(self, artefacts):
         runs = [argvs for name, (_, argvs) in artefacts.items()
-                if name.startswith("benchmarks, half")]
-        assert len(runs) == 2
-        files = [arg for (argv,) in runs for arg in argv if arg.startswith("benchmarks/")]
-        assert sorted(files) == benches
-        assert all("--benchmark-disable" in argv for (argv,) in runs)
+                if name.startswith("paper claims, part")]
+        assert len(runs) == len(census.CLAIM_TESTS) == 2
+        files = [arg.split("::")[0] for (argv,) in runs for arg in argv
+                 if arg.startswith(("tests/", "benchmarks/"))]
+        assert len(files) == len(set(files))
+        assert all((ROOT / name).is_file() for name in files)
+        # Every test module left under benchmarks/ is a claim test.
+        assert {
+            str(path.relative_to(ROOT)) for path in ROOT.glob("benchmarks/test_*.py")
+        } <= set(files)

@@ -9,9 +9,9 @@ every function of ``src/repro`` that ran.  The artefacts are:
 * the checkpoint stream ``benchmarks/e2e/ckpt_stream.py --trace`` at each
   workload's stream size, and the benchmark's host probe;
 * every example in ``examples/``;
-* ``benchmarks/test_bench_*.py`` with ``--benchmark-disable``: the paper
-  figure/table/ablation benchmarks and the pipeline/runner/store
-  microbenchmarks.
+* the paper-claim tests (:data:`CLAIM_TESTS`): Figures 1-9, Table 3 and the
+  ablations under ``tests/experiments/``, and Figure 10's pooled verdicts in
+  ``benchmarks/test_bench_fig10.py``.
 
 A public function or class (see :func:`public_units`) that no artefact
 reaches must be named, with its reason, in ``tools/census_allow.txt``;
@@ -53,10 +53,24 @@ ALLOW_LIST = Path(__file__).with_name("census_allow.txt")
 #: Why a public function may stay unreached: every allow-list entry names one.
 REASONS = ("oracle", "generator", "bench-pinned", "inverse", "observability")
 
-#: Arguments of the examples that take some (as the CI job runs them).
-EXAMPLE_ARGS = {"reproduce_paper.py": ["--small", "--no-cache", "--workers", "1"]}
+#: Arguments of the examples that take some.  The failure-injection study
+#: runs BiCGSTAB, the one method no preset or paper figure uses.
+EXAMPLE_ARGS = {
+    "reproduce_paper.py": ["--small", "--no-cache", "--workers", "1"],
+    "failure_injection_study.py": ["bicgstab"],
+}
 #: Seed of the benchmark workloads' specs (``run.py --seed`` default).
 SEED = 2018
+#: The paper-claim tests, as two runs of similar length.  Figure 1's claim
+#: shares its call with the harness test that asserts it.
+CLAIM_TESTS = (
+    (
+        "tests/experiments/test_experiments.py::TestFig1",
+        "tests/experiments/test_paper_claims.py",
+        "tests/experiments/test_ablations.py",
+    ),
+    ("benchmarks/test_bench_fig10.py",),
+)
 
 
 # -- the tracer (runs inside each artefact's interpreter) ----------------------
@@ -138,22 +152,15 @@ def _artefacts(work: Path) -> List[Tuple[str, Path, List[List[str]]]]:
     for script in sorted((ROOT / "examples").glob("*.py")):
         argv = [str(script), *EXAMPLE_ARGS.get(script.name, [])]
         runs.append((f"example {script.name}", work, [argv]))
-    benches = sorted(
-        str(path.relative_to(ROOT)) for path in ROOT.glob("benchmarks/test_bench_*.py")
-    )
-    for index in (0, 1):
-        argv = ["-m", "pytest", *benches[index::2], "-q", "-p", "no:cacheprovider",
-                "--benchmark-disable"]
-        runs.append((f"benchmarks, half {index + 1}", ROOT, [argv]))
+    for index, modules in enumerate(CLAIM_TESTS, 1):
+        argv = ["-m", "pytest", *modules, "-q", "-p", "no:cacheprovider"]
+        runs.append((f"paper claims, part {index}", ROOT, [argv]))
     return runs
 
 
 def _run(name: str, cwd: Path, argvs: List[List[str]], work: Path) -> Tuple[str, float]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    # The microbenchmarks write their result documents here, not in the checkout.
-    for bench in ("PIPELINE", "RUNNER", "STORE"):
-        env[f"BENCH_{bench}_JSON"] = str(work / f"BENCH_{bench.lower()}.json")
     # Artefacts run side by side; BLAS threads on top of that oversubscribe
     # a small host by 3-10x.  Reachability does not depend on them.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
