@@ -208,7 +208,14 @@ def _problem_key(cell) -> Tuple:
 
 
 def _scheme_key(cell) -> Tuple:
-    """The part of a cell that additionally determines its characterization."""
+    """The part of a cell that additionally determines its characterization.
+
+    Only the lossy scheme reads the compressor, error-bound and policy axes
+    (:func:`_build_scheme`); an exact scheme's key holds ``None`` there, so
+    it is characterized once per problem whatever those axes sweep.
+    """
+    if cell.scheme != "lossy":
+        return _problem_key(cell) + (cell.scheme, None, None, None, None)
     return _problem_key(cell) + (
         cell.scheme,
         cell.compressor,

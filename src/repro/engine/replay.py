@@ -24,16 +24,28 @@ Replay
 A cache hit replays the recorded per-iteration residual norms through the
 engine's compute callback as lazy :class:`_ReplayState` objects.  Scalars
 and flags (``converged``, ``cycle_end``, ``rho`` …) are recorded per
-iteration; full vector state is only retained at the snapshots the engine
-actually captured at checkpoint boundaries.  When a replay needs a boundary
-the recording did not capture (failure arrivals land at arbitrary
-iterations, and different scenarios place checkpoints differently), the
-state is *materialized* by numeric catch-up from the nearest recorded
-snapshot whose resume is provably bitwise — the phase start always
-qualifies (re-executing the identical call is deterministic), mid-phase
-snapshots only for solvers whose :class:`~repro.solvers.base.CheckpointSpec`
-declares ``bitwise_resume`` (stationary methods, BiCGSTAB, GMRES at a cycle
-end; *not* CG, whose resume recomputes ``r = b - A x``).
+iteration; which full vector states a recording retains depends on whether
+the solver can resume bitwise mid-phase (its
+:class:`~repro.solvers.base.CheckpointSpec`):
+
+* **Boundary-only** (``bitwise_resume`` and not ``restart_boundary_only``:
+  stationary methods, BiCGSTAB): the states the engine captured at
+  checkpoint boundaries, the phase's end state, and any state later
+  materialized.  A boundary the recording did not capture (failure arrivals
+  land at arbitrary iterations, and different scenarios place checkpoints
+  differently) is *materialized* by a short numeric catch-up from the
+  nearest retained snapshot — every snapshot is a bitwise resume point.
+* **Dense** (every other solver: CG, whose resume recomputes
+  ``r = b - A x``, and GMRES, which resumes bitwise only at cycle ends): a
+  phase that starts a solve — iteration 0, no resume state, i.e. the
+  failure-free trajectory every run of a problem and every characterization
+  begins with — retains *every* emitted state, so a replayed boundary reads
+  its state instead of re-solving it from the phase start.  The dense
+  states of one recording are bounded by a share of the cache's byte budget
+  (:data:`_DENSE_SHARE`); past it, and in phases that resume mid-trajectory,
+  the recording falls back to boundary-only snapshots, and catch-up
+  re-executes from the phase start (GMRES: from the nearest retained cycle
+  end).
 
 Because replayed states carry the recorded bits, every downstream decision —
 clock arithmetic, due times, failure draws, checkpoint payload
@@ -90,6 +102,11 @@ _OFF_VALUES = {"0", "off", "false", "no", "disabled"}
 
 #: Fixed per-step bookkeeping estimate (list slot, dataclass, small dict).
 _STEP_OVERHEAD_BYTES = 120
+
+#: A dense recording retains every emitted state while those states fit in
+#: ``1/_DENSE_SHARE`` of its cache's byte budget (32 MiB of the default
+#: 256 MiB); later states are retained at checkpoint boundaries only.
+_DENSE_SHARE = 8
 
 
 def replay_enabled(override: Optional[bool] = None) -> bool:
@@ -191,7 +208,8 @@ class TrajectoryRecording:
       iterations (foreign solver); never replayed.
 
     ``snapshots`` maps phase-local iteration indices (1-based) to the full
-    :class:`IterationState` captured there — the states the engine saw at
+    :class:`IterationState` captured there — every emitted state of a dense
+    recording (up to its byte bound), the states the engine saw at
     checkpoint boundaries, the phase's end state, and any state later
     materialized by catch-up.
     """
@@ -449,11 +467,17 @@ class _PhaseRecorder:
 
     ``base_local`` is 0 for a fresh recording and the existing step count
     when a numeric continuation extends an interrupted recording in place.
+    ``dense_bytes`` is how many bytes of emitted states the recording may
+    retain besides its boundary snapshots (0: boundary-only); the first
+    state that does not fit ends dense retention for the phase.
     """
 
-    def __init__(self, rec: TrajectoryRecording, base_local: int) -> None:
+    def __init__(
+        self, rec: TrajectoryRecording, base_local: int, dense_bytes: int = 0
+    ) -> None:
         self.rec = rec
         self.base = int(base_local)
+        self.dense_bytes = int(dense_bytes)
         self.last_state: Optional[IterationState] = None
         self.result: Optional[SolveResult] = None
 
@@ -473,6 +497,13 @@ class _PhaseRecorder:
             )
         )
         self.last_state = it_state
+        if self.dense_bytes > 0:
+            nbytes = _state_bytes(it_state)
+            if nbytes > self.dense_bytes:
+                self.dense_bytes = 0
+            else:
+                self.dense_bytes -= nbytes
+                self.rec.snapshots[len(self.rec.steps)] = _copy_state(it_state)
 
     def on_result(self, result: SolveResult) -> None:
         self.result = result
@@ -659,7 +690,7 @@ class ReplaySession:
         )
 
     def note_boundary_state(self, it_state) -> None:
-        """Engine hook: a checkpoint boundary saw this state.
+        """A checkpoint boundary (or a characterization sample) saw this state.
 
         During recording (or extension) the full state is retained so later
         replays of the same span find their boundaries without catch-up.
@@ -688,7 +719,12 @@ class ReplaySession:
             start_x=np.array(x0, dtype=np.float64, copy=True),
             start_resume=_copy_resume(resume),
         )
-        recorder = _PhaseRecorder(rec, base_local=0)
+        # A phase that starts a solve is replayed by every run of the problem,
+        # under every cadence: keep all its states where no catch-up is short.
+        dense_bytes = 0
+        if resume is None and iteration_offset == 0 and not self._mid_phase_bitwise():
+            dense_bytes = self.cache.max_bytes // _DENSE_SHARE
+        recorder = _PhaseRecorder(rec, base_local=0, dense_bytes=dense_bytes)
         self._active_recorder = recorder
         try:
             with self.solver.recording(recorder):
@@ -730,9 +766,18 @@ class ReplaySession:
             return False
         return self._extendable(rec)
 
-    def _extendable(self, rec: TrajectoryRecording) -> bool:
+    def _mid_phase_bitwise(self) -> bool:
+        """Whether any captured state resumes this solver bit for bit.
+
+        True for stationary methods and BiCGSTAB.  False for CG (its resume
+        recomputes ``r = b - A x``) and for GMRES, whose resume is bitwise at
+        cycle ends only.
+        """
         spec = self.solver.checkpoint_spec
-        if not spec.bitwise_resume or spec.restart_boundary_only:
+        return spec.bitwise_resume and not spec.restart_boundary_only
+
+    def _extendable(self, rec: TrajectoryRecording) -> bool:
+        if not self._mid_phase_bitwise():
             # Mid-phase continuation must reproduce the uninterrupted
             # sequence bit for bit.  GMRES is excluded even though its
             # boundary resume is bitwise: its divergence check runs on
@@ -846,12 +891,14 @@ class ReplaySession:
     def materialize(self, rec: TrajectoryRecording, local: int) -> IterationState:
         """Full state at phase-local iteration ``local`` (1-based).
 
-        Snapshot hit: return it.  Otherwise re-execute numerically from the
-        nearest base whose continuation is provably bitwise — a mid-phase
-        snapshot when the solver declares ``bitwise_resume`` (and, for
-        boundary-gated solvers like GMRES, the snapshot captures a resume
-        state), else the phase start, where re-issuing the identical solve
-        call is deterministic re-execution for every solver.
+        Snapshot hit (every state of a dense recording within its byte
+        bound, every boundary a recording saw): return it.  Otherwise
+        re-execute numerically from the nearest base whose continuation is
+        provably bitwise — a mid-phase snapshot when the solver declares
+        ``bitwise_resume`` (and, for boundary-gated solvers like GMRES, the
+        snapshot captures a resume state), else the phase start, where
+        re-issuing the identical solve call is deterministic re-execution
+        for every solver.
         """
         snap = rec.snapshots.get(local)
         if snap is not None:

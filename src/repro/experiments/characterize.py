@@ -30,6 +30,7 @@ from repro.cluster.machine import ClusterModel
 from repro.core.model import CheckpointTimings
 from repro.core.scale import ExperimentScale
 from repro.core.schemes import CheckpointingScheme
+from repro.engine.replay import ReplaySession, replay_enabled
 from repro.solvers.base import IterativeSolver
 
 __all__ = [
@@ -93,10 +94,28 @@ def measure_scheme_ratio(
     ``baseline_iterations`` is the iteration count of that failure-free
     solve when the caller already has it (a memoized baseline); the samples
     are then captured in a single solve instead of two.
+
+    With trajectory replay on (:func:`repro.engine.replay.replay_enabled`),
+    the failure-free solve goes through a
+    :class:`~repro.engine.replay.ReplaySession` on the process-wide cache:
+    the first characterization of a problem records it, sampled states
+    included, and every later one — another scheme, the hint-free iteration
+    count, each engine run's first phase — replays that recording instead of
+    solving again.  The measured payloads are the same bytes either way.
     """
     b = np.asarray(b, dtype=np.float64)
+    session = ReplaySession(solver, b) if replay_enabled() else None
+
+    def solve(callback):
+        if session is None:
+            return solver.solve(b, x0=x0, callback=callback)
+        start = np.zeros(solver.n) if x0 is None else np.asarray(x0, dtype=np.float64)
+        return session.solve_phase(
+            start, None, 0, None, callback or (lambda state: None)
+        )
+
     if baseline_iterations is None:
-        baseline_iterations = solver.solve(b, x0=x0).iterations
+        baseline_iterations = solve(None).iterations
     n_iters = max(1, baseline_iterations)
     targets = sorted(
         {max(1, min(n_iters - 1, int(round(f * n_iters)))) for f in sample_fractions}
@@ -107,9 +126,13 @@ def measure_scheme_ratio(
     def capture(state) -> None:
         if state.iteration in wanted:
             snapshots[state.iteration] = state
+            if session is not None:
+                # A sample is a checkpoint boundary: the recording keeps it
+                # for every later replay of the trajectory.
+                session.note_boundary_state(state)
 
     wanted = set(targets)
-    solver.solve(b, x0=x0, callback=capture)
+    solve(capture)
 
     b_norm = float(np.linalg.norm(b))
     pipeline = CheckpointPipeline(scheme, solver=solver)

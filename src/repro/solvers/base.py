@@ -153,12 +153,14 @@ class CheckpointSpec:
     restart_boundary_only: bool = False
     #: True when resuming from a captured state reproduces the uninterrupted
     #: iteration sequence *bit for bit* — not merely up to rounding.  The
-    #: trajectory-replay cache (:mod:`repro.engine.replay`) only uses
-    #: mid-phase snapshots as numeric catch-up bases for solvers that declare
-    #: this; everything else falls back to re-executing from the phase start,
-    #: which is always bitwise (same call, same arguments).  CG declares
-    #: ``False``: its resume recomputes ``r = b - A x`` from the restored
-    #: iterate, which perturbs the recurrence residual in the last bits.
+    #: trajectory-replay cache (:mod:`repro.engine.replay`) retains only
+    #: checkpoint-boundary snapshots for solvers that declare this without
+    #: ``restart_boundary_only``, and catches up from the nearest one.  For
+    #: the rest it retains every state of a phase that starts a solve (up to
+    #: a byte bound), and beyond those re-executes from the phase start, which
+    #: is always bitwise (same call, same arguments).  CG declares ``False``:
+    #: its resume recomputes ``r = b - A x`` from the restored iterate, which
+    #: perturbs the recurrence residual in the last bits.
     bitwise_resume: bool = False
 
     @property

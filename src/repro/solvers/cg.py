@@ -42,7 +42,8 @@ class CGSolver(IterativeSolver):
     #: recomputation — ``r = b - A x`` instead of the recurrence residual —
     #: perturbs the last bits, CG resume is exact only up to rounding and the
     #: spec keeps the default ``bitwise_resume=False``: the replay cache
-    #: never uses CG mid-phase snapshots as catch-up bases.
+    #: never uses CG mid-phase snapshots as catch-up bases, and retains every
+    #: state of a phase that starts a solve instead.
     checkpoint_spec = CheckpointSpec(
         extra_vectors=("p",), scalars=("rho",), exact_resume=True
     )

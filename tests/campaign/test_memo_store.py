@@ -113,6 +113,29 @@ class TestBaselineAndCharacterizationMemos:
         execute._cached_setup(*problem_key)
 
 
+class TestExactSchemeKey:
+    def test_lossless_grid_over_two_compressors_characterizes_once(self, monkeypatch):
+        """An exact scheme ignores the compressor axis, so the grid measures
+        its payload once; the lossy cells still measure once per compressor."""
+        import repro.experiments.characterize as characterize
+
+        calls = []
+        measure = characterize.measure_scheme_ratio
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].name)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(characterize, "measure_scheme_ratio", counted)
+        spec = CampaignSpec(
+            name="exact-key", kind="ft", methods=("cg",),
+            schemes=("lossless", "lossy"), compressors=("sz", "zfp"),
+            process_counts=(256,), checkpoint_intervals=(40.0,), grid_n=8,
+        )
+        run_campaign(spec, n_workers=1, cache=None)
+        assert sorted(calls) == ["lossless", "lossy", "lossy"]
+
+
 class TestExecutorMemoIntegration:
     def test_memo_dir_lands_next_to_cell_results(self, tmp_path):
         cold = run_campaign(demo_spec(), n_workers=1, cache=tmp_path / "cache")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.checkpoint.pipeline import state_digest
 from repro.cluster.machine import ClusterModel
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -77,7 +78,10 @@ def setup(poisson_small):
     return poisson_small, cluster, scale, baselines
 
 
-def _run(setup, method, scheme_name, scenario, seed, replay, solver=None, baseline=None):
+def _run(
+    setup, method, scheme_name, scenario, seed, replay, solver=None, baseline=None,
+    *, mtti_seconds=300.0, interval=120.0,
+):
     """One engine run under the failure-heavy bench configuration."""
     problem, cluster, scale, baselines = setup
     if baseline is None:
@@ -95,8 +99,8 @@ def _run(setup, method, scheme_name, scenario, seed, replay, solver=None, baseli
         SCHEME_FACTORIES[scheme_name](),
         cluster=cluster,
         scale=scale,
-        mtti_seconds=300.0,
-        checkpoint_interval_seconds=120.0,
+        mtti_seconds=mtti_seconds,
+        checkpoint_interval_seconds=interval,
         iteration_seconds=iteration_seconds,
         baseline=baseline,
         seed=seed,
@@ -184,6 +188,85 @@ class TestByteIdentity:
         assert _json(off) == _json(replayed)
 
 
+#: Solvers whose resume is not bitwise mid-phase: their solve-start phases
+#: are recorded densely.
+DENSE_FACTORIES = {
+    "cg": SOLVER_FACTORIES["cg"],
+    "gmres": lambda A: GMRESSolver(A, rtol=1e-6, max_iter=100000, restart=10),
+}
+
+
+def _noop(state):
+    pass
+
+
+class TestRetention:
+    @pytest.mark.parametrize("scheme_name", ["traditional", "lossy"])
+    @pytest.mark.parametrize("method", sorted(DENSE_FACTORIES))
+    def test_second_cadence_reads_every_boundary(self, setup, method, scheme_name):
+        """A failure-free run records the solve at one cadence; a
+        failure-injected run at another cadence replays it and finds every
+        boundary it checkpoints in the recording — no numeric catch-up — and
+        reports exactly what a run without replay reports."""
+        problem = setup[0]
+        solver = DENSE_FACTORIES[method](problem.A)
+        baseline = run_failure_free(solver, problem.b)
+        clear_global_cache()
+        _run(
+            setup, method, scheme_name, Scenario(), 2018, True, solver, baseline,
+            mtti_seconds=None, interval=120.0,
+        )
+        replayed, engine = _run(
+            setup, method, scheme_name, Scenario(), 2018, True, solver, baseline,
+            interval=90.0,
+        )
+        off, _ = _run(
+            setup, method, scheme_name, Scenario(), 2018, False,
+            DENSE_FACTORIES[method](problem.A), baseline, interval=90.0,
+        )
+        assert replayed.num_failures > 0 and replayed.num_checkpoints > 0
+        assert engine.replay_hits >= 1
+        assert engine._replay.catchup_iterations == 0
+        assert _json(replayed) == _json(off)
+
+    @pytest.mark.parametrize("method", sorted(DENSE_FACTORIES))
+    def test_only_solve_start_phases_are_dense(self, poisson_small, method):
+        solver = DENSE_FACTORIES[method](poisson_small.A)
+        replay = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        x0 = np.zeros(solver.n)
+        result = replay.solve_phase(x0, None, 0, 12, _noop)
+        start = replay.cache.get(state_digest(x0, context=replay.context))
+        assert sorted(start.snapshots) == list(range(1, 13))
+        # Resuming mid-trajectory (here: a later iteration offset) records the
+        # end state only, as boundary-only solvers do.
+        later = replay.solve_phase(result.x, None, 12, 12, _noop)
+        rec = replay.cache.get(state_digest(result.x, context=replay.context))
+        assert later.iterations == 12 and sorted(rec.snapshots) == [12]
+
+    def test_jacobi_keeps_boundary_only_snapshots(self, poisson_small):
+        """Jacobi resumes bitwise from any snapshot, so its recordings retain
+        the boundaries the caller saw and the end state — and are accounted
+        exactly as many bytes as those states take."""
+        solver = SOLVER_FACTORIES["jacobi"](poisson_small.A)
+        replay = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+
+        def boundaries(state):
+            if state.iteration in (3, 7, 11):
+                replay.note_boundary_state(state)
+
+        x0 = np.zeros(solver.n)
+        replay.solve_phase(x0, None, 0, 20, boundaries)
+        rec = replay.cache.get(state_digest(x0, context=replay.context))
+        assert sorted(rec.snapshots) == [3, 7, 11, 20]
+        vector = 8 * solver.n
+        assert rec.nbytes == replay.cache.total_bytes == (
+            (vector + 64)  # start_x
+            + vector  # final_x
+            + 20 * replay_module._STEP_OVERHEAD_BYTES
+            + 4 * (vector + 64)  # x of each snapshot
+        )
+
+
 class TestSwitches:
     def test_env_gate(self, monkeypatch):
         for value in ("0", "off", "false", "no", "disabled", " OFF "):
@@ -244,6 +327,7 @@ class TestTrajectoryCache:
         assert cache.get(a.key) is None
         assert cache.total_bytes <= 25
 
+    @pytest.mark.parametrize("method", ["jacobi", "cg"])
     @settings(max_examples=30, deadline=None)
     @given(
         ops=st.lists(
@@ -252,33 +336,62 @@ class TestTrajectoryCache:
         ),
         max_bytes=st.integers(2_000, 20_000),
     )
-    def test_materialize_keeps_byte_accounts_exact(self, poisson_small, ops, max_bytes):
+    def test_materialize_keeps_byte_accounts_exact(
+        self, poisson_small, method, ops, max_bytes
+    ):
         """Catch-up adds only the new snapshot's bytes: the accounts equal a
         full re-measure, and LRU order and evictions equal those of
-        re-inserting the recording through ``put``."""
+        re-inserting the recording through ``put``.
+
+        Jacobi recordings start empty, so every first access catches up.  CG
+        recordings are recorded from the solve start, densely: they retain
+        the first ``k`` states, ``k`` set by the dense byte bound (the cap is
+        scaled so ``k`` runs from 1 to past the 12 recorded steps), plus the
+        end state; an access within them catches up nothing, one past them
+        re-executes from the phase start."""
 
         class Remeasuring(TrajectoryCache):
             def grow(self, rec, nbytes):
                 self.put(rec)
 
-        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100000)
+        dense = method == "cg"
+        retained = 0
+        if dense:
+            max_bytes *= 50
+            solver = CGSolver(poisson_small.A, rtol=1e-12, max_iter=100000)
+            state_bytes = 2 * 8 * solver.n + 64  # x and p
+            retained = min(12, max_bytes // replay_module._DENSE_SHARE // state_bytes)
+        else:
+            solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100000)
         sides = []
         for cache in (TrajectoryCache(3, max_bytes), Remeasuring(3, max_bytes)):
-            recs = [
-                TrajectoryRecording(
-                    key=bytes([start]), limit=12, solver_name=solver.name,
-                    start_x=np.full(solver.n, float(start)), start_resume=None,
-                )
-                for start in range(4)
-            ]
-            for rec in recs:
-                cache.put(rec)
-            sides.append((cache, recs, ReplaySession(solver, poisson_small.b, cache=cache)))
+            replay = ReplaySession(solver, poisson_small.b, cache=cache)
+            recs = []
+            for start in range(4):
+                x0 = np.full(solver.n, float(start))
+                if dense:
+                    replay.solve_phase(x0, None, 0, 12, _noop)
+                    # The newest recording fits the cap, so it is live.
+                    rec = cache.get(state_digest(x0, context=replay.context))
+                    assert sorted(rec.snapshots) == sorted(
+                        set(range(1, retained + 1)) | {12}
+                    )
+                else:
+                    rec = TrajectoryRecording(
+                        key=bytes([start]), limit=12, solver_name=solver.name,
+                        start_x=x0, start_resume=None,
+                    )
+                    cache.put(rec)
+                recs.append(rec)
+            sides.append((cache, recs, replay))
         for index, local, pin in ops:
             for cache, recs, replay in sides:
                 if pin:
                     cache.pin(recs[index].key)
+                caught_up = replay.catchup_iterations
                 replay.materialize(recs[index], local)
+                if dense and local <= retained:
+                    assert replay.catchup_iterations == caught_up
                 if pin:
                     cache.unpin(recs[index].key)
                 live = list(cache._entries.values())

@@ -9,6 +9,7 @@ from repro.cluster.machine import ClusterModel
 from repro.compression.errorbounds import ResidualAdaptiveBoundPolicy
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
+from repro.engine.replay import TrajectoryCache, replay_enabled
 from repro.experiments.characterize import (
     measure_scheme_ratio,
     scheme_timings,
@@ -16,6 +17,7 @@ from repro.experiments.characterize import (
 )
 from repro.experiments.config import SMALL_CONFIG, method_problem, method_solver
 from repro.solvers.base import IterativeSolver
+import repro.engine.replay as replay_module
 
 
 class TestMeasureSchemeRatio:
@@ -46,7 +48,13 @@ class TestCachedCharacterization:
     @pytest.mark.parametrize("method", ["jacobi", "cg", "gmres", "bicgstab"])
     @pytest.mark.parametrize("scheme", ["traditional", "lossless", "lossy"])
     def test_one_solve_and_the_hint_free_result(self, monkeypatch, method, scheme):
+        """Cold, the characterization solves once.  The hint-free call then
+        replays that recording (no solve at all) or, with replay off, solves
+        twice: once to count the iterations, once to capture."""
         monkeypatch.setattr(execute, "_MEMO_STORE", None)
+        # Recordings other tests left in the process-wide cache must not
+        # serve this one.
+        monkeypatch.setattr(replay_module, "_GLOBAL_CACHE", TrajectoryCache())
         key = (method, 6, 4, 11, 1e-6, 30, 100000)
         axes = (scheme, "sz", 1e-4, False, "fixed")
         problem, solver, _ = execute._cached_setup(*key)  # memoizes the baseline
@@ -68,7 +76,7 @@ class TestCachedCharacterization:
             error_bound_policy="fixed",
         ))
         hint_free = measure_scheme_ratio(solver, problem.b, scheme_obj, method=method)
-        assert len(solves) == 3
+        assert len(solves) == (1 if replay_enabled() else 3)
         assert execute._characterization_to_dict(cached) == (
             execute._characterization_to_dict(hint_free)
         )
