@@ -44,7 +44,7 @@ class QuantizedArray:
 
 
 def quantize_absolute(
-    values: np.ndarray, bound: float, *, checked: bool = True
+    values: np.ndarray, bound: float, *, checked: bool = True, strict: bool = False
 ) -> QuantizedArray:
     """Quantize ``values`` so reconstruction error is at most ``bound``.
 
@@ -58,6 +58,12 @@ def quantize_absolute(
         Pass ``False`` to skip the finiteness scan when the caller already
         guarantees it (e.g. values produced by a transform that validated
         its own input); the scan is a full pass over the data.
+    strict:
+        Pass ``True`` to raise :class:`QuantizationOverflow` when some
+        element is still reconstructed more than ``bound`` away after the
+        grid-neighbour correction (its value sits within an ulp of a grid
+        midpoint, so neither neighbour's rounded product is within the
+        bound).  Without it such elements keep the half-ulp excess.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -83,8 +89,9 @@ def quantize_absolute(
     # large-magnitude values (the quotient is off by an ulp), pushing the
     # reconstruction error past the bound.  Nudge offending codes one grid
     # step toward the value; the remaining error is then the irreducible
-    # half-ulp of the reconstruction product itself.  ``scratch`` holds the
-    # codes as exact floats (|code| < 2**62), so the error reuses its memory.
+    # half-ulp of the reconstruction product itself, which ``strict`` refuses.
+    # ``scratch`` holds the codes as exact floats (|code| < 2**62), so the
+    # error reuses its memory; the product is the one the decoder computes.
     if codes.size:
         np.multiply(scratch, quantum, out=scratch)
         np.subtract(values, scratch, out=scratch)
@@ -94,6 +101,13 @@ def quantize_absolute(
             error = values - codes.astype(np.float64) * quantum
             step = np.where(error > 0, 1, -1).astype(np.int64)
             codes = np.where(bad, codes + step, codes)
+            if strict:
+                nudged = codes[bad].astype(np.float64) * quantum
+                if np.any(np.abs(values[bad] - nudged) > bound):
+                    raise QuantizationOverflow(
+                        f"no grid point of spacing {quantum:g} reconstructs "
+                        f"every value within {bound:g}"
+                    )
     return QuantizedArray(codes=codes, quantum=quantum)
 
 

@@ -32,8 +32,9 @@ block-codec frame, a pre-codec blob without the key) with a ``ValueError``
 before parsing a byte.
 
 The compressor guarantees the requested error bound for every element; if the
-bound is unachievable with 63-bit integer codes it falls back to lossless
-storage of the raw bytes (still satisfying the bound trivially).
+bound is unachievable with 63-bit integer codes, or an ``abs``/``rel`` value's
+rounded reconstruction misses it on both grid neighbours, it falls back to
+lossless storage of the raw bytes (still satisfying the bound trivially).
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class SZCompressor(Compressor):
         if bound <= 0.0:  # resolved bound underflowed (denormal-scale data)
             return self._raw_fallback(flat), "raw"
         try:
-            quantized = quantize_absolute(flat, bound)
+            quantized = quantize_absolute(flat, bound, strict=True)
         except QuantizationOverflow:
             return self._raw_fallback(flat), "raw"
         payload = compress_sections(

@@ -48,7 +48,7 @@ class TestSZProperties:
     @settings(max_examples=60, deadline=None)
     def test_absolute_bound(self, data, eb):
         recon, _ = _roundtrip(SZCompressor(ErrorBound("abs", eb)), data)
-        assert max_abs_error(data, recon) <= eb * (1 + 1e-8)
+        assert max_abs_error(data, recon) <= eb
 
     @given(data=_float_arrays, eb=_bounds)
     @settings(max_examples=40, deadline=None)

@@ -76,6 +76,32 @@ class TestQuantizeAbsolute:
         recon = dequantize_absolute(q)
         assert np.max(np.abs(arr - recon)) <= 0.6 * (1 + 1e-12) + 2e-16 * 999999.0
 
+    def test_strict_refuses_a_midpoint_both_neighbours_miss(self):
+        # 0.75 / 0.02 = 37.5: 37 * 0.02 and 38 * 0.02 both round to
+        # 0.010000000000000009 away from 0.75.
+        arr = np.asarray([0.75])
+        q = quantize_absolute(arr, 0.01)
+        assert np.abs(arr - dequantize_absolute(q))[0] > 0.01
+        with pytest.raises(QuantizationOverflow):
+            quantize_absolute(arr, 0.01, strict=True)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=300,
+        ),
+        st.floats(min_value=1e-6, max_value=10.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_strict_bound_holds_exactly_or_raises(self, values, bound):
+        arr = np.asarray(values, dtype=np.float64)
+        try:
+            q = quantize_absolute(arr, bound, strict=True)
+        except QuantizationOverflow:
+            return
+        assert np.max(np.abs(arr - dequantize_absolute(q))) <= bound
+
 
 def _reference_codes(values, bound):
     """The allocation-per-step formula ``quantize_absolute`` had before it

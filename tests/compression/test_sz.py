@@ -55,14 +55,10 @@ class TestOtherModes:
         value_range = smooth_vector.max() - smooth_vector.min()
         assert max_abs_error(smooth_vector, recon) <= 1e-4 * value_range * (1 + 1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP.md item 12: the reconstruction product rounds past an "
-        "absolute bound of 1e-4 by under one ulp at 2**25",
-    )
     def test_absolute_bound_holds_at_two_to_the_25(self):
         comp = SZCompressor(ErrorBound("abs", 1e-4))
-        # Alone, 2**25 + 44/64 comes back 1.0000169e-4 away.
+        # Alone, 2**25 + 44/64 rounds 1.0000169e-4 away on both grid
+        # neighbours, so the block is stored raw.
         single = np.array([33554432.6875])
         recon, _ = _roundtrip(comp, single)
         assert max_abs_error(single, recon) <= 1e-4
@@ -70,6 +66,16 @@ class TestOtherModes:
         grid = 2.0**25 + np.arange(64) / 64
         recon, _ = _roundtrip(comp, grid)
         assert np.count_nonzero(np.abs(recon - grid) > 1e-4) == 0
+
+    def test_value_range_bound_holds_on_a_grid_midpoint(self):
+        # Constant data resolves a value-range bound of 1e-2; 0.75 sits on
+        # the midpoint of the 0.02 grid and both neighbours reconstruct
+        # 0.010000000000000009 away, so the block is stored raw.
+        data = np.full(8, 0.75)
+        comp = SZCompressor(ErrorBound("rel", 1e-2))
+        recon, blob = _roundtrip(comp, data)
+        assert blob.meta["scheme"] == "raw"
+        assert max_abs_error(data, recon) <= 1e-2
 
     def test_raw_fallback_on_impossible_bound(self):
         # Bound so tight that 63-bit codes overflow: falls back to lossless.
