@@ -37,8 +37,6 @@ serialization index are absolute bytes that do not grow with the problem.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
@@ -65,7 +63,6 @@ __all__ = [
     "RestoredCheckpoint",
     "CheckpointPipeline",
     "scaled_payload_bytes",
-    "state_digest",
 ]
 
 #: Stamped into every pipeline payload's metadata; bump when the payload
@@ -99,40 +96,6 @@ def scaled_payload_bytes(
         + float(overhead_bytes)
     )
     return float(uncompressed), float(compressed)
-
-
-def state_digest(
-    x: np.ndarray,
-    resume_state: Optional[ResumeState] = None,
-    *,
-    context: bytes = b"",
-) -> bytes:
-    """BLAKE2b digest of one exact numeric solver state.
-
-    The digest covers the *numeric content* of a restart point — the iterate
-    bytes plus any exact-resume vectors and scalars, in sorted-name order —
-    under an optional caller-supplied ``context`` prefix (problem identity,
-    right-hand side).  The iteration counter is deliberately excluded: it is
-    a label on the timeline, not part of the numeric state, so a restore of
-    checkpoint *k* and a restore of an identical iterate at a different
-    offset hash the same.  This is the key of the trajectory-replay cache
-    (:mod:`repro.engine.replay`): two solves started from digest-equal states
-    produce bitwise-identical trajectories.
-    """
-    h = hashlib.blake2b(context, digest_size=16)
-    h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    if resume_state is not None:
-        for name in sorted(resume_state.vectors):
-            h.update(b"v:" + name.encode("utf-8") + b"\0")
-            h.update(
-                np.ascontiguousarray(
-                    resume_state.vectors[name], dtype=np.float64
-                ).tobytes()
-            )
-        for name in sorted(resume_state.scalars):
-            h.update(b"s:" + name.encode("utf-8") + b"\0")
-            h.update(struct.pack("<d", float(resume_state.scalars[name])))
-    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -296,12 +259,6 @@ class CheckpointPipeline:
         )
         self._decompressors: Dict[str, Compressor] = {}
         self._next_id = 0
-        # Optional snapshot memo (see :meth:`enable_snapshot_memo`): a
-        # process-wide cache of finished payloads keyed by the pipeline's
-        # context and the call, so deterministic re-runs skip re-compressing
-        # identical checkpoints.  Off unless the engine opts in.
-        self._memo = None
-        self._memo_context = b""
 
     @property
     def stores_resume_state(self) -> bool:
@@ -311,47 +268,6 @@ class CheckpointPipeline:
             and self.spec.exact_resume
             and bool(self.spec.extra_vectors or self.spec.scalars)
         )
-
-    # -- snapshot memoization --------------------------------------------------
-    def enable_snapshot_memo(self, memo, context: bytes) -> None:
-        """Serve repeated snapshots of identical histories from ``memo``.
-
-        ``memo`` is any mapping-like cache with ``get(key)``/``put(key, snap)``
-        (:class:`~repro.engine.replay.SnapshotMemo` in practice); ``context``
-        must digest everything that shapes payload bytes but is not visible in
-        the per-call inputs — the solver/matrix identity and the scheme's
-        compressor configuration.
-
-        Every payload is self-contained, so :meth:`snapshot` is a pure
-        function of ``context`` and its own arguments: no earlier
-        ``snapshot``, ``commit`` or discard on this pipeline can change the
-        bytes, and the memo key is ``context + call``.
-        """
-        self._memo = memo
-        self._memo_context = bytes(context)
-
-    def _memo_key(
-        self,
-        x: np.ndarray,
-        iteration: int,
-        resume_state: Optional[ResumeState],
-        residual_norm: Optional[float],
-        b_norm: Optional[float],
-        checkpoint_id: int,
-        tag: dict,
-    ) -> bytes:
-        """Digest of one snapshot call under the pipeline's memo context."""
-        h = hashlib.blake2b(self._memo_context, digest_size=16)
-        h.update(state_digest(x, resume_state))
-        h.update(struct.pack("<qq", int(iteration), int(checkpoint_id)))
-        for value in (residual_norm, b_norm):
-            if value is None:
-                h.update(b"\x00")
-            else:
-                h.update(b"\x01" + struct.pack("<d", float(value)))
-        if tag:
-            h.update(repr(sorted(tag.items())).encode("utf-8"))
-        return h.digest()
 
     # -- snapshot (the paper's Snapshot()) ------------------------------------
     def snapshot(
@@ -372,20 +288,14 @@ class CheckpointPipeline:
         boundary — and the payload stores just ``x``).  ``residual_norm`` and
         ``b_norm`` feed the scheme's error-bound policy.  Call
         :meth:`commit` to persist the returned snapshot.
+        The bytes depend on this call's state, iteration, norms and tag only
+        — not on earlier calls, nor on ``checkpoint_id``, which labels the
+        result — so the engine's :class:`~repro.engine.replay.SnapshotMemo`
+        may serve them again.
         """
         if checkpoint_id is None:
             checkpoint_id = self._next_id
         self._next_id = max(self._next_id, int(checkpoint_id)) + 1
-
-        memo_key = None
-        if self._memo is not None:
-            memo_key = self._memo_key(
-                x, iteration, resume_state, residual_norm, b_norm,
-                int(checkpoint_id), tag,
-            )
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                return cached
 
         x = np.ascontiguousarray(x)
         if self._grid is not None:
@@ -445,15 +355,12 @@ class CheckpointPipeline:
                         stored_bytes=SCALAR_BYTES,
                     )
                 )
-        result = PipelineSnapshot(
+        return PipelineSnapshot(
             checkpoint_id=int(checkpoint_id),
             iteration=int(iteration),
             payload=serialize_checkpoint(payload),
             variables=measurements,
         )
-        if memo_key is not None:
-            self._memo.put(memo_key, result)
-        return result
 
     def commit(self, snapshot: PipelineSnapshot) -> Optional[WriteReceipt]:
         """Persist a snapshot into the pipeline's store (no-op without one).

@@ -458,16 +458,14 @@ class FaultToleranceEngine:
             if replay_enabled(self.replay)
             else None
         )
-        if self._replay is not None and self.scheme.uses_compression:
-            # Same switch, second cache: identical checkpoint calls compress
-            # once per process instead of once per run (the compression pass
-            # dominates the event loop once the solve itself is replayed).
-            # An identity payload is a copy plus an index, cheaper than the
-            # digest that would key it.
-            self._pipeline.enable_snapshot_memo(
-                get_global_snapshot_memo(),
-                self._replay.context + scheme_fingerprint(self.scheme),
-            )
+        # Same switch, second cache: coded payloads are memoized by trajectory
+        # position (:meth:`_snapshot`).  An identity payload is a copy plus an
+        # index: memoizing it saves little time and holds raw states in memory.
+        self._memo_context: Optional[bytes] = (
+            self._replay.context + scheme_fingerprint(self.scheme)
+            if self._replay is not None and self.scheme.uses_compression
+            else None
+        )
 
         x_current = self.x0.copy()
         resume: Optional[ResumeState] = None
@@ -720,19 +718,7 @@ class FaultToleranceEngine:
                         )
                     )
                 return
-        resume = (
-            self.solver.capture_resume_state(it_state)
-            if self.scheme.checkpoint_krylov_state
-            else None
-        )
-        snapshot = self._pipeline.snapshot(
-            it_state.x,
-            iteration=it_state.iteration,
-            resume_state=resume,
-            residual_norm=it_state.residual_norm,
-            b_norm=self.b_norm,
-            checkpoint_id=state.next_checkpoint_id,
-        )
+        snapshot = self._snapshot(it_state, state.next_checkpoint_id)
 
         model_uncompressed, model_compressed = snapshot.scaled_bytes(self.scale)
         ratio = model_uncompressed / max(model_compressed, 1e-12)
@@ -934,6 +920,31 @@ class FaultToleranceEngine:
                 iterations_reached=iterations_reached,
             )
         )
+
+    def _snapshot(self, it_state: IterationState, checkpoint_id: int) -> PipelineSnapshot:
+        """Serialize a checkpoint of ``it_state``, from the payload memo when
+        it holds the state's trajectory position — looked up before ``x`` or
+        the resume vectors are read, so a hit hashes, copies and solves nothing."""
+
+        def build() -> PipelineSnapshot:
+            resume = (
+                self.solver.capture_resume_state(it_state)
+                if self.scheme.checkpoint_krylov_state
+                else None
+            )
+            return self._pipeline.snapshot(
+                it_state.x,
+                iteration=it_state.iteration,
+                resume_state=resume,
+                residual_norm=it_state.residual_norm,
+                b_norm=self.b_norm,
+                checkpoint_id=checkpoint_id,
+            )
+
+        if self._memo_context is None:
+            return build()
+        key = self._replay.memo_key(it_state, self._memo_context, self.b_norm)
+        return get_global_snapshot_memo().snapshot(key, checkpoint_id, build)
 
     def _checkpoint_allowed(
         self, it_state: IterationState, *, overdue_seconds: float = 0.0

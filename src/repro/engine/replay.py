@@ -10,11 +10,10 @@ matvec.
 Key
 ---
 A phase — one ``solver.solve(b, x0=..., resume_state=...)`` call — is keyed
-by a BLAKE2b digest of its exact numeric start state
-(:func:`repro.checkpoint.pipeline.state_digest`): the iterate bytes plus the
-resume vectors/scalars, salted with a fingerprint of the solver
-configuration (class, matrix bytes, convergence criterion, preconditioner
-action) and the right-hand side.  The iteration offset is a *label* — it
+by a BLAKE2b digest of its exact numeric start state (:func:`state_digest`):
+the iterate bytes plus the resume vectors/scalars, salted with a fingerprint
+of the solver configuration (class, matrix bytes, convergence criterion,
+preconditioner action) and the right-hand side.  The iteration offset is a *label* — it
 shifts reported indices but not the numerics — so it stays out of the key,
 which is what lets a re-executed span after a rollback hit the recording of
 the original execution.
@@ -53,15 +52,22 @@ bytes — is unchanged, and reports stay byte-identical with the cache on or
 off (pinned by the equivalence, golden-report and replay hypothesis
 suites).
 
+Every state the session hands the engine has a *position* — recording key,
+budget, phase-local index — and equal positions hold bitwise-equal states.
+The engine's :class:`SnapshotMemo` of coded checkpoint payloads is keyed by
+it (:meth:`ReplaySession.memo_key`), so a repeated checkpoint is served
+without reading, hashing or catching up its state.
+
 Bounds and escape hatch
 -----------------------
 The process-wide cache is LRU-bounded in entries and retained bytes.
 ``REPRO_REPLAY=off`` (or ``FaultToleranceEngine(replay=False)``) disables
-the whole mechanism.
+the whole mechanism, the payload memo included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -72,7 +78,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint.pipeline import state_digest
+from repro.checkpoint.pipeline import PipelineSnapshot
 from repro.solvers.base import (
     IterationState,
     IterativeSolver,
@@ -86,6 +92,7 @@ __all__ = [
     "replay_enabled",
     "solver_fingerprint",
     "scheme_fingerprint",
+    "state_digest",
     "TrajectoryCache",
     "TrajectoryRecording",
     "RecordedStep",
@@ -129,6 +136,40 @@ def _probe_vectors(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Two deterministic, RNG-free probe vectors covering all components."""
     base = np.arange(n, dtype=np.float64)
     return np.cos(base), 1.0 / (base + 2.0)
+
+
+def state_digest(
+    x: np.ndarray,
+    resume_state: Optional[ResumeState] = None,
+    *,
+    context: bytes = b"",
+) -> bytes:
+    """BLAKE2b digest of one exact numeric solver state.
+
+    The digest covers the *numeric content* of a restart point — the iterate
+    bytes plus any exact-resume vectors and scalars, in sorted-name order —
+    under an optional caller-supplied ``context`` prefix (problem identity,
+    right-hand side).  The iteration counter is deliberately excluded: it is
+    a label on the timeline, not part of the numeric state, so a restore of
+    checkpoint *k* and a restore of an identical iterate at a different
+    offset hash the same.  This is the phase key of the trajectory-replay
+    cache: two solves started from digest-equal states produce
+    bitwise-identical trajectories.
+    """
+    h = hashlib.blake2b(context, digest_size=16)
+    h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    if resume_state is not None:
+        for name in sorted(resume_state.vectors):
+            h.update(b"v:" + name.encode("utf-8") + b"\0")
+            h.update(
+                np.ascontiguousarray(
+                    resume_state.vectors[name], dtype=np.float64
+                ).tobytes()
+            )
+        for name in sorted(resume_state.scalars):
+            h.update(b"s:" + name.encode("utf-8") + b"\0")
+            h.update(struct.pack("<d", float(resume_state.scalars[name])))
+    return h.digest()
 
 
 def solver_fingerprint(solver: IterativeSolver) -> bytes:
@@ -394,11 +435,10 @@ class SnapshotMemo:
     """Process-wide LRU of finished checkpoint payloads.
 
     Values are :class:`~repro.checkpoint.pipeline.PipelineSnapshot` objects
-    keyed by the digest of the pipeline's context and the snapshot call (see
-    :meth:`~repro.checkpoint.pipeline.CheckpointPipeline.enable_snapshot_memo`).
-    Entries are immutable once built — payload bytes are never mutated — so a
-    hit is returned by reference.  Byte accounting covers the serialized
-    payload.
+    keyed by trajectory position (:meth:`ReplaySession.memo_key`).  Payload
+    bytes are never mutated and do not contain the checkpoint id, so one
+    entry serves every id its position is checkpointed under
+    (:meth:`snapshot`).  Byte accounting covers the serialized payload.
     """
 
     _ENTRY_OVERHEAD_BYTES = 256
@@ -410,7 +450,7 @@ class SnapshotMemo:
     ) -> None:
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[bytes, object]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, PipelineSnapshot]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -423,7 +463,7 @@ class SnapshotMemo:
     def _measure(cls, snapshot) -> int:
         return len(snapshot.payload) + cls._ENTRY_OVERHEAD_BYTES
 
-    def get(self, key: bytes):
+    def get(self, key: tuple) -> Optional[PipelineSnapshot]:
         snapshot = self._entries.get(key)
         if snapshot is None:
             self.misses += 1
@@ -432,7 +472,7 @@ class SnapshotMemo:
         self.hits += 1
         return snapshot
 
-    def put(self, key: bytes, snapshot) -> None:
+    def put(self, key: tuple, snapshot: PipelineSnapshot) -> None:
         old = self._entries.pop(key, None)
         if old is not None:
             self.total_bytes -= self._measure(old)
@@ -445,6 +485,24 @@ class SnapshotMemo:
             _, evicted = self._entries.popitem(last=False)
             self.total_bytes -= self._measure(evicted)
             self.evictions += 1
+
+    def snapshot(
+        self,
+        key: Optional[tuple],
+        checkpoint_id: int,
+        build: Callable[[], PipelineSnapshot],
+    ) -> PipelineSnapshot:
+        """The payload memoized under ``key`` labelled ``checkpoint_id``, else
+        ``build()``'s, stored under ``key`` unless the key is ``None``."""
+        if key is None:
+            return build()
+        cached = self.get(key)
+        if cached is not None:
+            return dataclasses.replace(cached, checkpoint_id=int(checkpoint_id))
+        snapshot = build()
+        self.put(key, snapshot)
+        return snapshot
+
 
 _GLOBAL_SNAPSHOT_MEMO: Optional[SnapshotMemo] = None
 
@@ -583,7 +641,8 @@ class _ReplayState:
     ``iteration`` and ``residual_norm`` come straight from the recorded
     step; ``x`` (and vector extras) materialize lazily via the session's
     catch-up machinery — the engine only touches them at checkpoint
-    boundaries, which is the whole point of replay.
+    boundaries the payload memo does not answer, which is the whole point of
+    replay.
     """
 
     __slots__ = ("_session", "_rec", "_local", "_full_state", "iteration",
@@ -621,9 +680,10 @@ class ReplaySession:
     """Per-run front end of the trajectory cache.
 
     Owns the phase digests (solver fingerprint + right-hand side), decides
-    record vs. replay vs. extend per phase, materializes checkpoint-boundary
-    states by bitwise numeric catch-up, and keeps the run's hit/saving
-    counters for the benchmark artifact.
+    record vs. replay vs. extend per phase, names each state it hands the
+    engine by its trajectory position (:meth:`memo_key`), materializes
+    checkpoint-boundary states by bitwise numeric catch-up, and keeps the
+    run's hit/saving counters for the benchmark artifact.
     """
 
     def __init__(
@@ -687,6 +747,26 @@ class ReplaySession:
             )
         return self._record(
             key, x0, resume, iteration_offset, max_iter, limit, callback
+        )
+
+    def memo_key(self, it_state, context: bytes, b_norm: float) -> Optional[tuple]:
+        """Payload-memo key of a checkpoint of ``it_state`` under ``context``.
+
+        Names the state by its trajectory position, not its bytes: recording
+        key, budget (GMRES shapes its last cycle by it) and phase-local index
+        — carried by a replayed state, the active recorder's newest step for a
+        recorded one.  A state the session did not hand out gets ``None``.
+        """
+        if isinstance(it_state, _ReplayState):
+            rec, local = it_state._rec, it_state._local
+        else:
+            recorder = self._active_recorder
+            if recorder is None or recorder.last_state is not it_state:
+                return None
+            rec, local = recorder.rec, len(recorder.rec.steps)
+        return (
+            context, rec.key, rec.limit, local,
+            int(it_state.iteration), float(it_state.residual_norm), float(b_norm),
         )
 
     def note_boundary_state(self, it_state) -> None:

@@ -178,7 +178,7 @@ class TestPropertyRoundTrip:
         assert np.all(np.abs(restored.x - x) <= tolerance + 1e-300)
 
 
-def _memo_states(count=4, n=96):
+def _cg_states(count=4, n=96):
     """Nearby CG-shaped states (``x`` plus the declared ``p``/``rho``)."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal(n)
@@ -194,78 +194,11 @@ def _memo_states(count=4, n=96):
     return states
 
 
-MEMO_SCHEMES = {
+PAYLOAD_SCHEMES = {
     "traditional": CheckpointingScheme.traditional,
     "lossless": CheckpointingScheme.lossless,
     "lossy": lambda: CheckpointingScheme.lossy(1e-4),
-    "adaptive": lambda: CheckpointingScheme.lossy(1e-4, adaptive=True),
 }
-
-#: One snapshot call: ``(state, checkpoint id, residual norm, committed?)``
-#: — an uncommitted snapshot is a checkpoint a mid-write failure discarded.
-memo_calls = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.integers(0, 3),
-        st.sampled_from([1.0, 1e-3, 1e-7]),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=10,
-)
-
-
-class TestSnapshotMemoDifferential:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        scheme_name=st.sampled_from(sorted(MEMO_SCHEMES)),
-        histories=st.lists(memo_calls, min_size=2, max_size=3),
-    )
-    def test_memo_serves_the_bytes_a_fresh_pass_writes(self, scheme_name, histories):
-        """Memoized and memo-free pipelines write byte-identical payloads
-        over random snapshot/commit/discard histories, and the memo answers
-        every repeated call whatever was committed or discarded before it."""
-        from repro.engine.replay import SnapshotMemo
-
-        states = _memo_states()
-        memo = SnapshotMemo()
-        seen, repeats = set(), 0
-        for history in histories:
-            scheme = MEMO_SCHEMES[scheme_name]()
-            memoed, reference = (
-                CheckpointPipeline(
-                    scheme, spec=CGSolver.checkpoint_spec, store=MemoryCheckpointStore()
-                )
-                for _ in range(2)
-            )
-            memoed.enable_snapshot_memo(memo, b"context")
-            for state, checkpoint_id, residual_norm, committed in history:
-                call = (state, checkpoint_id, residual_norm)
-                repeats += call in seen
-                seen.add(call)
-                x, resume = states[state]
-                kwargs = dict(
-                    iteration=10 * state,
-                    resume_state=resume,
-                    residual_norm=residual_norm,
-                    b_norm=1.0,
-                    checkpoint_id=checkpoint_id,
-                )
-                got = memoed.snapshot(x, **kwargs)
-                want = reference.snapshot(x, **kwargs)
-                assert got.payload == want.payload
-                assert got.checkpoint_id == want.checkpoint_id == checkpoint_id
-                if committed:
-                    memoed.commit(got)
-                    reference.commit(want)
-            for checkpoint_id in reference.store.ids():
-                assert memoed.store.read(checkpoint_id) == reference.store.read(
-                    checkpoint_id
-                )
-                restored = memoed.restore(checkpoint_id)
-                expected = reference.restore(checkpoint_id)
-                assert restored.x.tobytes() == expected.x.tobytes()
-        assert memo.hits == repeats
 
 
 def _drifting_states(n=256, steps=8, seed=5):
@@ -369,17 +302,11 @@ class TestFullPayloads:
         assert with_discard.store.ids() == [1, 3]
         assert with_discard.restore(3).x.tobytes() == states[2].tobytes()
 
-    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
-    def test_payload_survives_in_place_mutation_of_source(self, memo):
-        """Solvers update ``x`` in place; a taken payload must not follow,
-        and a memo must not serve it for the mutated buffer."""
-        from repro.engine.replay import SnapshotMemo
-
+    def test_payload_survives_in_place_mutation_of_source(self):
+        """Solvers update ``x`` in place; a taken payload must not follow."""
         pipeline = CheckpointPipeline(
             CheckpointingScheme.traditional(), spec=JacobiSolver.checkpoint_spec
         )
-        if memo:
-            pipeline.enable_snapshot_memo(SnapshotMemo(), b"context")
         live = np.linspace(1.0, 2.0, 256)
         original = live.copy()
         snap = pipeline.snapshot(live, iteration=1, checkpoint_id=1)
@@ -388,12 +315,12 @@ class TestFullPayloads:
         again = pipeline.snapshot(live, iteration=1, checkpoint_id=1)
         assert pipeline.restore(payload=again.payload).x.tobytes() == live.tobytes()
 
-    @pytest.mark.parametrize("scheme_name", ["traditional", "lossless", "lossy"])
+    @pytest.mark.parametrize("scheme_name", sorted(PAYLOAD_SCHEMES))
     def test_payload_is_independent_of_the_history(self, scheme_name):
         """A snapshot after a run of commits is byte-identical to the same
         call on a pipeline that has taken nothing before."""
-        scheme = MEMO_SCHEMES[scheme_name]
-        states = _memo_states()
+        scheme = PAYLOAD_SCHEMES[scheme_name]
+        states = _cg_states()
         seasoned = CheckpointPipeline(scheme(), spec=CGSolver.checkpoint_spec)
         for i, (x, resume) in enumerate(states[:-1]):
             seasoned.commit(

@@ -8,9 +8,11 @@ write-mode (async cells exercise mid-drain failures, ``fti`` cells exercise
 multilevel level-loss fallbacks).  The unit tests pin the cache mechanics
 (LRU, byte caps, pinning), the ``REPRO_REPLAY`` escape hatch, the engine
 kwarg override, the run counters the benchmark artifact reports, and the
-checkpoint-payload memo that rides on the same switch.
+checkpoint-payload memo that rides on the same switch, keyed by trajectory
+position.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.pipeline import state_digest
+from repro.checkpoint import CheckpointPipeline, MemoryCheckpointStore
 from repro.cluster.machine import ClusterModel
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
@@ -37,9 +39,12 @@ from repro.engine.replay import (
     replay_enabled,
     scheme_fingerprint,
     solver_fingerprint,
+    state_digest,
 )
 from repro.precond import IncompleteCholeskyPreconditioner, JacobiPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
+from repro.solvers.base import IterationState
+from repro.sparse import poisson_system
 import repro.engine.replay as replay_module
 
 
@@ -446,8 +451,8 @@ class TestSnapshotMemoAndFingerprints:
 
     @pytest.mark.parametrize("write_mode", ["blocking", "async"])
     def test_only_coded_payloads_use_the_memo(self, setup, write_mode):
-        """An identity payload is rebuilt, not digested and looked up, in
-        either write mode.  Report bytes are the same either way."""
+        """An identity payload is rebuilt, not looked up, in either write
+        mode.  Report bytes are the same either way."""
         scenario = Scenario(write_mode=write_mode)
         clear_global_cache()
         memo = get_global_snapshot_memo()
@@ -491,6 +496,280 @@ class TestSnapshotMemoAndFingerprints:
         a = GMRESSolver(poisson_small.A, rtol=1e-6, max_iter=100, restart=20)
         b = GMRESSolver(poisson_small.A, rtol=1e-6, max_iter=100, restart=30)
         assert solver_fingerprint(a) != solver_fingerprint(b)
+
+
+class TestPositionKeyedMemo:
+    def test_second_cell_memo_hits_read_no_state(self, setup, monkeypatch):
+        """Two lossless CG cells on one problem under different failure
+        seeds: the second replays the first's recording, and every
+        checkpoint the payload memo answers reads no state — no
+        materialization, no digest beyond one phase key per phase.  A
+        position checkpointed under two ids is one entry, served with each
+        caller's id, and the report is the one a run without replay writes."""
+        ids_by_key = {}
+        serve = SnapshotMemo.snapshot
+
+        def snapshot(self, key, checkpoint_id, build):
+            served = serve(self, key, checkpoint_id, build)
+            assert served.checkpoint_id == checkpoint_id
+            ids_by_key.setdefault(key, set()).add(checkpoint_id)
+            return served
+
+        monkeypatch.setattr(SnapshotMemo, "snapshot", snapshot)
+        clear_global_cache()
+        _run(setup, "cg", "lossless", Scenario(), 2018, True, interval=60.0)
+
+        counts = {"materialize": 0, "digest": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ReplaySession, "materialize",
+            counting("materialize", ReplaySession.materialize),
+        )
+        monkeypatch.setattr(
+            replay_module, "state_digest",
+            counting("digest", replay_module.state_digest),
+        )
+        memo = get_global_snapshot_memo()
+        hits = 0
+        on_checkpoint = FaultToleranceEngine._on_checkpoint
+
+        def checkpoint(engine, it_state):
+            nonlocal hits
+            before, read = memo.hits, dict(counts)
+            on_checkpoint(engine, it_state)
+            if memo.hits > before:
+                hits += 1
+                assert counts == read
+
+        monkeypatch.setattr(FaultToleranceEngine, "_on_checkpoint", checkpoint)
+        report, engine = _run(
+            setup, "cg", "lossless", Scenario(), 7, True, interval=60.0
+        )
+        assert engine.replay_hits >= 1 and hits > 0
+        assert counts["digest"] == engine._replay.hits + engine._replay.misses
+        assert len(memo) == len(ids_by_key)
+        assert any(len(ids) > 1 for ids in ids_by_key.values())
+        monkeypatch.undo()
+        off, _ = _run(setup, "cg", "lossless", Scenario(), 7, False, interval=60.0)
+        assert _json(report) == _json(off)
+
+
+#: The ``b_norm`` values the differential checkpoints under: with the
+#: residual norm of a position they feed the adaptive error bound.
+_B_NORMS = (1.0, 1e-3, 1e-7)
+
+MEMO_SCHEMES = {
+    "traditional": CheckpointingScheme.traditional,
+    "lossless": CheckpointingScheme.lossless,
+    "lossy": lambda: CheckpointingScheme.lossy(1e-4),
+    "adaptive": lambda: CheckpointingScheme.lossy(1e-4, adaptive=True),
+}
+
+
+def _capture(session, solver, into, count):
+    """Callback keeping the snapshot inputs and memo keys of ``count`` states."""
+
+    def callback(state):
+        if len(into) < count:
+            inputs = dict(
+                x=state.x,
+                iteration=state.iteration,
+                residual_norm=state.residual_norm,
+                resume_state=solver.capture_resume_state(state),
+            )
+            keys = {b: session.memo_key(state, b"context", b) for b in _B_NORMS}
+            into.append((inputs, keys))
+
+    return callback
+
+
+#: Iteration offset of the phase each kind of state comes from: a replay
+#: after a rollback relabels the recorded positions.
+_OFFSETS = {"recorded": 0, "replayed": 0, "shifted": 5}
+
+
+@functools.lru_cache(maxsize=None)
+def _positioned_states(count=4):
+    """A CG phase's first ``count`` states as its recording emits them, as a
+    replay of the same phase does, and as a replay at a later iteration
+    offset does: snapshot inputs plus memo keys."""
+    problem = poisson_system(6, seed=3)
+    solver = CGSolver(problem.A, rtol=1e-8, max_iter=1000)
+    session = ReplaySession(solver, problem.b, cache=TrajectoryCache())
+    states = {kind: [] for kind in _OFFSETS}
+    for kind, offset in _OFFSETS.items():
+        session.solve_phase(
+            np.zeros(solver.n), None, offset, None,
+            _capture(session, solver, states[kind], count),
+        )
+    assert session.hits == 2  # every phase after the first is a replay
+    return solver, states
+
+
+#: One checkpoint: ``(position, kind of state, checkpoint id, b_norm,
+#: committed?)`` — an uncommitted snapshot is a checkpoint a mid-write
+#: failure discarded.
+memo_calls = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(sorted(_OFFSETS)),
+        st.integers(0, 3),
+        st.sampled_from(_B_NORMS),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestSnapshotMemoDifferential:
+    def test_record_and_replay_name_a_state_alike(self):
+        _, states = _positioned_states()
+        for (recorded, keys), (replayed, replay_keys), (shifted, shifted_keys) in zip(
+            states["recorded"], states["replayed"], states["shifted"]
+        ):
+            assert keys == replay_keys and None not in keys.values()
+            assert recorded["x"].tobytes() == replayed["x"].tobytes()
+            # Same state, another iteration label: a payload stamps it.
+            assert shifted["x"].tobytes() == recorded["x"].tobytes()
+            assert shifted["iteration"] == recorded["iteration"] + 5
+            assert shifted_keys[1.0] != keys[1.0]
+        positions = [keys[1.0] for _, keys in states["recorded"]]
+        assert len(set(positions)) == len(positions)
+
+    def test_budget_is_part_of_the_position(self, poisson_small):
+        """A phase under another iteration budget is another execution — a
+        solver may shape its work by the budget, as GMRES truncates its last
+        cycle — so the trajectory cache records it again, and one
+        phase-local index under two budgets is two positions."""
+        solver = GMRESSolver(poisson_small.A, rtol=1e-12, max_iter=1000, restart=10)
+        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        seen = {}
+        for budget in (15, 25):
+            seen[budget] = []
+            session.solve_phase(
+                np.zeros(solver.n), None, 0, budget,
+                _capture(session, solver, seen[budget], 15),
+            )
+        assert (session.hits, session.misses) == (0, 2)
+        (short, short_keys), (full, full_keys) = seen[15][-1], seen[25][-1]
+        assert short["iteration"] == full["iteration"] == 15
+        assert short_keys[1.0] != full_keys[1.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme_name=st.sampled_from(sorted(MEMO_SCHEMES)),
+        histories=st.lists(memo_calls, min_size=2, max_size=3),
+    )
+    def test_memo_serves_the_bytes_a_fresh_pass_writes(self, scheme_name, histories):
+        """Memo-served and fresh payloads are byte-identical over random
+        snapshot/commit/discard histories that repeat positions under other
+        checkpoint ids, and the memo answers every repeat of a position,
+        iteration label and norm whatever was committed or discarded
+        before it."""
+        solver, states = _positioned_states()
+        memo = SnapshotMemo()
+        seen, repeats = set(), 0
+        for history in histories:
+            scheme = MEMO_SCHEMES[scheme_name]()
+            memoed, reference = (
+                CheckpointPipeline(scheme, solver=solver, store=MemoryCheckpointStore())
+                for _ in range(2)
+            )
+            for position, kind, checkpoint_id, b_norm, committed in history:
+                call = (position, _OFFSETS[kind], b_norm)
+                repeats += call in seen
+                seen.add(call)
+                inputs, keys = states[kind][position]
+                kwargs = dict(inputs, b_norm=b_norm, checkpoint_id=checkpoint_id)
+                if not scheme.checkpoint_krylov_state:
+                    kwargs["resume_state"] = None
+                x = kwargs.pop("x")
+                got = memo.snapshot(
+                    keys[b_norm], checkpoint_id, lambda: memoed.snapshot(x, **kwargs)
+                )
+                want = reference.snapshot(x, **kwargs)
+                assert got.payload == want.payload
+                assert got.checkpoint_id == want.checkpoint_id == checkpoint_id
+                if committed:
+                    memoed.commit(got)
+                    reference.commit(want)
+            for checkpoint_id in reference.store.ids():
+                assert memoed.store.read(checkpoint_id) == reference.store.read(
+                    checkpoint_id
+                )
+                restored = memoed.restore(checkpoint_id)
+                expected = reference.restore(checkpoint_id)
+                assert restored.x.tobytes() == expected.x.tobytes()
+        assert memo.hits == repeats
+
+    def test_a_state_the_session_did_not_emit_gets_no_key(self, poisson_small):
+        """Only the states a session hands out have positions: a hand-made
+        state, a copy of an emitted one and a state from a solve outside the
+        session get no key, so the memo never serves them."""
+        solver = CGSolver(poisson_small.A, rtol=1e-6, max_iter=100)
+        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        keys, strangers = [], []
+
+        def callback(state):
+            keys.append(session.memo_key(state, b"context", 1.0))
+            copy = IterationState(state.iteration, state.x, state.residual_norm)
+            strangers.append(session.memo_key(copy, b"context", 1.0))
+
+        session.solve_phase(np.zeros(solver.n), None, 0, 5, callback)
+        assert None not in keys and strangers == [None] * 5
+        outside = []
+        solver.solve(
+            poisson_small.b, max_iter=3,
+            callback=lambda s: outside.append(session.memo_key(s, b"c", 1.0)),
+        )
+        assert outside == [None] * 3
+
+        memo, built = SnapshotMemo(), []
+        pipeline = CheckpointPipeline(CheckpointingScheme.lossless(), solver=solver)
+        for checkpoint_id in range(2):
+            memo.snapshot(
+                None, checkpoint_id,
+                lambda: built.append(None) or pipeline.snapshot(np.ones(solver.n)),
+            )
+        assert len(built) == 2 and len(memo) == 0
+        assert (memo.hits, memo.misses) == (0, 0)
+
+    def test_payload_survives_in_place_mutation_of_source(self, poisson_small):
+        """Solvers update ``x`` in place: a memoized payload does not follow
+        the buffer it was taken from, a replay of its position is served the
+        recorded state, and the mutated buffer — a state the session did not
+        emit — is serialized fresh."""
+        solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100)
+        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        pipeline = CheckpointPipeline(CheckpointingScheme.lossless(), solver=solver)
+        memo, served = SnapshotMemo(), []
+
+        def checkpoint_at_3(state):
+            if state.iteration == 3:
+                key = session.memo_key(state, b"context", 1.0)
+                live = state.x
+                served.append((live.copy(), memo.snapshot(
+                    key, len(served), lambda: pipeline.snapshot(live, iteration=3)
+                )))
+                live *= -3.0  # the solver moves on
+                mutated = IterationState(3, live, state.residual_norm)
+                assert session.memo_key(mutated, b"context", 1.0) is None
+
+        x0 = np.zeros(solver.n)
+        session.solve_phase(x0, None, 0, 5, checkpoint_at_3)
+        session.solve_phase(x0, None, 0, 5, checkpoint_at_3)
+        assert memo.hits == 1 and session.hits == 1
+        (original, first), (_, second) = served
+        assert second.checkpoint_id == 1 and second.payload == first.payload
+        assert pipeline.restore(payload=second.payload).x.tobytes() == original.tobytes()
 
 
 #: CG solvers that differ *only* in preconditioner.  On the Poisson matrix
