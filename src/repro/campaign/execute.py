@@ -123,22 +123,25 @@ def _characterization_to_dict(char) -> Dict[str, object]:
     }
 
 
-def _characterization_from_dict(payload):
-    from repro.experiments.characterize import SchemeCharacterization
+def _memoized(kind: str, key: Tuple, compute, encode, decode):
+    """``compute()``, served from the on-disk memo under ``(kind, key)``.
 
-    return SchemeCharacterization(
-        scheme=str(payload["scheme"]),
-        method=str(payload["method"]),
-        mean_ratio=float(payload["mean_ratio"]),
-        ratios=[float(r) for r in payload["ratios"]],
-        baseline_iterations=int(payload["baseline_iterations"]),
-        variable_ratios={
-            str(k): float(v) for k, v in payload["variable_ratios"].items()
-        },
-        scalar_count=int(payload["scalar_count"]),
-        overhead_bytes=float(payload["overhead_bytes"]),
-        payload_bytes=[int(b) for b in payload["payload_bytes"]],
-    )
+    A hit is ``decode``d from its JSON form; a miss (or a stale/foreign entry
+    ``decode`` rejects) is computed and stored ``encode``d.
+    """
+    store = _MEMO_STORE
+    if store is None:
+        return compute()
+    digest = _memo_digest(kind, key)
+    payload = store.get(digest)
+    if payload is not None:
+        try:
+            return decode(payload)
+        except (KeyError, TypeError, ValueError):
+            pass  # stale/foreign entry: recompute and overwrite below
+    value = compute()
+    store.put(digest, encode(value))
+    return value
 
 
 def _build_problem_and_solver(cell) -> Tuple[object, object]:
@@ -250,19 +253,13 @@ def _cached_setup(
     problem, solver = _build_problem_and_solver(cfg)
     # The problem/solver construction is cheap; the baseline solve is the
     # expensive part worth persisting across processes and invocations.
-    key = (method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter)
-    store = _MEMO_STORE
-    digest = _memo_digest("baseline", key) if store is not None else None
-    if store is not None:
-        payload = store.get(digest)
-        if payload is not None:
-            try:
-                return problem, solver, _baseline_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                pass  # stale/foreign entry: recompute and overwrite below
-    baseline = run_failure_free(solver, problem.b)
-    if store is not None:
-        store.put(digest, _baseline_to_dict(baseline))
+    baseline = _memoized(
+        "baseline",
+        (method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter),
+        lambda: run_failure_free(solver, problem.b),
+        _baseline_to_dict,
+        _baseline_from_dict,
+    )
     return problem, solver, baseline
 
 
@@ -282,40 +279,39 @@ def _cached_characterization(
     error_bound_policy: str,
 ):
     """Measured pipeline-payload characterization of one scheme/config."""
-    from repro.experiments.characterize import measure_scheme_ratio
+    from repro.experiments.characterize import (
+        characterization_from_result,
+        measure_scheme_ratio,
+    )
 
-    key = (
-        method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter,
-        scheme, compressor, error_bound, adaptive, error_bound_policy,
-    )
-    store = _MEMO_STORE
-    digest = _memo_digest("characterization", key) if store is not None else None
-    if store is not None:
-        payload = store.get(digest)
-        if payload is not None:
-            try:
-                return _characterization_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                pass  # stale/foreign entry: recompute and overwrite below
-    problem, solver, baseline = _cached_setup(
-        method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter
-    )
-    scheme_obj = _build_scheme(
-        SimpleNamespace(
-            scheme=scheme,
-            compressor=compressor,
-            error_bound=error_bound,
-            adaptive=adaptive,
-            error_bound_policy=error_bound_policy,
+    def measure():
+        problem, solver, baseline = _cached_setup(
+            method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter
         )
+        scheme_obj = _build_scheme(
+            SimpleNamespace(
+                scheme=scheme,
+                compressor=compressor,
+                error_bound=error_bound,
+                adaptive=adaptive,
+                error_bound_policy=error_bound_policy,
+            )
+        )
+        return measure_scheme_ratio(
+            solver, problem.b, scheme_obj, method=method,
+            baseline_iterations=baseline.iterations,
+        )
+
+    return _memoized(
+        "characterization",
+        (
+            method, grid_n, kkt_n, problem_seed, rtol, gmres_restart, max_iter,
+            scheme, compressor, error_bound, adaptive, error_bound_policy,
+        ),
+        measure,
+        _characterization_to_dict,
+        characterization_from_result,
     )
-    char = measure_scheme_ratio(
-        solver, problem.b, scheme_obj, method=method,
-        baseline_iterations=baseline.iterations,
-    )
-    if store is not None:
-        store.put(digest, _characterization_to_dict(char))
-    return char
 
 
 def _setup(cell):

@@ -290,8 +290,9 @@ class CheckpointPipeline:
         :meth:`commit` to persist the returned snapshot.
         The bytes depend on this call's state, iteration, norms and tag only
         — not on earlier calls, nor on ``checkpoint_id``, which labels the
-        result — so the engine's :class:`~repro.engine.replay.SnapshotMemo`
-        may serve them again.
+        result — so the engine's payload memo
+        (:func:`~repro.engine.replay.get_global_snapshot_memo`) may serve
+        them again.
         """
         if checkpoint_id is None:
             checkpoint_id = self._next_id

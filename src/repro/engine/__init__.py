@@ -39,9 +39,8 @@ from repro.engine.events import (
 )
 from repro.engine.replay import (
     REPLAY_ENV,
+    LRUCache,
     ReplaySession,
-    SnapshotMemo,
-    TrajectoryCache,
     get_global_cache,
     get_global_snapshot_memo,
     replay_enabled,
@@ -81,8 +80,7 @@ __all__ = [
     "WRITE_MODES",
     "REPLAY_ENV",
     "ReplaySession",
-    "SnapshotMemo",
-    "TrajectoryCache",
+    "LRUCache",
     "replay_enabled",
     "get_global_cache",
     "get_global_snapshot_memo",

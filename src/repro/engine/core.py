@@ -97,7 +97,7 @@ single-clock engine (pinned by the equivalence suite).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -944,7 +944,16 @@ class FaultToleranceEngine:
         if self._memo_context is None:
             return build()
         key = self._replay.memo_key(it_state, self._memo_context, self.b_norm)
-        return get_global_snapshot_memo().snapshot(key, checkpoint_id, build)
+        if key is None:
+            return build()
+        memo = get_global_snapshot_memo()
+        cached = memo.get(key)
+        if cached is not None:
+            # Payload bytes hold no checkpoint id: relabel for this caller.
+            return replace(cached, checkpoint_id=int(checkpoint_id))
+        snapshot = build()
+        memo.put(key, snapshot)
+        return snapshot
 
     def _checkpoint_allowed(
         self, it_state: IterationState, *, overdue_seconds: float = 0.0

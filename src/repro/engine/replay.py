@@ -16,7 +16,14 @@ of the solver configuration (class, matrix bytes, convergence criterion,
 preconditioner action) and the right-hand side.  The iteration offset is a *label* — it
 shifts reported indices but not the numerics — so it stays out of the key,
 which is what lets a re-executed span after a rollback hit the recording of
-the original execution.
+the original execution.  The iteration budget is not hashed either: a hit
+is served only when the recording's budget equals the phase's.
+
+Only *finished* phases are kept.  A phase that a
+:class:`~repro.solvers.base.SolverInterrupt` (the engine's failure signal) ends leaves no recording: the rollback
+restarts from a checkpoint, not from the interrupted state, and after a
+lossy restart every phase starts from its own distorted iterate, so a
+repeat of an interrupted phase is rare.
 
 Replay
 ------
@@ -54,37 +61,38 @@ suites).
 
 Every state the session hands the engine has a *position* — recording key,
 budget, phase-local index — and equal positions hold bitwise-equal states.
-The engine's :class:`SnapshotMemo` of coded checkpoint payloads is keyed by
-it (:meth:`ReplaySession.memo_key`), so a repeated checkpoint is served
+The engine's payload memo of coded checkpoints
+(:func:`get_global_snapshot_memo`) is keyed by it
+(:meth:`ReplaySession.memo_key`), so a repeated checkpoint is served
 without reading, hashing or catching up its state.
 
 Bounds and escape hatch
 -----------------------
-The process-wide cache is LRU-bounded in entries and retained bytes.
-``REPRO_REPLAY=off`` (or ``FaultToleranceEngine(replay=False)``) disables
-the whole mechanism, the payload memo included.
+Recordings and payloads live in two process-wide instances of one
+:class:`LRUCache`, bounded in entries and measured bytes.  A replay holds a
+reference to its recording, so an eviction mid-replay only makes a later
+phase record again.  ``REPRO_REPLAY=off`` (or
+``FaultToleranceEngine(replay=False)``) disables the whole mechanism, the
+payload memo included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import struct
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint.pipeline import PipelineSnapshot
 from repro.solvers.base import (
     IterationState,
     IterativeSolver,
     ResumeState,
     SolveResult,
-    SolverInterrupt,
 )
 
 __all__ = [
@@ -93,11 +101,10 @@ __all__ = [
     "solver_fingerprint",
     "scheme_fingerprint",
     "state_digest",
-    "TrajectoryCache",
+    "LRUCache",
     "TrajectoryRecording",
     "RecordedStep",
     "ReplaySession",
-    "SnapshotMemo",
     "get_global_cache",
     "get_global_snapshot_memo",
 ]
@@ -238,13 +245,11 @@ class RecordedStep:
 class TrajectoryRecording:
     """The replayable record of one solve phase.
 
-    ``ended`` classifies how the recording stopped:
+    ``ended`` classifies how the recording stopped (``None`` while the
+    phase runs; an interrupted phase is never cached):
 
     * ``"terminal"`` — ``_solve`` returned (converged, intrinsic breakdown/
       divergence, or budget-capped); replayable as-is for the same budget.
-    * ``"interrupted"`` — a callback raised :class:`SolverInterrupt`
-      mid-phase; the steps are a valid prefix, replayable only when the end
-      state supports a bitwise numeric continuation.
     * ``"opaque"`` — the solver's emissions were not 1:1 with its counted
       iterations (foreign solver); never replayed.
 
@@ -262,13 +267,11 @@ class TrajectoryRecording:
     start_resume: Optional[ResumeState]
     steps: List[RecordedStep] = field(default_factory=list)
     snapshots: Dict[int, IterationState] = field(default_factory=dict)
-    ended: str = "interrupted"
+    ended: Optional[str] = None
     converged: bool = False
     final_x: Optional[np.ndarray] = None
     residual0: Optional[float] = None
     info: Dict[str, object] = field(default_factory=dict)
-    #: Bytes this recording is currently accounted for in its cache.
-    nbytes: int = 0
 
     def measure(self) -> int:
         """Approximate retained bytes (arrays dominate; structs estimated)."""
@@ -319,83 +322,77 @@ def _copy_resume(resume: Optional[ResumeState]) -> Optional[ResumeState]:
 # ---------------------------------------------------------------------------
 
 
-class TrajectoryCache:
-    """Process-wide LRU of :class:`TrajectoryRecording` objects.
+class LRUCache:
+    """LRU map bounded both in entry count and in measured bytes.
 
-    Bounded both in entry count and in retained bytes (snapshots added
-    after insertion are re-accounted: checkpoint boundaries via :meth:`put`,
-    catch-up materializations via :meth:`grow`).  Entries pinned by an
-    active replay are never evicted.
+    ``measure(value)`` sizes an entry when it is :meth:`put`; :meth:`grow`
+    adds the bytes a live value retained since, without re-measuring it.
+    The cache keeps the sizes, so its values carry no accounting of their
+    own.  ``hits``/``misses`` count :meth:`get` outcomes.
     """
 
-    def __init__(self, max_entries: int = 256, max_bytes: int = 256 * 1024 * 1024):
+    def __init__(
+        self, measure: Callable[[object], int], max_entries: int, max_bytes: int
+    ) -> None:
+        self.measure = measure
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[bytes, TrajectoryRecording]" = OrderedDict()
-        self._pins: Dict[bytes, int] = {}
+        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
         self.total_bytes = 0
+        self.hits = 0
+        self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: bytes) -> Optional[TrajectoryRecording]:
-        rec = self._entries.get(key)
-        if rec is not None:
-            self._entries.move_to_end(key)
-        return rec
+    def get(self, key: Hashable):
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
 
-    def put(self, rec: TrajectoryRecording) -> None:
-        """Insert or re-account a recording (idempotent on the same object)."""
-        old = self._entries.pop(rec.key, None)
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert (or re-measure) ``value`` under ``key`` as the newest entry."""
+        self._store(key, value, self.measure(value))
+
+    def grow(self, key: Hashable, value: object, nbytes: int) -> None:
+        """Account ``nbytes`` more retained by ``value`` since it was put.
+
+        A value no longer held under ``key`` (evicted meanwhile) is put again.
+        """
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not value:
+            return self.put(key, value)
+        self._store(key, value, entry[1] + nbytes)
+
+    def _store(self, key: Hashable, value: object, nbytes: int) -> None:
+        old = self._entries.pop(key, None)
         if old is not None:
-            self.total_bytes -= old.nbytes
-        rec.nbytes = rec.measure()
-        self._entries[rec.key] = rec
-        self.total_bytes += rec.nbytes
-        self._evict()
-
-    def grow(self, rec: TrajectoryRecording, nbytes: int) -> None:
-        """:meth:`put` after ``rec`` retained ``nbytes`` more, without re-measuring."""
-        if self._entries.get(rec.key) is not rec:
-            return self.put(rec)
-        self._entries.move_to_end(rec.key)
-        rec.nbytes += nbytes
+            self.total_bytes -= old[1]
+        self._entries[key] = (value, nbytes)
         self.total_bytes += nbytes
-        self._evict()
-
-    def pin(self, key: bytes) -> None:
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: bytes) -> None:
-        count = self._pins.get(key, 0) - 1
-        if count <= 0:
-            self._pins.pop(key, None)
-        else:
-            self._pins[key] = count
-
-    def _evict(self) -> None:
-        while len(self._entries) > self.max_entries or self.total_bytes > self.max_bytes:
-            victim = None
-            for key in self._entries:  # oldest first
-                if key not in self._pins:
-                    victim = key
-                    break
-            if victim is None:  # everything live is pinned
-                break
-            rec = self._entries.pop(victim)
-            self.total_bytes -= rec.nbytes
+        while self._entries and (
+            len(self._entries) > self.max_entries or self.total_bytes > self.max_bytes
+        ):
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.total_bytes -= evicted
             self.evictions += 1
 
 
-_GLOBAL_CACHE: Optional[TrajectoryCache] = None
+_MIB = 1024 * 1024
+
+_GLOBAL_CACHE: Optional[LRUCache] = None
 
 
-def get_global_cache() -> TrajectoryCache:
-    """The process-wide cache engines share by default."""
+def get_global_cache() -> LRUCache:
+    """The process-wide trajectory cache engines share by default."""
     global _GLOBAL_CACHE
     if _GLOBAL_CACHE is None:
-        _GLOBAL_CACHE = TrajectoryCache()
+        _GLOBAL_CACHE = LRUCache(TrajectoryRecording.measure, 256, 256 * _MIB)
     return _GLOBAL_CACHE
 
 
@@ -431,87 +428,29 @@ def scheme_fingerprint(scheme) -> bytes:
     return h.digest()
 
 
-class SnapshotMemo:
-    """Process-wide LRU of finished checkpoint payloads.
+#: Fixed per-entry bookkeeping estimate of a memoized payload.
+_PAYLOAD_OVERHEAD_BYTES = 256
+
+
+def _payload_bytes(snapshot) -> int:
+    """Measured bytes of one memoized checkpoint payload."""
+    return len(snapshot.payload) + _PAYLOAD_OVERHEAD_BYTES
+
+
+_GLOBAL_SNAPSHOT_MEMO: Optional[LRUCache] = None
+
+
+def get_global_snapshot_memo() -> LRUCache:
+    """The process-wide memo of finished coded checkpoint payloads.
 
     Values are :class:`~repro.checkpoint.pipeline.PipelineSnapshot` objects
     keyed by trajectory position (:meth:`ReplaySession.memo_key`).  Payload
     bytes are never mutated and do not contain the checkpoint id, so one
-    entry serves every id its position is checkpointed under
-    (:meth:`snapshot`).  Byte accounting covers the serialized payload.
+    entry serves every id its position is checkpointed under.
     """
-
-    _ENTRY_OVERHEAD_BYTES = 256
-
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        max_bytes: int = 128 * 1024 * 1024,
-    ) -> None:
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[tuple, PipelineSnapshot]" = OrderedDict()
-        self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @classmethod
-    def _measure(cls, snapshot) -> int:
-        return len(snapshot.payload) + cls._ENTRY_OVERHEAD_BYTES
-
-    def get(self, key: tuple) -> Optional[PipelineSnapshot]:
-        snapshot = self._entries.get(key)
-        if snapshot is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return snapshot
-
-    def put(self, key: tuple, snapshot: PipelineSnapshot) -> None:
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.total_bytes -= self._measure(old)
-        self._entries[key] = snapshot
-        self.total_bytes += self._measure(snapshot)
-        while self._entries and (
-            len(self._entries) > self.max_entries
-            or self.total_bytes > self.max_bytes
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self.total_bytes -= self._measure(evicted)
-            self.evictions += 1
-
-    def snapshot(
-        self,
-        key: Optional[tuple],
-        checkpoint_id: int,
-        build: Callable[[], PipelineSnapshot],
-    ) -> PipelineSnapshot:
-        """The payload memoized under ``key`` labelled ``checkpoint_id``, else
-        ``build()``'s, stored under ``key`` unless the key is ``None``."""
-        if key is None:
-            return build()
-        cached = self.get(key)
-        if cached is not None:
-            return dataclasses.replace(cached, checkpoint_id=int(checkpoint_id))
-        snapshot = build()
-        self.put(key, snapshot)
-        return snapshot
-
-
-_GLOBAL_SNAPSHOT_MEMO: Optional[SnapshotMemo] = None
-
-
-def get_global_snapshot_memo() -> SnapshotMemo:
-    """The process-wide payload memo engines share by default."""
     global _GLOBAL_SNAPSHOT_MEMO
     if _GLOBAL_SNAPSHOT_MEMO is None:
-        _GLOBAL_SNAPSHOT_MEMO = SnapshotMemo()
+        _GLOBAL_SNAPSHOT_MEMO = LRUCache(_payload_bytes, 4096, 128 * _MIB)
     return _GLOBAL_SNAPSHOT_MEMO
 
 
@@ -523,18 +462,13 @@ def get_global_snapshot_memo() -> SnapshotMemo:
 class _PhaseRecorder:
     """Collects a solve's emissions into a :class:`TrajectoryRecording`.
 
-    ``base_local`` is 0 for a fresh recording and the existing step count
-    when a numeric continuation extends an interrupted recording in place.
     ``dense_bytes`` is how many bytes of emitted states the recording may
     retain besides its boundary snapshots (0: boundary-only); the first
     state that does not fit ends dense retention for the phase.
     """
 
-    def __init__(
-        self, rec: TrajectoryRecording, base_local: int, dense_bytes: int = 0
-    ) -> None:
+    def __init__(self, rec: TrajectoryRecording, dense_bytes: int = 0) -> None:
         self.rec = rec
-        self.base = int(base_local)
         self.dense_bytes = int(dense_bytes)
         self.last_state: Optional[IterationState] = None
         self.result: Optional[SolveResult] = None
@@ -569,12 +503,12 @@ class _PhaseRecorder:
     def note_snapshot(self, it_state: IterationState) -> None:
         """Retain the full state at an engine checkpoint boundary."""
         local = len(self.rec.steps)
-        if local > self.base and local not in self.rec.snapshots:
+        if local > 0 and local not in self.rec.snapshots:
             self.rec.snapshots[local] = _copy_state(it_state)
 
     def finalize(self, result: SolveResult) -> None:
         rec = self.rec
-        if self.base + result.iterations != len(rec.steps):
+        if result.iterations != len(rec.steps):
             # Emissions were not 1:1 with counted iterations (a foreign
             # solver): the step list cannot stand in for the execution.
             rec.ended = "opaque"
@@ -583,15 +517,9 @@ class _PhaseRecorder:
         rec.converged = bool(result.converged)
         rec.final_x = np.array(result.x, dtype=np.float64, copy=True)
         rec.info = dict(result.info)
-        if self.base == 0 and result.residual_norms:
+        if result.residual_norms:
             rec.residual0 = float(result.residual_norms[0])
         if self.last_state is not None:
-            self.note_snapshot(self.last_state)
-
-    def finalize_interrupted(self) -> None:
-        self.rec.ended = "interrupted"
-        if self.last_state is not None:
-            # The end state is the continuation point for a later extension.
             self.note_snapshot(self.last_state)
 
 
@@ -680,7 +608,7 @@ class ReplaySession:
     """Per-run front end of the trajectory cache.
 
     Owns the phase digests (solver fingerprint + right-hand side), decides
-    record vs. replay vs. extend per phase, names each state it hands the
+    record vs. replay per phase, names each state it hands the
     engine by its trajectory position (:meth:`memo_key`), materializes
     checkpoint-boundary states by bitwise numeric catch-up, and keeps the
     run's hit/saving counters for the benchmark artifact.
@@ -698,9 +626,8 @@ class ReplaySession:
         self.cache = cache if cache is not None else get_global_cache()
         h = hashlib.blake2b(self.b.tobytes(), digest_size=16)
         self._context = solver_fingerprint(solver) + h.digest()
-        # The same value every solver computes internally — used by the
-        # extension guard, which must apply the solver's own divergence
-        # predicate to the recorded end residual.
+        # The same value every solver computes internally, for the
+        # ``SolveResult`` a replay synthesizes.
         self.b_norm = float(np.linalg.norm(self.b))
         self.hits = 0
         self.misses = 0
@@ -733,7 +660,7 @@ class ReplaySession:
         rec = self.cache.get(key)
         if rec is not None and self._replayable(rec, limit):
             self.hits += 1
-            return self._replay(rec, iteration_offset, limit, callback)
+            return self._replay(rec, iteration_offset, callback)
         self.misses += 1
         if rec is not None and rec.ended == "opaque":
             # Known non-replayable emitter: skip the recording overhead.
@@ -772,7 +699,7 @@ class ReplaySession:
     def note_boundary_state(self, it_state) -> None:
         """A checkpoint boundary (or a characterization sample) saw this state.
 
-        During recording (or extension) the full state is retained so later
+        During recording the full state is retained so later
         replays of the same span find their boundaries without catch-up.
         No-op during pure replay — the served states already come from the
         recording.
@@ -804,10 +731,11 @@ class ReplaySession:
         dense_bytes = 0
         if resume is None and iteration_offset == 0 and not self._mid_phase_bitwise():
             dense_bytes = self.cache.max_bytes // _DENSE_SHARE
-        recorder = _PhaseRecorder(rec, base_local=0, dense_bytes=dense_bytes)
+        recorder = _PhaseRecorder(rec, dense_bytes=dense_bytes)
         self._active_recorder = recorder
         try:
             with self.solver.recording(recorder):
+                # A SolverInterrupt propagates and the recording is dropped.
                 result = self.solver.solve(
                     self.b,
                     x0=x0,
@@ -816,35 +744,22 @@ class ReplaySession:
                     iteration_offset=iteration_offset,
                     resume_state=resume,
                 )
-        except SolverInterrupt:
-            recorder.finalize_interrupted()
-            self.cache.put(rec)
-            raise
         finally:
             self._active_recorder = None
         recorder.finalize(result)
-        self.cache.put(rec)
+        self.cache.put(key, rec)
         return result
 
     # -- replay --------------------------------------------------------------
     def _replayable(self, rec: TrajectoryRecording, limit: int) -> bool:
         """Whether ``rec`` can serve a phase with iteration budget ``limit``.
 
-        The budget must match the recorded one: solvers may shape their work
-        by the remaining budget (GMRES truncates its final Arnoldi cycle),
-        so a different ``max_iter`` is a different execution even from the
-        same start state.  Within a matching budget, a terminal recording
-        replays as-is; an interrupted recording replays only when its end
-        state supports a bitwise numeric continuation (the replay may need
-        to run past the recorded prefix if this run's failures land later).
+        Only a finished (terminal) recording replays, and only under its
+        recorded budget: solvers may shape their work by the remaining
+        budget (GMRES truncates its final Arnoldi cycle), so a different
+        ``max_iter`` is a different execution even from the same start state.
         """
-        if rec.limit != limit:
-            return False
-        if rec.ended == "terminal":
-            return True
-        if rec.ended != "interrupted" or not rec.steps:
-            return False
-        return self._extendable(rec)
+        return rec.limit == limit and rec.ended == "terminal"
 
     def _mid_phase_bitwise(self) -> bool:
         """Whether any captured state resumes this solver bit for bit.
@@ -856,115 +771,29 @@ class ReplaySession:
         spec = self.solver.checkpoint_spec
         return spec.bitwise_resume and not spec.restart_boundary_only
 
-    def _extendable(self, rec: TrajectoryRecording) -> bool:
-        if not self._mid_phase_bitwise():
-            # Mid-phase continuation must reproduce the uninterrupted
-            # sequence bit for bit.  GMRES is excluded even though its
-            # boundary resume is bitwise: its divergence check runs on
-            # *preconditioned* norms at cycle ends, which the recorded
-            # (unpreconditioned) residual cannot stand in for.
-            return False
-        local = len(rec.steps)
-        end = rec.snapshots.get(local)
-        if end is None:
-            return False
-        if self.solver.capture_resume_state(end) is None:
-            return False
-        # An end residual past the divergence guard means the uninterrupted
-        # solve would have stopped *at* the recorded end — a continuation
-        # solve would not re-run that post-emission check.
-        if self.solver.criterion.has_diverged(
-            rec.steps[-1].residual_norm, self.b_norm
-        ):
-            return False
-        return True
-
     def _replay(
         self,
         rec: TrajectoryRecording,
         iteration_offset: int,
-        limit: int,
         callback: Callable[[IterationState], None],
     ) -> SolveResult:
-        self.cache.pin(rec.key)
-        try:
-            total = len(rec.steps)
-            for local in range(1, total + 1):
-                step = rec.steps[local - 1]
-                state = _ReplayState(
-                    self, rec, local, iteration_offset + local, step
-                )
-                self.iterations_replayed += 1
-                # May raise SolverInterrupt (the engine's failure signal) —
-                # exactly as the numeric execution's callback would.
-                callback(state)
-            if rec.ended == "terminal":
-                return self._synthesize(rec, total)
-            return self._extend(rec, iteration_offset, limit, callback)
-        finally:
-            self.cache.unpin(rec.key)
-
-    def _synthesize(self, rec: TrajectoryRecording, iterations: int) -> SolveResult:
+        # The loop holds ``rec``, so an eviction meanwhile cannot tear it.
+        for local, step in enumerate(rec.steps, start=1):
+            self.iterations_replayed += 1
+            # May raise SolverInterrupt (the engine's failure signal) —
+            # exactly as the numeric execution's callback would.
+            callback(_ReplayState(self, rec, local, iteration_offset + local, step))
         norms = [step.residual_norm for step in rec.steps]
         if rec.residual0 is not None:
             norms = [rec.residual0] + norms
         return SolveResult(
             x=rec.final_x.copy(),
             converged=rec.converged,
-            iterations=iterations,
+            iterations=len(rec.steps),
             residual_norms=norms,
             solver=rec.solver_name,
             b_norm=self.b_norm,
             info=dict(rec.info),
-        )
-
-    def _extend(
-        self,
-        rec: TrajectoryRecording,
-        iteration_offset: int,
-        limit: int,
-        callback: Callable[[IterationState], None],
-    ) -> SolveResult:
-        """Continue an interrupted recording numerically, appending in place.
-
-        Only reached for solvers whose captured end state resumes bitwise
-        (checked by :meth:`_extendable`), so the appended steps are the ones
-        the uninterrupted execution would have produced.
-        """
-        local = len(rec.steps)
-        end = rec.snapshots[local]
-        resume = self.solver.capture_resume_state(end)
-        recorder = _PhaseRecorder(rec, base_local=local)
-        self._active_recorder = recorder
-        try:
-            with self.solver.recording(recorder):
-                result = self.solver.solve(
-                    self.b,
-                    x0=end.x,
-                    callback=callback,
-                    max_iter=limit - local,
-                    iteration_offset=iteration_offset + local,
-                    resume_state=resume,
-                )
-        except SolverInterrupt:
-            recorder.finalize_interrupted()
-            self.cache.put(rec)
-            raise
-        finally:
-            self._active_recorder = None
-        recorder.finalize(result)
-        self.cache.put(rec)
-        norms = [step.residual_norm for step in rec.steps]
-        if rec.residual0 is not None:
-            norms = [rec.residual0] + norms
-        return SolveResult(
-            x=np.array(result.x, dtype=np.float64, copy=True),
-            converged=result.converged,
-            iterations=local + result.iterations,
-            residual_norms=norms,
-            solver=result.solver,
-            b_norm=result.b_norm,
-            info=dict(result.info),
         )
 
     # -- catch-up ------------------------------------------------------------
@@ -1021,5 +850,5 @@ class ReplaySession:
             )
         state = _copy_state(state)
         rec.snapshots[local] = state
-        self.cache.grow(rec, _state_bytes(state))
+        self.cache.grow(rec.key, rec, _state_bytes(state))
         return state

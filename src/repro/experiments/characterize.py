@@ -312,7 +312,11 @@ def characterize_cells(
 
 
 def characterization_from_result(result) -> SchemeCharacterization:
-    """Rebuild a :class:`SchemeCharacterization` from a cell's JSON result."""
+    """Rebuild a :class:`SchemeCharacterization` from a cell's JSON result.
+
+    Strict: a missing field raises :class:`KeyError`, which the campaign's
+    sub-result memo treats as a stale entry (a miss).
+    """
     return SchemeCharacterization(
         scheme=str(result["scheme"]),
         method=str(result["method"]),
@@ -320,10 +324,9 @@ def characterization_from_result(result) -> SchemeCharacterization:
         ratios=[float(r) for r in result["ratios"]],
         baseline_iterations=int(result["baseline_iterations"]),
         variable_ratios={
-            str(k): float(v)
-            for k, v in dict(result.get("variable_ratios", {})).items()
+            str(k): float(v) for k, v in result["variable_ratios"].items()
         },
-        scalar_count=int(result.get("scalar_count", 1)),
-        overhead_bytes=float(result.get("overhead_bytes", 0.0)),
-        payload_bytes=[int(b) for b in result.get("payload_bytes", [])],
+        scalar_count=int(result["scalar_count"]),
+        overhead_bytes=float(result["overhead_bytes"]),
+        payload_bytes=[int(b) for b in result["payload_bytes"]],
     )

@@ -5,15 +5,19 @@ engine reports: ``FTRunReport.to_dict()`` as sorted-key JSON must be byte-identi
 off, replay on against a cold cache, and replay on against a warm cache — the
 hypothesis sweep drives that across scheme × failure-model × recovery-levels ×
 write-mode (async cells exercise mid-drain failures, ``fti`` cells exercise
-multilevel level-loss fallbacks).  The unit tests pin the cache mechanics
-(LRU, byte caps, pinning), the ``REPRO_REPLAY`` escape hatch, the engine
-kwarg override, the run counters the benchmark artifact reports, and the
+multilevel level-loss fallbacks).  The unit tests pin the one
+:class:`LRUCache` both memos use (entry and byte caps, exact byte accounts,
+an eviction of the recording being replayed), that an interrupted phase
+leaves no recording, the ``REPRO_REPLAY`` escape hatch, the engine kwarg
+override, the run counters the benchmark artifact reports, and the
 checkpoint-payload memo that rides on the same switch, keyed by trajectory
 position.
 """
 
+import dataclasses
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,9 +36,8 @@ from repro.engine import (
 )
 from repro.engine.replay import (
     REPLAY_ENV,
+    LRUCache,
     ReplaySession,
-    SnapshotMemo,
-    TrajectoryCache,
     TrajectoryRecording,
     replay_enabled,
     scheme_fingerprint,
@@ -43,7 +46,7 @@ from repro.engine.replay import (
 )
 from repro.precond import IncompleteCholeskyPreconditioner, JacobiPreconditioner
 from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
-from repro.solvers.base import IterationState
+from repro.solvers.base import IterationState, SolverInterrupt
 from repro.sparse import poisson_system
 import repro.engine.replay as replay_module
 
@@ -57,6 +60,22 @@ def clear_global_cache():
     """Start over with empty process-wide trajectory and snapshot caches."""
     replay_module._GLOBAL_CACHE = None
     replay_module._GLOBAL_SNAPSHOT_MEMO = None
+
+
+def _trajectory_cache(max_entries=256, max_bytes=256 << 20):
+    """A private trajectory cache, by default with the global one's bounds."""
+    return LRUCache(TrajectoryRecording.measure, max_entries, max_bytes)
+
+
+def _memo_snapshot(memo, key, checkpoint_id, build):
+    """Serve a payload as ``FaultToleranceEngine._snapshot`` does: a hit
+    relabelled with the caller's id, else ``build()``'s, stored."""
+    cached = memo.get(key)
+    if cached is not None:
+        return dataclasses.replace(cached, checkpoint_id=checkpoint_id)
+    snapshot = build()
+    memo.put(key, snapshot)
+    return snapshot
 
 
 SOLVER_FACTORIES = {
@@ -237,7 +256,7 @@ class TestRetention:
     @pytest.mark.parametrize("method", sorted(DENSE_FACTORIES))
     def test_only_solve_start_phases_are_dense(self, poisson_small, method):
         solver = DENSE_FACTORIES[method](poisson_small.A)
-        replay = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        replay = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
         x0 = np.zeros(solver.n)
         result = replay.solve_phase(x0, None, 0, 12, _noop)
         start = replay.cache.get(state_digest(x0, context=replay.context))
@@ -253,7 +272,7 @@ class TestRetention:
         the boundaries the caller saw and the end state — and are accounted
         exactly as many bytes as those states take."""
         solver = SOLVER_FACTORIES["jacobi"](poisson_small.A)
-        replay = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        replay = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
 
         def boundaries(state):
             if state.iteration in (3, 7, 11):
@@ -264,12 +283,29 @@ class TestRetention:
         rec = replay.cache.get(state_digest(x0, context=replay.context))
         assert sorted(rec.snapshots) == [3, 7, 11, 20]
         vector = 8 * solver.n
-        assert rec.nbytes == replay.cache.total_bytes == (
+        assert rec.measure() == replay.cache.total_bytes == (
             (vector + 64)  # start_x
             + vector  # final_x
             + 20 * replay_module._STEP_OVERHEAD_BYTES
             + 4 * (vector + 64)  # x of each snapshot
         )
+
+    def test_interrupted_phase_leaves_no_recording(self, poisson_small):
+        """A failure ends the phase: nothing is cached, and a rerun of the
+        same phase records it again instead of replaying a prefix."""
+        solver = SOLVER_FACTORIES["jacobi"](poisson_small.A)
+        replay = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
+
+        def fail_at_5(state):
+            if state.iteration == 5:
+                raise SolverInterrupt(state.iteration)
+
+        x0 = np.zeros(solver.n)
+        with pytest.raises(SolverInterrupt):
+            replay.solve_phase(x0, None, 0, 20, fail_at_5)
+        assert len(replay.cache) == 0
+        replay.solve_phase(x0, None, 0, 20, _noop)
+        assert (replay.hits, replay.misses, len(replay.cache)) == (0, 2, 1)
 
 
 class TestSwitches:
@@ -304,39 +340,40 @@ class TestSwitches:
         assert engine.replay_iterations_saved > 0
 
 
-class TestTrajectoryCache:
-    def _recording(self, key, nbytes):
-        rec = TrajectoryRecording(
-            key=key, limit=100, solver_name="t", start_x=np.zeros(1),
-            start_resume=None,
-        )
-        rec.nbytes = nbytes
-        return rec
-
+class TestLRUCache:
     def test_lru_entry_cap(self):
-        cache = TrajectoryCache(max_entries=2, max_bytes=1 << 30)
-        a, b, c = (self._recording(bytes([i]), 10) for i in range(3))
-        cache.put(a)
-        cache.put(b)
-        assert cache.get(a.key) is a  # refresh a: b is now oldest
-        cache.put(c)
-        assert cache.get(b.key) is None
-        assert cache.get(a.key) is a
-        assert cache.evictions == 1
+        cache = LRUCache(len, max_entries=2, max_bytes=1 << 30)
+        cache.put(b"a", b"x")
+        cache.put(b"b", b"x")
+        assert cache.get(b"a") == b"x"  # refresh a: b is now oldest
+        cache.put(b"c", b"x")
+        assert cache.get(b"b") is None
+        assert cache.get(b"a") == b"x"
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 1)
 
     def test_byte_cap(self):
-        cache = TrajectoryCache(max_entries=100, max_bytes=25)
-        a, b, c = (self._recording(bytes([i]), 10) for i in range(3))
-        for rec in (a, b, c):
-            cache.put(rec)
-        assert cache.get(a.key) is None
-        assert cache.total_bytes <= 25
+        cache = LRUCache(len, max_entries=100, max_bytes=25)
+        for key in (b"a", b"b", b"c"):
+            cache.put(key, b"x" * 10)
+        assert cache.get(b"a") is None
+        assert cache.total_bytes == 20 and len(cache) == 2
+
+    def test_grow_reinserts_an_evicted_value(self):
+        cache = LRUCache(len, max_entries=1, max_bytes=1 << 30)
+        value = [1, 2]
+        cache.put(b"a", value)
+        cache.grow(b"a", value, 3)
+        assert cache.total_bytes == 5
+        cache.put(b"b", [])
+        assert cache.get(b"a") is None
+        cache.grow(b"a", value, 3)  # evicted meanwhile: measured afresh
+        assert cache.get(b"a") is value and cache.total_bytes == 2
 
     @pytest.mark.parametrize("method", ["jacobi", "cg"])
     @settings(max_examples=30, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(1, 12), st.booleans()),
+            st.tuples(st.integers(0, 3), st.integers(1, 12)),
             min_size=1, max_size=25,
         ),
         max_bytes=st.integers(2_000, 20_000),
@@ -355,9 +392,9 @@ class TestTrajectoryCache:
         end state; an access within them catches up nothing, one past them
         re-executes from the phase start."""
 
-        class Remeasuring(TrajectoryCache):
-            def grow(self, rec, nbytes):
-                self.put(rec)
+        class Remeasuring(LRUCache):
+            def grow(self, key, value, nbytes):
+                self.put(key, value)
 
         dense = method == "cg"
         retained = 0
@@ -369,7 +406,8 @@ class TestTrajectoryCache:
         else:
             solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100000)
         sides = []
-        for cache in (TrajectoryCache(3, max_bytes), Remeasuring(3, max_bytes)):
+        for cls in (LRUCache, Remeasuring):
+            cache = cls(TrajectoryRecording.measure, 3, max_bytes)
             replay = ReplaySession(solver, poisson_small.b, cache=cache)
             recs = []
             for start in range(4):
@@ -386,57 +424,56 @@ class TestTrajectoryCache:
                         key=bytes([start]), limit=12, solver_name=solver.name,
                         start_x=x0, start_resume=None,
                     )
-                    cache.put(rec)
+                    cache.put(rec.key, rec)
                 recs.append(rec)
             sides.append((cache, recs, replay))
-        for index, local, pin in ops:
+        for index, local in ops:
             for cache, recs, replay in sides:
-                if pin:
-                    cache.pin(recs[index].key)
                 caught_up = replay.catchup_iterations
                 replay.materialize(recs[index], local)
                 if dense and local <= retained:
                     assert replay.catchup_iterations == caught_up
-                if pin:
-                    cache.unpin(recs[index].key)
                 live = list(cache._entries.values())
-                assert all(rec.nbytes == rec.measure() for rec in live)
-                assert cache.total_bytes == sum(rec.measure() for rec in live)
+                assert all(nbytes == rec.measure() for rec, nbytes in live)
+                assert cache.total_bytes == sum(rec.measure() for rec, _ in live)
             (fast, _, _), (reference, _, _) = sides
             assert list(fast._entries) == list(reference._entries)
             assert fast.evictions == reference.evictions
 
-    def test_pinned_entries_survive_eviction(self):
-        cache = TrajectoryCache(max_entries=1, max_bytes=1 << 30)
-        a, b = (self._recording(bytes([i]), 10) for i in range(2))
-        cache.put(a)
-        cache.pin(a.key)
-        cache.put(b)
-        assert cache.get(a.key) is a  # pinned: b was evicted instead
-        cache.unpin(a.key)
-        cache.put(b)
-        assert cache.get(a.key) is None
+    def test_evicting_the_replayed_recording_keeps_reports_identical(self, setup):
+        """A trajectory cache whose byte bound is below the one recording it
+        holds evicts that recording at the replay's first catch-up, while
+        the replay still reads it; later phases record again.  The report is
+        the one a run without replay writes."""
+        problem = setup[0]
+        solver = SOLVER_FACTORIES["jacobi"](problem.A)
+        clear_global_cache()
+        _run(
+            setup, "jacobi", "traditional", Scenario(), 2018, True, solver,
+            mtti_seconds=None,
+        )
+        cache = replay_module.get_global_cache()
+        assert len(cache) == 1
+        cache.max_bytes = cache.total_bytes - 1
+        replayed, engine = _run(
+            setup, "jacobi", "traditional", Scenario(), 2018, True, solver,
+            interval=90.0,
+        )
+        assert engine.replay_hits >= 1 and engine._replay.catchup_iterations > 0
+        assert cache.evictions >= 1
+        off, _ = _run(setup, "jacobi", "traditional", Scenario(), 2018, False, interval=90.0)
+        assert _json(replayed) == _json(off)
 
 
 class TestSnapshotMemoAndFingerprints:
-    def test_memo_lru_and_byte_cap(self):
-        class Snap:
-            def __init__(self, n):
-                self.payload = b"x" * n
-
-        memo = SnapshotMemo(max_entries=2, max_bytes=1 << 30)
-        memo.put(b"a", Snap(1))
-        memo.put(b"b", Snap(1))
-        assert memo.get(b"a") is not None
-        memo.put(b"c", Snap(1))
-        assert memo.get(b"b") is None
-        assert memo.evictions == 1
-
-        small = SnapshotMemo(max_entries=100, max_bytes=600)
-        for key in (b"a", b"b", b"c"):
-            small.put(key, Snap(200))
-        assert small.get(b"a") is None
-        assert small.total_bytes <= 600
+    def test_global_memos_keep_their_bounds(self):
+        clear_global_cache()
+        memo = get_global_snapshot_memo()
+        trajectories = replay_module.get_global_cache()
+        assert (memo.max_entries, memo.max_bytes) == (4096, 128 << 20)
+        assert (trajectories.max_entries, trajectories.max_bytes) == (256, 256 << 20)
+        memo.put(b"a", SimpleNamespace(payload=b"x" * 200))
+        assert memo.total_bytes == 200 + 256
 
     def test_warm_run_serves_payloads_from_memo(self, setup):
         clear_global_cache()
@@ -507,15 +544,16 @@ class TestPositionKeyedMemo:
         position checkpointed under two ids is one entry, served with each
         caller's id, and the report is the one a run without replay writes."""
         ids_by_key = {}
-        serve = SnapshotMemo.snapshot
+        serve = FaultToleranceEngine._snapshot
 
-        def snapshot(self, key, checkpoint_id, build):
-            served = serve(self, key, checkpoint_id, build)
+        def snapshot(engine, it_state, checkpoint_id):
+            key = engine._replay.memo_key(it_state, engine._memo_context, engine.b_norm)
+            served = serve(engine, it_state, checkpoint_id)
             assert served.checkpoint_id == checkpoint_id
             ids_by_key.setdefault(key, set()).add(checkpoint_id)
             return served
 
-        monkeypatch.setattr(SnapshotMemo, "snapshot", snapshot)
+        monkeypatch.setattr(FaultToleranceEngine, "_snapshot", snapshot)
         clear_global_cache()
         _run(setup, "cg", "lossless", Scenario(), 2018, True, interval=60.0)
 
@@ -602,7 +640,7 @@ def _positioned_states(count=4):
     offset does: snapshot inputs plus memo keys."""
     problem = poisson_system(6, seed=3)
     solver = CGSolver(problem.A, rtol=1e-8, max_iter=1000)
-    session = ReplaySession(solver, problem.b, cache=TrajectoryCache())
+    session = ReplaySession(solver, problem.b, cache=_trajectory_cache())
     states = {kind: [] for kind in _OFFSETS}
     for kind, offset in _OFFSETS.items():
         session.solve_phase(
@@ -650,7 +688,7 @@ class TestSnapshotMemoDifferential:
         cycle — so the trajectory cache records it again, and one
         phase-local index under two budgets is two positions."""
         solver = GMRESSolver(poisson_small.A, rtol=1e-12, max_iter=1000, restart=10)
-        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        session = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
         seen = {}
         for budget in (15, 25):
             seen[budget] = []
@@ -675,7 +713,7 @@ class TestSnapshotMemoDifferential:
         iteration label and norm whatever was committed or discarded
         before it."""
         solver, states = _positioned_states()
-        memo = SnapshotMemo()
+        memo = LRUCache(replay_module._payload_bytes, 4096, 128 << 20)
         seen, repeats = set(), 0
         for history in histories:
             scheme = MEMO_SCHEMES[scheme_name]()
@@ -692,8 +730,9 @@ class TestSnapshotMemoDifferential:
                 if not scheme.checkpoint_krylov_state:
                     kwargs["resume_state"] = None
                 x = kwargs.pop("x")
-                got = memo.snapshot(
-                    keys[b_norm], checkpoint_id, lambda: memoed.snapshot(x, **kwargs)
+                got = _memo_snapshot(
+                    memo, keys[b_norm], checkpoint_id,
+                    lambda: memoed.snapshot(x, **kwargs),
                 )
                 want = reference.snapshot(x, **kwargs)
                 assert got.payload == want.payload
@@ -713,9 +752,9 @@ class TestSnapshotMemoDifferential:
     def test_a_state_the_session_did_not_emit_gets_no_key(self, poisson_small):
         """Only the states a session hands out have positions: a hand-made
         state, a copy of an emitted one and a state from a solve outside the
-        session get no key, so the memo never serves them."""
+        session get no key, so the engine never looks them up in the memo."""
         solver = CGSolver(poisson_small.A, rtol=1e-6, max_iter=100)
-        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        session = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
         keys, strangers = [], []
 
         def callback(state):
@@ -732,32 +771,22 @@ class TestSnapshotMemoDifferential:
         )
         assert outside == [None] * 3
 
-        memo, built = SnapshotMemo(), []
-        pipeline = CheckpointPipeline(CheckpointingScheme.lossless(), solver=solver)
-        for checkpoint_id in range(2):
-            memo.snapshot(
-                None, checkpoint_id,
-                lambda: built.append(None) or pipeline.snapshot(np.ones(solver.n)),
-            )
-        assert len(built) == 2 and len(memo) == 0
-        assert (memo.hits, memo.misses) == (0, 0)
-
     def test_payload_survives_in_place_mutation_of_source(self, poisson_small):
         """Solvers update ``x`` in place: a memoized payload does not follow
         the buffer it was taken from, a replay of its position is served the
         recorded state, and the mutated buffer — a state the session did not
         emit — is serialized fresh."""
         solver = JacobiSolver(poisson_small.A, rtol=1e-4, max_iter=100)
-        session = ReplaySession(solver, poisson_small.b, cache=TrajectoryCache())
+        session = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
         pipeline = CheckpointPipeline(CheckpointingScheme.lossless(), solver=solver)
-        memo, served = SnapshotMemo(), []
+        memo, served = LRUCache(replay_module._payload_bytes, 4096, 128 << 20), []
 
         def checkpoint_at_3(state):
             if state.iteration == 3:
                 key = session.memo_key(state, b"context", 1.0)
                 live = state.x
-                served.append((live.copy(), memo.snapshot(
-                    key, len(served), lambda: pipeline.snapshot(live, iteration=3)
+                served.append((live.copy(), _memo_snapshot(
+                    memo, key, len(served), lambda: pipeline.snapshot(live, iteration=3)
                 )))
                 live *= -3.0  # the solver moves on
                 mutated = IterationState(3, live, state.residual_norm)
@@ -848,9 +877,10 @@ class TestSessionInternals:
         assert one.context != other.context
 
     def test_bitwise_resume_declarations(self, poisson_small):
-        """The taxonomy the extension/catch-up logic relies on (see
+        """The taxonomy the retention/catch-up logic relies on (see
         docs/architecture.md): stationary and BiCGSTAB resumes are bitwise,
-        CG recomputes its residual on resume and must not be extended."""
+        CG recomputes its residual on resume, GMRES resumes bitwise at cycle
+        ends only."""
         from repro.solvers import BiCGStabSolver
 
         assert JacobiSolver(poisson_small.A).checkpoint_spec.bitwise_resume

@@ -9,7 +9,7 @@ from repro.cluster.machine import ClusterModel
 from repro.compression.errorbounds import ResidualAdaptiveBoundPolicy
 from repro.core.scale import paper_scale
 from repro.core.schemes import CheckpointingScheme
-from repro.engine.replay import TrajectoryCache, replay_enabled
+from repro.engine.replay import replay_enabled
 from repro.experiments.characterize import (
     measure_scheme_ratio,
     scheme_timings,
@@ -54,7 +54,7 @@ class TestCachedCharacterization:
         monkeypatch.setattr(execute, "_MEMO_STORE", None)
         # Recordings other tests left in the process-wide cache must not
         # serve this one.
-        monkeypatch.setattr(replay_module, "_GLOBAL_CACHE", TrajectoryCache())
+        monkeypatch.setattr(replay_module, "_GLOBAL_CACHE", None)
         key = (method, 6, 4, 11, 1e-6, 30, 100000)
         axes = (scheme, "sz", 1e-4, False, "fixed")
         problem, solver, _ = execute._cached_setup(*key)  # memoizes the baseline
