@@ -97,7 +97,7 @@ single-clock engine (pinned by the equivalence suite).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -131,6 +131,7 @@ from repro.engine.replay import (
     get_global_snapshot_memo,
     replay_enabled,
     scheme_fingerprint,
+    serve_payload,
 )
 from repro.engine.report import BaselineRun, FTRunReport, run_failure_free
 from repro.engine.scenario import DEFAULT_SCENARIO, Scenario
@@ -944,16 +945,7 @@ class FaultToleranceEngine:
         if self._memo_context is None:
             return build()
         key = self._replay.memo_key(it_state, self._memo_context, self.b_norm)
-        if key is None:
-            return build()
-        memo = get_global_snapshot_memo()
-        cached = memo.get(key)
-        if cached is not None:
-            # Payload bytes hold no checkpoint id: relabel for this caller.
-            return replace(cached, checkpoint_id=int(checkpoint_id))
-        snapshot = build()
-        memo.put(key, snapshot)
-        return snapshot
+        return serve_payload(get_global_snapshot_memo(), key, checkpoint_id, build)
 
     def _checkpoint_allowed(
         self, it_state: IterationState, *, overdue_seconds: float = 0.0

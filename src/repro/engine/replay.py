@@ -83,7 +83,7 @@ import os
 import struct
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -107,6 +107,7 @@ __all__ = [
     "ReplaySession",
     "get_global_cache",
     "get_global_snapshot_memo",
+    "serve_payload",
 ]
 
 #: Environment escape hatch: set to ``off``/``0``/``false``/``no``/
@@ -452,6 +453,26 @@ def get_global_snapshot_memo() -> LRUCache:
     if _GLOBAL_SNAPSHOT_MEMO is None:
         _GLOBAL_SNAPSHOT_MEMO = LRUCache(_payload_bytes, 4096, 128 * _MIB)
     return _GLOBAL_SNAPSHOT_MEMO
+
+
+def serve_payload(
+    memo: LRUCache, key: Optional[Hashable], checkpoint_id: int, build: Callable
+):
+    """The checkpoint payload at trajectory position ``key``: ``memo``'s,
+    relabelled with ``checkpoint_id``, else ``build()``'s, stored.
+
+    A state without a position (``key`` is ``None``) is built fresh and
+    neither looked up nor stored, so it can never be served another's bytes.
+    """
+    if key is None:
+        return build()
+    cached = memo.get(key)
+    if cached is not None:
+        # Payload bytes hold no checkpoint id: relabel for this caller.
+        return replace(cached, checkpoint_id=int(checkpoint_id))
+    snapshot = build()
+    memo.put(key, snapshot)
+    return snapshot
 
 
 # ---------------------------------------------------------------------------

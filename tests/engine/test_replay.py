@@ -14,7 +14,6 @@ checkpoint-payload memo that rides on the same switch, keyed by trajectory
 position.
 """
 
-import dataclasses
 import functools
 import json
 from types import SimpleNamespace
@@ -41,6 +40,7 @@ from repro.engine.replay import (
     TrajectoryRecording,
     replay_enabled,
     scheme_fingerprint,
+    serve_payload,
     solver_fingerprint,
     state_digest,
 )
@@ -65,17 +65,6 @@ def clear_global_cache():
 def _trajectory_cache(max_entries=256, max_bytes=256 << 20):
     """A private trajectory cache, by default with the global one's bounds."""
     return LRUCache(TrajectoryRecording.measure, max_entries, max_bytes)
-
-
-def _memo_snapshot(memo, key, checkpoint_id, build):
-    """Serve a payload as ``FaultToleranceEngine._snapshot`` does: a hit
-    relabelled with the caller's id, else ``build()``'s, stored."""
-    cached = memo.get(key)
-    if cached is not None:
-        return dataclasses.replace(cached, checkpoint_id=checkpoint_id)
-    snapshot = build()
-    memo.put(key, snapshot)
-    return snapshot
 
 
 SOLVER_FACTORIES = {
@@ -440,7 +429,9 @@ class TestLRUCache:
             assert list(fast._entries) == list(reference._entries)
             assert fast.evictions == reference.evictions
 
-    def test_evicting_the_replayed_recording_keeps_reports_identical(self, setup):
+    def test_evicting_the_replayed_recording_keeps_reports_identical(
+        self, setup, monkeypatch
+    ):
         """A trajectory cache whose byte bound is below the one recording it
         holds evicts that recording at the replay's first catch-up, while
         the replay still reads it; later phases record again.  The report is
@@ -454,7 +445,7 @@ class TestLRUCache:
         )
         cache = replay_module.get_global_cache()
         assert len(cache) == 1
-        cache.max_bytes = cache.total_bytes - 1
+        monkeypatch.setattr(cache, "max_bytes", cache.total_bytes - 1)
         replayed, engine = _run(
             setup, "jacobi", "traditional", Scenario(), 2018, True, solver,
             interval=90.0,
@@ -730,7 +721,7 @@ class TestSnapshotMemoDifferential:
                 if not scheme.checkpoint_krylov_state:
                     kwargs["resume_state"] = None
                 x = kwargs.pop("x")
-                got = _memo_snapshot(
+                got = serve_payload(
                     memo, keys[b_norm], checkpoint_id,
                     lambda: memoed.snapshot(x, **kwargs),
                 )
@@ -771,6 +762,16 @@ class TestSnapshotMemoDifferential:
         )
         assert outside == [None] * 3
 
+        memo, built = LRUCache(replay_module._payload_bytes, 4096, 128 << 20), []
+        pipeline = CheckpointPipeline(CheckpointingScheme.lossless(), solver=solver)
+        for checkpoint_id in range(2):
+            serve_payload(
+                memo, None, checkpoint_id,
+                lambda: built.append(None) or pipeline.snapshot(np.ones(solver.n)),
+            )
+        assert len(built) == 2 and len(memo) == 0
+        assert (memo.hits, memo.misses) == (0, 0)
+
     def test_payload_survives_in_place_mutation_of_source(self, poisson_small):
         """Solvers update ``x`` in place: a memoized payload does not follow
         the buffer it was taken from, a replay of its position is served the
@@ -785,7 +786,7 @@ class TestSnapshotMemoDifferential:
             if state.iteration == 3:
                 key = session.memo_key(state, b"context", 1.0)
                 live = state.x
-                served.append((live.copy(), _memo_snapshot(
+                served.append((live.copy(), serve_payload(
                     memo, key, len(served), lambda: pipeline.snapshot(live, iteration=3)
                 )))
                 live *= -3.0  # the solver moves on
