@@ -270,16 +270,12 @@ class ParallelExecutor:
 
 
 def _init_worker(memo_dir: Optional[str] = None) -> None:
-    """Campaign worker-process init: pin shard compression to one thread.
+    """Campaign worker-process init: attach the shared sub-result memo.
 
-    Each worker cell is already one process of a full pool; letting the
-    sharded compressor fan out its own threads on top would oversubscribe
-    the machine.  An explicit ``REPRO_COMPRESS_THREADS`` set by the user
-    wins — frame bytes are identical either way.  ``memo_dir`` points the
-    worker at the campaign's shared on-disk sub-result memo, so baselines
-    and characterizations computed by any process are reused by all.
+    ``memo_dir`` points the worker at the campaign's on-disk memo, so
+    baselines and characterizations computed by any process are reused by
+    all.
     """
-    os.environ.setdefault("REPRO_COMPRESS_THREADS", "1")
     configure_memo_store(memo_dir)
 
 

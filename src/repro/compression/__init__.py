@@ -4,7 +4,7 @@ This subpackage stands in for the SZ, ZFP and Gzip compressors the paper
 plugs into its checkpointing pipeline.  All compressors implement the same
 :class:`~repro.compression.base.Compressor` interface so the checkpointing
 layer and the experiment harness can treat "traditional" (identity),
-"lossless" (DEFLATE/LZMA) and "lossy" (SZ-like, ZFP-like) checkpointing
+"lossless" (DEFLATE) and "lossy" (SZ-like, ZFP-like) checkpointing
 uniformly.
 
 The lossy compressors guarantee their error bounds: for every element of the
@@ -40,7 +40,7 @@ from repro.compression.errorbounds import (
     make_bound_policy,
 )
 from repro.compression.identity import IdentityCompressor
-from repro.compression.lossless import ZlibCompressor, LzmaCompressor
+from repro.compression.lossless import ZlibCompressor
 from repro.compression.sz import SZCompressor
 from repro.compression.zfp import ZFPCompressor
 from repro.compression.metrics import (
@@ -74,7 +74,6 @@ __all__ = [
     "make_bound_policy",
     "IdentityCompressor",
     "ZlibCompressor",
-    "LzmaCompressor",
     "SZCompressor",
     "ZFPCompressor",
     "max_abs_error",

@@ -210,9 +210,9 @@ def make_compressor(name: str, **kwargs) -> Compressor:
     """Instantiate a registered compressor by name.
 
     Recognised names (after the built-ins register themselves on import):
-    ``"none"``/``"identity"`` (traditional checkpointing), ``"zlib"``,
-    ``"lzma"`` (lossless), ``"sz"`` (prediction-based lossy), ``"zfp"``
-    (transform-based lossy).
+    ``"none"``/``"identity"`` (traditional checkpointing), ``"zlib"``/``"gzip"``
+    (lossless), ``"sz"`` (prediction-based lossy), ``"zfp"`` (transform-based
+    lossy).
     """
     try:
         factory = _REGISTRY[name]

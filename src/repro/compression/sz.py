@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class SZCompressor(Compressor):
         Defaults to 2: the zigzag code planes are either near-constant or
         near-uniform, so deeper match search buys almost nothing at several
         times the encode cost.
-    threads:
-        Shard-compression worker count for this instance; ``None`` defers
-        to ``REPRO_COMPRESS_THREADS``/CPU count at call time.
     """
 
     name = "sz"
@@ -194,7 +191,6 @@ class SZCompressor(Compressor):
         *,
         predictor: str = "lorenzo",
         zlib_level: int = 2,
-        threads: Optional[int] = None,
     ) -> None:
         super().__init__()
         if not isinstance(error_bound, ErrorBound):
@@ -206,7 +202,6 @@ class SZCompressor(Compressor):
         self.error_bound = error_bound
         self.predictor = predictor
         self.zlib_level = int(zlib_level)
-        self.threads = None if threads is None else max(1, int(threads))
 
     # ------------------------------------------------------------------
     def with_error_bound(self, error_bound: "ErrorBound | float") -> "SZCompressor":
@@ -216,10 +211,7 @@ class SZCompressor(Compressor):
         at every checkpoint based on the current residual norm.
         """
         return SZCompressor(
-            error_bound,
-            predictor=self.predictor,
-            zlib_level=self.zlib_level,
-            threads=self.threads,
+            error_bound, predictor=self.predictor, zlib_level=self.zlib_level
         )
 
     # ------------------------------------------------------------------
@@ -266,9 +258,7 @@ class SZCompressor(Compressor):
         except QuantizationOverflow:
             return self._raw_fallback(flat), "raw"
         payload = compress_sections(
-            self._code_sections(quantized, shape),
-            level=self.zlib_level,
-            threads=self.threads,
+            self._code_sections(quantized, shape), level=self.zlib_level
         )
         return payload, "abs"
 
@@ -289,9 +279,7 @@ class SZCompressor(Compressor):
         # packbits accepts bool arrays directly; the astype copy is waste.
         sections.append(np.packbits(transform.negative_mask))
         sections.append(np.packbits(transform.zero_mask))
-        payload = compress_sections(
-            sections, level=self.zlib_level, threads=self.threads
-        )
+        payload = compress_sections(sections, level=self.zlib_level)
         return payload, "pw_rel"
 
     # -- v2 code-stream helpers (byte planes in a sharded frame) --------

@@ -4,7 +4,7 @@ A scheme bundles everything the fault-tolerance runner needs to know about
 *how* to checkpoint:
 
 * which compressor to run the dynamic variables through (identity for
-  traditional checkpointing, DEFLATE/LZMA for lossless, SZ-like/ZFP-like for
+  traditional checkpointing, DEFLATE for lossless, SZ-like/ZFP-like for
   lossy),
 * whether the extra Krylov state of non-restarted CG (direction vector ``p``
   and scalar ``rho``) must be checkpointed as well — the paper checkpoints
@@ -91,20 +91,14 @@ class CheckpointingScheme:
         )
 
     @classmethod
-    def lossless(cls, *, codec: str = "zlib", level: int = 2) -> "CheckpointingScheme":
+    def lossless(cls, *, level: int = 2) -> "CheckpointingScheme":
         """Lossless (Gzip-like) compression of all dynamic variables."""
-        if codec == "zlib":
-            factory = lambda: make_compressor("zlib", level=level)  # noqa: E731
-        elif codec == "lzma":
-            factory = lambda: make_compressor("lzma", preset=level)  # noqa: E731
-        else:
-            raise ValueError(f"unknown lossless codec {codec!r}")
         return cls(
             name="lossless",
-            compressor_factory=factory,
+            compressor_factory=lambda: make_compressor("zlib", level=level),
             lossy=False,
             checkpoint_krylov_state=True,
-            description=f"lossless ({codec}) compressed checkpoints",
+            description="lossless (zlib) compressed checkpoints",
         )
 
     @classmethod

@@ -5,7 +5,6 @@ import pytest
 
 from repro.compression import (
     IdentityCompressor,
-    LzmaCompressor,
     ZlibCompressor,
     make_compressor,
 )
@@ -37,9 +36,8 @@ class TestIdentityCompressor:
 
 
 class TestLosslessCompressors:
-    @pytest.mark.parametrize("cls", [ZlibCompressor, LzmaCompressor])
-    def test_bitwise_roundtrip(self, cls, smooth_vector):
-        recon, blob = _roundtrip(cls(), smooth_vector)
+    def test_bitwise_roundtrip(self, smooth_vector):
+        recon, blob = _roundtrip(ZlibCompressor(), smooth_vector)
         assert np.array_equal(recon, smooth_vector)
         assert blob.compression_ratio >= 1.0
 
@@ -47,18 +45,18 @@ class TestLosslessCompressors:
         with pytest.raises(ValueError):
             ZlibCompressor(level=11)
 
-    def test_lzma_preset_validation(self):
-        with pytest.raises(ValueError):
-            LzmaCompressor(preset=-1)
-
     def test_repeated_data_compresses_well(self):
         data = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), 5000)
         blob = ZlibCompressor().compress(data)
         assert blob.compression_ratio > 10
 
+    def test_blob_meta(self, smooth_vector):
+        blob = ZlibCompressor(level=4).compress(smooth_vector)
+        assert blob.meta == {"level": 4, "format_version": 2, "shuffle": 8}
+        assert blob.compressor == "zlib"
+
     def test_lossless_flag(self):
         assert ZlibCompressor.lossless is True
-        assert LzmaCompressor.lossless is True
         assert IdentityCompressor.lossless is True
 
 
@@ -66,10 +64,14 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name, built",
         [("none", "none"), ("identity", "none"), ("zlib", "zlib"), ("gzip", "zlib"),
-         ("lzma", "lzma"), ("sz", "sz"), ("zfp", "zfp")],
+         ("sz", "sz"), ("zfp", "zfp")],
     )
     def test_expected_names_registered(self, name, built):
         assert make_compressor(name).name == built
+
+    def test_lzma_is_not_registered(self):
+        with pytest.raises(KeyError, match="unknown compressor 'lzma'"):
+            make_compressor("lzma")
 
     def test_make_compressor_with_kwargs(self):
         comp = make_compressor("zlib", level=9)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.compression.base import CompressedBlob
 from repro.compression.errorbounds import ErrorBound
-from repro.compression.lossless import LzmaCompressor, ZlibCompressor
+from repro.compression.lossless import ZlibCompressor
 from repro.compression.sharded import SHARDED_FORMAT_VERSION, decompress_sections
 from repro.compression.sz import SZCompressor
 from repro.compression.zfp import ZFPCompressor
@@ -137,7 +137,6 @@ _SHARDED_READERS = {
     "sz": lambda: SZCompressor(1e-4),
     "zfp": lambda: ZFPCompressor(ErrorBound("abs", 1e-5)),
     "zlib": ZlibCompressor,
-    "lzma": LzmaCompressor,
 }
 
 

@@ -1,10 +1,11 @@
 """Tests for the RSF2 sharded, entropy-gated compression frame.
 
-The load-bearing guarantee is *determinism*: frame bytes must be
-bit-identical for any shard-worker count, because checkpoint payloads feed
-content-addressed stores and byte-level golden tests.  Thread count is an
-execution detail, never a format input.
+Round trips, the reader's refusal of every frame its writer never
+produces, and the frame's size accounting.  The written bytes themselves
+are pinned in ``test_frozen_v2_payloads.py``.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from repro.compression.sharded import (
     decompress_sections,
     resolve_threads,
 )
-from repro.core.schemes import CheckpointingScheme
 
 
 def _sections(seed, sizes):
@@ -41,25 +41,48 @@ def _sections(seed, sizes):
 _MIX = [("runs", 9000), ("noise", 8192), ("zero", 5000), ("runs", 100), ("noise", 10)]
 
 
+def _crafted(shard_size, section_table, shard_table, body=b""):
+    """A frame with a hand-written header and tables (DEFLATE codec)."""
+    return b"".join(
+        [struct.pack("<4sHBBII", b"RSF2", SHARDED_FORMAT_VERSION, 2, 6, shard_size,
+                     len(section_table))]
+        + [struct.pack("<QI", *entry) for entry in section_table]
+        + [struct.pack("<BI", *entry) for entry in shard_table]
+        + [body]
+    )
+
+
+def _methods(frame):
+    """The (method, stored_len) shard table of a frame, in order."""
+    n_sections = struct.unpack_from("<I", frame, 12)[0]
+    counts = [struct.unpack_from("<QI", frame, 16 + 12 * i)[1] for i in range(n_sections)]
+    pos = 16 + 12 * n_sections
+    return [struct.unpack_from("<BI", frame, pos + 5 * i) for i in range(sum(counts))]
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("codec", ["deflate", "lzma"])
-    def test_mixed_sections(self, codec):
+    def test_mixed_sections(self):
         sections = _sections(1, _MIX)
-        payload = compress_sections(sections, codec=codec, threads=1)
+        payload = compress_sections(sections)
         out = decompress_sections(payload)
         assert len(out) == len(sections)
         for got, want in zip(out, sections):
             assert np.array_equal(got, want)
             assert got.flags.writeable
 
+    def test_no_sections(self):
+        frame = compress_sections([])
+        assert len(frame) == 16
+        assert decompress_sections(frame) == []
+
     def test_empty_and_tiny_sections(self):
         sections = [np.zeros(0, dtype=np.uint8), np.frombuffer(b"\x07", dtype=np.uint8)]
-        out = decompress_sections(compress_sections(sections, threads=1))
+        out = decompress_sections(compress_sections(sections))
         assert out[0].size == 0
         assert bytes(out[1]) == b"\x07"
 
     def test_accepts_bytes_and_memoryview_sections(self):
-        payload = compress_sections([b"abc" * 100, memoryview(b"\x00" * 64)], threads=1)
+        payload = compress_sections([b"abc" * 100, memoryview(b"\x00" * 64)])
         out = decompress_sections(payload)
         assert bytes(out[0]) == b"abc" * 100
         assert bytes(out[1]) == b"\x00" * 64
@@ -71,7 +94,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         section = rng.integers(0, 256, 5000).astype(np.uint8)
         section[1024:2048] = 0  # exactly the second shard
-        payload = compress_sections([section], threads=1)
+        payload = compress_sections([section])
         out = decompress_sections(payload)
         assert np.array_equal(out[0], section)
 
@@ -83,149 +106,51 @@ class TestRoundTrip:
             rng.integers(0, int(rng.integers(1, 256)), int(rng.integers(0, 3000))).astype(np.uint8)
             for _ in range(int(rng.integers(1, 5)))
         ]
-        out = decompress_sections(compress_sections(sections, threads=1))
+        out = decompress_sections(compress_sections(sections))
         for got, want in zip(out, sections):
             assert np.array_equal(got, want)
 
 
-class TestThreadDeterminism:
-    def test_payload_identical_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(sharded, "SHARD_SIZE", 512)  # force real fan-out
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
-        sections = _sections(11, _MIX)
-        reference = compress_sections(sections, threads=1)
-        for threads in (2, 8):
-            assert compress_sections(sections, threads=threads) == reference
-        # The environment variable is an equivalent control surface.
-        for env_threads in ("1", "2", "8"):
-            monkeypatch.setenv("REPRO_COMPRESS_THREADS", env_threads)
-            assert compress_sections(sections) == reference
-
-    def test_lzma_payload_identical_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(sharded, "SHARD_SIZE", 512)
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
-        sections = _sections(12, _MIX)
-        reference = compress_sections(sections, codec="lzma", threads=1)
-        for threads in (2, 8):
-            assert compress_sections(sections, codec="lzma", threads=threads) == reference
-
-    def test_resolve_threads_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "3")
-        assert resolve_threads(5) == 5          # explicit argument wins
-        assert resolve_threads() == 3           # then the environment
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "not-a-number")
-        assert resolve_threads() >= 1           # junk falls back to CPU count
-        monkeypatch.delenv("REPRO_COMPRESS_THREADS")
-        assert 1 <= resolve_threads() <= 8
-        assert resolve_threads(0) == 1          # clamped to at least one
-
-
-class _PoolBuilt(AssertionError):
-    pass
-
-
-def _no_pool(*args, **kwargs):
-    raise _PoolBuilt("a ThreadPoolExecutor was built")
-
-
-class TestFanOutRule:
-    """Threads are used only when the coded bytes can repay a pool."""
-
-    #: Two sections reach the codec; the noise is entropy-gated raw, the
-    #: zeros cost nothing.
-    _MIX = [("runs", 8192), ("noise", 8192), ("zero", 5000), ("runs", 6400)]
-    _CODED_BYTES = 8192 + 6400
-
-    def test_below_threshold_never_builds_a_pool(self, monkeypatch):
-        sections = _sections(21, self._MIX)
-        reference = compress_sections(sections, threads=1)
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
-        assert self._CODED_BYTES < sharded.FANOUT_MIN_CODED_BYTES
-        assert compress_sections(sections, threads=8) == reference
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "8")
-        assert compress_sections(sections) == reference
-
-    def test_threshold_counts_coded_bytes_not_input_bytes(self, monkeypatch):
-        # Zero and entropy-gated raw shards never reach the codec: the frame
-        # is far above the threshold in input bytes, below it in coded bytes.
-        sections = _sections(22, self._MIX)
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", self._CODED_BYTES + 1)
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
-        assert sum(section.size for section in sections) > self._CODED_BYTES + 1
-        compress_sections(sections, threads=8)
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", self._CODED_BYTES)
-        with pytest.raises(_PoolBuilt):
-            compress_sections(sections, threads=8)
-
-    @pytest.mark.parametrize("side", ["below", "above"])
-    def test_payload_identical_on_both_sides_of_the_threshold(self, monkeypatch, side):
-        # Patch the constant down rather than allocating hundreds of MiB.
-        sections = _sections(23, self._MIX)
-        threshold = self._CODED_BYTES + (1 if side == "below" else 0)
-        reference = compress_sections(sections, threads=1)
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", threshold)
-        for threads in (1, 2, 8):
-            assert compress_sections(sections, threads=threads) == reference
-
-    def test_one_thread_never_builds_a_pool_above_the_threshold(self, monkeypatch):
-        sections = _sections(24, self._MIX)
-        reference = compress_sections(sections, threads=1)
-        monkeypatch.setattr(sharded, "FANOUT_MIN_CODED_BYTES", 0)
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "1")
-        assert compress_sections(sections) == reference
-        with pytest.raises(_PoolBuilt):
-            compress_sections(sections, threads=8)
-
-
-class TestRealThreshold:
-    """The fan-out rule at the shipped :data:`FANOUT_MIN_CODED_BYTES`, unpatched."""
-
-    @pytest.mark.parametrize(
-        "scheme",
-        [
-            CheckpointingScheme.lossless(),
-            CheckpointingScheme.lossy(1e-4),
-            CheckpointingScheme.lossy(1e-4, compressor="zfp"),
-        ],
-        ids=["lossless", "lossy-sz", "lossy-zfp"],
-    )
-    def test_two_mib_checkpoint_vector_never_fans_out(self, monkeypatch, scheme):
-        # Smooth field plus small noise, the shape of a solver iterate: the
-        # lossless frame codes its exponent planes, a quarter of the input,
-        # and the lossy frames code less still.
-        grid = 1e-3 * np.arange((2 << 20) // 8)
-        vector = 3.0 + np.sin(grid) + np.random.default_rng(2018).normal(0.0, 1e-3, grid.size)
-        compressor = scheme.compressor()
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "1")
-        reference = compressor.compress(vector).payload
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", _no_pool)
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "8")
-        assert compressor.compress(vector).payload == reference
-
-    def test_smallest_fanning_frame_keeps_its_bytes(self, monkeypatch):
-        # One section of coded runs, exactly the threshold in size.
-        (section,) = _sections(25, [("runs", sharded.FANOUT_MIN_CODED_BYTES)])
-        reference = compress_sections([section], threads=1)
-        pools = []
-        real_pool = sharded.ThreadPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", counting_pool)
-        assert compress_sections([section], threads=2) == reference
-        assert len(pools) == 1
-
-
 class TestFormatErrors:
     def _frame(self):
-        return bytearray(compress_sections(_sections(2, _MIX), threads=1))
+        return bytearray(compress_sections(_sections(2, _MIX)))
 
-    def test_unknown_codec_name_rejected(self):
-        with pytest.raises(ValueError, match="codec"):
-            compress_sections([b"x"], codec="zstd")
+    @pytest.mark.parametrize("codec_id", [0, 1, 3, 255])
+    def test_codec_other_than_deflate_rejected(self, codec_id):
+        # 3 was LZMA, which no writer produces any more.
+        frame = self._frame()
+        frame[6] = codec_id
+        with pytest.raises(ShardedFormatError, match="codec id"):
+            decompress_sections(bytes(frame))
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, SHARD_SIZE // 2, SHARD_SIZE * 2, 256 << 20],
+        ids=["0", "half", "double", "256MiB"],
+    )
+    def test_shard_size_other_than_the_writers_rejected(self, size):
+        # At 256 MiB: 33 bytes that declare one 256-MiB section of one
+        # all-zero shard, which a reader trusting the header would allocate.
+        frame = _crafted(size, [(size, 1)], [(0, 0)])
+        assert len(frame) == 33
+        with pytest.raises(ShardedFormatError, match="shard size"):
+            decompress_sections(frame)
+
+    @pytest.mark.parametrize(
+        "orig_len, n_shards",
+        [(10, 3), (0, 0), (0, 2), (SHARD_SIZE + 1, 1), (SHARD_SIZE, 2)],
+    )
+    def test_shard_count_other_than_the_writers_rejected(self, orig_len, n_shards):
+        # The writer always writes max(1, ceil(orig_len / SHARD_SIZE)) shards.
+        frame = _crafted(SHARD_SIZE, [(orig_len, n_shards)], [(0, 0)] * n_shards)
+        with pytest.raises(ShardedFormatError, match=f"declares {n_shards} shards"):
+            decompress_sections(frame)
+
+    def test_reader_follows_the_shard_size_at_call_time(self, monkeypatch):
+        frame = compress_sections(_sections(4, _MIX))
+        monkeypatch.setattr(sharded, "SHARD_SIZE", 1024)
+        with pytest.raises(ShardedFormatError, match="shard size"):
+            decompress_sections(frame)
 
     def test_bad_magic(self):
         frame = self._frame()
@@ -257,7 +182,7 @@ class TestFormatErrors:
 
     def test_corrupt_coded_shard_rejected(self):
         sections = [np.repeat(np.arange(32, dtype=np.uint8), 200)]
-        frame = bytearray(compress_sections(sections, threads=1))
+        frame = bytearray(compress_sections(sections))
         frame[-1] ^= 0xFF
         with pytest.raises((ShardedFormatError, Exception)):
             decompress_sections(bytes(frame))
@@ -267,17 +192,37 @@ class TestDefaults:
     def test_format_constants(self):
         assert SHARDED_FORMAT_VERSION == 2
         assert SHARD_SIZE == 1 << 20
-        # Fan-out starts in the multi-MiB range of coded bytes.
-        assert sharded.FANOUT_MIN_CODED_BYTES >= SHARD_SIZE
+
+    def test_resolve_threads_is_one(self):
+        assert resolve_threads() == 1
+
+    def test_header_records_deflate_and_the_level(self):
+        frame = compress_sections(_sections(5, _MIX), level=9)
+        assert struct.unpack_from("<4sHBBII", frame, 0) == (
+            b"RSF2", SHARDED_FORMAT_VERSION, 2, 9, SHARD_SIZE, len(_MIX)
+        )
+
+    def test_each_shard_takes_the_cheapest_method(self, monkeypatch):
+        monkeypatch.setattr(sharded, "SHARD_SIZE", 4096)
+        rng = np.random.default_rng(6)
+        section = np.repeat(rng.integers(0, 4, 4 * 4096 // 64), 64).astype(np.uint8)
+        section[4096:8192] = 0                                  # shard 1: zero
+        section[8192:12288] = rng.integers(0, 256, 4096)        # shard 2: entropy-gated raw
+        frame = compress_sections([section, rng.integers(0, 256, 600).astype(np.uint8)])
+        methods = [method for method, _ in _methods(frame)]
+        # Section 0: coded, zero, raw, coded; section 1 (600 noise bytes,
+        # below the entropy gate's size) fails to shrink and ships raw.
+        assert methods == [2, 0, 1, 2, 1]
+        assert _methods(frame)[-1] == (1, 600)
 
     def test_zero_section_costs_nothing_but_tables(self):
-        quiet = compress_sections([np.zeros(1 << 16, dtype=np.uint8)], threads=1)
+        quiet = compress_sections([np.zeros(1 << 16, dtype=np.uint8)])
         # header + one section entry + one shard entry, no body bytes
         assert len(quiet) == 16 + 12 + 5
 
     def test_incompressible_section_ships_raw(self):
         rng = np.random.default_rng(9)
         noise = rng.integers(0, 256, 1 << 14).astype(np.uint8)
-        payload = compress_sections([noise], threads=1)
+        payload = compress_sections([noise])
         # Raw shard: frame overhead only, no DEFLATE expansion.
         assert len(payload) == 16 + 12 + 5 + noise.size

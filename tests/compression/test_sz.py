@@ -107,10 +107,11 @@ class TestConfiguration:
             SZCompressor(1e-4, zlib_level=17)
 
     def test_with_error_bound_returns_new_instance(self):
-        comp = SZCompressor(1e-4, predictor="linear")
+        comp = SZCompressor(1e-4, predictor="linear", zlib_level=5)
         tighter = comp.with_error_bound(1e-6)
         assert tighter is not comp
         assert tighter.predictor == "linear"
+        assert tighter.zlib_level == 5
         assert tighter.error_bound.value == 1e-6
 
     def test_records_timing(self, smooth_vector):

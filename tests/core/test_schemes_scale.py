@@ -20,13 +20,10 @@ class TestSchemes:
         assert scheme.compressor().name == "zlib"
         assert scheme.uses_compression
 
-    def test_lossless_lzma_variant(self):
-        scheme = CheckpointingScheme.lossless(codec="lzma", level=1)
-        assert scheme.compressor().name == "lzma"
-
-    def test_lossless_unknown_codec(self):
-        with pytest.raises(ValueError):
-            CheckpointingScheme.lossless(codec="bzip42")
+    def test_lossless_level_and_description(self):
+        scheme = CheckpointingScheme.lossless(level=6)
+        assert scheme.compressor().level == 6
+        assert scheme.description == "lossless (zlib) compressed checkpoints"
 
     def test_lossy_sz_default(self):
         scheme = CheckpointingScheme.lossy(1e-4)

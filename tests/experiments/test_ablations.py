@@ -20,7 +20,6 @@ from repro.checkpoint.multilevel import (
 )
 from repro.cluster import ClusterModel
 from repro.compression import (
-    LzmaCompressor,
     SZCompressor,
     ZFPCompressor,
     ZlibCompressor,
@@ -63,7 +62,6 @@ def test_ablation_compressor_families(paper_config):
         SZCompressor(1e-4, predictor="linear"),
         ZFPCompressor(1e-4),
         ZlibCompressor(),
-        LzmaCompressor(),
     ]
     evaluations = [evaluate_compressor(c, x) for c in compressors]
     rows = [
