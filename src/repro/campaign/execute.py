@@ -91,13 +91,12 @@ def _baseline_to_dict(baseline) -> Dict[str, object]:
         "converged": bool(baseline.converged),
         "residual_norms": [float(r) for r in baseline.residual_norms],
         "final_residual_norm": float(baseline.final_residual_norm),
-        "x": [float(v) for v in baseline.x],
     }
 
 
 def _baseline_from_dict(payload):
-    import numpy as np
-
+    """Strict about the fields a baseline keeps; an older entry's ``"x"``
+    list is ignored."""
     from repro.engine import BaselineRun
 
     return BaselineRun(
@@ -105,7 +104,6 @@ def _baseline_from_dict(payload):
         converged=bool(payload["converged"]),
         residual_norms=[float(r) for r in payload["residual_norms"]],
         final_residual_norm=float(payload["final_residual_norm"]),
-        x=np.asarray(payload["x"], dtype=np.float64),
     )
 
 

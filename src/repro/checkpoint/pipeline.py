@@ -38,7 +38,7 @@ serialization index are absolute bytes that do not grow with the problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from repro.checkpoint.serialization import (
 )
 from repro.checkpoint.store import CheckpointStore, WriteReceipt
 from repro.compression.base import CompressedBlob, Compressor, make_compressor
-from repro.solvers.base import CheckpointSpec, IterativeSolver, ResumeState
+from repro.compression.identity import IdentityCompressor
+from repro.solvers.base import CheckpointSpec, IterationState, IterativeSolver, ResumeState
 
 if TYPE_CHECKING:
     from repro.core.scale import ExperimentScale
@@ -124,17 +125,29 @@ class VariableMeasurement:
 
 @dataclass
 class PipelineSnapshot:
-    """One serialized checkpoint plus its measured per-variable byte map."""
+    """One serialized checkpoint plus its measured per-variable byte map.
+
+    One priced from its layout (:meth:`CheckpointPipeline.snapshot_state`)
+    is serialized on the first read of ``payload``, to ``serialized_bytes``.
+    """
 
     checkpoint_id: int
     iteration: int
-    payload: bytes
+    #: Total measured payload size (index + all stored variables).
+    serialized_bytes: int
     variables: List[VariableMeasurement] = field(default_factory=list)
+    _payload: Optional[bytes] = field(default=None, repr=False)
+    _build: Optional[Callable[[], bytes]] = field(default=None, repr=False)
 
     @property
-    def serialized_bytes(self) -> int:
-        """Total measured payload size (index + all stored variables)."""
-        return len(self.payload)
+    def payload(self) -> bytes:
+        """The serialized checkpoint."""
+        if self._payload is None:
+            payload = self._build()
+            if len(payload) != self.serialized_bytes:
+                raise RuntimeError(f"priced {self.serialized_bytes} bytes, built {len(payload)}")
+            self._payload, self._build = payload, None
+        return self._payload
 
     @property
     def uncompressed_bytes(self) -> int:
@@ -157,7 +170,7 @@ class PipelineSnapshot:
     def overhead_bytes(self) -> int:
         """Serialization-index bytes (everything that is not variable body)."""
         body = sum(v.stored_bytes for v in self.variables if v.kind == "vector")
-        return len(self.payload) - body
+        return self.serialized_bytes - body
 
     def ratio_of(self, name: str) -> float:
         """Measured compression ratio of one named variable."""
@@ -307,13 +320,61 @@ class CheckpointPipeline:
                 values[name] = resume_state.vectors.get(name)
             for name in self.spec.scalars:
                 values[name] = resume_state.scalars.get(name)
+        payload, measurements = self._pack(
+            values, int(iteration), tag, residual_norm, b_norm
+        )
+        data = serialize_checkpoint(payload)
+        return PipelineSnapshot(
+            int(checkpoint_id), int(iteration), len(data), measurements, _payload=data
+        )
 
+    def snapshot_state(
+        self, it_state: IterationState, *, b_norm: float, checkpoint_id: int,
+        replayed: bool = False,
+    ) -> PipelineSnapshot:
+        """:meth:`snapshot` of one iteration state, with its resume state when
+        the scheme checkpoints one and the state carries it.  An identity
+        checkpoint of a ``replayed`` state, whose vectors only a numeric
+        catch-up could read, is priced from its layout through the writer's
+        own index, and serialized only when its payload is read."""
+        solver = self.solver
+        resume = self.scheme.checkpoint_krylov_state and solver.resume_available(it_state)
+
+        def build() -> PipelineSnapshot:
+            return self.snapshot(
+                it_state.x,
+                iteration=it_state.iteration,
+                resume_state=solver.capture_resume_state(it_state) if resume else None,
+                residual_norm=it_state.residual_norm,
+                b_norm=b_norm,
+                checkpoint_id=checkpoint_id,
+            )
+
+        if not (replayed and isinstance(self._exact_compressor, IdentityCompressor)):
+            return build()
+        # A zero body of the vectors' length stands in: the index reads lengths.
+        blob = CompressedBlob(
+            bytes(8 * solver.n), (solver.n,), "<f8", self._exact_compressor.name
+        )
+        values: Dict[str, object] = {"iteration": int(it_state.iteration), "x": blob}
+        if resume:
+            values.update(dict.fromkeys(self.spec.extra_vectors, blob))
+            values.update((v, float(it_state.extras[v])) for v in self.spec.scalars)
+        payload, measurements = self._pack(values, int(it_state.iteration), {})
+        return PipelineSnapshot(
+            checkpoint_id, int(it_state.iteration), payload.nbytes, measurements,
+            _build=lambda: build().payload,
+        )
+
+    def _pack(self, values, iteration: int, tag, residual_norm=None, b_norm=None):
+        """The payload of ``values`` in Protect() order, plus its measurements.
+        Compressible vectors are compressed; a blob stands for its vector."""
         payload = CheckpointPayload(
             meta={
                 "kind": "dynamic",
                 "pipeline_version": PIPELINE_VERSION,
                 "scheme": self.scheme.name,
-                "iteration": int(iteration),
+                "iteration": iteration,
                 "tag": tag,
             }
         )
@@ -331,17 +392,18 @@ class CheckpointPipeline:
                 compressor = self._compressor_for(
                     name, residual_norm=residual_norm, b_norm=b_norm
                 )
-                blob, _ = compressor.compress_with_record(value)
-                payload.entries[name] = blob
+                value, _ = compressor.compress_with_record(value)
+            if isinstance(value, CompressedBlob):
+                payload.entries[name] = value
                 measurements.append(
                     VariableMeasurement(
                         name=name,
                         kind="vector",
-                        uncompressed_bytes=int(value.nbytes),
-                        stored_bytes=blob.nbytes,
-                        compressor=blob.compressor,
-                        error_bound=str(blob.meta.get("error_bound"))
-                        if "error_bound" in blob.meta
+                        uncompressed_bytes=value.original_nbytes,
+                        stored_bytes=value.nbytes,
+                        compressor=value.compressor,
+                        error_bound=str(value.meta.get("error_bound"))
+                        if "error_bound" in value.meta
                         else None,
                     )
                 )
@@ -356,12 +418,7 @@ class CheckpointPipeline:
                         stored_bytes=SCALAR_BYTES,
                     )
                 )
-        return PipelineSnapshot(
-            checkpoint_id=int(checkpoint_id),
-            iteration=int(iteration),
-            payload=serialize_checkpoint(payload),
-            variables=measurements,
-        )
+        return payload, measurements
 
     def commit(self, snapshot: PipelineSnapshot) -> Optional[WriteReceipt]:
         """Persist a snapshot into the pipeline's store (no-op without one).

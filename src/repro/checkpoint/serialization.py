@@ -51,6 +51,12 @@ class CheckpointPayload:
     entries: Dict[str, Entry] = field(default_factory=dict)
     meta: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def nbytes(self) -> int:
+        """``len(serialize_checkpoint(self))``, from the index alone."""
+        index, _, body_size = _build_index(self)
+        return _PREFIX + len(index) + body_size
+
 
 def _entry_header(value: Entry) -> Dict[str, object]:
     if isinstance(value, CompressedBlob):

@@ -69,7 +69,7 @@ class ZlibCompressor(Compressor):
 
     def _decompress_array(self, blob: CompressedBlob) -> np.ndarray:
         blob.check_format_version(SHARDED_FORMAT_VERSION)
-        planes = decompress_sections(blob.payload)
+        planes = decompress_sections(blob.payload, max_bytes=blob.original_nbytes)
         return assemble_planes(planes, blob.dtype, blob.shape)
 
 

@@ -29,7 +29,8 @@ shard payloads, concatenated in (section, shard) order
 The reader accepts only what the writer produces: codec 2 (DEFLATE), a
 ``shard_size`` of :data:`SHARD_SIZE` and, per section, exactly
 ``max(1, ceil(orig_len / shard_size))`` shards.  All three are checked
-before a section buffer is allocated.
+before a section buffer is allocated, and so is the caller's bound on the
+decoded bytes.  Any corrupt frame raises :class:`ShardedFormatError`.
 """
 
 from __future__ import annotations
@@ -149,8 +150,12 @@ def compress_sections(sections: Sequence, *, level: int = 6) -> bytes:
     return bytes(out)
 
 
-def decompress_sections(payload) -> List[np.ndarray]:
-    """Inverse of :func:`compress_sections`: writable uint8 section buffers."""
+def decompress_sections(payload, *, max_bytes: int) -> List[np.ndarray]:
+    """Inverse of :func:`compress_sections`: writable uint8 section buffers.
+
+    ``max_bytes`` is the most its blob's shape and dtype allow the sections
+    to hold; a frame declaring more is refused before anything is allocated.
+    """
     payload = memoryview(payload)
     if len(payload) < _HEADER.size:
         raise ShardedFormatError("sharded frame shorter than its header")
@@ -179,6 +184,9 @@ def decompress_sections(payload) -> List[np.ndarray]:
                 f"sharded section of {orig_len} bytes declares {n_shards} shards"
             )
         section_table.append((orig_len, n_shards))
+    declared = sum(orig_len for orig_len, _ in section_table)
+    if declared > max_bytes:
+        raise ShardedFormatError(f"frame declares {declared} bytes, more than {max_bytes}")
     shard_table = []
     for orig_len, n_shards in section_table:
         shards = []
@@ -207,7 +215,10 @@ def decompress_sections(payload) -> List[np.ndarray]:
             elif method == _METHOD_CODED:
                 if pos + stored_len > len(payload):
                     raise ShardedFormatError("truncated coded shard")
-                inflated = zlib.decompress(payload[pos:pos + stored_len])
+                try:
+                    inflated = zlib.decompress(payload[pos:pos + stored_len])
+                except zlib.error as exc:
+                    raise ShardedFormatError(f"corrupt coded shard: {exc}") from None
                 if len(inflated) != shard_len:
                     raise ShardedFormatError("coded shard inflates to wrong length")
                 out[write_pos:write_pos + shard_len] = np.frombuffer(

@@ -243,7 +243,11 @@ class SZCompressor(Compressor):
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
         else:
             blob.check_format_version(SHARDED_FORMAT_VERSION)
-            flat = self._decode_v2(blob.payload, scheme)
+            total = math.prod(blob.shape)
+            # Header + grid trailer, <= 8 code planes of a byte each, 2 masks.
+            header = _V2_CODE_HEADER.size + 1 + 8 * len(blob.shape)
+            bound = header + 8 * total + 2 * -(-total // 8)
+            flat = self._decode_v2(blob.payload, scheme, bound)
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- absolute / value-range relative -------------------------------
@@ -308,8 +312,8 @@ class SZCompressor(Compressor):
         )
         return [header + trailer, *planes]
 
-    def _decode_v2(self, payload, scheme: str) -> np.ndarray:
-        sections = decompress_sections(payload)
+    def _decode_v2(self, payload, scheme: str, max_bytes: int) -> np.ndarray:
+        sections = decompress_sections(payload, max_bytes=max_bytes)
         quantum, order, count, total, k, grid = _parse_code_header(
             bytes(sections[0])
         )

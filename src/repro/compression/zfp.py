@@ -148,7 +148,11 @@ class ZFPCompressor(Compressor):
             flat = np.frombuffer(zlib.decompress(blob.payload), dtype=np.float64).copy()
         else:
             blob.check_format_version(SHARDED_FORMAT_VERSION)
-            flat = self._decode_v2(blob.payload, scheme)
+            total = int(np.prod(blob.shape))
+            # Header, <= 8 code planes of a byte per padded value, 2 masks.
+            padded = total + int(blob.meta.get("block_size", self.block_size)) - 1
+            bound = _V2_HEADER.size + 8 * padded + 2 * -(-total // 8)
+            flat = self._decode_v2(blob.payload, scheme, bound)
         return flat.astype(np.dtype(blob.dtype), copy=False).reshape(blob.shape)
 
     # -- block transform core -------------------------------------------
@@ -177,8 +181,8 @@ class ZFPCompressor(Compressor):
         header = _V2_HEADER.pack(quantized.quantum, n, block, total_count, len(planes))
         return [header, *planes]
 
-    def _decode_v2(self, payload, scheme: str) -> np.ndarray:
-        sections = decompress_sections(payload)
+    def _decode_v2(self, payload, scheme: str, max_bytes: int) -> np.ndarray:
+        sections = decompress_sections(payload, max_bytes=max_bytes)
         quantum, n, block, total, k = _V2_HEADER.unpack(bytes(sections[0]))
         if block < 2:
             raise ValueError(f"corrupt ZFP v2 header: block size {block}")

@@ -925,21 +925,16 @@ class FaultToleranceEngine:
     def _snapshot(self, it_state: IterationState, checkpoint_id: int) -> PipelineSnapshot:
         """Serialize a checkpoint of ``it_state``, from the payload memo when
         it holds the state's trajectory position — looked up before ``x`` or
-        the resume vectors are read, so a hit hashes, copies and solves nothing."""
+        the resume vectors are read, so a hit hashes, copies and solves
+        nothing.  An identity checkpoint of a replayed state is priced from
+        its layout, and its payload built only if something reads it."""
 
         def build() -> PipelineSnapshot:
-            resume = (
-                self.solver.capture_resume_state(it_state)
-                if self.scheme.checkpoint_krylov_state
-                else None
-            )
-            return self._pipeline.snapshot(
-                it_state.x,
-                iteration=it_state.iteration,
-                resume_state=resume,
-                residual_norm=it_state.residual_norm,
+            return self._pipeline.snapshot_state(
+                it_state,
                 b_norm=self.b_norm,
                 checkpoint_id=checkpoint_id,
+                replayed=self._replay is not None and self._replay.replayed(it_state),
             )
 
         if self._memo_context is None:

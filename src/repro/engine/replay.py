@@ -34,24 +34,23 @@ iteration; which full vector states a recording retains depends on whether
 the solver can resume bitwise mid-phase (its
 :class:`~repro.solvers.base.CheckpointSpec`):
 
-* **Boundary-only** (``bitwise_resume`` and not ``restart_boundary_only``:
-  stationary methods, BiCGSTAB): the states the engine captured at
+* **Boundary-only** (every phase): the states the engine captured at
   checkpoint boundaries, the phase's end state, and any state later
   materialized.  A boundary the recording did not capture (failure arrivals
   land at arbitrary iterations, and different scenarios place checkpoints
-  differently) is *materialized* by a short numeric catch-up from the
-  nearest retained snapshot — every snapshot is a bitwise resume point.
-* **Dense** (every other solver: CG, whose resume recomputes
-  ``r = b - A x``, and GMRES, which resumes bitwise only at cycle ends): a
-  phase that starts a solve — iteration 0, no resume state, i.e. the
-  failure-free trajectory every run of a problem and every characterization
-  begins with — retains *every* emitted state, so a replayed boundary reads
-  its state instead of re-solving it from the phase start.  The dense
-  states of one recording are bounded by a share of the cache's byte budget
-  (:data:`_DENSE_SHARE`); past it, and in phases that resume mid-trajectory,
-  the recording falls back to boundary-only snapshots, and catch-up
-  re-executes from the phase start (GMRES: from the nearest retained cycle
-  end).
+  differently) is *materialized* by a numeric catch-up from the nearest
+  retained snapshot when the solver declares ``bitwise_resume``
+  (stationary methods, BiCGSTAB; GMRES at cycle ends), else from the phase
+  start.
+* **Strided** or **dense**: a phase that starts a solve — iteration 0, no
+  resume state, i.e. the failure-free baseline every run of a problem and
+  every characterization replays — also keeps every :data:`_STRIDE`-th
+  emitted state if every state resumes bitwise (stationary methods,
+  BiCGSTAB), so a catch-up runs at most ``_STRIDE - 1`` iterations, and
+  every emitted state otherwise (CG, whose resume recomputes
+  ``r = b - A x``; GMRES), so a replayed boundary is read, not re-solved.
+  These states are bounded by a share of the cache's byte budget
+  (:data:`_DENSE_SHARE`).
 
 Because replayed states carry the recorded bits, every downstream decision —
 clock arithmetic, due times, failure draws, checkpoint payload
@@ -118,10 +117,13 @@ _OFF_VALUES = {"0", "off", "false", "no", "disabled"}
 #: Fixed per-step bookkeeping estimate (list slot, dataclass, small dict).
 _STEP_OVERHEAD_BYTES = 120
 
-#: A dense recording retains every emitted state while those states fit in
+#: A dense or strided recording retains its states while they fit in
 #: ``1/_DENSE_SHARE`` of its cache's byte budget (32 MiB of the default
 #: 256 MiB); later states are retained at checkpoint boundaries only.
 _DENSE_SHARE = 8
+
+#: A strided recording retains every ``_STRIDE``-th emitted state.
+_STRIDE = 16
 
 
 def replay_enabled(override: Optional[bool] = None) -> bool:
@@ -484,13 +486,15 @@ class _PhaseRecorder:
     """Collects a solve's emissions into a :class:`TrajectoryRecording`.
 
     ``dense_bytes`` is how many bytes of emitted states the recording may
-    retain besides its boundary snapshots (0: boundary-only); the first
-    state that does not fit ends dense retention for the phase.
+    retain besides its boundary snapshots (0: boundary-only), one state in
+    every ``stride``; the first state that does not fit ends that retention
+    for the phase.
     """
 
-    def __init__(self, rec: TrajectoryRecording, dense_bytes: int = 0) -> None:
+    def __init__(self, rec: TrajectoryRecording) -> None:
         self.rec = rec
-        self.dense_bytes = int(dense_bytes)
+        self.dense_bytes = 0
+        self.stride = 1
         self.last_state: Optional[IterationState] = None
         self.result: Optional[SolveResult] = None
 
@@ -510,7 +514,7 @@ class _PhaseRecorder:
             )
         )
         self.last_state = it_state
-        if self.dense_bytes > 0:
+        if self.dense_bytes > 0 and len(self.rec.steps) % self.stride == 0:
             nbytes = _state_bytes(it_state)
             if nbytes > self.dense_bytes:
                 self.dense_bytes = 0
@@ -640,7 +644,7 @@ class ReplaySession:
         solver: IterativeSolver,
         b: np.ndarray,
         *,
-        cache: Optional[TrajectoryCache] = None,
+        cache: Optional[LRUCache] = None,
     ) -> None:
         self.solver = solver
         self.b = np.asarray(b, dtype=np.float64)
@@ -717,6 +721,12 @@ class ReplaySession:
             int(it_state.iteration), float(it_state.residual_norm), float(b_norm),
         )
 
+    @staticmethod
+    def replayed(it_state) -> bool:
+        """Whether ``it_state`` is served from a recording, its vectors read
+        only by materializing them."""
+        return isinstance(it_state, _ReplayState)
+
     def note_boundary_state(self, it_state) -> None:
         """A checkpoint boundary (or a characterization sample) saw this state.
 
@@ -748,11 +758,14 @@ class ReplaySession:
             start_resume=_copy_resume(resume),
         )
         # A phase that starts a solve is replayed by every run of the problem,
-        # under every cadence: keep all its states where no catch-up is short.
-        dense_bytes = 0
-        if resume is None and iteration_offset == 0 and not self._mid_phase_bitwise():
-            dense_bytes = self.cache.max_bytes // _DENSE_SHARE
-        recorder = _PhaseRecorder(rec, dense_bytes=dense_bytes)
+        # under every cadence: keep all its states where no catch-up is short,
+        # every _STRIDE-th where any state resumes bitwise.
+        recorder = _PhaseRecorder(rec)
+        if resume is None and iteration_offset == 0:
+            recorder.dense_bytes = self.cache.max_bytes // _DENSE_SHARE
+            spec = self.solver.checkpoint_spec
+            bitwise = spec.bitwise_resume and not spec.restart_boundary_only
+            recorder.stride = _STRIDE if bitwise else 1
         self._active_recorder = recorder
         try:
             with self.solver.recording(recorder):
@@ -781,16 +794,6 @@ class ReplaySession:
         ``max_iter`` is a different execution even from the same start state.
         """
         return rec.limit == limit and rec.ended == "terminal"
-
-    def _mid_phase_bitwise(self) -> bool:
-        """Whether any captured state resumes this solver bit for bit.
-
-        True for stationary methods and BiCGSTAB.  False for CG (its resume
-        recomputes ``r = b - A x``) and for GMRES, whose resume is bitwise at
-        cycle ends only.
-        """
-        spec = self.solver.checkpoint_spec
-        return spec.bitwise_resume and not spec.restart_boundary_only
 
     def _replay(
         self,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.replay import ReplaySession, replay_enabled
 from repro.solvers.base import IterativeSolver
 
 __all__ = ["BaselineRun", "FTRunReport", "run_failure_free"]
@@ -38,20 +39,28 @@ class BaselineRun:
     converged: bool
     residual_norms: List[float]
     final_residual_norm: float
-    x: np.ndarray
 
 
 def run_failure_free(
     solver: IterativeSolver, b: np.ndarray, *, x0: Optional[np.ndarray] = None
 ) -> BaselineRun:
-    """Run ``solver`` once without failures and return the reference trajectory."""
-    result = solver.solve(b, x0=x0)
+    """Run ``solver`` once without failures and return the reference trajectory.
+
+    With replay on (:func:`~repro.engine.replay.replay_enabled`) the solve is
+    recorded in the process-wide trajectory cache, or replayed from it: the
+    characterization and every engine run's first phase replay it too.
+    """
+    if replay_enabled():
+        start = np.zeros(solver.n) if x0 is None else np.asarray(x0, dtype=np.float64)
+        session = ReplaySession(solver, b)
+        result = session.solve_phase(start, None, 0, None, lambda state: None)
+    else:
+        result = solver.solve(b, x0=x0)
     return BaselineRun(
         iterations=result.iterations,
         converged=result.converged,
         residual_norms=list(result.residual_norms),
         final_residual_norm=result.final_residual_norm,
-        x=result.x,
     )
 
 

@@ -98,10 +98,11 @@ def measure_scheme_ratio(
     With trajectory replay on (:func:`repro.engine.replay.replay_enabled`),
     the failure-free solve goes through a
     :class:`~repro.engine.replay.ReplaySession` on the process-wide cache:
-    the first characterization of a problem records it, sampled states
-    included, and every later one — another scheme, the hint-free iteration
-    count, each engine run's first phase — replays that recording instead of
-    solving again.  The measured payloads are the same bytes either way.
+    it replays the recording the baseline
+    (:func:`~repro.engine.report.run_failure_free`) made, or records one,
+    sampled states included.  An identity payload of a replayed sample is
+    priced from its layout.  The measured payloads are the same bytes either
+    way.
     """
     b = np.asarray(b, dtype=np.float64)
     session = ReplaySession(solver, b) if replay_enabled() else None
@@ -145,17 +146,9 @@ def measure_scheme_ratio(
         if iteration not in snapshots:
             continue
         state = snapshots[iteration]
-        resume = (
-            solver.capture_resume_state(state)
-            if scheme.checkpoint_krylov_state
-            else None
-        )
-        snap = pipeline.snapshot(
-            state.x,
-            iteration=state.iteration,
-            resume_state=resume,
-            residual_norm=state.residual_norm,
-            b_norm=b_norm,
+        snap = pipeline.snapshot_state(
+            state, b_norm=b_norm, checkpoint_id=iteration,
+            replayed=session is not None and session.replayed(state),
         )
         ratios.append(snap.ratio_of("x"))
         payload_bytes.append(snap.serialized_bytes)

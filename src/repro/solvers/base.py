@@ -153,12 +153,12 @@ class CheckpointSpec:
     restart_boundary_only: bool = False
     #: True when resuming from a captured state reproduces the uninterrupted
     #: iteration sequence *bit for bit* — not merely up to rounding.  The
-    #: trajectory-replay cache (:mod:`repro.engine.replay`) retains only
-    #: checkpoint-boundary snapshots for solvers that declare this without
-    #: ``restart_boundary_only``, and catches up from the nearest one.  For
-    #: the rest it retains every state of a phase that starts a solve (up to
-    #: a byte bound), and beyond those re-executes from the phase start, which
-    #: is always bitwise (same call, same arguments).  CG declares ``False``:
+    #: trajectory-replay cache (:mod:`repro.engine.replay`) retains every
+    #: 16th state of a phase that starts a solve for solvers that declare this
+    #: without ``restart_boundary_only``, and catches up from the nearest one.
+    #: For the rest it retains every state of such a phase (up to a byte
+    #: bound), and beyond those re-executes from the phase start, which is
+    #: always bitwise (same call, same arguments).  CG declares ``False``:
     #: its resume recomputes ``r = b - A x`` from the restored iterate, which
     #: perturbs the recurrence residual in the last bits.
     bitwise_resume: bool = False
@@ -330,35 +330,35 @@ class IterativeSolver(abc.ABC):
         finally:
             self._trajectory_recorder = None
 
+    def resume_available(self, it_state: IterationState) -> bool:
+        """Whether one iteration snapshot carries an exact-resume state.
+
+        False when the solver does not support exact resume or the snapshot
+        is missing a declared entry (e.g. a GMRES iteration that is not at a
+        restart boundary).  Reads entry names and flags only, never a vector.
+        """
+        spec = self.checkpoint_spec
+        extras = it_state.extras
+        if not spec.exact_resume or (
+            spec.restart_boundary_only
+            and not bool(extras.get("cycle_end", False) or extras.get("converged", False))
+        ):
+            return False
+        return all(name in extras for name in (*spec.extra_vectors, *spec.scalars))
+
     def capture_resume_state(self, it_state: IterationState) -> Optional[ResumeState]:
         """Capture the exact-resume state visible in one iteration snapshot.
 
-        Returns ``None`` when the solver does not support exact resume or the
-        snapshot is missing a declared entry (e.g. a GMRES iteration that is
-        not at a restart boundary).  Vector entries are defensively copied —
-        the returned state stays valid however long the checkpoint lives.
+        Returns ``None`` unless :meth:`resume_available`.  Vector entries are
+        defensively copied — the returned state stays valid however long the
+        checkpoint lives.
         """
-        spec = self.checkpoint_spec
-        if not spec.exact_resume:
+        if not self.resume_available(it_state):
             return None
-        if spec.restart_boundary_only and not bool(
-            it_state.extras.get("cycle_end", False)
-            or it_state.extras.get("converged", False)
-        ):
-            return None
-        vectors: Dict[str, np.ndarray] = {}
-        for name in spec.extra_vectors:
-            if name not in it_state.extras:
-                return None
-            vectors[name] = np.array(it_state.extras[name], dtype=np.float64, copy=True)
-        scalars: Dict[str, float] = {}
-        for name in spec.scalars:
-            if name not in it_state.extras:
-                return None
-            scalars[name] = float(it_state.extras[name])  # type: ignore[arg-type]
-        return ResumeState(
-            iteration=int(it_state.iteration), vectors=vectors, scalars=scalars
-        )
+        spec, extras = self.checkpoint_spec, it_state.extras
+        vectors = {v: np.array(extras[v], dtype=np.float64) for v in spec.extra_vectors}
+        scalars = {name: float(extras[name]) for name in spec.scalars}
+        return ResumeState(int(it_state.iteration), vectors, scalars)
 
     def _bind_matvec(self):
         """Bind the lowest-overhead exact ``A @ x`` available.

@@ -86,7 +86,6 @@ class TestBaselineAndCharacterizationMemos:
         _, _, warm = execute._cached_setup(*problem_key)
         assert warm.iterations == cold.iterations
         assert warm.converged == cold.converged
-        assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.residual_norms == cold.residual_norms
         assert warm.final_residual_norm == cold.final_residual_norm
 
@@ -97,6 +96,26 @@ class TestBaselineAndCharacterizationMemos:
         assert execute._characterization_to_dict(
             warm_char
         ) == execute._characterization_to_dict(cold_char)
+
+    def test_baseline_entries_hold_no_iterate(self, tmp_path):
+        """A baseline memo keeps the trajectory, not the final iterate.  An
+        entry written with the old ``"x"`` list reads the same; one missing
+        a kept field is stale and recomputed."""
+        execute.configure_memo_store(tmp_path / "memos")
+        problem_key = ("jacobi", 8, 48, 42, None, 30, 100000)
+        _, _, cold = execute._cached_setup(*problem_key)
+        store = execute._MEMO_STORE
+        digest = execute._memo_digest("baseline", problem_key)
+        entry = store.get(digest)
+        assert sorted(entry) == [
+            "converged", "final_residual_norm", "iterations", "residual_norms"
+        ]
+        for stored in (dict(entry, x=[0.5] * 512), dict(entry, iterations=None)):
+            store.put(digest, {k: v for k, v in stored.items() if v is not None})
+            _clear_process_memos()
+            _, _, warm = execute._cached_setup(*problem_key)
+            assert execute._baseline_to_dict(warm) == execute._baseline_to_dict(cold)
+        assert store.get(digest) == entry  # the stale entry was rewritten
 
     def test_memo_prevents_recomputation(self, tmp_path, monkeypatch):
         execute.configure_memo_store(tmp_path / "memos")

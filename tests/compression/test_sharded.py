@@ -6,6 +6,7 @@ are pinned in ``test_frozen_v2_payloads.py``.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import sharded
+from repro.compression.base import CompressedBlob, make_compressor
 from repro.compression.sharded import (
     SHARD_SIZE,
     SHARDED_FORMAT_VERSION,
@@ -41,6 +43,15 @@ def _sections(seed, sizes):
 _MIX = [("runs", 9000), ("noise", 8192), ("zero", 5000), ("runs", 100), ("noise", 10)]
 
 
+def _total(sections):
+    """Decoded bytes of ``sections``: the tightest bound a reader may pass."""
+    return sum(len(bytes(section)) for section in sections)
+
+
+#: A bound no test frame reaches, so a malformed frame fails its own check.
+_ANY = 1 << 40
+
+
 def _crafted(shard_size, section_table, shard_table, body=b""):
     """A frame with a hand-written header and tables (DEFLATE codec)."""
     return b"".join(
@@ -64,7 +75,7 @@ class TestRoundTrip:
     def test_mixed_sections(self):
         sections = _sections(1, _MIX)
         payload = compress_sections(sections)
-        out = decompress_sections(payload)
+        out = decompress_sections(payload, max_bytes=_total(sections))
         assert len(out) == len(sections)
         for got, want in zip(out, sections):
             assert np.array_equal(got, want)
@@ -73,17 +84,17 @@ class TestRoundTrip:
     def test_no_sections(self):
         frame = compress_sections([])
         assert len(frame) == 16
-        assert decompress_sections(frame) == []
+        assert decompress_sections(frame, max_bytes=0) == []
 
     def test_empty_and_tiny_sections(self):
         sections = [np.zeros(0, dtype=np.uint8), np.frombuffer(b"\x07", dtype=np.uint8)]
-        out = decompress_sections(compress_sections(sections))
+        out = decompress_sections(compress_sections(sections), max_bytes=1)
         assert out[0].size == 0
         assert bytes(out[1]) == b"\x07"
 
     def test_accepts_bytes_and_memoryview_sections(self):
         payload = compress_sections([b"abc" * 100, memoryview(b"\x00" * 64)])
-        out = decompress_sections(payload)
+        out = decompress_sections(payload, max_bytes=364)
         assert bytes(out[0]) == b"abc" * 100
         assert bytes(out[1]) == b"\x00" * 64
 
@@ -95,7 +106,7 @@ class TestRoundTrip:
         section = rng.integers(0, 256, 5000).astype(np.uint8)
         section[1024:2048] = 0  # exactly the second shard
         payload = compress_sections([section])
-        out = decompress_sections(payload)
+        out = decompress_sections(payload, max_bytes=section.size)
         assert np.array_equal(out[0], section)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -106,7 +117,7 @@ class TestRoundTrip:
             rng.integers(0, int(rng.integers(1, 256)), int(rng.integers(0, 3000))).astype(np.uint8)
             for _ in range(int(rng.integers(1, 5)))
         ]
-        out = decompress_sections(compress_sections(sections))
+        out = decompress_sections(compress_sections(sections), max_bytes=_total(sections))
         for got, want in zip(out, sections):
             assert np.array_equal(got, want)
 
@@ -121,7 +132,7 @@ class TestFormatErrors:
         frame = self._frame()
         frame[6] = codec_id
         with pytest.raises(ShardedFormatError, match="codec id"):
-            decompress_sections(bytes(frame))
+            decompress_sections(bytes(frame), max_bytes=_ANY)
 
     @pytest.mark.parametrize(
         "size",
@@ -134,7 +145,7 @@ class TestFormatErrors:
         frame = _crafted(size, [(size, 1)], [(0, 0)])
         assert len(frame) == 33
         with pytest.raises(ShardedFormatError, match="shard size"):
-            decompress_sections(frame)
+            decompress_sections(frame, max_bytes=_ANY)
 
     @pytest.mark.parametrize(
         "orig_len, n_shards",
@@ -144,48 +155,89 @@ class TestFormatErrors:
         # The writer always writes max(1, ceil(orig_len / SHARD_SIZE)) shards.
         frame = _crafted(SHARD_SIZE, [(orig_len, n_shards)], [(0, 0)] * n_shards)
         with pytest.raises(ShardedFormatError, match=f"declares {n_shards} shards"):
-            decompress_sections(frame)
+            decompress_sections(frame, max_bytes=_ANY)
 
     def test_reader_follows_the_shard_size_at_call_time(self, monkeypatch):
         frame = compress_sections(_sections(4, _MIX))
         monkeypatch.setattr(sharded, "SHARD_SIZE", 1024)
         with pytest.raises(ShardedFormatError, match="shard size"):
-            decompress_sections(frame)
+            decompress_sections(frame, max_bytes=_ANY)
 
     def test_bad_magic(self):
         frame = self._frame()
         frame[:4] = b"JUNK"
         with pytest.raises(ShardedFormatError, match="magic"):
-            decompress_sections(bytes(frame))
+            decompress_sections(bytes(frame), max_bytes=_ANY)
 
     def test_bad_version(self):
         frame = self._frame()
         frame[4] = SHARDED_FORMAT_VERSION + 1
         with pytest.raises(ShardedFormatError, match="version"):
-            decompress_sections(bytes(frame))
+            decompress_sections(bytes(frame), max_bytes=_ANY)
 
     def test_short_header(self):
         with pytest.raises(ShardedFormatError, match="shorter than its header"):
-            decompress_sections(b"RSF2")
+            decompress_sections(b"RSF2", max_bytes=_ANY)
 
     def test_truncated_tables_and_body(self):
         frame = bytes(self._frame())
         # Every prefix must fail loudly, never return wrong data.
         for cut in (17, 40, len(frame) - 7):
             with pytest.raises(ShardedFormatError):
-                decompress_sections(frame[:cut])
+                decompress_sections(frame[:cut], max_bytes=_ANY)
 
     def test_trailing_bytes_rejected(self):
         frame = bytes(self._frame())
         with pytest.raises(ShardedFormatError, match="trailing"):
-            decompress_sections(frame + b"\x00")
+            decompress_sections(frame + b"\x00", max_bytes=_ANY)
 
     def test_corrupt_coded_shard_rejected(self):
         sections = [np.repeat(np.arange(32, dtype=np.uint8), 200)]
         frame = bytearray(compress_sections(sections))
         frame[-1] ^= 0xFF
-        with pytest.raises((ShardedFormatError, Exception)):
-            decompress_sections(bytes(frame))
+        with pytest.raises(ShardedFormatError, match="corrupt coded shard"):
+            decompress_sections(bytes(frame), max_bytes=_ANY)
+
+    def test_sections_past_the_bound_rejected_before_allocating(self):
+        # 1,308 bytes that declare one 256-MiB section of 256 all-zero
+        # shards, the writer's own shard count.
+        frame = _crafted(SHARD_SIZE, [(256 << 20, 256)], [(0, 0)] * 256)
+        assert len(frame) == 1308
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShardedFormatError, match="more than 8000"):
+                decompress_sections(frame, max_bytes=8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ShardedFormatError, match="more than"):
+            decompress_sections(frame, max_bytes=(256 << 20) - 1)
+
+    @pytest.mark.parametrize("name, meta", [
+        ("zlib", {"shuffle": 8}),
+        ("sz", {"scheme": "abs"}),
+        ("sz", {"scheme": "pw_rel"}),
+        ("zfp", {"scheme": "zfp", "block_size": 64}),
+        ("zfp", {"scheme": "pw_rel", "block_size": 64}),
+    ])
+    def test_each_reader_bounds_the_frame_by_its_blob(self, name, meta):
+        """A blob of 1,000 doubles carrying the 256-MiB frame is refused by
+        its reader before the section buffer exists."""
+        frame = _crafted(SHARD_SIZE, [(256 << 20, 256)], [(0, 0)] * 256)
+        blob = CompressedBlob(
+            payload=frame, shape=(1000,), dtype="<f8", compressor=name,
+            meta={"format_version": SHARDED_FORMAT_VERSION, **meta},
+        )
+        reader = make_compressor(name)  # ZFP imports scipy.fft here
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShardedFormatError, match="more than"):
+                reader.decompress(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDefaults:

@@ -48,7 +48,7 @@ def _tolerance(bound: ErrorBound, data: np.ndarray) -> np.ndarray:
 
 
 def _code_header(blob) -> bytes:
-    return bytes(decompress_sections(blob.payload)[0])
+    return bytes(decompress_sections(blob.payload, max_bytes=blob.original_nbytes * 2)[0])
 
 
 class TestGridReconstruction:
@@ -119,7 +119,7 @@ class TestGridHeader:
     def _sections(self):
         compressor = SZCompressor(ErrorBound("abs", 1e-3))
         blob = compressor.compress(np.linspace(1.0, 2.0, 24).reshape(2, 3, 4))
-        return compressor, blob, decompress_sections(blob.payload)
+        return compressor, blob, decompress_sections(blob.payload, max_bytes=blob.original_nbytes * 2)
 
     def _with_header(self, blob, sections, header: bytes):
         rebuilt = [header, *[bytes(s) for s in sections[1:]]]

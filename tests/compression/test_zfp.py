@@ -74,7 +74,7 @@ class TestZFPCompressor:
     def test_corrupt_v2_block_size_is_a_value_error(self, smooth_vector):
         comp = ZFPCompressor(1e-4)
         blob = comp.compress(smooth_vector)
-        sections = decompress_sections(blob.payload)
+        sections = decompress_sections(blob.payload, max_bytes=blob.original_nbytes * 2)
         header = bytearray(sections[0])
         header[16:24] = bytes(8)  # block size field of <dQQQB>
         blob.payload = compress_sections([bytes(header), *sections[1:]])

@@ -45,7 +45,7 @@ from repro.engine.replay import (
     state_digest,
 )
 from repro.precond import IncompleteCholeskyPreconditioner, JacobiPreconditioner
-from repro.solvers import CGSolver, GMRESSolver, JacobiSolver
+from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
 from repro.solvers.base import IterationState, SolverInterrupt
 from repro.sparse import poisson_system
 import repro.engine.replay as replay_module
@@ -256,10 +256,11 @@ class TestRetention:
         rec = replay.cache.get(state_digest(result.x, context=replay.context))
         assert later.iterations == 12 and sorted(rec.snapshots) == [12]
 
-    def test_jacobi_keeps_boundary_only_snapshots(self, poisson_small):
-        """Jacobi resumes bitwise from any snapshot, so its recordings retain
-        the boundaries the caller saw and the end state — and are accounted
-        exactly as many bytes as those states take."""
+    def test_jacobi_solve_start_keeps_strided_snapshots(self, poisson_small):
+        """Jacobi resumes bitwise from any snapshot, so a recording of a
+        solve start retains every 16th state besides the boundaries the
+        caller saw and the end state — and is accounted exactly as many
+        bytes as those states take."""
         solver = SOLVER_FACTORIES["jacobi"](poisson_small.A)
         replay = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
 
@@ -268,16 +269,49 @@ class TestRetention:
                 replay.note_boundary_state(state)
 
         x0 = np.zeros(solver.n)
-        replay.solve_phase(x0, None, 0, 20, boundaries)
+        replay.solve_phase(x0, None, 0, 40, boundaries)
         rec = replay.cache.get(state_digest(x0, context=replay.context))
-        assert sorted(rec.snapshots) == [3, 7, 11, 20]
+        assert replay_module._STRIDE == 16
+        assert sorted(rec.snapshots) == [3, 7, 11, 16, 32, 40]
         vector = 8 * solver.n
         assert rec.measure() == replay.cache.total_bytes == (
             (vector + 64)  # start_x
             + vector  # final_x
-            + 20 * replay_module._STEP_OVERHEAD_BYTES
-            + 4 * (vector + 64)  # x of each snapshot
+            + 40 * replay_module._STEP_OVERHEAD_BYTES
+            + 6 * (vector + 64)  # x of each snapshot
         )
+        # A phase that resumes mid-trajectory keeps boundaries only.
+        replay.solve_phase(rec.final_x, None, 40, 40, _noop)
+        later = replay.cache.get(state_digest(rec.final_x, context=replay.context))
+        assert sorted(later.snapshots) == [40]
+
+    @pytest.mark.parametrize("method", ["jacobi", "bicgstab"])
+    def test_strided_catchup_runs_under_a_stride(self, poisson_small, method):
+        """Every state of a replayed solve start materializes from the
+        nearest strided snapshot: at most 15 catch-up iterations, bitwise
+        equal to the recorded state."""
+        factories = dict(
+            SOLVER_FACTORIES,
+            bicgstab=lambda A: BiCGStabSolver(A, rtol=1e-10, max_iter=100000),
+        )
+        solver = factories[method](poisson_small.A)
+        replay = ReplaySession(solver, poisson_small.b, cache=_trajectory_cache())
+        recorded, replayed = {}, {}
+        x0 = np.zeros(solver.n)
+        replay.solve_phase(
+            x0, None, 0, 40, lambda s: recorded.setdefault(s.iteration, s.x)
+        )
+        replay.solve_phase(
+            x0, None, 0, 40, lambda s: replayed.setdefault(s.iteration, s)
+        )
+        last = len(recorded)
+        assert replay.hits == 1 and len(replayed) == last > 16
+        # Newest first, so no state is a catch-up base for the next one.
+        for iteration in sorted(replayed, reverse=True):
+            before = replay.catchup_iterations
+            assert replayed[iteration].x.tobytes() == recorded[iteration].tobytes()
+            expected = 0 if iteration == last else iteration % 16
+            assert replay.catchup_iterations - before == expected <= 15
 
     def test_interrupted_phase_leaves_no_recording(self, poisson_small):
         """A failure ends the phase: nothing is cached, and a rerun of the
@@ -435,24 +469,26 @@ class TestLRUCache:
         """A trajectory cache whose byte bound is below the one recording it
         holds evicts that recording at the replay's first catch-up, while
         the replay still reads it; later phases record again.  The report is
-        the one a run without replay writes."""
+        the one a run without replay writes.  Lossless, so a checkpoint the
+        payload memo misses reads its state: a traditional checkpoint of a
+        replayed state is priced from its layout and catches up nothing."""
         problem = setup[0]
         solver = SOLVER_FACTORIES["jacobi"](problem.A)
         clear_global_cache()
         _run(
-            setup, "jacobi", "traditional", Scenario(), 2018, True, solver,
+            setup, "jacobi", "lossless", Scenario(), 2018, True, solver,
             mtti_seconds=None,
         )
         cache = replay_module.get_global_cache()
         assert len(cache) == 1
         monkeypatch.setattr(cache, "max_bytes", cache.total_bytes - 1)
         replayed, engine = _run(
-            setup, "jacobi", "traditional", Scenario(), 2018, True, solver,
+            setup, "jacobi", "lossless", Scenario(), 2018, True, solver,
             interval=90.0,
         )
         assert engine.replay_hits >= 1 and engine._replay.catchup_iterations > 0
         assert cache.evictions >= 1
-        off, _ = _run(setup, "jacobi", "traditional", Scenario(), 2018, False, interval=90.0)
+        off, _ = _run(setup, "jacobi", "lossless", Scenario(), 2018, False, interval=90.0)
         assert _json(replayed) == _json(off)
 
 
@@ -842,32 +878,152 @@ class TestPreconditionerSoundness:
         ],
     )
     def test_no_hits_against_another_preconditioners_recordings(
-        self, setup, recorded, replayed
+        self, setup, recorded, replayed, monkeypatch
     ):
         problem = setup[0]
+        monkeypatch.delenv(REPLAY_ENV, raising=False)  # baselines record too
 
         def run(name):
+            """Baseline plus engine run; also the trajectory-cache hits of both."""
+            cache = replay_module.get_global_cache()
+            hits = cache.hits
             solver = _preconditioned_cg(problem.A, name)
             baseline = run_failure_free(solver, problem.b)
-            return _run(
+            report, engine = _run(
                 setup, "cg", "traditional", Scenario(), 2018, True, solver, baseline
             )
+            return report, engine, cache.hits - hits
 
         clear_global_cache()
-        cold_report, cold = run(replayed)
+        cold_report, cold, cold_hits = run(replayed)
 
         clear_global_cache()
-        _, first = run(recorded)
-        _, again = run(recorded)
-        # The cache is live: the recording solver's own rerun is served ...
-        assert again.replay_hits > first.replay_hits
-        # ... and the other solver gets exactly what a cold cache gives it:
-        # the hits of rolling back twice onto one of its own checkpoints,
-        # none against the recordings of the other preconditioner.
-        report, warm = run(replayed)
+        _, first, first_hits = run(recorded)
+        _, again, again_hits = run(recorded)
+        # The cache is live: the recording solver's engine run replays its
+        # baseline's recording, and its rerun's baseline is served too ...
+        assert first.replay_hits >= 1
+        assert again_hits == first_hits + 1
+        # ... and the other solver gets exactly what a cold cache gives it —
+        # its baseline and every phase included: the hits of replaying its
+        # own recordings, none against the other preconditioner's.
+        report, warm, warm_hits = run(replayed)
+        assert warm_hits == cold_hits
         assert warm.replay_hits == cold.replay_hits
         assert warm.replay_iterations_saved == cold.replay_iterations_saved
         assert _json(report) == _json(cold_report)
+
+
+#: One solver per method, run to its iteration budget on a small problem.
+_LAYOUT_SOLVERS = {
+    "jacobi": lambda A: JacobiSolver(A, rtol=1e-12, max_iter=48),
+    "cg": lambda A: CGSolver(A, rtol=1e-14, max_iter=48),
+    "gmres": lambda A: GMRESSolver(A, rtol=1e-14, max_iter=48, restart=7),
+    "bicgstab": lambda A: BiCGStabSolver(A, rtol=1e-14, max_iter=48),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(method):
+    """A session that recorded one solve, and the states it emitted."""
+    problem = poisson_system(6, seed=5)
+    solver = _LAYOUT_SOLVERS[method](problem.A)
+    session = ReplaySession(solver, problem.b, cache=_trajectory_cache())
+    recorded = []
+    session.solve_phase(np.zeros(solver.n), None, 0, None, recorded.append)
+    assert len(recorded) > 7
+    return solver, session, recorded
+
+
+def _assert_priced_like_eager(method, index, b_norm, checkpoint_id):
+    """A replayed state's identity checkpoint: priced without reading a
+    vector, then built lazily into exactly the eager path's bytes."""
+    solver, session, recorded = _recorded(method)
+    replayed = []  # fresh states: none has materialized its vectors yet
+    hits = session.hits
+    session.solve_phase(np.zeros(solver.n), None, 0, None, replayed.append)
+    assert session.hits == hits + 1 and len(replayed) == len(recorded)
+    pipeline = CheckpointPipeline(CheckpointingScheme.traditional(), solver=solver)
+    caught_up = session.catchup_iterations
+    priced = pipeline.snapshot_state(
+        replayed[index], b_norm=b_norm, checkpoint_id=checkpoint_id, replayed=True
+    )
+    assert replayed[index]._full_state is None
+    eager = pipeline.snapshot_state(
+        recorded[index], b_norm=b_norm, checkpoint_id=checkpoint_id
+    )
+    assert priced.serialized_bytes == len(eager.payload)
+    assert priced.variables == eager.variables
+    assert priced.overhead_bytes == eager.overhead_bytes
+    assert session.catchup_iterations == caught_up
+    assert priced.payload == eager.payload
+    assert priced.checkpoint_id == eager.checkpoint_id == checkpoint_id
+
+
+class TestLayoutPricing:
+    """An identity checkpoint of a replayed state is priced from its layout
+    and built only when read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(sorted(_LAYOUT_SOLVERS)),
+        positions=st.lists(st.integers(0, 47), min_size=1, max_size=4),
+        b_norm=st.sampled_from([1.0, 1e-3, 7.25]),
+        checkpoint_id=st.integers(0, 10**6),
+    )
+    def test_lazy_payload_has_the_priced_length_and_eager_bytes(
+        self, method, positions, b_norm, checkpoint_id
+    ):
+        states = _recorded(method)[2]
+        for position in positions:
+            _assert_priced_like_eager(
+                method, position % len(states), b_norm, checkpoint_id
+            )
+
+    @pytest.mark.parametrize("method", sorted(_LAYOUT_SOLVERS))
+    def test_every_state_of_each_solver(self, method):
+        """Every state, so GMRES cycle ends (resume available) and every CG
+        ``rho`` and BiCGSTAB recurrence scalar are priced too."""
+        solver, _, recorded = _recorded(method)
+        resumable = [solver.resume_available(state) for state in recorded]
+        if method == "gmres":
+            assert resumable[6] and not resumable[5]  # a cycle end, and not
+        elif method != "jacobi":
+            assert all(resumable)
+        for index in range(len(recorded)):
+            _assert_priced_like_eager(method, index, 1.0, index)
+
+    @pytest.mark.parametrize("write_mode", ["blocking", "async"])
+    @pytest.mark.parametrize("method", sorted(SOLVER_FACTORIES))
+    def test_exact_pfs_run_serializes_nothing(
+        self, setup, method, write_mode, monkeypatch
+    ):
+        """The baseline records the solve; a traditional run replays it and
+        prices every checkpoint from its layout: no pipeline snapshot, no
+        catch-up, and the report a run without replay writes."""
+        monkeypatch.delenv(REPLAY_ENV, raising=False)
+        problem = setup[0]
+        solver = SOLVER_FACTORIES[method](problem.A)
+        clear_global_cache()
+        baseline = run_failure_free(solver, problem.b)
+        calls = []
+        snapshot = CheckpointPipeline.snapshot
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("iteration"))
+            return snapshot(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckpointPipeline, "snapshot", counted)
+        scenario = Scenario(write_mode=write_mode)
+        report, engine = _run(
+            setup, method, "traditional", scenario, 2018, True, solver, baseline
+        )
+        assert report.num_checkpoints > 0 and report.num_failures > 0
+        assert engine.replay_hits == 1 and engine._replay.misses == 0
+        assert calls == [] and engine._replay.catchup_iterations == 0
+        monkeypatch.undo()
+        off, _ = _run(setup, method, "traditional", scenario, 2018, False)
+        assert _json(report) == _json(off)
 
 
 class TestSessionInternals:
@@ -882,8 +1038,6 @@ class TestSessionInternals:
         docs/architecture.md): stationary and BiCGSTAB resumes are bitwise,
         CG recomputes its residual on resume, GMRES resumes bitwise at cycle
         ends only."""
-        from repro.solvers import BiCGStabSolver
-
         assert JacobiSolver(poisson_small.A).checkpoint_spec.bitwise_resume
         assert BiCGStabSolver(poisson_small.A).checkpoint_spec.bitwise_resume
         assert not CGSolver(poisson_small.A).checkpoint_spec.bitwise_resume

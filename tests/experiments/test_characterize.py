@@ -45,40 +45,74 @@ class TestMeasureSchemeRatio:
 class TestCachedCharacterization:
     """The campaign passes its memoized baseline to the characterization."""
 
-    @pytest.mark.parametrize("method", ["jacobi", "cg", "gmres", "bicgstab"])
-    @pytest.mark.parametrize("scheme", ["traditional", "lossless", "lossy"])
-    def test_one_solve_and_the_hint_free_result(self, monkeypatch, method, scheme):
-        """Cold, the characterization solves once.  The hint-free call then
-        replays that recording (no solve at all) or, with replay off, solves
-        twice: once to count the iterations, once to capture."""
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """No disk memo, no recording or setup another test left behind, and
+        every solve counted: ``(callback, iterations)`` per call."""
         monkeypatch.setattr(execute, "_MEMO_STORE", None)
-        # Recordings other tests left in the process-wide cache must not
-        # serve this one.
         monkeypatch.setattr(replay_module, "_GLOBAL_CACHE", None)
-        key = (method, 6, 4, 11, 1e-6, 30, 100000)
-        axes = (scheme, "sz", 1e-4, False, "fixed")
-        problem, solver, _ = execute._cached_setup(*key)  # memoizes the baseline
+        execute._cached_setup.cache_clear()
         execute._cached_characterization.cache_clear()
-
         solves = []
         solve = IterativeSolver.solve
 
         def counted(self, *args, **kwargs):
-            solves.append(kwargs.get("callback"))
-            return solve(self, *args, **kwargs)
+            result = solve(self, *args, **kwargs)
+            solves.append((kwargs.get("callback"), result.iterations))
+            return result
 
         monkeypatch.setattr(IterativeSolver, "solve", counted)
+        return solves
+
+    @pytest.mark.parametrize("method", ["jacobi", "cg", "gmres", "bicgstab"])
+    @pytest.mark.parametrize("scheme", ["traditional", "lossless", "lossy"])
+    def test_one_solve_and_the_hint_free_result(self, fresh, method, scheme):
+        """The baseline solves once.  With replay on, the characterization
+        and the hint-free call replay its recording: no solve from the start,
+        only catch-up to samples whose vectors a payload reads — none for an
+        identity payload, none for a densely recorded solver (CG, GMRES),
+        under 16 iterations per sample for a strided one.  With replay off
+        the characterization solves once more and the hint-free call twice."""
+        key = (method, 6, 4, 11, 1e-6, 30, 100000)
+        axes = (scheme, "sz", 1e-4, False, "fixed")
+        problem, solver, baseline = execute._cached_setup(*key)
+        assert len(fresh) == 1 and fresh[0][1] == baseline.iterations
         cached = execute._cached_characterization(*key, *axes)
-        assert len(solves) == 1 and solves[0] is not None
 
         scheme_obj = execute._build_scheme(SimpleNamespace(
             scheme=scheme, compressor="sz", error_bound=1e-4, adaptive=False,
             error_bound_policy="fixed",
         ))
         hint_free = measure_scheme_ratio(solver, problem.b, scheme_obj, method=method)
-        assert len(solves) == (1 if replay_enabled() else 3)
+        solves = fresh[1:]
+        if not replay_enabled():
+            assert [n for _, n in solves] == [baseline.iterations] * 3
+        elif scheme == "traditional" or method in ("cg", "gmres"):
+            assert solves == []
+        else:
+            assert 0 < len(solves) <= 2 * 3
+            assert all(callback is not None and n < 16 for callback, n in solves)
         assert execute._characterization_to_dict(cached) == (
             execute._characterization_to_dict(hint_free)
+        )
+
+    @pytest.mark.parametrize("method", ["jacobi", "cg", "gmres", "bicgstab"])
+    def test_characterization_after_setup_runs_no_iterations(self, fresh, method):
+        """The baseline records; the characterization replays it and prices
+        its identity payloads from their layout: no solver iteration at
+        all, and the measurement a run without replay makes."""
+        key = (method, 6, 4, 11, 1e-6, 30, 100000)
+        axes = ("traditional", "sz", 1e-4, False, "fixed")
+        execute._cached_setup(*key)
+        del fresh[:]
+        replayed = execute._cached_characterization(*key, *axes)
+        assert (fresh == []) if replay_enabled() else (len(fresh) == 1)
+        execute._cached_characterization.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(replay_module.REPLAY_ENV, "off")
+            solved = execute._cached_characterization(*key, *axes)
+        assert execute._characterization_to_dict(replayed) == (
+            execute._characterization_to_dict(solved)
         )
 
 
