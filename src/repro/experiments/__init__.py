@@ -7,8 +7,11 @@ through :func:`repro.campaign.executor.run_campaign` (accepting ``n_workers``
 and ``cache`` so figures parallelise and memoise on disk) and post-processes
 the cell results into a plain dataclass, and a ``*_table`` helper renders the
 text table printed by the ``examples``/benchmark harness.  The mapping from
-paper artefact to module is README.md's "Paper figure map".
+paper artefact to module is README.md's "Paper figure map".  The figure
+modules load on first use of one of their names.
 """
+
+from importlib import import_module
 
 from repro.experiments.config import (
     ExperimentConfig,
@@ -18,15 +21,28 @@ from repro.experiments.config import (
     method_solver,
     method_problem,
 )
-from repro.experiments.fig1_overhead_surface import run_fig1, fig1_table, fig1_cells
-from repro.experiments.fig2_cg_extra_iterations import run_fig2, fig2_table, fig2_cells
-from repro.experiments.fig3_kkt_scaling import run_fig3, fig3_table, fig3_cells
-from repro.experiments.table3_checkpoint_sizes import run_table3, table3_table, table3_cells
-from repro.experiments.fig456_ckpt_recovery_time import run_fig456, fig456_table, fig456_cells
-from repro.experiments.fig7_expected_overhead import run_fig7, fig7_table, fig7_cells
-from repro.experiments.fig8_convergence_iterations import run_fig8, fig8_table, fig8_cells
-from repro.experiments.fig9_jacobi_trajectories import run_fig9, fig9_table, fig9_cells
-from repro.experiments.fig10_experimental_vs_expected import run_fig10, fig10_table, fig10_cells
+
+#: Each figure's module, by the prefix of its ``run_*``/``*_table``/``*_cells``
+#: names.  A module loads on first use of one of its names (PEP 562), so a
+#: campaign cell imports only the figure code its own kind runs.
+_FIGURES = {
+    "fig1": "fig1_overhead_surface",
+    "fig2": "fig2_cg_extra_iterations",
+    "fig3": "fig3_kkt_scaling",
+    "table3": "table3_checkpoint_sizes",
+    "fig456": "fig456_ckpt_recovery_time",
+    "fig7": "fig7_expected_overhead",
+    "fig8": "fig8_convergence_iterations",
+    "fig9": "fig9_jacobi_trajectories",
+    "fig10": "fig10_experimental_vs_expected",
+}
+
+#: Every public figure name, by the module it lives in.
+_LAZY = {
+    name: module
+    for figure, module in _FIGURES.items()
+    for name in (f"run_{figure}", f"{figure}_table", f"{figure}_cells")
+}
 
 __all__ = [
     "ExperimentConfig",
@@ -35,31 +51,11 @@ __all__ = [
     "campaign_fields",
     "method_solver",
     "method_problem",
-    "run_fig1",
-    "fig1_table",
-    "fig1_cells",
-    "run_fig2",
-    "fig2_table",
-    "fig2_cells",
-    "run_fig3",
-    "fig3_table",
-    "fig3_cells",
-    "run_table3",
-    "table3_table",
-    "table3_cells",
-    "run_fig456",
-    "fig456_table",
-    "fig456_cells",
-    "run_fig7",
-    "fig7_table",
-    "fig7_cells",
-    "run_fig8",
-    "fig8_table",
-    "fig8_cells",
-    "run_fig9",
-    "fig9_table",
-    "fig9_cells",
-    "run_fig10",
-    "fig10_table",
-    "fig10_cells",
+    *_LAZY,
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -13,11 +13,10 @@ repetitions).  Two presets are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.axes import METHODS
 from repro.precond import JacobiPreconditioner
-from repro.sparse.kkt import KKTProblem, kkt_system
 from repro.sparse.poisson import PoissonProblem, poisson_system
 from repro.solvers import (
     BiCGStabSolver,
@@ -36,6 +35,9 @@ __all__ = [
     "campaign_fields",
     "PAPER_RTOL",
 ]
+
+if TYPE_CHECKING:
+    from repro.sparse.kkt import KKTProblem
 
 #: Relative convergence tolerances per method, as stated in Section 5.1.
 PAPER_RTOL: Dict[str, float] = {"jacobi": 1e-4, "gmres": 7e-5, "cg": 1e-7}
@@ -148,6 +150,8 @@ def campaign_fields(config: ExperimentConfig, method: str) -> Dict[str, object]:
 
 def kkt_problem(config: ExperimentConfig) -> KKTProblem:
     """The synthetic KKT system standing in for SuiteSparse KKT240 (Fig. 3)."""
+    from repro.sparse.kkt import kkt_system
+
     return kkt_system(config.kkt_n, dims=3, seed=config.seed)
 
 

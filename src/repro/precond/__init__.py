@@ -5,12 +5,12 @@ The Poisson runs of the reproduction solve without preconditioning
 the KKT study of Fig. 3 uses point Jacobi as the paper does, and the
 quickstart example shows CG with IC(0).  All share one
 :class:`~repro.precond.base.Preconditioner` interface whose ``solve`` method
-applies ``M^{-1}`` to a vector.
+applies ``M^{-1}`` to a vector.  IC(0) needs SciPy, so its module loads on
+first use of its name.
 """
 
 from repro.precond.base import Preconditioner, IdentityPreconditioner
 from repro.precond.jacobi import JacobiPreconditioner
-from repro.precond.ichol import IncompleteCholeskyPreconditioner
 
 __all__ = [
     "Preconditioner",
@@ -18,3 +18,11 @@ __all__ = [
     "JacobiPreconditioner",
     "IncompleteCholeskyPreconditioner",
 ]
+
+
+def __getattr__(name):
+    if name == "IncompleteCholeskyPreconditioner":
+        from repro.precond.ichol import IncompleteCholeskyPreconditioner
+
+        return IncompleteCholeskyPreconditioner
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

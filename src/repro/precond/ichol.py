@@ -12,11 +12,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.precond.base import Preconditioner
+from repro.sparse.csr import as_scipy
 
 __all__ = ["IncompleteCholeskyPreconditioner", "ic0_factor"]
 
 
-def ic0_factor(A: sp.csr_matrix, *, shift: float = 0.0) -> sp.csr_matrix:
+def ic0_factor(A, *, shift: float = 0.0) -> sp.csr_matrix:
     """Return the IC(0) lower-triangular factor ``L`` with ``A ~ L L^T``.
 
     Parameters
@@ -27,7 +28,7 @@ def ic0_factor(A: sp.csr_matrix, *, shift: float = 0.0) -> sp.csr_matrix:
         Optional diagonal shift added before factorization (used to rescue
         borderline-indefinite matrices; 0 by default).
     """
-    A = A.tocsr()
+    A = as_scipy(A)
     n = A.shape[0]
     L = sp.tril(A, k=0).tocsr().copy()
     if shift:

@@ -23,6 +23,7 @@ from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.precond.base import IdentityPreconditioner, Preconditioner
+from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import check_positive, check_square_matrix, check_vector
 
 __all__ = [
@@ -370,10 +371,11 @@ class IterativeSolver(abc.ABC):
         directly is bitwise-identical — iterates, residual histories, and
         therefore every downstream checkpoint payload are unchanged.  Any
         input the kernel binding cannot guarantee that equivalence for
-        (non-float64, non-contiguous) falls back to the operator.
+        (non-float64, non-contiguous) falls back to the operator, and so does
+        a :class:`~repro.sparse.csr.CSRMatrix`, whose NumPy kernel is exact.
         """
         A = self.A
-        if A.dtype != np.float64:
+        if A.dtype != np.float64 or isinstance(A, CSRMatrix):
             return A.__matmul__
         try:
             from scipy.sparse._sparsetools import csr_matvec

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.sparse.csr import as_scipy, is_sparse
 from repro.utils.validation import check_square_matrix
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
 
 def jacobi_iteration_matrix(A) -> sp.csr_matrix:
     """Return the Jacobi iteration matrix ``G = D^{-1}(L + U)``."""
-    A = check_square_matrix(A)
+    A = as_scipy(check_square_matrix(A))
     diag = A.diagonal()
     if np.any(diag == 0.0):
         raise ValueError("Jacobi splitting requires a nonzero diagonal")
@@ -36,8 +37,8 @@ def jacobi_iteration_matrix(A) -> sp.csr_matrix:
 
 def spectral_radius(G) -> float:
     """Exact spectral radius of a (small) matrix via dense eigenvalues."""
-    if sp.issparse(G):
-        G = G.toarray()
+    if is_sparse(G):
+        G = as_scipy(G).toarray()
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"G must be square, got shape {G.shape}")

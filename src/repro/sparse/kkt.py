@@ -89,7 +89,7 @@ def kkt_system(
     rng = default_rng(seed)
 
     # Primal Hessian block: Laplacian + mass term, SPD.
-    lap = poisson_3d(n) if dims == 3 else poisson_2d(n)
+    lap = (poisson_3d(n) if dims == 3 else poisson_2d(n)).to_scipy()
     n_primal = lap.shape[0]
     H = (lap + sp.identity(n_primal, format="csr")).tocsr()
 

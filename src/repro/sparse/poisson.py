@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.sparse.csr import CSRMatrix, is_sparse
 from repro.utils.rng import default_rng
 
 __all__ = [
@@ -57,39 +57,49 @@ def _sign_factor(sign: str) -> float:
     raise ValueError(f"sign must be 'spd' or 'paper', got {sign!r}")
 
 
-def poisson_1d(n: int, *, sign: str = "spd", dtype=np.float64) -> sp.csr_matrix:
+def poisson_1d(n: int, *, sign: str = "spd", dtype=np.float64) -> CSRMatrix:
     """Return the 1-D Poisson (second-difference) matrix of order ``n``.
 
     With ``sign="spd"`` the matrix is ``tridiag(-1, 2, -1)``; with
     ``sign="paper"`` it is ``tridiag(1, -2, 1)``.
     """
-    n = _check_n(n)
-    s = _sign_factor(sign)
-    main = np.full(n, 2.0 * s, dtype=dtype)
-    off = np.full(n - 1, -1.0 * s, dtype=dtype)
-    return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr", dtype=dtype)
+    return _laplacian_nd((_check_n(n),), sign, dtype)
 
 
-def _laplacian_nd(shape: Tuple[int, ...], sign: str, dtype) -> sp.csr_matrix:
-    """Kronecker-sum construction of the d-dimensional 7/5/3-point Laplacian."""
+def _laplacian_nd(shape: Tuple[int, ...], sign: str, dtype) -> CSRMatrix:
+    """The d-dimensional 7/5/3-point Laplacian, assembled row by row in CSR.
+
+    This is the Kronecker sum of 1-D second differences: row ``i`` holds
+    ``2 d`` on the diagonal and ``-1`` at one stride behind and ahead along
+    every axis where the grid has that neighbour (both negated for
+    ``sign="paper"``).  The arrays are those ``scipy.sparse.kron`` would
+    build: ``int32`` indices, columns sorted within each row.
+    """
     s = _sign_factor(sign)
     dims = [int(m) for m in shape]
     for m in dims:
         if m < 1:
             raise ValueError(f"all grid dimensions must be >= 1, got {shape}")
-    # Build with the SPD convention then apply the sign at the end so the
-    # Kronecker sum stays simple.
-    operator: Optional[sp.spmatrix] = None
-    for axis, m in enumerate(dims):
-        one_d = poisson_1d(m, sign="spd", dtype=dtype)
-        eye_before = sp.identity(int(np.prod(dims[:axis], dtype=np.int64)) or 1,
-                                 format="csr", dtype=dtype)
-        eye_after = sp.identity(int(np.prod(dims[axis + 1:], dtype=np.int64)) or 1,
-                                format="csr", dtype=dtype)
-        term = sp.kron(sp.kron(eye_before, one_d), eye_after, format="csr")
-        operator = term if operator is None else operator + term
-    assert operator is not None
-    return (s * operator).tocsr()
+    n = int(np.prod(dims, dtype=np.int64))
+    strides = [int(np.prod(dims[axis + 1:], dtype=np.int64)) for axis in range(len(dims))]
+    rows = np.arange(n, dtype=np.int32)
+    coords = [rows // stride % m for m, stride in zip(dims, strides)]
+    # Slots in ascending column order: one stride behind along each axis
+    # (largest stride first), the diagonal, one stride ahead (smallest first).
+    offsets = [-stride for stride in strides] + [0] + strides[::-1]
+    present = np.stack(
+        [coord > 0 for coord in coords]
+        + [np.ones(n, dtype=bool)]
+        + [coord < m - 1 for coord, m in zip(coords[::-1], dims[::-1])],
+        axis=1,
+    )
+    indices = (rows[:, None] + np.array(offsets, dtype=np.int32))[present]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    off, diag = -s, 2.0 * len(dims) * s
+    values = np.array([off] * len(dims) + [diag] + [off] * len(dims), dtype=dtype)
+    data = np.broadcast_to(values, present.shape)[present]
+    return CSRMatrix(indptr, indices, data, dims)
 
 
 def stencil_grid(A) -> Optional[Tuple[int, ...]]:
@@ -108,7 +118,7 @@ def stencil_grid(A) -> Optional[Tuple[int, ...]]:
     matrices without off-diagonal couplings and anything else (KKT blocks,
     random patterns, permuted grids) give ``None``.
     """
-    if not sp.issparse(A) or A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if not is_sparse(A) or len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         return None
     A = A.tocsr()
     n = int(A.shape[0])
@@ -129,13 +139,13 @@ def stencil_grid(A) -> Optional[Tuple[int, ...]]:
     return shape[::-1]
 
 
-def poisson_2d(n: int, *, sign: str = "spd", dtype=np.float64) -> sp.csr_matrix:
+def poisson_2d(n: int, *, sign: str = "spd", dtype=np.float64) -> CSRMatrix:
     """Return the 5-point 2-D Poisson matrix on an ``n x n`` grid."""
     n = _check_n(n)
     return _laplacian_nd((n, n), sign, dtype)
 
 
-def poisson_3d(n: int, *, sign: str = "spd", dtype=np.float64) -> sp.csr_matrix:
+def poisson_3d(n: int, *, sign: str = "spd", dtype=np.float64) -> CSRMatrix:
     """Return the 7-point 3-D Poisson matrix on an ``n x n x n`` grid.
 
     This is the paper's Eq. (15) operator (up to the documented sign
@@ -187,7 +197,7 @@ class PoissonProblem:
         Spatial dimensionality (1, 2 or 3).
     """
 
-    A: sp.csr_matrix
+    A: CSRMatrix
     b: np.ndarray
     x_true: np.ndarray
     n: int

@@ -10,7 +10,8 @@ from __future__ import annotations
 from numbers import Real
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.sparse.csr import is_sparse
 
 
 def check_positive(value: Real, name: str) -> float:
@@ -39,11 +40,16 @@ def check_vector(x, name: str, *, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def check_square_matrix(A, name: str = "A") -> sp.csr_matrix:
-    """Return ``A`` as CSR, raising unless it is a square 2-D sparse/dense matrix."""
-    if sp.issparse(A):
+def check_square_matrix(A, name: str = "A"):
+    """Return ``A`` as CSR, raising unless it is a square 2-D sparse/dense matrix.
+
+    A :class:`~repro.sparse.csr.CSRMatrix` passes through; dense input imports SciPy.
+    """
+    if is_sparse(A):
         mat = A.tocsr()
     else:
+        import scipy.sparse as sp
+
         arr = np.asarray(A, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sparse import poisson_system, kkt_system
+
+#: ``--hypothesis-profile=deep``: 20x the 100 examples of the CSR matvec
+#: property in ``tests/sparse/test_csr.py``.  CI runs ``tests/sparse`` with it
+#: once.
+settings.register_profile("deep", max_examples=20 * 100)
 
 
 @pytest.fixture(scope="session")

@@ -549,8 +549,7 @@ class TestSnapshotMemoAndFingerprints:
         assert solver_fingerprint(a) != solver_fingerprint(
             JacobiSolver(poisson_small.A, rtol=1e-5, max_iter=100)
         )
-        other = poisson_small.A.copy()
-        other = other.tolil()
+        other = poisson_small.A.to_scipy().tolil()
         other[0, 0] = other[0, 0] * 1.5
         assert solver_fingerprint(a) != solver_fingerprint(
             JacobiSolver(other.tocsr(), rtol=1e-4, max_iter=100)

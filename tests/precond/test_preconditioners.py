@@ -16,7 +16,7 @@ ALL = (IdentityPreconditioner, JacobiPreconditioner, IncompleteCholeskyPrecondit
 
 def _dense_inverse_action(cls, A):
     """The dense matrix ``M`` each class's ``solve`` applies the inverse of."""
-    dense = A.toarray()
+    dense = A.to_scipy().toarray()
     if cls is IdentityPreconditioner:
         return np.eye(A.shape[0])
     if cls is JacobiPreconditioner:
@@ -57,7 +57,7 @@ class TestJacobi:
 
         # D A D keeps A's SPD structure but spreads its diagonal over four
         # decades, which point Jacobi undoes exactly.
-        A0 = poisson_2d(8)
+        A0 = poisson_2d(8).to_scipy()
         D = sp.diags(np.logspace(0, 2, A0.shape[0]), format="csr")
         A = (D @ A0 @ D).tocsr()
         b = np.ones(A.shape[0])
@@ -111,7 +111,7 @@ class TestInterface:
     def test_accepts_a_dense_matrix(self, cls):
         A = poisson_2d(3)
         r = np.arange(1.0, 10.0)
-        assert np.allclose(cls(A.toarray()).solve(r), cls(A).solve(r))
+        assert np.allclose(cls(A.to_scipy().toarray()).solve(r), cls(A).solve(r))
 
     @pytest.mark.parametrize("cls", ALL)
     def test_inverse_is_spd_for_an_spd_matrix(self, cls):

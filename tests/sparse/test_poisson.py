@@ -24,13 +24,13 @@ class TestPoisson1D:
         assert A.nnz == 5 + 2 * 4
 
     def test_spd_sign_convention(self):
-        A = poisson_1d(6).toarray()
+        A = poisson_1d(6).to_scipy().toarray()
         assert np.all(np.diag(A) == 2.0)
         eigs = np.linalg.eigvalsh(A)
         assert np.all(eigs > 0)
 
     def test_paper_sign_convention(self):
-        A = poisson_1d(6, sign="paper").toarray()
+        A = poisson_1d(6, sign="paper").to_scipy().toarray()
         assert np.all(np.diag(A) == -2.0)
 
     def test_invalid_sign_raises(self):
@@ -52,24 +52,24 @@ class TestPoisson3D:
         assert np.allclose(A.diagonal(), 6.0)
 
     def test_paper_diagonal_is_minus_six(self):
-        A = poisson_3d(4, sign="paper")
+        A = poisson_3d(4, sign="paper").to_scipy()
         assert np.allclose(A.diagonal(), -6.0)
         # Off-diagonal couplings are +1 as printed in Eq. (15).
         off = A - sp.diags(A.diagonal())
         assert np.allclose(off.data, 1.0)
 
     def test_symmetric(self):
-        A = poisson_3d(5)
+        A = poisson_3d(5).to_scipy()
         assert (A - A.T).nnz == 0
 
     def test_interior_row_has_seven_entries(self):
-        A = poisson_3d(5).tolil()
+        A = poisson_3d(5).to_scipy().tolil()
         # The centre point of the grid touches all 6 neighbours.
         center = 2 * 25 + 2 * 5 + 2
         assert len(A.rows[center]) == 7
 
     def test_positive_definite(self):
-        A = poisson_3d(3).toarray()
+        A = poisson_3d(3).to_scipy().toarray()
         assert np.all(np.linalg.eigvalsh(A) > 0)
 
 
@@ -135,7 +135,7 @@ class TestStencilGrid:
         assert stencil_grid(_laplacian_nd((3, 1, 4), "spd", np.float64)) == (3, 4)
 
     def test_other_formats_are_read_as_csr(self):
-        assert stencil_grid(poisson_3d(4).tocoo()) == (4, 4, 4)
+        assert stencil_grid(poisson_3d(4).to_scipy().tocoo()) == (4, 4, 4)
 
     def test_kkt_is_not_a_grid(self):
         assert stencil_grid(kkt_system(5, dims=3, seed=11).K) is None
@@ -144,12 +144,12 @@ class TestStencilGrid:
         assert stencil_grid(random_spd(120, density=0.05, seed=3)) is None
 
     def test_permuted_poisson_is_not_a_grid(self):
-        A = poisson_3d(5)
+        A = poisson_3d(5).to_scipy()
         perm = np.random.default_rng(0).permutation(A.shape[0])
         assert stencil_grid(A[perm][:, perm]) is None
 
     def test_dense_input_is_not_read(self):
-        assert stencil_grid(poisson_3d(4).toarray()) is None
+        assert stencil_grid(poisson_3d(4).to_scipy().toarray()) is None
 
     def test_band_crossing_axis_boundaries_is_not_a_grid(self):
         # Offsets {1, 2} form the divisor chain of an (N/2, 2) grid, but the

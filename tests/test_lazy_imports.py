@@ -3,11 +3,11 @@
 The campaign front end (``cli``, ``spec``, ``cache``, ``report``,
 ``executor``) imports no numerics: a rerun served from the cache loads neither
 NumPy nor SciPy, and a run with pending cells loads the execution stack once,
-before any worker pool forks.  ``scipy.fft`` (with the ``scipy.special`` it
-pulls in) and ``scipy.sparse.linalg`` (with the ``scipy.linalg`` it pulls in)
-are imported by the constructors that call them, never at module level
-(docs/architecture.md, "Imports").  Each test runs in a fresh interpreter,
-since this process has long since loaded all of them.
+before any worker pool forks.  A cell on a Poisson problem loads no SciPy at
+all, and no figure module: ``scipy.fft`` (ZFP), ``scipy.sparse`` (KKT) and
+``scipy.sparse.linalg`` (IC(0)) are imported by the code that calls them,
+never at module level (docs/architecture.md, "Imports").  Each test runs in a
+fresh interpreter, since this process has long since loaded all of them.
 """
 
 import json
@@ -28,9 +28,10 @@ NUMERICS = (
     "numpy", "scipy", "repro.engine", "repro.compression", "repro.solvers",
     "repro.sparse", "multiprocessing",
 )
-#: What a run with pending cells has loaded before its worker pool forks.
+#: What a run with pending cells has loaded before its worker pool forks
+#: (and SciPy is not among it).
 STACK = (
-    "numpy", "scipy.sparse", "repro.engine.core", "repro.solvers", "repro.sparse",
+    "numpy", "repro.engine.core", "repro.solvers", "repro.sparse",
     "repro.experiments.characterize",
 )
 
@@ -106,6 +107,7 @@ def test_pool_parent_holds_the_execution_stack_before_forking(tmp_path):
         class Recording(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 held.append([m for m in {STACK!r} if m in sys.modules])
+                held.append([m for m in sys.modules if m.split(".")[0] == "scipy"])
                 super().__init__(*args, **kwargs)
 
         concurrent.futures.ProcessPoolExecutor = Recording
@@ -115,7 +117,7 @@ def test_pool_parent_holds_the_execution_stack_before_forking(tmp_path):
                   "--quiet", "--workers", "2"])
         print(json.dumps(held))
     """)
-    assert json.loads(out.splitlines()[-1]) == [list(STACK)]
+    assert json.loads(out.splitlines()[-1]) == [list(STACK), []]
 
 
 def test_cold_traditional_campaign_loads_no_heavy_submodule():
@@ -137,6 +139,41 @@ def test_cold_traditional_campaign_loads_no_heavy_submodule():
     outcome = json.loads(out.splitlines()[-1])
     assert outcome["cells"] == 3
     assert outcome["loaded"] == []
+
+
+def test_poisson_cells_load_no_scipy_and_kkt_and_zfp_cells_load_their_own():
+    out = _run_fresh("""
+        import json, sys
+        from repro.campaign import CampaignSpec, RunSpec, run_campaign
+        from repro.experiments.config import SMALL_CONFIG, campaign_fields
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                          or m.startswith("repro.experiments.fig"))
+
+        def cells(**fields):
+            spec = CampaignSpec(
+                name="cold", kind="ft", methods=["cg"], mttis=[1800.0],
+                checkpoint_intervals=[150.0], repetitions=1, grid_n=6, seed=3, **fields,
+            )
+            return len(run_campaign(spec).results())
+
+        outcome = {"poisson": cells(schemes=["traditional", "lossless", "lossy"],
+                                    compressors=["sz"])}
+        outcome["poisson_loaded"] = loaded()
+        outcome["zfp"] = cells(schemes=["lossy"], compressors=["zfp"])
+        outcome["zfp_loaded_fft"] = "scipy.fft" in sys.modules
+        assert "scipy.sparse" not in sys.modules
+        kkt = RunSpec(kind="solve", scheme="traditional", **campaign_fields(SMALL_CONFIG, "kkt"))
+        outcome["kkt_converged"] = run_campaign([kkt]).results()[0]["converged"]
+        outcome["kkt_loaded_sparse"] = "scipy.sparse" in sys.modules
+        print(json.dumps(outcome))
+    """)
+    assert json.loads(out.splitlines()[-1]) == {
+        "poisson": 3, "poisson_loaded": [],
+        "zfp": 1, "zfp_loaded_fft": True,
+        "kkt_converged": True, "kkt_loaded_sparse": True,
+    }
 
 
 def test_deferred_importers_load_at_construction_and_work():
